@@ -34,7 +34,7 @@ from .errors import (
     TooFewObservations,
     ZeroVariance,
 )
-from .estimator import UnitJumpFit, effective_obs, estimate_jump, fit_one_sided, smooth_residuals
+from .estimator import UnitJumpFit, estimate_jump, smooth_residuals
 from .inference import (
     TestConfig,
     TestResult,
@@ -49,13 +49,12 @@ from .inference import (
 )
 from .io import (
     PanelSchema,
-    RunConfig,
     read_panel_csv,
     read_threshold_csv,
     render_report,
     write_report,
 )
-from .kernels import KernelSpec, eval_kernel, kernel_moments, local_weights, side_sums
+from .kernels import KernelSpec, eval_kernel, kernel_moments, local_weights
 from .panel import PanelData, PanelUnit
 from .variance import (
     SigmaC,

@@ -167,8 +167,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fraction", type=float, default=0.0,
                    help="fraction of units given a jump (0 = size run)")
     p.add_argument("--scale", type=float, default=1.0, help="jump scale factor")
+    # argparse converts a string default with ``type`` only when this
+    # subcommand runs, so a bad PANELJUMP_THREADS is a usage error here.
     p.add_argument("--workers", type=int,
-                   default=int(os.environ.get("PANELJUMP_THREADS", "1")))
+                   default=os.environ.get("PANELJUMP_THREADS", "1"))
     _add_io_flags(p)
     p.set_defaults(func=_cmd_simulate)
 

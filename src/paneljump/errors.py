@@ -98,7 +98,8 @@ class MissingColumn(DataError):
 
 
 class NonFiniteValue(DataError):
-    """A cell failed to parse to a finite number."""
+    """A cell failed to parse to a finite number, or a unit built in code
+    holds a non-finite value; ``row`` is then the position in the unit."""
 
     def __init__(self, row: int, detail: str = ""):
         self.row = row

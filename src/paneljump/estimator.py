@@ -1,4 +1,4 @@
-"""One-sided local linear fits, jump estimation, and residual smoothing.
+"""Jump estimation and residual smoothing.
 
 The jump estimate at a threshold c is the difference between two boundary
 local linear fits, one from each side.  Residual smoothing runs a plain
@@ -9,19 +9,17 @@ prefix-sum path that avoids per-point Python work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateEverywhere, InsufficientSupport
-from .kernels import KernelSpec, denominator_floor, eval_kernel, local_weights, _side_arrays
+from .errors import DegenerateEverywhere
+from .kernels import KernelSpec, denominator_floor, eval_kernel, local_weights
 
 __all__ = [
     "UnitJumpFit",
-    "fit_one_sided",
     "estimate_jump",
     "smooth_residuals",
-    "effective_obs",
 ]
 
 
@@ -29,9 +27,10 @@ __all__ = [
 class UnitJumpFit:
     """Result of a two-boundary local linear fit at one threshold.
 
-    ``gamma_hat`` is defined as ``mu_plus - mu_minus``.  ``v_hat`` is the
-    standardising scale attached later by the variance step; it is None
-    until then.
+    ``gamma_hat`` is defined as ``mu_plus - mu_minus``.  ``w_diff`` is the
+    weight difference ``w_plus - w_minus`` that the variance step needs.
+    ``v_hat`` is the standardising scale attached later by the variance
+    step; it is None until then.
     """
 
     unit_id: str
@@ -41,8 +40,7 @@ class UnitJumpFit:
     gamma_hat: float
     mu_plus: float
     mu_minus: float
-    slope_plus: float
-    slope_minus: float
+    w_diff: np.ndarray = field(repr=False)
     eff_obs_plus: int
     eff_obs_minus: int
     v_hat: float | None = None
@@ -50,44 +48,6 @@ class UnitJumpFit:
     @property
     def eff_obs(self) -> int:
         return self.eff_obs_plus + self.eff_obs_minus
-
-
-def _side_solution(y: np.ndarray, x: np.ndarray, c: float, b: float,
-                   kernel: KernelSpec, side: str):
-    """Solve the one-sided weighted least squares in centred form.
-
-    Returns (weights, intercept, slope, eff_obs) where the intercept is the
-    fitted value at c and the slope is the one-sided derivative there.
-    """
-    kw, d = _side_arrays(x, c, b, kernel, side)
-    support = kw > 0.0
-    if np.unique(x[support]).size < 2:
-        raise InsufficientSupport(side, "fewer than 2 distinct in-support points")
-    s0 = float(kw.sum())
-    s1 = float(kw @ d)
-    s2 = float(kw @ (d * d))
-    den = s2 * s0 - s1 * s1
-    if den <= denominator_floor(s0, s2):
-        raise InsufficientSupport(side, "singular local design")
-    t0 = float(kw @ y)
-    t1 = float((kw * d) @ y)
-    intercept = (s2 * t0 - s1 * t1) / den
-    slope = (s0 * t1 - s1 * t0) / den
-    w = kw * (s2 - d * s1) / den
-    return w, intercept, slope, int(np.count_nonzero(w))
-
-
-def fit_one_sided(y, x, c: float, b: float, kernel: KernelSpec, side: str):
-    """One-sided local linear fit at the threshold.
-
-    Minimises sum_t (y_t - b0 - b1 x_t)^2 K((x_t - c)/b) over the requested
-    side and returns ``(intercept, slope)`` where the intercept is the
-    fitted value at c and the slope the one-sided derivative there.
-    """
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    _, intercept, slope, _ = _side_solution(y, x, c, b, kernel, side)
-    return intercept, slope
 
 
 def estimate_jump(y, x, c: float, b: float, kernel: KernelSpec,
@@ -106,10 +66,10 @@ def estimate_jump(y, x, c: float, b: float, kernel: KernelSpec,
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
-    w_p, mu_p, sl_p, eff_p = _side_solution(y, x, c, b, kernel, "plus")
-    w_m, mu_m, sl_m, eff_m = _side_solution(y, x, c, b, kernel, "minus")
-    mu_plus = float(w_p @ y)
-    mu_minus = float(w_m @ y)
+    w_plus = local_weights(x, c, b, kernel, "plus")
+    w_minus = local_weights(x, c, b, kernel, "minus")
+    mu_plus = float(w_plus @ y)
+    mu_minus = float(w_minus @ y)
     return UnitJumpFit(
         unit_id=unit_id,
         c=float(c),
@@ -118,16 +78,10 @@ def estimate_jump(y, x, c: float, b: float, kernel: KernelSpec,
         gamma_hat=mu_plus - mu_minus,
         mu_plus=mu_plus,
         mu_minus=mu_minus,
-        slope_plus=sl_p,
-        slope_minus=sl_m,
-        eff_obs_plus=eff_p,
-        eff_obs_minus=eff_m,
+        w_diff=w_plus - w_minus,
+        eff_obs_plus=int(np.count_nonzero(w_plus)),
+        eff_obs_minus=int(np.count_nonzero(w_minus)),
     )
-
-
-def effective_obs(weights) -> int:
-    """Number of observations carrying strictly nonzero weight."""
-    return int(np.count_nonzero(np.asarray(weights)))
 
 
 def _fitted_uniform(eval_points: np.ndarray, xs: np.ndarray, ys: np.ndarray,
@@ -159,7 +113,7 @@ def _fitted_uniform(eval_points: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     sd2 = m2 - 2.0 * uc * m1 + uc * uc * n
     t1 = r1 - uc * r0
     den = sd2 * n - sd1 * sd1
-    floor = 1e-12 * np.maximum(1.0, sd2 * n)
+    floor = denominator_floor(n, sd2)
     with np.errstate(divide="ignore", invalid="ignore"):
         fitted = (sd2 * r0 - sd1 * t1) / den
     fitted[~(den > floor)] = np.nan
@@ -192,7 +146,7 @@ def _fitted_general(eval_points: np.ndarray, xs: np.ndarray, ys: np.ndarray,
         t0 = k @ yw
         t1 = (k * d) @ yw
         den = s2 * s0 - s1 * s1
-        floor = 1e-12 * np.maximum(1.0, s0 * s2)
+        floor = denominator_floor(s0, s2)
         with np.errstate(divide="ignore", invalid="ignore"):
             fit = (s2 * t0 - s1 * t1) / den
         fit[~(den > floor)] = np.nan

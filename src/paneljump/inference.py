@@ -31,8 +31,8 @@ from .errors import (
     TooFewObservations,
     ZeroVariance,
 )
-from .estimator import UnitJumpFit, _side_solution, smooth_residuals
-from .kernels import KernelSpec, local_weights
+from .estimator import UnitJumpFit, estimate_jump, smooth_residuals
+from .kernels import KernelSpec
 from .panel import PanelData, PanelUnit
 from .variance import (
     SigmaC,
@@ -322,6 +322,10 @@ def _v_floor(y: np.ndarray) -> float:
     return _V_FLOOR_REL * (scale if scale > 0.0 else 1.0)
 
 
+def _floored_scale(vsq: float, floor: float) -> float:
+    return max(float(np.sqrt(max(vsq, 0.0))), floor)
+
+
 def _resolve_thresholds(panel: PanelData, threshold) -> dict[str, float]:
     if isinstance(threshold, Mapping):
         missing = [u.unit_id for u in panel if u.unit_id not in threshold]
@@ -359,29 +363,11 @@ def _resolve_bandwidths(panel: PanelData, thresholds: dict[str, float],
 def _analyze_unit(unit: PanelUnit, c: float, b: float, kernel: KernelSpec) -> UnitJumpFit:
     """Fit both boundaries at c and attach the standardising scale."""
     y, x = unit.y, unit.x
-    w_p, _, sl_p, eff_p = _side_solution(y, x, c, b, kernel, "plus")
-    w_m, _, sl_m, eff_m = _side_solution(y, x, c, b, kernel, "minus")
-    mu_plus = float(w_p @ y)
-    mu_minus = float(w_m @ y)
-    gamma = mu_plus - mu_minus
-    resid = smooth_residuals(y, x, b, kernel, jump_removal=(c, gamma))
+    fit = estimate_jump(y, x, c, b, kernel, unit.unit_id)
+    resid = smooth_residuals(y, x, b, kernel, jump_removal=(c, fit.gamma_hat))
     est = sigma_e_sq_known(resid, x, c, b)
-    vsq = v_sq(w_p, w_m, est.sigma_e_sq, unit.n_obs, b)
-    v_hat = max(float(np.sqrt(max(vsq, 0.0))), _v_floor(y))
-    return UnitJumpFit(
-        unit_id=unit.unit_id,
-        c=c,
-        b=b,
-        n_obs=unit.n_obs,
-        gamma_hat=gamma,
-        mu_plus=mu_plus,
-        mu_minus=mu_minus,
-        slope_plus=sl_p,
-        slope_minus=sl_m,
-        eff_obs_plus=eff_p,
-        eff_obs_minus=eff_m,
-        v_hat=v_hat,
-    )
+    fit.v_hat = _floored_scale(v_sq(fit.w_diff, est.sigma_e_sq, unit.n_obs, b), _v_floor(y))
+    return fit
 
 
 def _fit_panel(panel: PanelData, threshold, config: TestConfig):
@@ -499,20 +485,17 @@ def _search_unit(unit: PanelUnit, grid: np.ndarray, b: float, a_trunc: float,
     effs = np.zeros(k, dtype=int)
     floor = _v_floor(y)
     root_tb = np.sqrt(unit.n_obs * b)
-    for i, c in enumerate(grid):
+    for i, c in enumerate(grid.tolist()):
         try:
-            w_p = local_weights(x, float(c), b, kernel, "plus")
-            w_m = local_weights(x, float(c), b, kernel, "minus")
-            est = sigma_e_sq_truncated(resid, x, float(c), b, a_trunc)
+            fit = estimate_jump(y, x, c, b, kernel)
+            est = sigma_e_sq_truncated(resid, x, c, b, a_trunc)
         except (InsufficientSupport, EmptyWindow):
             continue
-        gamma = float(w_p @ y) - float(w_m @ y)
-        vsq = v_sq(w_p, w_m, est.sigma_e_sq, unit.n_obs, b)
-        v_hat = max(float(np.sqrt(max(vsq, 0.0))), floor)
-        stats[i] = root_tb * gamma / v_hat
-        gammas[i] = gamma
+        v_hat = _floored_scale(v_sq(fit.w_diff, est.sigma_e_sq, unit.n_obs, b), floor)
+        stats[i] = root_tb * fit.gamma_hat / v_hat
+        gammas[i] = fit.gamma_hat
         v_hats[i] = v_hat
-        effs[i] = int(np.count_nonzero(w_p)) + int(np.count_nonzero(w_m))
+        effs[i] = fit.eff_obs
     return stats, gammas, v_hats, effs
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from io import StringIO
 
 import numpy as np
 
@@ -22,12 +23,11 @@ from .errors import (
     MissingColumn,
     NonFiniteValue,
 )
-from .inference import TestConfig, TestResult, ThresholdSearchResult
+from .inference import TestResult, ThresholdSearchResult
 from .panel import PanelData, PanelUnit
 
 __all__ = [
     "PanelSchema",
-    "RunConfig",
     "read_panel_csv",
     "read_threshold_csv",
     "render_report",
@@ -51,25 +51,6 @@ class PanelSchema:
         names = (self.unit_col, self.time_col, self.y_col, self.x_col)
         if len(set(names)) != 4:
             raise ValueError(f"schema column names must be distinct, got {names}")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation: statistical knobs plus input/output plumbing."""
-
-    test: TestConfig
-    threshold: object = 0.0
-    grid: tuple[float, ...] | None = None
-    output_format: str = "csv"
-    out_path: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.output_format not in FORMATS:
-            raise ValueError(f"format must be one of {FORMATS}")
-        if self.grid is not None:
-            g = self.grid
-            if len(g) == 0 or any(b <= a for a, b in zip(g, g[1:])):
-                raise ValueError("grid must be nonempty and strictly increasing")
 
 
 def _parse_number(text: str, row: int, what: str) -> float:
@@ -297,13 +278,15 @@ def render_report(result, output_format: str = "csv") -> str:
             for item in summary:
                 lines.append(": ".join(item))
         return "\n".join(lines) + "\n"
-    delim = "," if output_format == "csv" else "\t"
-    lines = [delim.join(header)]
-    for row in rows:
-        lines.append(delim.join(_cell(v, False) for v in row))
-    for item in summary:
-        lines.append("# " + delim.join(item))
-    return "\n".join(lines) + "\n"
+    # The csv module quotes cells that hold the delimiter, a quote or a
+    # newline, such as unit ids or skip reasons; other cells are unchanged.
+    buf = StringIO()
+    writer = csv.writer(buf, delimiter="," if output_format == "csv" else "\t",
+                        lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(v, False) for v in row] for row in rows)
+    writer.writerows(["# " + item[0], *item[1:]] for item in summary)
+    return buf.getvalue()
 
 
 def write_report(result, output_format: str = "csv",

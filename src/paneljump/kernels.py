@@ -1,4 +1,4 @@
-"""Kernels, one-sided kernel sums, and local linear threshold weights.
+"""Kernels and one-sided local linear threshold weights.
 
 Conventions used throughout:
   * kernels live on [-1, 1] with the endpoints included, so a point at
@@ -20,10 +20,8 @@ __all__ = [
     "KERNEL_KINDS",
     "KernelSpec",
     "KernelMoments",
-    "SideSums",
     "eval_kernel",
     "kernel_moments",
-    "side_sums",
     "local_weights",
 ]
 
@@ -65,19 +63,6 @@ class KernelMoments:
     minus: tuple[float, float, float]
 
 
-@dataclass(frozen=True)
-class SideSums:
-    """Kernel-weighted design sums S_l = sum_t (x_t - c)^l K((x_t - c)/b)
-    restricted to one side of the threshold, for l = 0, 1, 2."""
-
-    s0: float
-    s1: float
-    s2: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.s0, self.s1, self.s2)
-
-
 def eval_kernel(kernel: KernelSpec, u):
     """Evaluate the kernel at ``u`` (scalar or array), zero outside [-1, 1].
 
@@ -104,55 +89,12 @@ def kernel_moments(kernel: KernelSpec) -> KernelMoments:
     return KernelMoments(plus=(k0, k1, k2), minus=(k0, -k1, k2))
 
 
-def _require_side(side: str) -> None:
-    if side not in ("plus", "minus"):
-        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+def denominator_floor(s0, s2):
+    """Relative floor below which the local design is treated as singular.
 
-
-def _side_arrays(x: np.ndarray, c: float, b: float, kernel: KernelSpec, side: str):
-    """Shared kernel/side masking: returns (kw, d) with kw zero off side."""
-    if b <= 0.0:
-        raise ValueError(f"bandwidth must be positive, got {b}")
-    d = x - c
-    kv = eval_kernel(kernel, d / b)
-    mask = d >= 0.0 if side == "plus" else d < 0.0
-    kw = np.where(mask, kv, 0.0)
-    return kw, d
-
-
-def side_sums(x, c: float, b: float, kernel: KernelSpec, side: str) -> SideSums:
-    """Kernel-weighted sums of (x - c)^l over one side of the threshold.
-
-    Parameters
-    ----------
-    x : array_like
-        Covariate values.
-    c : float
-        Threshold location.
-    b : float
-        Bandwidth, strictly positive.
-    kernel : KernelSpec
-    side : str
-        ``plus`` for x >= c, ``minus`` for x < c.
-
-    Returns
-    -------
-    SideSums
-        (S_0, S_1, S_2).  All are finite whenever the inputs are.
+    Works elementwise on arrays, so the smoothing paths share it.
     """
-    _require_side(side)
-    x = np.asarray(x, dtype=float)
-    kw, d = _side_arrays(x, c, b, kernel, side)
-    return SideSums(
-        s0=float(kw.sum()),
-        s1=float(kw @ d),
-        s2=float(kw @ (d * d)),
-    )
-
-
-def denominator_floor(s0: float, s2: float) -> float:
-    """Relative floor below which the local design is treated as singular."""
-    return 1e-12 * max(1.0, s0 * s2)
+    return 1e-12 * np.maximum(1.0, s0 * s2)
 
 
 def local_weights(x, c: float, b: float, kernel: KernelSpec, side: str) -> np.ndarray:
@@ -177,9 +119,14 @@ def local_weights(x, c: float, b: float, kernel: KernelSpec, side: str) -> np.nd
         If fewer than two distinct covariate values carry kernel weight on
         the requested side, or the design denominator falls below its floor.
     """
-    _require_side(side)
+    if side not in ("plus", "minus"):
+        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+    if b <= 0.0:
+        raise ValueError(f"bandwidth must be positive, got {b}")
     x = np.asarray(x, dtype=float)
-    kw, d = _side_arrays(x, c, b, kernel, side)
+    d = x - c
+    mask = d >= 0.0 if side == "plus" else d < 0.0
+    kw = np.where(mask, eval_kernel(kernel, d / b), 0.0)
     support = kw > 0.0
     if np.unique(x[support]).size < 2:
         raise InsufficientSupport(side, "fewer than 2 distinct in-support points")

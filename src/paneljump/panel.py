@@ -34,6 +34,11 @@ class PanelUnit:
             )
         if self.y.size == 0:
             raise EmptyUnit(f"unit {self.unit_id!r} has no observations")
+        for name, values in (("y", self.y), ("x", self.x)):
+            finite = np.isfinite(values)
+            if not finite.all():
+                pos = int(np.argmin(finite))
+                raise NonFiniteValue(pos, f"unit {self.unit_id!r}: {name}[{pos}] = {values[pos]}")
 
     @property
     def n_obs(self) -> int:
@@ -59,15 +64,3 @@ class PanelData:
             if u.unit_id == unit_id:
                 return u
         raise KeyError(unit_id)
-
-    def validate_finite(self) -> None:
-        """Raise NonFiniteValue if any unit carries a non-finite cell.
-
-        Row numbers here are positions within the unit, not file rows; the
-        CSV reader raises with file rows before this ever fires.
-        """
-        for u in self.units:
-            bad = ~(np.isfinite(u.y) & np.isfinite(u.x))
-            if bad.any():
-                pos = int(np.argmax(bad))
-                raise NonFiniteValue(pos, f"unit {u.unit_id!r}")

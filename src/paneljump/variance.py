@@ -110,12 +110,13 @@ def default_truncation(pooled_resid_sq, n_comparisons: int) -> float:
     return factor * med
 
 
-def v_sq(w_plus, w_minus, sigma_e_sq: float, t_obs: int, b: float) -> float:
-    """Squared standardising scale T b sum_t (w_plus - w_minus)^2 sigma^2."""
-    w_plus = np.asarray(w_plus, dtype=float)
-    w_minus = np.asarray(w_minus, dtype=float)
-    dw = w_plus - w_minus
-    return float(t_obs * b * (dw @ dw) * sigma_e_sq)
+def v_sq(w_diff, sigma_e_sq: float, t_obs: int, b: float) -> float:
+    """Squared standardising scale T b sum_t w_diff_t^2 sigma^2.
+
+    ``w_diff`` is the weight difference w_plus - w_minus of a jump fit.
+    """
+    w_diff = np.asarray(w_diff, dtype=float)
+    return float(t_obs * b * (w_diff @ w_diff) * sigma_e_sq)
 
 
 def v_tilde_sq(v_sqs, j: int) -> float:

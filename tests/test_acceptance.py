@@ -115,6 +115,7 @@ def test_c03_critical_value_oracles():
     _check("C3 critical values", ok, f"max gap {worst:.4f}, {elapsed:.2f}s")
 
 
+@pytest.mark.slow
 def test_c04_size_existence():
     """Null rejection rate of the existence test on the iid design."""
     start = time.perf_counter()
@@ -127,6 +128,7 @@ def test_c04_size_existence():
            f"rate {rate:.3f} target 0.05 +/- 0.03, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_c05_power_existence():
     """Power against sparse boundary-scaled jumps."""
     start = time.perf_counter()
@@ -140,6 +142,7 @@ def test_c05_power_existence():
     _check("C5 power, existence", ok, f"rate {rate:.3f} >= 0.90, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_c06_size_homogeneity():
     start = time.perf_counter()
     tab = run_size_power(DgpConfig(dgp_id=1, n_units=100, t_obs=800),
@@ -152,6 +155,7 @@ def test_c06_size_homogeneity():
            f"rate {rate:.3f} target 0.062 +/- 0.035, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_c07_size_unknown_threshold():
     """Null rejection rate of the grid search on the factor design.
 
@@ -171,6 +175,7 @@ def test_c07_size_unknown_threshold():
            f"rate {rate:.3f} target 0.047 +/- 0.035, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_c08_threshold_accuracy():
     """Mean location error on a fine grid, decreasing in T."""
     start = time.perf_counter()

@@ -74,6 +74,18 @@ class TestUsageErrors:
         code = cli_main(["jump-test", "--data", data, "--schema", "unit,time"])
         assert code == 2
 
+    def test_bad_workers_env_is_usage_error_on_simulate(self, monkeypatch, capsys):
+        monkeypatch.setenv("PANELJUMP_THREADS", "two")
+        code = cli_main(["simulate", "--dgp", "1", "--n", "3", "--t", "80",
+                         "--reps", "1", "--bandwidth", "fixed:0.3"])
+        assert code == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_bad_workers_env_ignored_elsewhere(self, monkeypatch, capsys):
+        monkeypatch.setenv("PANELJUMP_THREADS", "two")
+        assert cli_main(["critical-value", "--n", "3"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
 
 class TestDataErrors:
     def test_missing_file(self, tmp_path, capsys):

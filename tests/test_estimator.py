@@ -1,4 +1,4 @@
-"""Tests for the one-sided fits, the jump estimator, and pilot smoothing."""
+"""Tests for the jump estimator and pilot smoothing."""
 
 from __future__ import annotations
 
@@ -8,39 +8,13 @@ import pytest
 from paneljump.errors import DegenerateEverywhere, InsufficientSupport
 from paneljump.estimator import (
     UnitJumpFit,
-    effective_obs,
     estimate_jump,
-    fit_one_sided,
     smooth_residuals,
 )
 from paneljump.kernels import KernelSpec
 
 UNIFORM = KernelSpec("uniform")
 EPA = KernelSpec("epanechnikov")
-
-
-class TestFitOneSided:
-    def test_two_point_secant(self):
-        """Points (0.2, 1.0) and (0.4, 2.0) on the plus side: the local line
-        is y = 5x, so the boundary value at c = 0 is 0 and the slope 5."""
-        x = [0.2, 0.4, -0.5]
-        y = [1.0, 2.0, 99.0]
-        intercept, slope = fit_one_sided(y, x, 0.0, 1.0, UNIFORM, "plus")
-        assert intercept == pytest.approx(0.0, abs=1e-12)
-        assert slope == pytest.approx(5.0, abs=1e-12)
-
-    @pytest.mark.parametrize("side", ["plus", "minus"])
-    def test_recovers_affine_exactly(self, side):
-        rng = np.random.default_rng(21)
-        x = rng.uniform(-2.0, 2.0, size=80)
-        y = -1.5 + 0.75 * x
-        intercept, slope = fit_one_sided(y, x, 0.3, 1.0, EPA, side)
-        assert intercept == pytest.approx(-1.5 + 0.75 * 0.3, abs=1e-9)
-        assert slope == pytest.approx(0.75, abs=1e-9)
-
-    def test_requires_side_support(self):
-        with pytest.raises(InsufficientSupport):
-            fit_one_sided([1.0, 2.0], [0.5, 0.6], 0.0, 1.0, UNIFORM, "minus")
 
 
 class TestEstimateJump:
@@ -61,8 +35,6 @@ class TestEstimateJump:
         y = np.where(x >= 0.0, 2.0 + 3.0 * x, -1.0 - 0.5 * x)
         fit = estimate_jump(y, x, 0.0, 0.4, EPA)
         assert fit.gamma_hat == pytest.approx(3.0, abs=1e-9)
-        assert fit.slope_plus == pytest.approx(3.0, abs=1e-9)
-        assert fit.slope_minus == pytest.approx(-0.5, abs=1e-9)
 
     def test_linear_in_y(self):
         rng = np.random.default_rng(7)
@@ -91,11 +63,6 @@ class TestEstimateJump:
         with pytest.raises(InsufficientSupport) as err:
             estimate_jump(np.zeros(4), x, 0.0, 1.0, UNIFORM)
         assert "minus" in str(err.value)
-
-
-def test_effective_obs_counts_nonzero():
-    assert effective_obs([0.0, 1.0, -2.0, 0.0]) == 2
-    assert effective_obs(np.zeros(5)) == 0
 
 
 class TestSmoothResiduals:

@@ -34,7 +34,7 @@ def _fit(t, unit_id="u", t_obs=100, b=1.0):
     """UnitJumpFit whose standardised statistic is exactly ``t``."""
     return UnitJumpFit(
         unit_id=unit_id, c=0.0, b=b, n_obs=t_obs, gamma_hat=t,
-        mu_plus=t, mu_minus=0.0, slope_plus=0.0, slope_minus=0.0,
+        mu_plus=t, mu_minus=0.0, w_diff=np.zeros(t_obs),
         eff_obs_plus=t_obs // 2, eff_obs_minus=t_obs // 2,
         v_hat=float(np.sqrt(t_obs * b)),
     )
@@ -223,6 +223,16 @@ class TestExistencePipeline:
         panel = _noise_panel(n_units=2)
         with pytest.raises(DataError, match="u1"):
             run_existence(panel, {"u0": 0.0}, FIXED)
+
+    @pytest.mark.parametrize("column", ["y", "x"])
+    def test_non_finite_value_is_data_error(self, column):
+        """A NaN is a data error naming unit and position, not a skip."""
+        panel = _noise_panel(n_units=2)
+        arrays = {"y": panel.units[1].y.copy(), "x": panel.units[1].x.copy()}
+        arrays[column][7] = np.nan
+        with pytest.raises(DataError, match=rf"'u1': {column}\[7\]"):
+            panel.units[1] = PanelUnit(unit_id="u1", **arrays)
+            run_existence(panel, 0.0, FIXED)
 
     def test_all_units_skipped(self):
         # all mass on one side of the threshold defeats every unit

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+from io import StringIO
+
 import numpy as np
 import pytest
 
@@ -21,13 +24,11 @@ from paneljump.inference import (
 )
 from paneljump.io import (
     PanelSchema,
-    RunConfig,
     read_panel_csv,
     read_threshold_csv,
     render_report,
     write_report,
 )
-from paneljump.inference import TestConfig as Config
 from paneljump.inference import TestResult as Result
 
 
@@ -41,16 +42,6 @@ class TestPanelSchema:
     def test_distinct_names_required(self):
         with pytest.raises(ValueError, match="distinct"):
             PanelSchema(unit_col="a", time_col="a")
-
-
-class TestRunConfig:
-    def test_bad_format(self):
-        with pytest.raises(ValueError, match="format"):
-            RunConfig(test=Config(), output_format="xml")
-
-    def test_grid_must_increase(self):
-        with pytest.raises(ValueError, match="increasing"):
-            RunConfig(test=Config(), grid=(0.2, 0.2, 0.4))
 
 
 class TestReadPanelCsv:
@@ -257,6 +248,17 @@ class TestRenderReport:
                             failed=0, mean_abs_error=0.004, max_abs_error=0.08)
         text = render_report(tab, "csv")
         assert text.splitlines()[1] == "2,10,800,0.004,0.08,200,0"
+
+    @pytest.mark.parametrize("fmt, delim", [("csv", ","), ("tsv", "\t")])
+    def test_cells_holding_the_delimiter_round_trip(self, fmt, delim):
+        r = _existence_result()
+        r.per_unit[0].unit_id = f"a{delim}b"
+        reason = f"need at least 20 observations{delim} got 8"
+        r.skipped = [SkippedUnit(f"z{delim}y", reason)]
+        rows = list(csv.reader(StringIO(render_report(r, fmt)), delimiter=delim))
+        assert [len(row) for row in rows[:3]] == [8, 8, 8]
+        assert rows[1][0] == f"a{delim}b"
+        assert rows[-1] == ["# skipped", f"z{delim}y", reason]
 
     def test_delimited_values_keep_precision(self):
         r = _existence_result()

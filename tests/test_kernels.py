@@ -1,4 +1,4 @@
-"""Tests for kernel evaluation, side sums, and local linear weights."""
+"""Tests for kernel evaluation and local linear weights."""
 
 from __future__ import annotations
 
@@ -11,12 +11,10 @@ from paneljump.errors import InsufficientSupport
 from paneljump.kernels import (
     KERNEL_KINDS,
     KernelSpec,
-    SideSums,
     denominator_floor,
     eval_kernel,
     kernel_moments,
     local_weights,
-    side_sums,
 )
 
 UNIFORM = KernelSpec("uniform")
@@ -92,38 +90,6 @@ class TestKernelMoments:
         assert m.minus[2] == m.plus[2]
 
 
-class TestSideSums:
-    def test_hand_computed_uniform(self):
-        """x = [-0.3, 0.2, 0.4, 1.5], c = 0, b = 1, uniform kernel.
-
-        Plus side keeps 0.2 and 0.4 (1.5 is outside the window), each with
-        kernel factor 0.5; minus side keeps -0.3 alone.
-        """
-        x = [-0.3, 0.2, 0.4, 1.5]
-        plus = side_sums(x, 0.0, 1.0, UNIFORM, "plus")
-        assert plus.as_tuple() == pytest.approx((1.0, 0.3, 0.1), abs=1e-15)
-        minus = side_sums(x, 0.0, 1.0, UNIFORM, "minus")
-        assert minus.as_tuple() == pytest.approx((0.5, -0.15, 0.045), abs=1e-15)
-
-    def test_threshold_point_counts_as_plus(self):
-        plus = side_sums([0.0], 0.0, 1.0, UNIFORM, "plus")
-        assert plus.s0 == 0.5
-        minus = side_sums([0.0], 0.0, 1.0, UNIFORM, "minus")
-        assert minus.s0 == 0.0
-
-    def test_empty_side_gives_zero_sums(self):
-        s = side_sums([1.0, 2.0], 0.0, 0.5, UNIFORM, "minus")
-        assert s == SideSums(0.0, 0.0, 0.0)
-
-    def test_bad_side_rejected(self):
-        with pytest.raises(ValueError, match="side"):
-            side_sums([0.1], 0.0, 1.0, UNIFORM, "left")
-
-    def test_nonpositive_bandwidth_rejected(self):
-        with pytest.raises(ValueError, match="bandwidth"):
-            side_sums([0.1], 0.0, 0.0, UNIFORM, "plus")
-
-
 class TestDenominatorFloor:
     def test_relative_above_one(self):
         assert denominator_floor(10.0, 5.0) == 1e-12 * 50.0
@@ -149,6 +115,19 @@ class TestLocalWeights:
         # exactness on affine y means intercept recovery at the threshold
         y = 3.0 - 2.0 * x
         assert w @ y == pytest.approx(3.0 - 2.0 * 0.1, abs=1e-9)
+
+    def test_threshold_point_counts_as_plus(self):
+        x = np.array([0.0, 0.5, -0.5, -0.25])
+        assert local_weights(x, 0.0, 1.0, UNIFORM, "plus")[0] != 0.0
+        assert local_weights(x, 0.0, 1.0, UNIFORM, "minus")[0] == 0.0
+
+    def test_bad_side_rejected(self):
+        with pytest.raises(ValueError, match="side"):
+            local_weights([0.1, 0.2], 0.0, 1.0, UNIFORM, "left")
+
+    def test_nonpositive_bandwidth_rejected(self):
+        with pytest.raises(ValueError, match="bandwidth"):
+            local_weights([0.1, 0.2], 0.0, 0.0, UNIFORM, "plus")
 
     def test_zero_off_own_side(self):
         rng = np.random.default_rng(6)

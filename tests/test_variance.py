@@ -103,18 +103,16 @@ class TestDefaultTruncation:
 class TestVSq:
     def test_arithmetic(self):
         # sum of squared differences 0.01 by construction
-        w_plus = np.array([0.1, 0.0])
-        w_minus = np.array([0.0, 0.0])
-        assert v_sq(w_plus, w_minus, 2.0, 100, 0.5) == pytest.approx(1.0)
+        w_diff = np.array([0.1, 0.0])
+        assert v_sq(w_diff, 2.0, 100, 0.5) == pytest.approx(1.0)
 
     def test_zero_sigma(self):
-        assert v_sq(np.ones(3), np.zeros(3), 0.0, 50, 0.3) == 0.0
+        assert v_sq(np.ones(3), 0.0, 50, 0.3) == 0.0
 
     def test_scales_with_sigma(self):
-        w_p = np.array([0.4, 0.6, 0.0])
-        w_m = np.array([0.0, 0.0, 1.0])
-        base = v_sq(w_p, w_m, 1.0, 200, 0.25)
-        assert v_sq(w_p, w_m, 9.0, 200, 0.25) == pytest.approx(9.0 * base)
+        w_diff = np.array([0.4, 0.6, -1.0])
+        base = v_sq(w_diff, 1.0, 200, 0.25)
+        assert v_sq(w_diff, 9.0, 200, 0.25) == pytest.approx(9.0 * base)
 
 
 class TestVTildeSq:
