@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 from .bandwidth import BandwidthPolicy
 from .dgp import DgpConfig, GammaScheme, McConfig, run_size_power
-from .errors import DataError, InvalidAlpha, NumericalError
+from .errors import DataError, GridSpacingWarning, InvalidAlpha, NumericalError
 from .inference import TestConfig, critical_value, search_thresholds, test_existence, test_homogeneity
 from .io import PanelSchema, read_panel_csv, read_threshold_csv, write_report
 from .kernels import KERNEL_KINDS, KernelSpec
@@ -216,7 +217,10 @@ def _cmd_threshold_search(args) -> int:
     if not isinstance(threshold, tuple):
         raise UsageError("threshold-search needs --threshold grid:<v1,v2,...>")
     panel = _load_panel(args)
-    result = search_thresholds(panel, threshold[1], _test_config(args))
+    # The report carries its own "# warning" line.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GridSpacingWarning)
+        result = search_thresholds(panel, threshold[1], _test_config(args))
     _emit(result, args)
     return 0
 
@@ -275,3 +279,7 @@ def cli_main(argv=None) -> int:
 
 def main() -> None:
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

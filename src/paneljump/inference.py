@@ -476,13 +476,18 @@ def test_homogeneity(panel: PanelData, threshold=0.0,
 
 def _search_unit(unit: PanelUnit, grid: np.ndarray, b: float, a_trunc: float,
                  resid: np.ndarray, kernel: KernelSpec):
-    """Per-grid statistics for one unit; NaN marks unusable grid points."""
+    """Per-grid statistics for one unit; NaN marks unusable grid points.
+
+    Also returns the weight-difference rows of the valid grid points, in
+    grid order, from which the unit's correlation block is built.
+    """
     y, x = unit.y, unit.x
     k = grid.size
     stats = np.full(k, np.nan)
     gammas = np.full(k, np.nan)
     v_hats = np.full(k, np.nan)
     effs = np.zeros(k, dtype=int)
+    w_diffs = []
     floor = _v_floor(y)
     root_tb = np.sqrt(unit.n_obs * b)
     for i, c in enumerate(grid.tolist()):
@@ -496,7 +501,8 @@ def _search_unit(unit: PanelUnit, grid: np.ndarray, b: float, a_trunc: float,
         gammas[i] = fit.gamma_hat
         v_hats[i] = v_hat
         effs[i] = fit.eff_obs
-    return stats, gammas, v_hats, effs
+        w_diffs.append(fit.w_diff)
+    return stats, gammas, v_hats, effs, w_diffs
 
 
 def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) -> ThresholdSearchResult:
@@ -552,11 +558,12 @@ def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) 
 
     per_unit: list[UnitSearch] = []
     used_bandwidths = []
+    blocks = []
     for unit in panel:
         if unit.unit_id not in residuals:
             continue
         b = bandwidths[unit.unit_id]
-        stats, gammas, v_hats, effs = _search_unit(
+        stats, gammas, v_hats, effs, w_diffs = _search_unit(
             unit, grid, b, a_trunc, residuals[unit.unit_id], config.kernel
         )
         score = np.abs(stats) if config.sidedness == "two_sided" else stats
@@ -565,6 +572,8 @@ def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) 
             skipped.append(SkippedUnit(unit.unit_id, "no valid grid point"))
             continue
         best = int(np.argmax(score))
+        if config.cv_method == "simulated":
+            blocks.append(sigma_c_matrix(w_diffs))
         per_unit.append(
             UnitSearch(
                 unit_id=unit.unit_id,
@@ -589,15 +598,7 @@ def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) 
 
     sigma_c = None
     if config.cv_method == "simulated":
-        ids, blocks = [], []
-        for u, unit in ((u, panel.unit(u.unit_id)) for u in per_unit):
-            valid = np.isfinite(u.stats)
-            blocks.append(
-                sigma_c_matrix(unit.x, grid[valid], u.bandwidth, config.kernel,
-                               np.ones(int(valid.sum())))
-            )
-            ids.append(u.unit_id)
-        sigma_c = SigmaC(unit_ids=ids, blocks=blocks)
+        sigma_c = SigmaC(unit_ids=[u.unit_id for u in per_unit], blocks=blocks)
     cvs = _critical_values(n_comparisons, config, config.sidedness, sigma_c)
 
     spacing_warning = False

@@ -54,13 +54,3 @@ class PanelData:
 
     def __iter__(self):
         return iter(self.units)
-
-    @property
-    def unit_ids(self) -> list[str]:
-        return [u.unit_id for u in self.units]
-
-    def unit(self, unit_id: str) -> PanelUnit:
-        for u in self.units:
-            if u.unit_id == unit_id:
-                return u
-        raise KeyError(unit_id)

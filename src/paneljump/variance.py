@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyWindow, SingleUnit
-from .kernels import KernelSpec, local_weights
 
 __all__ = [
     "VarianceEstimate",
@@ -135,38 +134,20 @@ def v_tilde_sq(v_sqs, j: int) -> float:
     return float((1.0 - 1.0 / n) ** 2 * v[j] + others / n**2)
 
 
-def sigma_c_matrix(x, grid, b: float, kernel: KernelSpec,
-                   sigma_e_sq_by_grid) -> np.ndarray:
+def sigma_c_matrix(w_diffs) -> np.ndarray:
     """Correlation block of one unit's jump statistics across grid thresholds.
 
-    Entry (i1, i2) is
+    ``w_diffs`` holds one row per valid grid point: the weight difference
+    w_plus - w_minus of the jump fit at that threshold.  Entry (i1, i2) is
 
         (v(c_i1) v(c_i2))^-1 T b sum_t w_t(c_i1) w_t(c_i2) sigma^2
 
-    with w_t(c) the plus-minus weight difference at threshold c.  Written as
-    a Gram matrix of the normalised weight vectors, which makes it positive
+    written as a Gram matrix of the normalised rows, which makes it positive
     semidefinite with a unit diagonal by construction; the per-grid variance
     levels cancel from the ratio.  Thresholds further apart than 2b have
     disjoint windows and an exactly zero entry.
-
-    Raises
-    ------
-    InsufficientSupport
-        Propagated from any grid point without a valid two-sided design.
     """
-    x = np.asarray(x, dtype=float)
-    grid = np.asarray(grid, dtype=float)
-    sig = np.asarray(sigma_e_sq_by_grid, dtype=float)
-    if sig.shape != grid.shape:
-        raise ValueError("sigma_e_sq_by_grid must align with grid")
-    if np.any(sig < 0.0):
-        raise ValueError("sigma_e_sq_by_grid must be nonnegative")
-    rows = []
-    for c in grid:
-        dw = (local_weights(x, float(c), b, kernel, "plus")
-              - local_weights(x, float(c), b, kernel, "minus"))
-        rows.append(dw / np.linalg.norm(dw))
-    z = np.vstack(rows)
+    z = np.vstack([dw / np.linalg.norm(dw) for dw in w_diffs])
     mat = z @ z.T
     np.clip(mat, -1.0, 1.0, out=mat)
     np.fill_diagonal(mat, 1.0)

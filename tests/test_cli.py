@@ -2,10 +2,27 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from paneljump.cli import cli_main
+from paneljump.errors import GridSpacingWarning
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN_PANEL = Path(__file__).parent / "data" / "golden_panel.csv"
+
+
+def _run_python(*args):
+    """Run a fresh interpreter that imports the package from the source tree."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
 
 
 def _panel_csv(tmp_path, name="panel.csv", n_units=2, t_obs=120, jump=3.0,
@@ -228,3 +245,33 @@ class TestSimulateCommand:
         assert code == 0
         line = capsys.readouterr().out.splitlines()[1]
         assert line.split(",")[5] == "1"  # rate column
+
+
+class TestThresholdSearchCommand:
+    def test_spacing_warning_only_in_report(self, tmp_path):
+        out = tmp_path / "report.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_main(["threshold-search", "--data", str(GOLDEN_PANEL),
+                             "--threshold", "grid:-0.2,-0.1,0,0.1,0.2",
+                             "--out", str(out)])
+        assert code == 0
+        assert not [w for w in caught if issubclass(w.category, GridSpacingWarning)]
+        assert any(line.startswith("# warning") for line in out.read_text().splitlines())
+
+
+class TestModuleEntry:
+    def test_python_m_runs_the_cli(self):
+        proc = _run_python("-m", "paneljump.cli", "critical-value", "--n", "3")
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == 3
+
+    def test_importing_cli_loads_every_layer(self):
+        # Traced benchmark runs wrap these modules after `import paneljump.cli`.
+        layers = ["cli", "io", "bandwidth", "kernels", "estimator", "variance",
+                  "inference", "dgp"]
+        code = ("import sys, paneljump.cli; "
+                f"print(*[m for m in {layers!r} if 'paneljump.' + m not in sys.modules])")
+        proc = _run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""

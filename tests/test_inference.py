@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+import paneljump.inference
 from paneljump.bandwidth import BandwidthPolicy
 from paneljump.errors import (
     AllUnitsSkipped,
@@ -26,6 +29,7 @@ from paneljump.inference import (
 from paneljump.inference import TestConfig as Config
 from paneljump.inference import test_existence as run_existence
 from paneljump.inference import test_homogeneity as run_homogeneity
+from paneljump.kernels import local_weights
 from paneljump.panel import PanelData, PanelUnit
 from paneljump.variance import SigmaC
 
@@ -376,3 +380,57 @@ class TestSearchThresholds:
         # independent analytic one
         q_ana = critical_value(result.n_comparisons, 0.05)
         assert result.critical_values[0.05] == pytest.approx(q_ana, abs=0.1)
+
+    def test_simulated_blocks_match_dense_reference(self, monkeypatch):
+        # u1 has no observations above 0.3, so the grid point 0.5 is
+        # invalid for it alone and its block is one row smaller.
+        rng = np.random.default_rng(26)
+        units = []
+        for j, upper in enumerate((1.0, 0.3)):
+            x = rng.uniform(-1.0, upper, size=300)
+            y = 0.5 * x + (x >= 0.0) + 0.1 * rng.normal(size=300)
+            units.append(PanelUnit(unit_id=f"u{j}", y=y, x=x))
+        grid = np.array([-0.5, -0.25, 0.0, 0.25, 0.5])
+        b = 0.2
+        cfg = Config(bandwidth=BandwidthPolicy.fixed(b), cv_method="simulated",
+                     cv_reps=2_000, seed=5)
+        seen = []
+
+        def capture(n_comparisons, reps, seed, sigma_c=None, sidedness="two_sided"):
+            seen.append(sigma_c)
+            return simulate_max_gaussian(n_comparisons, reps, seed, sigma_c, sidedness)
+
+        monkeypatch.setattr(paneljump.inference, "simulate_max_gaussian", capture)
+        with pytest.warns(GridSpacingWarning):
+            result = search_thresholds(PanelData(units), grid, cfg)
+
+        (sigma_c,) = seen
+        assert sigma_c.unit_ids == ["u0", "u1"]
+        assert [blk.shape[0] for blk in sigma_c.blocks] == [5, 4]
+        assert sigma_c.n_comparisons == result.n_comparisons
+        for unit, u, block in zip(units, result.per_unit, sigma_c.blocks):
+            rows = []
+            for c in grid[np.isfinite(u.stats)]:
+                dw = (local_weights(unit.x, c, b, cfg.kernel, "plus")
+                      - local_weights(unit.x, c, b, cfg.kernel, "minus"))
+                rows.append(dw / np.linalg.norm(dw))
+            z = np.array(rows)
+            np.testing.assert_allclose(block, z @ z.T, rtol=0.0, atol=1e-12)
+
+    def test_simulated_search_solves_each_threshold_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return local_weights(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("paneljump") and getattr(module, "local_weights", None) is local_weights:
+                monkeypatch.setattr(module, "local_weights", counting)
+        panel = _jump_panel([1.0, 1.0], seed=27, sd=0.1)
+        cfg = Config(bandwidth=BandwidthPolicy.fixed(0.2), cv_method="simulated",
+                     cv_reps=2_000, seed=5)
+        with pytest.warns(GridSpacingWarning):
+            result = search_thresholds(panel, [-0.3, 0.0, 0.3], cfg)
+        assert result.n_comparisons == 6
+        assert len(calls) == 2 * result.n_comparisons

@@ -132,6 +132,12 @@ class TestVTildeSq:
             v_tilde_sq([1.0], 0)
 
 
+def _w_diffs(x, grid, b):
+    """Weight-difference rows w_plus - w_minus at each grid threshold."""
+    return [local_weights(x, c, b, UNIFORM, "plus") - local_weights(x, c, b, UNIFORM, "minus")
+            for c in grid]
+
+
 class TestSigmaCMatrix:
     def _unit(self, seed=9, t=400):
         rng = np.random.default_rng(seed)
@@ -139,42 +145,39 @@ class TestSigmaCMatrix:
 
     def test_unit_diagonal(self):
         x = self._unit()
-        m = sigma_c_matrix(x, [-0.2, 0.0, 0.2], 0.3, UNIFORM, np.ones(3))
+        m = sigma_c_matrix(_w_diffs(x, [-0.2, 0.0, 0.2], 0.3))
         np.testing.assert_allclose(np.diag(m), 1.0, atol=1e-12)
 
     def test_symmetric_entries_in_range(self):
         x = self._unit()
-        m = sigma_c_matrix(x, [-0.2, 0.0, 0.2], 0.3, UNIFORM, np.ones(3))
+        m = sigma_c_matrix(_w_diffs(x, [-0.2, 0.0, 0.2], 0.3))
         np.testing.assert_allclose(m, m.T, atol=1e-12)
         assert np.all(m <= 1.0) and np.all(m >= -1.0)
 
     def test_exact_zero_beyond_two_bandwidths(self):
         x = self._unit()
-        m = sigma_c_matrix(x, [-0.5, 0.5], 0.2, UNIFORM, np.ones(2))
+        m = sigma_c_matrix(_w_diffs(x, [-0.5, 0.5], 0.2))
         assert m[0, 1] == 0.0
 
     def test_positive_semidefinite(self):
         x = self._unit(seed=10)
         grid = np.linspace(-0.4, 0.4, 7)
-        m = sigma_c_matrix(x, grid, 0.25, UNIFORM, np.ones(7))
+        m = sigma_c_matrix(_w_diffs(x, grid, 0.25))
         eigs = np.linalg.eigvalsh(m)
         assert eigs.min() > -1e-8
 
     def test_matches_brute_force_covariance(self):
         """Entry (i1, i2) equals the direct formula
-        (v_i1 v_i2)^-1 T b sum_t dw_t(c_i1) dw_t(c_i2) sigma^2."""
+        (v_i1 v_i2)^-1 T b sum_t dw_t(c_i1) dw_t(c_i2) sigma^2,
+        whatever the per-grid sigma levels: they cancel from the ratio."""
         x = self._unit(seed=11, t=120)
         grid = np.array([-0.1, 0.05, 0.2])
         b = 0.35
         sig = np.array([1.3, 0.8, 2.1])
-        m = sigma_c_matrix(x, grid, b, UNIFORM, sig)
+        dws = _w_diffs(x, grid, b)
+        m = sigma_c_matrix(dws)
 
         t_obs = x.size
-        dws = []
-        for c in grid:
-            wp = local_weights(x, c, b, UNIFORM, "plus")
-            wm = local_weights(x, c, b, UNIFORM, "minus")
-            dws.append(wp - wm)
         for i1 in range(3):
             for i2 in range(3):
                 # per-point sigma levels come from the window of the row
