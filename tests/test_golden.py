@@ -2,9 +2,11 @@
 
 ``data/golden_panel.csv`` holds 8 DGP 2 units of 120 observations with
 sparse jumps (units u4 and u6), plus unit u8 observed only below the
-threshold, which every run skips.  The expected reports next to it were
-written by the code, so a change that moves any reported number fails
-here even when reruns still agree with each other.
+threshold, which every run on it skips.  ``data/golden_thresholds.csv``
+gives each of those units its own threshold.  The ``simulate`` run needs
+no panel: it draws a small fixed-seed Monte Carlo table.  The expected
+reports next to them were written by the code, so a change that moves any
+reported number fails here even when reruns still agree with each other.
 
 After a deliberate change of the numbers, rewrite the expected files with
 
@@ -20,27 +22,41 @@ import pytest
 from paneljump.cli import cli_main
 
 DATA = Path(__file__).parent / "data"
-PANEL = DATA / "golden_panel.csv"
+PANEL = ["--data", str(DATA / "golden_panel.csv")]
+GRID = ["--threshold", "grid:-0.2,-0.1,0,0.1,0.2"]
 
 RUNS = {
-    "jump-test": ["jump-test"],
-    "jump-test-epanechnikov": ["jump-test", "--kernel", "epanechnikov"],
-    "homogeneity-test": ["homogeneity-test"],
-    "threshold-search": ["threshold-search", "--threshold", "grid:-0.2,-0.1,0,0.1,0.2",
+    "jump-test": ["jump-test", *PANEL],
+    "jump-test-epanechnikov": ["jump-test", *PANEL, "--kernel", "epanechnikov"],
+    "jump-test-threshold-file": [
+        "jump-test", *PANEL,
+        "--threshold", f"file:{DATA / 'golden_thresholds.csv'}",
+    ],
+    "homogeneity-test": ["homogeneity-test", *PANEL],
+    "threshold-search": ["threshold-search", *PANEL, *GRID,
                          "--method", "simulated", "--cv-reps", "2000"],
+    "threshold-search-markdown": ["threshold-search", *PANEL, *GRID,
+                                  "--format", "markdown"],
+    "simulate": ["simulate", "--dgp", "2", "--n", "6", "--t", "150", "--reps", "6",
+                 "--fraction", "0.5", "--scale", "0.7",
+                 "--bandwidth", "fixed:0.3", "--workers", "1"],
 }
 
 
+def _expected_path(name: str) -> Path:
+    suffix = ".md" if "markdown" in RUNS[name] else ".csv"
+    return DATA / f"golden_{name}{suffix}"
+
+
 def _report(name: str, out: Path) -> bytes:
-    assert cli_main([*RUNS[name], "--data", str(PANEL), "--out", str(out)]) == 0
+    assert cli_main([*RUNS[name], "--out", str(out)]) == 0
     return out.read_bytes()
 
 
 @pytest.mark.filterwarnings("ignore::paneljump.errors.GridSpacingWarning")
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_report_bytes_match_golden(name, tmp_path):
-    expected = (DATA / f"golden_{name}.csv").read_bytes()
-    assert _report(name, tmp_path / "report.csv") == expected
+    assert _report(name, tmp_path / "report") == _expected_path(name).read_bytes()
 
 
 if __name__ == "__main__":
@@ -48,4 +64,4 @@ if __name__ == "__main__":
 
     warnings.simplefilter("ignore")
     for run_name in RUNS:
-        _report(run_name, DATA / f"golden_{run_name}.csv")
+        _report(run_name, _expected_path(run_name))
