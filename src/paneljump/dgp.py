@@ -21,7 +21,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import GridSpacingWarning, NumericalError
 from .inference import TestConfig, search_thresholds, test_existence, test_homogeneity
@@ -124,6 +123,15 @@ class RateTable:
     rates: dict[float, float]
     std_errors: dict[float, float]
 
+    def table(self) -> tuple[list[str], list[list], list[list]]:
+        """Report header, one typed row per alpha, and no summary lines."""
+        header = ["dgp", "n_units", "t_obs", "test", "alpha", "rate",
+                  "std_error", "reps", "failed"]
+        rows = [[self.dgp_id, self.n_units, self.t_obs, self.test, a,
+                 self.rates[a], self.std_errors[a], self.reps, self.failed]
+                for a in self.rates]
+        return header, rows, []
+
 
 @dataclass
 class AccuracyTable:
@@ -136,6 +144,14 @@ class AccuracyTable:
     failed: int
     mean_abs_error: float
     max_abs_error: float
+
+    def table(self) -> tuple[list[str], list[list], list[list]]:
+        """Report header, one typed row, and no summary lines."""
+        header = ["dgp", "n_units", "t_obs", "mean_abs_error", "max_abs_error",
+                  "reps", "failed"]
+        rows = [[self.dgp_id, self.n_units, self.t_obs, self.mean_abs_error,
+                 self.max_abs_error, self.reps, self.failed]]
+        return header, rows, []
 
 
 # ----------------------------------------------------------------------
@@ -151,6 +167,9 @@ def _ma_coefficients(beta: float, lag: int) -> np.ndarray:
 def _ma_rows(n_series: int, t_obs: int, beta: float, lag: int,
              rng: np.random.Generator) -> np.ndarray:
     """n_series independent unit-variance MA(lag) rows of length t_obs."""
+    # Imported here: scipy.signal is slow to load and only the simulator needs it.
+    from scipy.signal import fftconvolve
+
     a = _ma_coefficients(beta, lag)
     eta = rng.standard_normal((n_series, t_obs + lag))
     return fftconvolve(eta, a[None, :], mode="valid", axes=1)
@@ -255,42 +274,46 @@ def _rep_seed(base_seed: int, rep: int) -> int:
     return int(np.random.SeedSequence([base_seed, rep]).generate_state(1, np.uint64)[0])
 
 
-def _one_size_power_rep(dgp_cfg: DgpConfig, rep_seed: int, test: str,
-                        grid, config: TestConfig):
+def _one_rep(dgp_cfg: DgpConfig, rep_seed: int, test: str, grid,
+            config: TestConfig):
+    """One replication, or None when it fails numerically.
+
+    ``test`` "accuracy" returns the absolute threshold-location error of
+    every searched unit; otherwise the reject map of the search (when
+    ``grid`` is given) or of the known-threshold ``test``.
+    """
     cfg = replace(dgp_cfg, seed=rep_seed)
-    panel, _, _ = gen_dgp(cfg)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GridSpacingWarning)
-        if grid is not None:
-            result = search_thresholds(panel, grid, config)
-        elif test == "homogeneity":
-            result = test_homogeneity(panel, cfg.threshold, config)
-        else:
-            result = test_existence(panel, cfg.threshold, config)
+    try:
+        panel, _, thresholds = gen_dgp(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GridSpacingWarning)
+            if grid is not None:
+                result = search_thresholds(panel, grid, config)
+            elif test == "homogeneity":
+                result = test_homogeneity(panel, cfg.threshold, config)
+            else:
+                result = test_existence(panel, cfg.threshold, config)
+    except NumericalError:
+        return None
+    if test == "accuracy":
+        true_c = float(thresholds[0])
+        return [abs(u.c_hat - true_c) for u in result.per_unit]
     return result.reject
 
 
-def _one_accuracy_rep(dgp_cfg: DgpConfig, rep_seed: int, grid,
-                      config: TestConfig):
-    cfg = replace(dgp_cfg, seed=rep_seed)
-    panel, _, thresholds = gen_dgp(cfg)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GridSpacingWarning)
-        result = search_thresholds(panel, grid, config)
-    true_c = float(thresholds[0])
-    return [abs(u.c_hat - true_c) for u in result.per_unit]
-
-
-def _map_reps(worker, payloads, workers: int):
-    if workers <= 1:
-        return [worker(*p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_call, [worker] * len(payloads), payloads,
-                             chunksize=max(1, len(payloads) // (8 * workers))))
-
-
-def _call(worker, payload):
-    return worker(*payload)
+def _run_reps(dgp_cfg: DgpConfig, mc: McConfig, test: str, grid,
+              config: TestConfig | None) -> list:
+    """Outcomes of ``_one_rep`` for replications 0..reps-1, in order."""
+    n = mc.reps
+    config = replace(config or TestConfig(), alphas=tuple(mc.alphas))
+    grid_t = None if grid is None else tuple(float(g) for g in grid)
+    columns = ([dgp_cfg] * n, [_rep_seed(mc.base_seed, r) for r in range(n)],
+               [test] * n, [grid_t] * n, [config] * n)
+    if mc.workers <= 1:
+        return list(map(_one_rep, *columns))
+    with ProcessPoolExecutor(max_workers=mc.workers) as pool:
+        return list(pool.map(_one_rep, *columns,
+                             chunksize=max(1, n // (8 * mc.workers))))
 
 
 def run_size_power(dgp_cfg: DgpConfig, mc: McConfig, test: str = "existence",
@@ -304,15 +327,9 @@ def run_size_power(dgp_cfg: DgpConfig, mc: McConfig, test: str = "existence",
     """
     if test not in ("existence", "homogeneity"):
         raise ValueError(f"test must be 'existence' or 'homogeneity', got {test!r}")
-    config = replace(config or TestConfig(), alphas=tuple(mc.alphas))
-    grid_t = None if grid is None else tuple(float(g) for g in grid)
-    payloads = [
-        (dgp_cfg, _rep_seed(mc.base_seed, r), test, grid_t, config)
-        for r in range(mc.reps)
-    ]
     counts = {a: 0 for a in mc.alphas}
     failed = 0
-    for outcome in _map_reps(_guarded_size_power, payloads, mc.workers):
+    for outcome in _run_reps(dgp_cfg, mc, test, grid, config):
         if outcome is None:
             failed += 1
             continue
@@ -336,20 +353,6 @@ def run_size_power(dgp_cfg: DgpConfig, mc: McConfig, test: str = "existence",
     )
 
 
-def _guarded_size_power(*payload):
-    try:
-        return _one_size_power_rep(*payload)
-    except NumericalError:
-        return None
-
-
-def _guarded_accuracy(*payload):
-    try:
-        return _one_accuracy_rep(*payload)
-    except NumericalError:
-        return None
-
-
 def run_threshold_accuracy(dgp_cfg: DgpConfig, mc: McConfig, grid,
                            config: TestConfig | None = None) -> AccuracyTable:
     """Mean and worst absolute threshold-location error over replications.
@@ -357,15 +360,9 @@ def run_threshold_accuracy(dgp_cfg: DgpConfig, mc: McConfig, grid,
     Meant for configurations whose gamma scheme gives every unit a jump;
     units skipped by the search simply contribute nothing.
     """
-    config = replace(config or TestConfig(), alphas=tuple(mc.alphas))
-    grid_t = tuple(float(g) for g in grid)
-    payloads = [
-        (dgp_cfg, _rep_seed(mc.base_seed, r), grid_t, config)
-        for r in range(mc.reps)
-    ]
     errors: list[float] = []
     failed = 0
-    for outcome in _map_reps(_guarded_accuracy, payloads, mc.workers):
+    for outcome in _run_reps(dgp_cfg, mc, "accuracy", grid, config):
         if outcome is None:
             failed += 1
         else:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .bandwidth import BandwidthPolicy, pilot_bandwidth, plugin_bandwidth, pooled_bandwidth
 from .errors import (
@@ -138,6 +138,22 @@ class TestResult:
     center: str | None = None
     center_value: float | None = None
 
+    def table(self) -> tuple[list[str], list[list], list[list]]:
+        """Report header, typed per-unit rows and typed summary lines."""
+        header = ["unit", "threshold", "gamma_hat", "std_error", "t_stat",
+                  "obs", "eff_obs", "bandwidth"]
+        rows = [[u.unit_id, u.threshold, u.gamma_hat, u.std_error, u.t_stat,
+                 u.n_obs, u.eff_obs, u.bandwidth] for u in self.per_unit]
+        if self.kind == "homogeneity":
+            header.insert(3, "centered")
+            for row, u in zip(rows, self.per_unit):
+                row.insert(3, u.centered)
+        summary = [["test", self.kind], ["sidedness", self.sidedness],
+                   ["statistic", self.statistic]]
+        if self.center is not None:
+            summary += [["center", self.center], ["center_value", self.center_value]]
+        return header, rows, summary + _decision_lines(self) + _skipped_lines(self.skipped)
+
 
 @dataclass
 class UnitSearch:
@@ -166,6 +182,35 @@ class ThresholdSearchResult:
     spacing_warning: bool
     per_unit: list[UnitSearch]
     skipped: list[SkippedUnit]
+
+    def table(self) -> tuple[list[str], list[list], list[list]]:
+        """Report header, typed rows at each unit's best grid point, and
+        typed summary lines; the grid is one sequence-valued cell."""
+        header = ["unit", "c_hat", "gamma_hat", "std_error", "t_stat",
+                  "obs", "eff_obs", "bandwidth"]
+        rows = []
+        for u in self.per_unit:
+            i = u.best_index
+            rows.append([u.unit_id, u.c_hat, u.gammas[i],
+                         _std_error(u.v_hats[i], u.n_obs, u.bandwidth),
+                         u.stats[i], u.n_obs, int(u.eff_obs[i]), u.bandwidth])
+        summary = [["test", "threshold_search"], ["sidedness", self.sidedness],
+                   ["statistic", self.statistic], ["grid", self.grid],
+                   ["truncation", self.truncation], *_decision_lines(self),
+                   ["n_comparisons", self.n_comparisons]]
+        if self.spacing_warning:
+            summary.append(["warning", "grid spacing at most twice the bandwidth"])
+        return header, rows, summary + _skipped_lines(self.skipped)
+
+
+def _decision_lines(result: TestResult | ThresholdSearchResult) -> list[list]:
+    lines = [["critical_value", a, q] for a, q in result.critical_values.items()]
+    lines += [["reject", a, r] for a, r in result.reject.items()]
+    return lines + [["n_effective", result.n_effective]]
+
+
+def _skipped_lines(skipped: list[SkippedUnit]) -> list[list]:
+    return [["skipped", s.unit_id, s.reason] for s in skipped]
 
 
 # ----------------------------------------------------------------------
@@ -297,9 +342,9 @@ def critical_value(n_comparisons: int, alpha: float, sidedness: str = "two_sided
             raise ValueError("need at least one comparison")
         p = (1.0 - alpha) ** (1.0 / n_comparisons)
         if sidedness == "two_sided":
-            return float(norm.ppf(0.5 * (1.0 + p)))
+            return float(ndtri(0.5 * (1.0 + p)))
         if sidedness == "one_sided_upper":
-            return float(norm.ppf(p))
+            return float(ndtri(p))
         raise ValueError(f"sidedness must be one of {SIDEDNESS}")
     sample = simulate_max_gaussian(n_comparisons, reps, seed, sigma_c, sidedness)
     return float(np.quantile(sample, 1.0 - alpha))
@@ -396,17 +441,20 @@ def _fit_panel(panel: PanelData, threshold, config: TestConfig):
     return fits, skipped
 
 
+def _std_error(v: float, n_obs: int, b: float) -> float:
+    return float(v / np.sqrt(n_obs * b))
+
+
 def _unit_row(fit: UnitJumpFit, t: float, centered: float | None = None,
               scale: float | None = None) -> UnitResult:
     v = scale if scale is not None else fit.v_hat
-    se = v / np.sqrt(fit.n_obs * fit.b)
     return UnitResult(
         unit_id=fit.unit_id,
         threshold=fit.c,
         bandwidth=fit.b,
         gamma_hat=fit.gamma_hat,
         v_hat=float(v),
-        std_error=float(se),
+        std_error=_std_error(v, fit.n_obs, fit.b),
         t_stat=float(t),
         n_obs=fit.n_obs,
         eff_obs=fit.eff_obs,

@@ -15,7 +15,6 @@ from io import StringIO
 
 import numpy as np
 
-from .dgp import AccuracyTable, RateTable
 from .errors import (
     DuplicateKey,
     EmptyUnit,
@@ -23,7 +22,6 @@ from .errors import (
     MissingColumn,
     NonFiniteValue,
 )
-from .inference import TestResult, ThresholdSearchResult
 from .panel import PanelData, PanelUnit
 
 __all__ = [
@@ -181,93 +179,31 @@ def _num_md(value: float) -> str:
     return format(float(value), ".4f")
 
 
-def _result_table(result) -> tuple[list[str], list[list[float | int | str]], list[list[str]]]:
-    """Header, typed rows, and summary lines for any result object."""
-    if isinstance(result, TestResult):
-        header = ["unit", "threshold", "gamma_hat", "std_error", "t_stat",
-                  "obs", "eff_obs", "bandwidth"]
-        if result.kind == "homogeneity":
-            header.insert(3, "centered")
-        rows = []
-        for u in result.per_unit:
-            row = [u.unit_id, u.threshold, u.gamma_hat, u.std_error, u.t_stat,
-                   u.n_obs, u.eff_obs, u.bandwidth]
-            if result.kind == "homogeneity":
-                row.insert(3, u.centered)
-            rows.append(row)
-        summary = [["test", result.kind], ["sidedness", result.sidedness],
-                   ["statistic", _num(result.statistic)]]
-        if result.center is not None:
-            summary.append(["center", result.center])
-            summary.append(["center_value", _num(result.center_value)])
-        for a in result.critical_values:
-            summary.append(["critical_value", _num(a), _num(result.critical_values[a])])
-        for a in result.reject:
-            summary.append(["reject", _num(a), str(result.reject[a])])
-        summary.append(["n_effective", str(result.n_effective)])
-        for s in result.skipped:
-            summary.append(["skipped", s.unit_id, s.reason])
-        return header, rows, summary
-
-    if isinstance(result, ThresholdSearchResult):
-        header = ["unit", "c_hat", "gamma_hat", "std_error", "t_stat",
-                  "obs", "eff_obs", "bandwidth"]
-        rows = []
-        for u in result.per_unit:
-            i = u.best_index
-            se = u.v_hats[i] / np.sqrt(u.n_obs * u.bandwidth)
-            rows.append([u.unit_id, u.c_hat, u.gammas[i], float(se),
-                         u.stats[i], u.n_obs, int(u.eff_obs[i]), u.bandwidth])
-        summary = [["test", "threshold_search"], ["sidedness", result.sidedness],
-                   ["statistic", _num(result.statistic)],
-                   ["grid", " ".join(_num(g) for g in result.grid)],
-                   ["truncation", _num(result.truncation)]]
-        for a in result.critical_values:
-            summary.append(["critical_value", _num(a), _num(result.critical_values[a])])
-        for a in result.reject:
-            summary.append(["reject", _num(a), str(result.reject[a])])
-        summary.append(["n_effective", str(result.n_effective)])
-        summary.append(["n_comparisons", str(result.n_comparisons)])
-        if result.spacing_warning:
-            summary.append(["warning", "grid spacing at most twice the bandwidth"])
-        for s in result.skipped:
-            summary.append(["skipped", s.unit_id, s.reason])
-        return header, rows, summary
-
-    if isinstance(result, RateTable):
-        header = ["dgp", "n_units", "t_obs", "test", "alpha", "rate",
-                  "std_error", "reps", "failed"]
-        rows = [
-            [result.dgp_id, result.n_units, result.t_obs, result.test,
-             a, result.rates[a], result.std_errors[a], result.reps, result.failed]
-            for a in result.rates
-        ]
-        return header, rows, []
-
-    if isinstance(result, AccuracyTable):
-        header = ["dgp", "n_units", "t_obs", "mean_abs_error", "max_abs_error",
-                  "reps", "failed"]
-        rows = [[result.dgp_id, result.n_units, result.t_obs,
-                 result.mean_abs_error, result.max_abs_error,
-                 result.reps, result.failed]]
-        return header, rows, []
-
-    raise TypeError(f"cannot render {type(result).__name__}")
-
-
 def _cell(value, markdown: bool) -> str:
     if isinstance(value, str):
         return value
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
+    if isinstance(value, np.ndarray):
+        return " ".join(_cell(v, markdown) for v in value)
     return _num_md(value) if markdown else _num(value)
 
 
 def render_report(result, output_format: str = "csv") -> str:
-    """Render a result to text; see write_report for the file variant."""
+    """Render a result to text; see write_report for the file variant.
+
+    ``result`` is any object whose ``table()`` returns a header, typed rows
+    and typed summary lines.  Summary values keep full precision in every
+    format.
+    """
     if output_format not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}")
-    header, rows, summary = _result_table(result)
+    if not hasattr(result, "table"):
+        raise TypeError(f"cannot render {type(result).__name__}")
+    header, rows, summary = result.table()
+    summary = [[_cell(v, False) for v in item] for item in summary]
     if output_format == "markdown":
         lines = ["| " + " | ".join(header) + " |",
                  "|" + "|".join(" --- " for _ in header) + "|"]

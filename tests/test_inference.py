@@ -110,6 +110,13 @@ class TestCriticalValue:
             sps.norm.ppf(0.95), abs=1e-9
         )
 
+    def test_analytic_equals_norm_ppf_exactly(self):
+        for n in (1, 2, 7, 40, 1000, 10**6):
+            for alpha in (1e-6, 0.01, 0.05, 0.10, 0.5, 0.99):
+                p = (1.0 - alpha) ** (1.0 / n)
+                assert critical_value(n, alpha) == sps.norm.ppf(0.5 * (1.0 + p))
+                assert critical_value(n, alpha, "one_sided_upper") == sps.norm.ppf(p)
+
     def test_monotone_in_comparisons_and_alpha(self):
         qs = [critical_value(n, 0.05) for n in (1, 10, 100, 1000)]
         assert qs == sorted(qs) and len(set(qs)) == 4
