@@ -12,13 +12,11 @@ optimality per se.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from .errors import TooFewObservations
-from .kernels import KernelSpec, eval_kernel, kernel_moments
+from .kernels import KernelSpec
 
 __all__ = [
     "BandwidthPolicy",
@@ -78,25 +76,32 @@ class BandwidthPolicy:
         return cls(mode="pooled_plugin", bounds=bounds)
 
 
-@lru_cache(maxsize=None)
+# (2 V / B^2)^(1/5) per kernel; see boundary_constant.
+_BOUNDARY_CONSTANTS = {
+    "uniform": 3.103691147830719,
+    "triangular": 3.9487009716696395,
+    "epanechnikov": 3.6757156372762494,
+}
+
+
 def boundary_constant(kind: str) -> float:
     """MSE-optimal rate constant for the boundary local linear difference.
 
-    With one-sided moments K_l and the boundary equivalent kernel
-    K*(u) = K(u)(K_2 - K_1 u) / (K_0 K_2 - K_1^2) on [0, 1], the jump
-    estimate has leading bias  (1/2) b^2 B (m''_+ - m''_-)  and variance
-    2 sigma^2 V / (f T b), where B = int u^2 K* and V = int K*^2.
-    Minimising the sum gives  b = (2 V / B^2)^(1/5) [.]^(1/5) T^(-1/5).
+    With one-sided moments K_l = int_0^1 u^l K(u) du and the boundary
+    equivalent kernel K*(u) = K(u)(K_2 - K_1 u) / (K_0 K_2 - K_1^2) on
+    [0, 1], the jump estimate has leading bias  (1/2) b^2 B (m''_+ - m''_-)
+    and variance  2 sigma^2 V / (f T b), where B = int u^2 K* and
+    V = int K*^2.  Minimising the sum gives
+    b = (2 V / B^2)^(1/5) [.]^(1/5) T^(-1/5).
+
+    The integrands are polynomials, so 2 V / B^2 is exact: 288 (uniform),
+    960 (triangular) and 568320/847 (Epanechnikov).  The stored values are
+    those adaptive quadrature gives.  They equal the correctly rounded
+    fifth roots for the uniform and triangular kernels; the Epanechnikov
+    value sits 5 ULP above its root and is kept as it is, because every
+    reported Epanechnikov bandwidth depends on it.
     """
-    kernel = KernelSpec(kind)
-    k0, k1, k2 = kernel_moments(kernel).plus
-    k3 = integrate.quad(lambda u: u**3 * eval_kernel(kernel, u), 0.0, 1.0)[0]
-    den = k0 * k2 - k1 * k1
-    bias_coeff = (k2 * k2 - k1 * k3) / den
-    var_coeff = integrate.quad(
-        lambda u: (eval_kernel(kernel, u) * (k2 - k1 * u) / den) ** 2, 0.0, 1.0
-    )[0]
-    return float((2.0 * var_coeff / bias_coeff**2) ** 0.2)
+    return _BOUNDARY_CONSTANTS[KernelSpec(kind).kind]
 
 
 def _quartic_side(y: np.ndarray, d: np.ndarray):

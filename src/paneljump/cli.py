@@ -10,11 +10,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import warnings
 
 from .bandwidth import BandwidthPolicy
 from .dgp import DgpConfig, GammaScheme, McConfig, run_size_power
-from .errors import DataError, GridSpacingWarning, InvalidAlpha, NumericalError
+from .errors import DataError, InvalidAlpha, NumericalError
 from .inference import TestConfig, critical_value, search_thresholds, test_existence, test_homogeneity
 from .io import PanelSchema, read_panel_csv, read_threshold_csv, write_report
 from .kernels import KERNEL_KINDS, KernelSpec
@@ -196,8 +195,8 @@ def _cmd_jump_test(args) -> int:
     threshold = _parse_threshold(args.threshold)
     if isinstance(threshold, tuple):
         raise UsageError("jump-test takes a scalar or file: threshold, not a grid")
-    panel = _load_panel(args)
-    result = test_existence(panel, threshold, _test_config(args))
+    config = _test_config(args)
+    result = test_existence(_load_panel(args), threshold, config)
     _emit(result, args)
     return 0
 
@@ -206,8 +205,8 @@ def _cmd_homogeneity_test(args) -> int:
     threshold = _parse_threshold(args.threshold)
     if isinstance(threshold, tuple):
         raise UsageError("homogeneity-test takes a scalar or file: threshold, not a grid")
-    panel = _load_panel(args)
-    result = test_homogeneity(panel, threshold, _test_config(args, "two_sided"))
+    config = _test_config(args, "two_sided")
+    result = test_homogeneity(_load_panel(args), threshold, config)
     _emit(result, args)
     return 0
 
@@ -216,11 +215,8 @@ def _cmd_threshold_search(args) -> int:
     threshold = _parse_threshold(args.threshold)
     if not isinstance(threshold, tuple):
         raise UsageError("threshold-search needs --threshold grid:<v1,v2,...>")
-    panel = _load_panel(args)
-    # The report carries its own "# warning" line.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GridSpacingWarning)
-        result = search_thresholds(panel, threshold[1], _test_config(args))
+    config = _test_config(args)
+    result = search_thresholds(_load_panel(args), threshold[1], config)
     _emit(result, args)
     return 0
 

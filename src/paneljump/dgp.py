@@ -16,13 +16,12 @@ tables are reproducible bit for bit and independent of execution order.
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GridSpacingWarning, NumericalError
+from .errors import NumericalError
 from .inference import TestConfig, search_thresholds, test_existence, test_homogeneity
 from .panel import PanelData, PanelUnit
 
@@ -285,14 +284,12 @@ def _one_rep(dgp_cfg: DgpConfig, rep_seed: int, test: str, grid,
     cfg = replace(dgp_cfg, seed=rep_seed)
     try:
         panel, _, thresholds = gen_dgp(cfg)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", GridSpacingWarning)
-            if grid is not None:
-                result = search_thresholds(panel, grid, config)
-            elif test == "homogeneity":
-                result = test_homogeneity(panel, cfg.threshold, config)
-            else:
-                result = test_existence(panel, cfg.threshold, config)
+        if grid is not None:
+            result = search_thresholds(panel, grid, config)
+        elif test == "homogeneity":
+            result = test_homogeneity(panel, cfg.threshold, config)
+        else:
+            result = test_existence(panel, cfg.threshold, config)
     except NumericalError:
         return None
     if test == "accuracy":

@@ -25,7 +25,6 @@ __all__ = [
     "DuplicateKey",
     "EmptyUnit",
     "IoFailure",
-    "GridSpacingWarning",
 ]
 
 
@@ -119,7 +118,3 @@ class EmptyUnit(DataError):
 
 class IoFailure(DataError):
     """Reading or writing a file failed at the OS level."""
-
-
-class GridSpacingWarning(UserWarning):
-    """Grid points are close enough for neighbouring statistics to correlate."""

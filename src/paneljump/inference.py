@@ -10,7 +10,6 @@ candidate thresholds.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -23,7 +22,6 @@ from .errors import (
     DataError,
     DegenerateEverywhere,
     EmptyWindow,
-    GridSpacingWarning,
     InsufficientSupport,
     InvalidAlpha,
     NotPositiveSemidefinite,
@@ -38,7 +36,6 @@ from .variance import (
     SigmaC,
     default_truncation,
     sigma_c_matrix,
-    sigma_e_sq_known,
     sigma_e_sq_truncated,
     v_sq,
     v_tilde_sq,
@@ -103,6 +100,10 @@ class TestConfig:
             raise ValueError(f"cv_method must be one of {CV_METHODS}")
         if self.cv_reps < 1:
             raise ValueError("cv_reps must be positive")
+        if self.truncation is not None and not self.truncation >= 0.0:
+            raise ValueError(
+                f"truncation must be nonnegative (inf disables it), got {self.truncation}"
+            )
 
 
 @dataclass
@@ -248,7 +249,7 @@ def _homogeneity_terms(fits: Sequence[UnitJumpFit], center: str):
             raise ZeroVariance(f.unit_id)
     vsqs = np.array([f.v_hat**2 for f in fits])
     center_value = float(np.mean(gammas) if center == "mean" else np.median(gammas))
-    v_tildes = np.sqrt([v_tilde_sq(vsqs, j) for j in range(len(fits))])
+    v_tildes = np.sqrt(v_tilde_sq(vsqs))
     scale = np.sqrt([f.n_obs * f.b for f in fits])
     ts = scale * (gammas - center_value) / v_tildes
     return ts, center_value, v_tildes
@@ -410,8 +411,8 @@ def _analyze_unit(unit: PanelUnit, c: float, b: float, kernel: KernelSpec) -> Un
     y, x = unit.y, unit.x
     fit = estimate_jump(y, x, c, b, kernel, unit.unit_id)
     resid = smooth_residuals(y, x, b, kernel, jump_removal=(c, fit.gamma_hat))
-    est = sigma_e_sq_known(resid, x, c, b)
-    fit.v_hat = _floored_scale(v_sq(fit.w_diff, est.sigma_e_sq, unit.n_obs, b), _v_floor(y))
+    sigma_e_sq = sigma_e_sq_truncated(resid, x, c, b, np.inf)
+    fit.v_hat = _floored_scale(v_sq(fit.w_diff, sigma_e_sq, unit.n_obs, b), _v_floor(y))
     return fit
 
 
@@ -541,10 +542,10 @@ def _search_unit(unit: PanelUnit, grid: np.ndarray, b: float, a_trunc: float,
     for i, c in enumerate(grid.tolist()):
         try:
             fit = estimate_jump(y, x, c, b, kernel)
-            est = sigma_e_sq_truncated(resid, x, c, b, a_trunc)
+            sigma_e_sq = sigma_e_sq_truncated(resid, x, c, b, a_trunc)
         except (InsufficientSupport, EmptyWindow):
             continue
-        v_hat = _floored_scale(v_sq(fit.w_diff, est.sigma_e_sq, unit.n_obs, b), floor)
+        v_hat = _floored_scale(v_sq(fit.w_diff, sigma_e_sq, unit.n_obs, b), floor)
         stats[i] = root_tb * fit.gamma_hat / v_hat
         gammas[i] = fit.gamma_hat
         v_hats[i] = v_hat
@@ -564,9 +565,11 @@ def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) 
     residuals are truncated before averaging, so the unknown jump cannot
     inflate the variance estimates.
 
-    A warning is issued when the grid spacing drops to 2 bandwidths or
-    less, where statistics at neighbouring grid points share observations
-    and independent critical values become conservative.
+    The result's ``spacing_warning`` flag is set when the grid spacing
+    drops to 2 bandwidths or less, where statistics at neighbouring grid
+    points share observations and independent critical values become
+    conservative; reports show it as a warning line.  No Python warning
+    is issued.
     """
     config = config or TestConfig()
     grid = np.asarray(grid, dtype=float)
@@ -649,17 +652,8 @@ def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) 
         sigma_c = SigmaC(unit_ids=[u.unit_id for u in per_unit], blocks=blocks)
     cvs = _critical_values(n_comparisons, config, config.sidedness, sigma_c)
 
-    spacing_warning = False
-    if grid.size > 1:
-        spacing_warning = bool(np.min(np.diff(grid)) <= 2.0 * max(used_bandwidths))
-        if spacing_warning:
-            warnings.warn(
-                "grid spacing is at most twice the bandwidth; statistics at "
-                "neighbouring thresholds are correlated and independent "
-                "critical values are conservative",
-                GridSpacingWarning,
-                stacklevel=2,
-            )
+    spacing_warning = bool(grid.size > 1
+                           and np.min(np.diff(grid)) <= 2.0 * max(used_bandwidths))
 
     return ThresholdSearchResult(
         grid=grid,

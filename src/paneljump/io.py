@@ -37,7 +37,7 @@ FORMATS = ("csv", "tsv", "markdown")
 
 @dataclass(frozen=True)
 class PanelSchema:
-    """Column names and delimiter for long-format panel files."""
+    """Column names and the one-character delimiter of long-format panel files."""
 
     unit_col: str = "unit"
     time_col: str = "time"
@@ -49,6 +49,10 @@ class PanelSchema:
         names = (self.unit_col, self.time_col, self.y_col, self.x_col)
         if len(set(names)) != 4:
             raise ValueError(f"schema column names must be distinct, got {names}")
+        if len(self.delimiter) != 1:
+            raise ValueError(
+                f"delimiter must be a single character, got {self.delimiter!r}"
+            )
 
 
 def _parse_number(text: str, row: int, what: str) -> float:
@@ -67,7 +71,8 @@ def read_panel_csv(path: str, schema: PanelSchema | None = None) -> PanelData:
     Rows are grouped by unit and sorted by time within each unit, so row
     order in the file does not matter.  Units are ordered by id.  Time
     values are compared numerically when the whole column parses as
-    numbers, lexicographically otherwise.
+    numbers, lexicographically otherwise; a time cell that parses as a
+    non-finite number (nan, inf) is rejected.
 
     Raises
     ------
@@ -91,6 +96,7 @@ def read_panel_csv(path: str, schema: PanelSchema | None = None) -> PanelData:
         idx[col] = header.index(col)
 
     records: dict[str, list[tuple[str, float, float]]] = {}
+    numeric_time = True
     for row_no, row in enumerate(rows[1:], start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
@@ -98,22 +104,16 @@ def read_panel_csv(path: str, schema: PanelSchema | None = None) -> PanelData:
             raise NonFiniteValue(row_no, "short row")
         unit = row[idx[schema.unit_col]].strip()
         time = row[idx[schema.time_col]].strip()
+        try:
+            if not math.isfinite(float(time)):
+                raise NonFiniteValue(row_no, f"{schema.time_col}={time!r}")
+        except ValueError:
+            numeric_time = False
         y = _parse_number(row[idx[schema.y_col]].strip(), row_no, schema.y_col)
         x = _parse_number(row[idx[schema.x_col]].strip(), row_no, schema.x_col)
         records.setdefault(unit, []).append((time, y, x))
     if not records:
         raise EmptyUnit(f"{path} has a header but no data rows")
-
-    numeric_time = True
-    for obs in records.values():
-        for time, _, _ in obs:
-            try:
-                float(time)
-            except ValueError:
-                numeric_time = False
-                break
-        if not numeric_time:
-            break
 
     units = []
     for unit_id in sorted(records):
@@ -136,25 +136,27 @@ def read_panel_csv(path: str, schema: PanelSchema | None = None) -> PanelData:
 def read_threshold_csv(path: str) -> dict[str, float]:
     """Read per-unit thresholds from a 2-column (unit, c) file.
 
-    A first row whose second column does not parse as a number is treated
-    as a header and skipped.
+    The first non-blank row is treated as a header and skipped when its
+    second column does not parse as a number.  Row numbers in errors refer
+    to physical file rows, blank ones included.
     """
     try:
         with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
+            rows = [(row_no, r) for row_no, r in enumerate(csv.reader(fh), start=1)
+                    if r and any(c.strip() for c in r)]
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from None
     if not rows:
         raise EmptyUnit(f"{path} is empty")
     out: dict[str, float] = {}
-    for row_no, row in enumerate(rows, start=1):
+    for row_no, row in rows:
         if len(row) < 2:
             raise NonFiniteValue(row_no, "need 2 columns (unit, c)")
         unit = row[0].strip()
         try:
             c = float(row[1])
         except ValueError:
-            if row_no == 1:
+            if row_no == rows[0][0]:
                 continue
             raise NonFiniteValue(row_no, f"c={row[1]!r}") from None
         if not math.isfinite(c):

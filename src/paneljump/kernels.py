@@ -19,21 +19,11 @@ from .errors import InsufficientSupport
 __all__ = [
     "KERNEL_KINDS",
     "KernelSpec",
-    "KernelMoments",
     "eval_kernel",
-    "kernel_moments",
     "local_weights",
 ]
 
 KERNEL_KINDS = ("uniform", "triangular", "epanechnikov")
-
-# int_0^1 u^l K(u) du for l = 0, 1, 2.  The minus-side moments follow from
-# symmetry: the odd moment flips sign.
-_PLUS_MOMENTS = {
-    "uniform": (0.5, 0.25, 1.0 / 6.0),
-    "triangular": (0.5, 1.0 / 6.0, 1.0 / 12.0),
-    "epanechnikov": (0.5, 0.1875, 0.1),
-}
 
 
 @dataclass(frozen=True)
@@ -55,16 +45,8 @@ class KernelSpec:
             )
 
 
-@dataclass(frozen=True)
-class KernelMoments:
-    """One-sided kernel moments of order 0, 1, 2 over each half support."""
-
-    plus: tuple[float, float, float]
-    minus: tuple[float, float, float]
-
-
-def eval_kernel(kernel: KernelSpec, u):
-    """Evaluate the kernel at ``u`` (scalar or array), zero outside [-1, 1].
+def eval_kernel(kernel: KernelSpec, u) -> np.ndarray:
+    """Evaluate the kernel elementwise at ``u``, zero outside [-1, 1].
 
     The support is closed: ``|u| == 1`` is inside.  Only the uniform kernel
     is discontinuous there, and including the endpoint keeps window
@@ -73,20 +55,10 @@ def eval_kernel(kernel: KernelSpec, u):
     arr = np.asarray(u, dtype=float)
     inside = np.abs(arr) <= 1.0
     if kernel.kind == "uniform":
-        out = np.where(inside, 0.5, 0.0)
-    elif kernel.kind == "triangular":
-        out = np.where(inside, 1.0 - np.abs(arr), 0.0)
-    else:  # epanechnikov
-        out = np.where(inside, 0.75 * (1.0 - arr * arr), 0.0)
-    if np.isscalar(u) or arr.ndim == 0:
-        return float(out)
-    return out
-
-
-def kernel_moments(kernel: KernelSpec) -> KernelMoments:
-    """Closed-form one-sided moments for the built-in kernels."""
-    k0, k1, k2 = _PLUS_MOMENTS[kernel.kind]
-    return KernelMoments(plus=(k0, k1, k2), minus=(k0, -k1, k2))
+        return np.where(inside, 0.5, 0.0)
+    if kernel.kind == "triangular":
+        return np.where(inside, 1.0 - np.abs(arr), 0.0)
+    return np.where(inside, 0.75 * (1.0 - arr * arr), 0.0)  # epanechnikov
 
 
 def denominator_floor(s0, s2):

@@ -1,9 +1,9 @@
 """Variance estimation for standardising jump statistics.
 
 The error variance near the threshold is a windowed average of squared
-smoothing residuals; a truncated variant caps each squared residual before
-averaging and is used when the threshold location itself is unknown, where
-untreated jumps would otherwise contaminate the residuals.
+smoothing residuals, each capped at a truncation level.  The cap is finite
+when the threshold location itself is unknown, where untreated jumps would
+otherwise contaminate the residuals, and infinite at a known threshold.
 """
 
 from __future__ import annotations
@@ -15,22 +15,13 @@ import numpy as np
 from .errors import EmptyWindow, SingleUnit
 
 __all__ = [
-    "VarianceEstimate",
     "SigmaC",
-    "sigma_e_sq_known",
     "sigma_e_sq_truncated",
     "default_truncation",
     "v_sq",
     "v_tilde_sq",
     "sigma_c_matrix",
 ]
-
-
-@dataclass
-class VarianceEstimate:
-    sigma_e_sq: float
-    n_window: int
-    truncation: float | None = None
 
 
 @dataclass
@@ -50,46 +41,25 @@ class SigmaC:
         return sum(block.shape[0] for block in self.blocks)
 
 
-def _window_values(resid, x, c: float, b: float) -> np.ndarray:
-    resid = np.asarray(resid, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if b <= 0.0:
-        raise ValueError(f"window width must be positive, got {b}")
-    sel = (np.abs(x - c) <= b) & np.isfinite(resid)
-    vals = resid[sel]
-    if vals.size == 0:
-        raise EmptyWindow(f"no usable residuals within {b} of c={c}")
-    return vals
-
-
-def sigma_e_sq_known(resid, x, c: float, b: float) -> VarianceEstimate:
-    """Mean squared residual over the window |x - c| <= b.
-
-    NaN residuals (degenerate smoothing points) are excluded from both the
-    sum and the count.
-    """
-    vals = _window_values(resid, x, c, b)
-    return VarianceEstimate(
-        sigma_e_sq=float(np.mean(vals * vals)),
-        n_window=int(vals.size),
-    )
-
-
-def sigma_e_sq_truncated(resid, x, c: float, b: float, a_trunc: float) -> VarianceEstimate:
-    """Windowed mean of min(a_trunc, residual^2).
+def sigma_e_sq_truncated(resid, x, c: float, b: float, a_trunc: float) -> float:
+    """Windowed mean of min(a_trunc, residual^2) over |x - c| <= b.
 
     Capping each squared residual bounds the damage from isolated large
-    residuals, e.g. those produced by smoothing across an unremoved jump.
+    residuals, e.g. those produced by smoothing across an unremoved jump;
+    ``a_trunc = np.inf`` gives the plain mean of squares.  NaN residuals
+    (degenerate smoothing points) are excluded from both the sum and the
+    count.
     """
-    if a_trunc < 0.0:
+    if not a_trunc >= 0.0:
         raise ValueError(f"truncation level must be nonnegative, got {a_trunc}")
-    vals = _window_values(resid, x, c, b)
-    capped = np.minimum(a_trunc, vals * vals)
-    return VarianceEstimate(
-        sigma_e_sq=float(np.mean(capped)),
-        n_window=int(vals.size),
-        truncation=float(a_trunc),
-    )
+    if b <= 0.0:
+        raise ValueError(f"window width must be positive, got {b}")
+    resid = np.asarray(resid, dtype=float)
+    x = np.asarray(x, dtype=float)
+    vals = resid[(np.abs(x - c) <= b) & np.isfinite(resid)]
+    if vals.size == 0:
+        raise EmptyWindow(f"no usable residuals within {b} of c={c}")
+    return float(np.mean(np.minimum(a_trunc, vals * vals)))
 
 
 def default_truncation(pooled_resid_sq, n_comparisons: int) -> float:
@@ -118,8 +88,8 @@ def v_sq(w_diff, sigma_e_sq: float, t_obs: int, b: float) -> float:
     return float(t_obs * b * (w_diff @ w_diff) * sigma_e_sq)
 
 
-def v_tilde_sq(v_sqs, j: int) -> float:
-    """Scale for the centred (cross-unit comparison) statistic of unit j.
+def v_tilde_sq(v_sqs) -> np.ndarray:
+    """Scales for the centred (cross-unit comparison) statistics of all units.
 
     With N units, subtracting the cross-unit mean changes the variance of
     unit j's centred estimate to (1 - 1/N)^2 v_j^2 + sum_{i != j} v_i^2 / N^2.
@@ -128,10 +98,8 @@ def v_tilde_sq(v_sqs, j: int) -> float:
     n = v.size
     if n < 2:
         raise SingleUnit("centred scale needs at least two units")
-    if not 0 <= j < n:
-        raise IndexError(f"unit index {j} out of range for {n} units")
-    others = v.sum() - v[j]
-    return float((1.0 - 1.0 / n) ** 2 * v[j] + others / n**2)
+    others = v.sum() - v
+    return (1.0 - 1.0 / n) ** 2 * v + others / n**2
 
 
 def sigma_c_matrix(w_diffs) -> np.ndarray:

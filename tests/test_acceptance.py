@@ -29,7 +29,7 @@ from paneljump.inference import test_existence as run_existence
 from paneljump.inference import test_homogeneity as run_homogeneity
 from paneljump.kernels import KERNEL_KINDS, KernelSpec, local_weights
 from paneljump.panel import PanelData, PanelUnit
-from paneljump.variance import sigma_e_sq_known
+from paneljump.variance import sigma_e_sq_truncated
 
 POOLED = Config(bandwidth=BandwidthPolicy.pooled(bounds=(0.2, 0.5)))
 GRID5 = [-0.3, -0.15, 0.0, 0.15, 0.3]
@@ -210,8 +210,8 @@ def test_c09_variance_consistency():
             fit = estimate_jump(y, x, 0.0, b, kernel)
             resid = smooth_residuals(y, x, b, kernel,
                                      jump_removal=(0.0, fit.gamma_hat))
-            est = sigma_e_sq_known(resid, x, 0.0, b)
-            errs.append(abs(est.sigma_e_sq - sigma ** 2) / sigma ** 2)
+            est = sigma_e_sq_truncated(resid, x, 0.0, b, np.inf)
+            errs.append(abs(est - sigma ** 2) / sigma ** 2)
         max_err[t_obs] = max(errs)
     elapsed = time.perf_counter() - start
     ok = (max_err[2000] <= 0.10

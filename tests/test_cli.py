@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import ast
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -11,8 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import paneljump
 from paneljump.cli import cli_main
-from paneljump.errors import GridSpacingWarning
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN_PANEL = Path(__file__).parent / "data" / "golden_panel.csv"
@@ -90,6 +93,20 @@ class TestUsageErrors:
         data = _panel_csv(tmp_path)
         code = cli_main(["jump-test", "--data", data, "--schema", "unit,time"])
         assert code == 2
+
+    def test_multi_character_delimiter(self, tmp_path, capsys):
+        data = _panel_csv(tmp_path)
+        code = cli_main(["jump-test", "--data", data, "--delimiter", ";;"])
+        assert code == 2
+        assert "single character" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level", ["nan", "-1"])
+    def test_invalid_truncation(self, tmp_path, capsys, level):
+        # Rejected before the panel is read: the file does not exist.
+        code = cli_main(["threshold-search", "--data", str(tmp_path / "absent.csv"),
+                         "--truncation", level, "--threshold", "grid:-0.5,0.0,0.5"])
+        assert code == 2
+        assert "truncation must be nonnegative" in capsys.readouterr().err
 
     def test_bad_workers_env_is_usage_error_on_simulate(self, monkeypatch, capsys):
         monkeypatch.setenv("PANELJUMP_THREADS", "two")
@@ -256,7 +273,7 @@ class TestThresholdSearchCommand:
                              "--threshold", "grid:-0.2,-0.1,0,0.1,0.2",
                              "--out", str(out)])
         assert code == 0
-        assert not [w for w in caught if issubclass(w.category, GridSpacingWarning)]
+        assert not caught
         assert any(line.startswith("# warning") for line in out.read_text().splitlines())
 
 
@@ -279,7 +296,22 @@ class TestModuleEntry:
     def test_importing_cli_skips_slow_scipy_modules(self):
         # Each of these adds a large share of the CLI's start-up time.
         code = ("import sys, paneljump.cli; "
-                "print(*[m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules])")
+                "print(*[m for m in ('scipy.integrate', 'scipy.stats', 'scipy.signal') "
+                "if m in sys.modules])")
         proc = _run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == ""
+
+    def test_all_names_are_defined_in_their_module(self):
+        # Traced benchmark runs call getattr on every __all__ entry, so a
+        # stale entry would break them.
+        for info in pkgutil.iter_modules(paneljump.__path__):
+            module = importlib.import_module(f"paneljump.{info.name}")
+            tree = ast.parse(Path(module.__file__).read_text())
+            defined = {node.name for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+            defined |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+                        for target in node.targets if isinstance(target, ast.Name)}
+            for name in getattr(module, "__all__", []):
+                assert name in defined, f"{info.name}.__all__ lists {name!r}"
+                assert hasattr(module, name)

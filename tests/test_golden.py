@@ -53,15 +53,11 @@ def _report(name: str, out: Path) -> bytes:
     return out.read_bytes()
 
 
-@pytest.mark.filterwarnings("ignore::paneljump.errors.GridSpacingWarning")
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_report_bytes_match_golden(name, tmp_path):
     assert _report(name, tmp_path / "report") == _expected_path(name).read_bytes()
 
 
 if __name__ == "__main__":
-    import warnings
-
-    warnings.simplefilter("ignore")
     for run_name in RUNS:
         _report(run_name, _expected_path(run_name))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from paneljump.bandwidth import BandwidthPolicy
 from paneljump.errors import (
     AllUnitsSkipped,
     DataError,
-    GridSpacingWarning,
     InvalidAlpha,
     SingleUnit,
     ZeroVariance,
@@ -335,8 +335,7 @@ class TestSearchThresholds:
     def test_recovers_clean_threshold(self):
         panel = _jump_panel([2.0, 2.0], seed=21, sd=0.0)
         grid = [-0.4, -0.2, 0.0, 0.2, 0.4]
-        with pytest.warns(GridSpacingWarning):
-            result = search_thresholds(panel, grid, FIXED)
+        result = search_thresholds(panel, grid, FIXED)
         for u in result.per_unit:
             assert u.c_hat == 0.0
         assert all(result.reject.values())
@@ -352,20 +351,24 @@ class TestSearchThresholds:
         assert unit.best_index == 0
 
     def test_spacing_warning_flag(self):
+        # The flag is the only channel: no Python warning is issued.
         panel = _jump_panel([1.0], seed=22)
-        with pytest.warns(GridSpacingWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             result = search_thresholds(panel, [-0.1, 0.0, 0.1], FIXED)
         assert result.spacing_warning
 
     def test_wide_spacing_no_warning(self):
-        import warnings
-
         panel = _jump_panel([1.0], seed=23, sd=0.05)
         cfg = Config(bandwidth=BandwidthPolicy.fixed(0.1))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", GridSpacingWarning)
-            result = search_thresholds(panel, [-0.5, 0.0, 0.5], cfg)
+        result = search_thresholds(panel, [-0.5, 0.0, 0.5], cfg)
         assert not result.spacing_warning
+
+    @pytest.mark.parametrize("level", [np.nan, -1.0])
+    def test_invalid_truncation_rejected(self, level):
+        with pytest.raises(ValueError, match="truncation"):
+            Config(truncation=level)
+        assert Config(truncation=np.inf).truncation == np.inf
 
     def test_grid_must_increase(self):
         with pytest.raises(ValueError, match="increas"):
@@ -374,8 +377,7 @@ class TestSearchThresholds:
     def test_comparison_count_over_valid_pairs(self):
         panel = _jump_panel([1.0, 1.0], seed=24, sd=0.05)
         grid = [-0.4, 0.0, 0.4]
-        with pytest.warns(GridSpacingWarning):
-            result = search_thresholds(panel, grid, FIXED)
+        result = search_thresholds(panel, grid, FIXED)
         assert result.n_comparisons == 2 * 3
 
     def test_simulated_critical_values(self):
@@ -408,8 +410,7 @@ class TestSearchThresholds:
             return simulate_max_gaussian(n_comparisons, reps, seed, sigma_c, sidedness)
 
         monkeypatch.setattr(paneljump.inference, "simulate_max_gaussian", capture)
-        with pytest.warns(GridSpacingWarning):
-            result = search_thresholds(PanelData(units), grid, cfg)
+        result = search_thresholds(PanelData(units), grid, cfg)
 
         (sigma_c,) = seen
         assert sigma_c.unit_ids == ["u0", "u1"]
@@ -437,7 +438,6 @@ class TestSearchThresholds:
         panel = _jump_panel([1.0, 1.0], seed=27, sd=0.1)
         cfg = Config(bandwidth=BandwidthPolicy.fixed(0.2), cv_method="simulated",
                      cv_reps=2_000, seed=5)
-        with pytest.warns(GridSpacingWarning):
-            result = search_thresholds(panel, [-0.3, 0.0, 0.3], cfg)
+        result = search_thresholds(panel, [-0.3, 0.0, 0.3], cfg)
         assert result.n_comparisons == 6
         assert len(calls) == 2 * result.n_comparisons

@@ -43,6 +43,11 @@ class TestPanelSchema:
         with pytest.raises(ValueError, match="distinct"):
             PanelSchema(unit_col="a", time_col="a")
 
+    @pytest.mark.parametrize("delimiter", ["", ";;"])
+    def test_delimiter_must_be_one_character(self, delimiter):
+        with pytest.raises(ValueError, match="single character"):
+            PanelSchema(delimiter=delimiter)
+
 
 class TestReadPanelCsv:
     def test_groups_and_sorts(self, tmp_path):
@@ -104,6 +109,15 @@ class TestReadPanelCsv:
         with pytest.raises(NonFiniteValue):
             read_panel_csv(path)
 
+    @pytest.mark.parametrize("time", ["nan", "inf"])
+    def test_rejects_non_finite_time(self, tmp_path, time):
+        # Two nan times would otherwise pass the duplicate check unsorted.
+        path = _write(tmp_path, "p.csv",
+                      f"unit,time,y,x\na,1,0.1,0.2\na,{time},0.3,0.4\na,{time},0.5,0.6\n")
+        with pytest.raises(NonFiniteValue, match=f"row 3 \\(time='{time}'\\)") as err:
+            read_panel_csv(path)
+        assert err.value.row == 3
+
     def test_short_row(self, tmp_path):
         path = _write(tmp_path, "p.csv", "unit,time,y,x\na,1,0.1\n")
         with pytest.raises(NonFiniteValue, match="short row"):
@@ -146,6 +160,12 @@ class TestReadThresholdCsv:
         path = _write(tmp_path, "c.csv", "a,0.5\nb,oops\n")
         with pytest.raises(NonFiniteValue, match="row 2"):
             read_threshold_csv(path)
+
+    def test_error_row_counts_blank_lines(self, tmp_path):
+        path = _write(tmp_path, "c.csv", "unit,c\n\nu1,abc\n")
+        with pytest.raises(NonFiniteValue, match="row 3") as err:
+            read_threshold_csv(path)
+        assert err.value.row == 3
 
     def test_too_few_columns(self, tmp_path):
         with pytest.raises(NonFiniteValue, match="2 columns"):

@@ -13,19 +13,22 @@ from paneljump.kernels import (
     KernelSpec,
     denominator_floor,
     eval_kernel,
-    kernel_moments,
     local_weights,
 )
 
 UNIFORM = KernelSpec("uniform")
 
+# int_0^1 u^l K(u) du for l = 0, 1, 2.
+PLUS_MOMENTS = {
+    "uniform": (0.5, 0.25, 1.0 / 6.0),
+    "triangular": (0.5, 1.0 / 6.0, 1.0 / 12.0),
+    "epanechnikov": (0.5, 0.1875, 0.1),
+}
 
-def _kernel_fn(kind):
-    if kind == "uniform":
-        return lambda u: 0.5
-    if kind == "triangular":
-        return lambda u: 1.0 - abs(u)
-    return lambda u: 0.75 * (1.0 - u * u)
+
+def _moment(kind, ell, lo, hi):
+    kernel = KernelSpec(kind)
+    return quad(lambda u: u**ell * eval_kernel(kernel, u), lo, hi)[0]
 
 
 class TestEvalKernel:
@@ -57,37 +60,32 @@ class TestEvalKernel:
             [0.75, 0.5625],
         )
 
-    def test_scalar_in_scalar_out(self):
-        out = eval_kernel(UNIFORM, 0.3)
-        assert isinstance(out, float)
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel"):
             KernelSpec("gaussian")
 
 
 class TestKernelMoments:
+    """One-sided moments of eval_kernel by quadrature."""
+
     @pytest.mark.parametrize("kind", KERNEL_KINDS)
     def test_matches_numeric_integration(self, kind):
-        """Closed-form one-sided moments agree with direct quadrature."""
-        fn = _kernel_fn(kind)
-        m = kernel_moments(KernelSpec(kind))
+        """Quadrature of eval_kernel agrees with the closed-form moments."""
         for ell in range(3):
-            plus, _ = quad(lambda u: u**ell * fn(u), 0.0, 1.0)
-            minus, _ = quad(lambda u: u**ell * fn(u), -1.0, 0.0)
-            assert m.plus[ell] == pytest.approx(plus, abs=1e-12)
-            assert m.minus[ell] == pytest.approx(minus, abs=1e-12)
+            assert _moment(kind, ell, 0.0, 1.0) == pytest.approx(
+                PLUS_MOMENTS[kind][ell], abs=1e-12)
 
     @pytest.mark.parametrize("kind", KERNEL_KINDS)
     def test_sides_integrate_to_one(self, kind):
-        m = kernel_moments(KernelSpec(kind))
-        assert m.plus[0] + m.minus[0] == pytest.approx(1.0, abs=1e-12)
+        total = _moment(kind, 0, 0.0, 1.0) + _moment(kind, 0, -1.0, 0.0)
+        assert total == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("kind", KERNEL_KINDS)
     def test_odd_moment_flips_sign(self, kind):
-        m = kernel_moments(KernelSpec(kind))
-        assert m.minus[1] == -m.plus[1]
-        assert m.minus[2] == m.plus[2]
+        assert _moment(kind, 1, -1.0, 0.0) == pytest.approx(
+            -_moment(kind, 1, 0.0, 1.0), abs=1e-12)
+        assert _moment(kind, 2, -1.0, 0.0) == pytest.approx(
+            _moment(kind, 2, 0.0, 1.0), abs=1e-12)
 
 
 class TestDenominatorFloor:

@@ -12,7 +12,6 @@ from paneljump.kernels import KernelSpec, local_weights
 from paneljump.variance import (
     default_truncation,
     sigma_c_matrix,
-    sigma_e_sq_known,
     sigma_e_sq_truncated,
     v_sq,
     v_tilde_sq,
@@ -21,63 +20,63 @@ from paneljump.variance import (
 UNIFORM = KernelSpec("uniform")
 
 
+def _untruncated(resid, x, c, b):
+    return sigma_e_sq_truncated(resid, x, c, b, np.inf)
+
+
 class TestSigmaESqKnown:
+    """The known-threshold estimate: an infinite truncation level."""
+
     def test_mean_of_squares_in_window(self):
-        out = sigma_e_sq_known([1.0, -1.0, 2.0], [0.0, 0.1, -0.1], 0.0, 0.5)
-        assert out.sigma_e_sq == pytest.approx(2.0)
-        assert out.n_window == 3
+        assert _untruncated([1.0, -1.0, 2.0], [0.0, 0.1, -0.1], 0.0, 0.5) == pytest.approx(2.0)
 
     def test_points_outside_window_ignored(self):
-        out = sigma_e_sq_known([3.0, 100.0], [0.0, 0.9], 0.0, 0.5)
-        assert out.sigma_e_sq == pytest.approx(9.0)
-        assert out.n_window == 1
+        assert _untruncated([3.0, 100.0], [0.0, 0.9], 0.0, 0.5) == pytest.approx(9.0)
 
     def test_nan_residuals_excluded_from_count(self):
-        out = sigma_e_sq_known([2.0, np.nan, -2.0], [0.0, 0.1, 0.2], 0.0, 0.5)
-        assert out.sigma_e_sq == pytest.approx(4.0)
-        assert out.n_window == 2
+        assert _untruncated([2.0, np.nan, -2.0], [0.0, 0.1, 0.2], 0.0, 0.5) == pytest.approx(4.0)
 
     def test_empty_window_raises(self):
         with pytest.raises(EmptyWindow):
-            sigma_e_sq_known([1.0, 2.0], [3.0, -3.0], 0.0, 0.5)
+            _untruncated([1.0, 2.0], [3.0, -3.0], 0.0, 0.5)
 
     def test_consistent_on_iid_noise(self):
         """Monte Carlo check: variance 4 noise recovered within 10%."""
         rng = np.random.default_rng(1)
         x = rng.uniform(-1.0, 1.0, size=2000)
         e = rng.normal(0.0, 2.0, size=2000)
-        out = sigma_e_sq_known(e, x, 0.0, 0.2)
-        assert out.sigma_e_sq == pytest.approx(4.0, rel=0.10)
+        assert _untruncated(e, x, 0.0, 0.2) == pytest.approx(4.0, rel=0.10)
 
 
 class TestSigmaESqTruncated:
     def test_clip_then_average(self):
         resid = np.sqrt([0.5, 3.0, 1.0])
         out = sigma_e_sq_truncated(resid, [0.0, 0.0, 0.0], 0.0, 1.0, 2.0)
-        assert out.sigma_e_sq == pytest.approx((0.5 + 2.0 + 1.0) / 3.0)
-        assert out.truncation == 2.0
+        assert out == pytest.approx((0.5 + 2.0 + 1.0) / 3.0)
 
     def test_infinite_level_matches_untruncated(self):
         rng = np.random.default_rng(3)
         resid = rng.normal(size=50)
         x = rng.uniform(-1.0, 1.0, size=50)
-        a = sigma_e_sq_truncated(resid, x, 0.0, 0.8, np.inf)
-        b = sigma_e_sq_known(resid, x, 0.0, 0.8)
-        assert a.sigma_e_sq == b.sigma_e_sq
+        window = resid[np.abs(x) <= 0.8]
+        assert sigma_e_sq_truncated(resid, x, 0.0, 0.8, np.inf) == np.mean(window**2)
 
     def test_no_clipping_when_below_level(self):
         resid = [0.5, -0.5]
         a = sigma_e_sq_truncated(resid, [0.0, 0.1], 0.0, 1.0, 10.0)
-        b = sigma_e_sq_known(resid, [0.0, 0.1], 0.0, 1.0)
-        assert a.sigma_e_sq == b.sigma_e_sq
+        assert a == _untruncated(resid, [0.0, 0.1], 0.0, 1.0)
 
     def test_truncated_never_exceeds_untruncated(self):
         rng = np.random.default_rng(4)
         resid = rng.standard_t(df=2, size=200)
         x = rng.uniform(-1.0, 1.0, size=200)
         t = sigma_e_sq_truncated(resid, x, 0.0, 1.0, 1.5)
-        u = sigma_e_sq_known(resid, x, 0.0, 1.0)
-        assert t.sigma_e_sq < u.sigma_e_sq
+        assert t < _untruncated(resid, x, 0.0, 1.0)
+
+    @pytest.mark.parametrize("level", [-1.0, np.nan])
+    def test_invalid_level_rejected(self, level):
+        with pytest.raises(ValueError, match="nonnegative"):
+            sigma_e_sq_truncated([1.0], [0.0], 0.0, 1.0, level)
 
 
 class TestDefaultTruncation:
@@ -117,19 +116,21 @@ class TestVSq:
 
 class TestVTildeSq:
     def test_two_equal_units(self):
-        assert v_tilde_sq([1.0, 1.0], 0) == pytest.approx(0.5)
+        np.testing.assert_allclose(v_tilde_sq([1.0, 1.0]), [0.5, 0.5])
 
     def test_three_unit_arithmetic(self):
-        assert v_tilde_sq([1.0, 4.0, 9.0], 1) == pytest.approx(26.0 / 9.0)
+        # (2/3)^2 v_j + (sum of the others) / 9 for each unit j
+        np.testing.assert_allclose(v_tilde_sq([1.0, 4.0, 9.0]),
+                                   [17.0 / 9.0, 26.0 / 9.0, 41.0 / 9.0])
 
     def test_large_n_limit(self):
         v = np.ones(10**6)
         v[17] = 2.0
-        assert v_tilde_sq(v, 17) == pytest.approx(2.0, abs=1e-4)
+        assert v_tilde_sq(v)[17] == pytest.approx(2.0, abs=1e-4)
 
     def test_single_unit_rejected(self):
         with pytest.raises(SingleUnit):
-            v_tilde_sq([1.0], 0)
+            v_tilde_sq([1.0])
 
 
 def _w_diffs(x, grid, b):
