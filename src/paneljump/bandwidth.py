@@ -35,6 +35,9 @@ _MIN_SIDE = 5
 # Relative curvature floor: see plugin_bandwidth.
 _CURV_FLOOR = 0.1
 
+# Neighbours each sample point keeps inside the pilot window.
+_PILOT_MIN_POINTS = 10
+
 
 @dataclass(frozen=True)
 class BandwidthPolicy:
@@ -192,25 +195,23 @@ def pooled_bandwidth(bandwidths, clamp: tuple[float, float] | None = None) -> fl
     return pooled
 
 
-def pilot_bandwidth(x, b: float, t_obs: int | None = None, min_points: int = 10) -> float:
+def pilot_bandwidth(x, b: float) -> float:
     """Undersmoothing bandwidth for residual extraction near an unknown jump.
 
     Shrinks b by T^(-1/10) so an unremoved jump contaminates a thinner
     strip of residuals, then floors the result so that every sample point
-    keeps at least ``min_points`` neighbours in its window.
+    keeps at least 10 (``_PILOT_MIN_POINTS``) neighbours in its window.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
-    if t_obs is None:
-        t_obs = n
-    b_star = b * float(t_obs) ** (-0.1)
-    if n <= min_points:
+    b_star = b * float(n) ** (-0.1)
+    if n <= _PILOT_MIN_POINTS:
         span = float(x.max() - x.min()) if n > 1 else b
         return max(b_star, span)
     xs = np.sort(x)
-    k = min_points - 1
-    # Minimal half-width placing >= min_points sample values in the window
-    # of each point, then the worst case over points.
+    k = _PILOT_MIN_POINTS - 1
+    # Minimal half-width placing >= _PILOT_MIN_POINTS sample values in the
+    # window of each point, then the worst case over points.
     half = np.full(n, np.inf)
     for m in range(k + 1):
         left = np.arange(n) - m

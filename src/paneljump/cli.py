@@ -55,10 +55,13 @@ def _parse_bandwidth(text: str) -> BandwidthPolicy:
     raise UsageError(f"--bandwidth must be auto, pooled, or fixed:<v>, got {text!r}")
 
 
-def _parse_threshold(text: str):
-    """Returns a scalar, a per-unit mapping, or ('grid', values)."""
+def _parse_threshold(text: str, delimiter: str = ","):
+    """Returns a scalar, a per-unit mapping, or ('grid', values).
+
+    A ``file:`` threshold file is split on ``delimiter``.
+    """
     if text.startswith("file:"):
-        return read_threshold_csv(text[5:])
+        return read_threshold_csv(text[5:], delimiter)
     if text.startswith("grid:"):
         try:
             values = [float(v) for v in text[5:].split(",") if v.strip()]
@@ -73,9 +76,13 @@ def _parse_threshold(text: str):
         raise UsageError(f"bad threshold {text!r}") from None
 
 
+def _alphas(args) -> tuple[float, ...]:
+    return tuple(args.alpha) if args.alpha else TestConfig.alphas
+
+
 def _test_config(args, sidedness: str | None = None) -> TestConfig:
     return TestConfig(
-        alphas=tuple(args.alpha) if args.alpha else (0.10, 0.05, 0.01),
+        alphas=_alphas(args),
         kernel=KernelSpec(args.kernel),
         bandwidth=_parse_bandwidth(args.bandwidth),
         sidedness=sidedness or _SIDED[getattr(args, "sided", "two")],
@@ -186,37 +193,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_panel(args):
-    schema = _parse_schema(args.schema, args.delimiter)
-    return read_panel_csv(args.data, schema)
-
-
 def _cmd_jump_test(args) -> int:
-    threshold = _parse_threshold(args.threshold)
+    schema = _parse_schema(args.schema, args.delimiter)
+    threshold = _parse_threshold(args.threshold, schema.delimiter)
     if isinstance(threshold, tuple):
         raise UsageError("jump-test takes a scalar or file: threshold, not a grid")
     config = _test_config(args)
-    result = test_existence(_load_panel(args), threshold, config)
+    result = test_existence(read_panel_csv(args.data, schema), threshold, config)
     _emit(result, args)
     return 0
 
 
 def _cmd_homogeneity_test(args) -> int:
-    threshold = _parse_threshold(args.threshold)
+    schema = _parse_schema(args.schema, args.delimiter)
+    threshold = _parse_threshold(args.threshold, schema.delimiter)
     if isinstance(threshold, tuple):
         raise UsageError("homogeneity-test takes a scalar or file: threshold, not a grid")
     config = _test_config(args, "two_sided")
-    result = test_homogeneity(_load_panel(args), threshold, config)
+    result = test_homogeneity(read_panel_csv(args.data, schema), threshold, config)
     _emit(result, args)
     return 0
 
 
 def _cmd_threshold_search(args) -> int:
+    schema = _parse_schema(args.schema, args.delimiter)
     threshold = _parse_threshold(args.threshold)
     if not isinstance(threshold, tuple):
         raise UsageError("threshold-search needs --threshold grid:<v1,v2,...>")
     config = _test_config(args)
-    result = search_thresholds(_load_panel(args), threshold[1], config)
+    result = search_thresholds(read_panel_csv(args.data, schema), threshold[1], config)
     _emit(result, args)
     return 0
 
@@ -235,9 +240,7 @@ def _cmd_simulate(args) -> int:
               if args.fraction > 0.0 else GammaScheme.null())
     dgp_cfg = DgpConfig(dgp_id=args.dgp, n_units=args.n, t_obs=args.t,
                         threshold=c0, gamma_scheme=scheme)
-    mc = McConfig(reps=args.reps,
-                  alphas=tuple(args.alpha) if args.alpha else (0.10, 0.05, 0.01),
-                  base_seed=args.seed, workers=max(1, args.workers))
+    mc = McConfig(reps=args.reps, base_seed=args.seed, workers=max(1, args.workers))
     table = run_size_power(dgp_cfg, mc, test=args.test, grid=grid,
                            config=_test_config(args))
     _emit(table, args)
@@ -245,9 +248,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_critical_value(args) -> int:
-    alphas = tuple(args.alpha) if args.alpha else (0.10, 0.05, 0.01)
     sided = _SIDED[args.sided]
-    for alpha in alphas:
+    for alpha in _alphas(args):
         q = critical_value(args.n, alpha, sided, method=args.method,
                            reps=args.cv_reps, seed=args.seed)
         sys.stdout.write(f"{q:.3f}\n")

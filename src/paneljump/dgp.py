@@ -98,7 +98,6 @@ class DgpConfig:
 @dataclass(frozen=True)
 class McConfig:
     reps: int
-    alphas: tuple[float, ...] = (0.10, 0.05, 0.01)
     base_seed: int = 0
     workers: int = 1
 
@@ -299,10 +298,9 @@ def _one_rep(dgp_cfg: DgpConfig, rep_seed: int, test: str, grid,
 
 
 def _run_reps(dgp_cfg: DgpConfig, mc: McConfig, test: str, grid,
-              config: TestConfig | None) -> list:
+              config: TestConfig) -> list:
     """Outcomes of ``_one_rep`` for replications 0..reps-1, in order."""
     n = mc.reps
-    config = replace(config or TestConfig(), alphas=tuple(mc.alphas))
     grid_t = None if grid is None else tuple(float(g) for g in grid)
     columns = ([dgp_cfg] * n, [_rep_seed(mc.base_seed, r) for r in range(n)],
                [test] * n, [grid_t] * n, [config] * n)
@@ -319,21 +317,23 @@ def run_size_power(dgp_cfg: DgpConfig, mc: McConfig, test: str = "existence",
 
     ``test`` selects the known-threshold existence or homogeneity test;
     passing ``grid`` switches to the unknown-threshold search instead.
-    Replications that fail numerically are counted and excluded from the
-    rates; acceptance-grade runs are expected to have none.
+    Rates are reported at ``config.alphas``.  Replications that fail
+    numerically are counted and excluded from the rates; acceptance-grade
+    runs are expected to have none.
     """
     if test not in ("existence", "homogeneity"):
         raise ValueError(f"test must be 'existence' or 'homogeneity', got {test!r}")
-    counts = {a: 0 for a in mc.alphas}
+    config = config or TestConfig()
+    counts = {a: 0 for a in config.alphas}
     failed = 0
     for outcome in _run_reps(dgp_cfg, mc, test, grid, config):
         if outcome is None:
             failed += 1
             continue
-        for a in mc.alphas:
+        for a in config.alphas:
             counts[a] += bool(outcome[a])
     ok = mc.reps - failed
-    rates = {a: counts[a] / ok if ok else float("nan") for a in mc.alphas}
+    rates = {a: counts[a] / ok if ok else float("nan") for a in config.alphas}
     ses = {
         a: float(np.sqrt(r * (1.0 - r) / ok)) if ok else float("nan")
         for a, r in rates.items()
@@ -359,7 +359,7 @@ def run_threshold_accuracy(dgp_cfg: DgpConfig, mc: McConfig, grid,
     """
     errors: list[float] = []
     failed = 0
-    for outcome in _run_reps(dgp_cfg, mc, "accuracy", grid, config):
+    for outcome in _run_reps(dgp_cfg, mc, "accuracy", grid, config or TestConfig()):
         if outcome is None:
             failed += 1
         else:

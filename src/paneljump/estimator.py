@@ -27,31 +27,18 @@ __all__ = [
 class UnitJumpFit:
     """Result of a two-boundary local linear fit at one threshold.
 
-    ``gamma_hat`` is defined as ``mu_plus - mu_minus``.  ``w_diff`` is the
-    weight difference ``w_plus - w_minus`` that the variance step needs.
-    ``v_hat`` is the standardising scale attached later by the variance
-    step; it is None until then.
+    ``gamma_hat`` is the difference of the two one-sided boundary fits.
+    ``w_diff`` is the weight difference ``w_plus - w_minus`` that the
+    variance step needs, and ``eff_obs`` counts the observations with a
+    nonzero weight on either side.
     """
 
-    unit_id: str
-    c: float
-    b: float
-    n_obs: int
     gamma_hat: float
-    mu_plus: float
-    mu_minus: float
     w_diff: np.ndarray = field(repr=False)
-    eff_obs_plus: int
-    eff_obs_minus: int
-    v_hat: float | None = None
-
-    @property
-    def eff_obs(self) -> int:
-        return self.eff_obs_plus + self.eff_obs_minus
+    eff_obs: int
 
 
-def estimate_jump(y, x, c: float, b: float, kernel: KernelSpec,
-                  unit_id: str = "") -> UnitJumpFit:
+def estimate_jump(y, x, c: float, b: float, kernel: KernelSpec) -> UnitJumpFit:
     """Estimate the jump of the regression function at c.
 
     The estimate is ``mu_plus - mu_minus``, equivalently the weighted sum
@@ -68,19 +55,10 @@ def estimate_jump(y, x, c: float, b: float, kernel: KernelSpec,
     x = np.asarray(x, dtype=float)
     w_plus = local_weights(x, c, b, kernel, "plus")
     w_minus = local_weights(x, c, b, kernel, "minus")
-    mu_plus = float(w_plus @ y)
-    mu_minus = float(w_minus @ y)
     return UnitJumpFit(
-        unit_id=unit_id,
-        c=float(c),
-        b=float(b),
-        n_obs=int(y.size),
-        gamma_hat=mu_plus - mu_minus,
-        mu_plus=mu_plus,
-        mu_minus=mu_minus,
+        gamma_hat=float(w_plus @ y) - float(w_minus @ y),
         w_diff=w_plus - w_minus,
-        eff_obs_plus=int(np.count_nonzero(w_plus)),
-        eff_obs_minus=int(np.count_nonzero(w_minus)),
+        eff_obs=int(np.count_nonzero(w_plus)) + int(np.count_nonzero(w_minus)),
     )
 
 

@@ -10,8 +10,8 @@ candidate thresholds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Mapping
 
 import numpy as np
 from scipy.special import ndtri
@@ -29,7 +29,7 @@ from .errors import (
     TooFewObservations,
     ZeroVariance,
 )
-from .estimator import UnitJumpFit, estimate_jump, smooth_residuals
+from .estimator import estimate_jump, smooth_residuals
 from .kernels import KernelSpec
 from .panel import PanelData, PanelUnit
 from .variance import (
@@ -48,8 +48,6 @@ __all__ = [
     "TestResult",
     "UnitSearch",
     "ThresholdSearchResult",
-    "stat_existence",
-    "stat_homogeneity",
     "critical_value",
     "simulate_max_gaussian",
     "test_existence",
@@ -215,58 +213,6 @@ def _skipped_lines(skipped: list[SkippedUnit]) -> list[list]:
 
 
 # ----------------------------------------------------------------------
-# statistics on fitted units
-
-
-def _standardized(fit: UnitJumpFit) -> float:
-    if fit.v_hat is None or not fit.v_hat > 0.0:
-        raise ZeroVariance(fit.unit_id)
-    return np.sqrt(fit.n_obs * fit.b) * fit.gamma_hat / fit.v_hat
-
-
-def stat_existence(fits: Sequence[UnitJumpFit], sidedness: str = "two_sided") -> float:
-    """Maximum standardised jump statistic over units.
-
-    Two-sided uses |t_j|; one-sided-upper uses the signed t_j, so only
-    upward jumps push the statistic above its critical value.
-    """
-    if sidedness not in SIDEDNESS:
-        raise ValueError(f"sidedness must be one of {SIDEDNESS}")
-    if len(fits) == 0:
-        raise ValueError("no fitted units")
-    ts = np.array([_standardized(f) for f in fits])
-    return float(np.max(np.abs(ts) if sidedness == "two_sided" else ts))
-
-
-def _homogeneity_terms(fits: Sequence[UnitJumpFit], center: str):
-    if center not in CENTERS:
-        raise ValueError(f"center must be one of {CENTERS}")
-    if len(fits) < 2:
-        raise SingleUnit("homogeneity comparison needs at least two units")
-    gammas = np.array([f.gamma_hat for f in fits])
-    for f in fits:
-        if f.v_hat is None or not f.v_hat > 0.0:
-            raise ZeroVariance(f.unit_id)
-    vsqs = np.array([f.v_hat**2 for f in fits])
-    center_value = float(np.mean(gammas) if center == "mean" else np.median(gammas))
-    v_tildes = np.sqrt(v_tilde_sq(vsqs))
-    scale = np.sqrt([f.n_obs * f.b for f in fits])
-    ts = scale * (gammas - center_value) / v_tildes
-    return ts, center_value, v_tildes
-
-
-def stat_homogeneity(fits: Sequence[UnitJumpFit], center: str = "mean") -> float:
-    """Maximum standardised deviation of unit jumps from their centre.
-
-    Centring by the cross-unit mean (or median) makes the statistic
-    invariant to a jump shared by all units; the standardising scale
-    accounts for the centre being estimated.
-    """
-    ts, _, _ = _homogeneity_terms(fits, center)
-    return float(np.max(np.abs(ts)))
-
-
-# ----------------------------------------------------------------------
 # critical values
 
 
@@ -406,61 +352,61 @@ def _resolve_bandwidths(panel: PanelData, thresholds: dict[str, float],
     return {u.unit_id: pooled for u in panel}, {}
 
 
-def _analyze_unit(unit: PanelUnit, c: float, b: float, kernel: KernelSpec) -> UnitJumpFit:
-    """Fit both boundaries at c and attach the standardising scale."""
+def _analyze_unit(unit: PanelUnit, c: float, b: float, kernel: KernelSpec) -> UnitResult:
+    """Fit both boundaries at c and standardise the jump into a report row."""
     y, x = unit.y, unit.x
-    fit = estimate_jump(y, x, c, b, kernel, unit.unit_id)
+    fit = estimate_jump(y, x, c, b, kernel)
     resid = smooth_residuals(y, x, b, kernel, jump_removal=(c, fit.gamma_hat))
     sigma_e_sq = sigma_e_sq_truncated(resid, x, c, b, np.inf)
-    fit.v_hat = _floored_scale(v_sq(fit.w_diff, sigma_e_sq, unit.n_obs, b), _v_floor(y))
-    return fit
+    v = _floored_scale(v_sq(fit.w_diff, sigma_e_sq, unit.n_obs, b), _v_floor(y))
+    if not v > 0.0:
+        raise ZeroVariance(unit.unit_id)
+    return UnitResult(
+        unit_id=unit.unit_id,
+        threshold=c,
+        bandwidth=b,
+        gamma_hat=fit.gamma_hat,
+        v_hat=v,
+        std_error=_std_error(v, unit.n_obs, b),
+        t_stat=float(np.sqrt(unit.n_obs * b) * fit.gamma_hat / v),
+        n_obs=unit.n_obs,
+        eff_obs=fit.eff_obs,
+    )
 
 
 def _fit_panel(panel: PanelData, threshold, config: TestConfig):
-    """Shared known-threshold front end: fits, with per-unit skip reasons."""
+    """Shared known-threshold front end: report rows, with per-unit skip reasons."""
+    if config.truncation is not None:
+        raise ValueError(
+            "TestConfig.truncation applies only to search_thresholds; "
+            "known-threshold tests need truncation=None"
+        )
     if len(panel) == 0:
         raise AllUnitsSkipped("empty panel")
     thresholds = _resolve_thresholds(panel, threshold)
     bandwidths, failures = _resolve_bandwidths(
         panel, thresholds, config.bandwidth, config.kernel
     )
-    fits: list[UnitJumpFit] = []
+    rows: list[UnitResult] = []
     skipped = [SkippedUnit(uid, reason) for uid, reason in failures.items()]
     for unit in panel:
         if unit.unit_id not in bandwidths:
             continue
         try:
-            fits.append(
+            rows.append(
                 _analyze_unit(unit, thresholds[unit.unit_id],
                               bandwidths[unit.unit_id], config.kernel)
             )
         except (InsufficientSupport, EmptyWindow, DegenerateEverywhere) as exc:
             skipped.append(SkippedUnit(unit.unit_id, str(exc)))
-    if not fits:
+    if not rows:
         detail = "; ".join(f"{s.unit_id}: {s.reason}" for s in skipped)
         raise AllUnitsSkipped(f"no unit admits a jump fit ({detail})")
-    return fits, skipped
+    return rows, skipped
 
 
 def _std_error(v: float, n_obs: int, b: float) -> float:
     return float(v / np.sqrt(n_obs * b))
-
-
-def _unit_row(fit: UnitJumpFit, t: float, centered: float | None = None,
-              scale: float | None = None) -> UnitResult:
-    v = scale if scale is not None else fit.v_hat
-    return UnitResult(
-        unit_id=fit.unit_id,
-        threshold=fit.c,
-        bandwidth=fit.b,
-        gamma_hat=fit.gamma_hat,
-        v_hat=float(v),
-        std_error=_std_error(v, fit.n_obs, fit.b),
-        t_stat=float(t),
-        n_obs=fit.n_obs,
-        eff_obs=fit.eff_obs,
-        centered=centered,
-    )
 
 
 def test_existence(panel: PanelData, threshold=0.0,
@@ -473,18 +419,18 @@ def test_existence(panel: PanelData, threshold=0.0,
     critical values.
     """
     config = config or TestConfig()
-    fits, skipped = _fit_panel(panel, threshold, config)
-    ts = [_standardized(f) for f in fits]
-    stat = stat_existence(fits, config.sidedness)
-    cvs = _critical_values(len(fits), config, config.sidedness)
+    rows, skipped = _fit_panel(panel, threshold, config)
+    ts = np.array([r.t_stat for r in rows])
+    stat = float(np.max(np.abs(ts) if config.sidedness == "two_sided" else ts))
+    cvs = _critical_values(len(rows), config, config.sidedness)
     return TestResult(
         kind="existence",
         sidedness=config.sidedness,
         statistic=stat,
         critical_values=cvs,
         reject={a: stat > q for a, q in cvs.items()},
-        n_effective=len(fits),
-        per_unit=[_unit_row(f, t) for f, t in zip(fits, ts)],
+        n_effective=len(rows),
+        per_unit=rows,
         skipped=skipped,
     )
 
@@ -497,13 +443,19 @@ def test_homogeneity(panel: PanelData, threshold=0.0,
     direction count against homogeneity.
     """
     config = config or TestConfig()
-    fits, skipped = _fit_panel(panel, threshold, config)
-    ts, center_value, v_tildes = _homogeneity_terms(fits, config.center)
+    rows, skipped = _fit_panel(panel, threshold, config)
+    if len(rows) < 2:
+        raise SingleUnit("homogeneity comparison needs at least two units")
+    gammas = np.array([r.gamma_hat for r in rows])
+    center_value = float(np.mean(gammas) if config.center == "mean" else np.median(gammas))
+    v_tildes = np.sqrt(v_tilde_sq(np.array([r.v_hat**2 for r in rows])))
+    ts = np.sqrt([r.n_obs * r.bandwidth for r in rows]) * (gammas - center_value) / v_tildes
     stat = float(np.max(np.abs(ts)))
-    cvs = _critical_values(len(fits), config, "two_sided")
+    cvs = _critical_values(len(rows), config, "two_sided")
     rows = [
-        _unit_row(f, t, centered=float(f.gamma_hat - center_value), scale=float(vt))
-        for f, t, vt in zip(fits, ts, v_tildes)
+        replace(r, v_hat=float(vt), std_error=_std_error(vt, r.n_obs, r.bandwidth),
+                t_stat=float(t), centered=float(r.gamma_hat - center_value))
+        for r, t, vt in zip(rows, ts, v_tildes)
     ]
     return TestResult(
         kind="homogeneity",
@@ -511,7 +463,7 @@ def test_homogeneity(panel: PanelData, threshold=0.0,
         statistic=stat,
         critical_values=cvs,
         reject={a: stat > q for a, q in cvs.items()},
-        n_effective=len(fits),
+        n_effective=len(rows),
         per_unit=rows,
         skipped=skipped,
         center=config.center,

@@ -133,16 +133,18 @@ def read_panel_csv(path: str, schema: PanelSchema | None = None) -> PanelData:
     return PanelData(units=units)
 
 
-def read_threshold_csv(path: str) -> dict[str, float]:
+def read_threshold_csv(path: str, delimiter: str = ",") -> dict[str, float]:
     """Read per-unit thresholds from a 2-column (unit, c) file.
 
-    The first non-blank row is treated as a header and skipped when its
-    second column does not parse as a number.  Row numbers in errors refer
-    to physical file rows, blank ones included.
+    Columns are split on the one-character ``delimiter``.  The first
+    non-blank row is treated as a header and skipped when its second column
+    does not parse as a number.  Row numbers in errors refer to physical
+    file rows, blank ones included.
     """
     try:
         with open(path, newline="") as fh:
-            rows = [(row_no, r) for row_no, r in enumerate(csv.reader(fh), start=1)
+            reader = csv.reader(fh, delimiter=delimiter)
+            rows = [(row_no, r) for row_no, r in enumerate(reader, start=1)
                     if r and any(c.strip() for c in r)]
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from None

@@ -183,14 +183,14 @@ class TestPilotBandwidth:
 
     def test_floor_keeps_min_points_everywhere(self):
         """Sparse edges force the floor up so every point keeps at least
-        min_points neighbours within its window."""
+        10 neighbours within its window."""
         rng = np.random.default_rng(12)
         x = np.sort(np.concatenate([rng.uniform(-1, 1, 50), [4.0, 4.5, 9.0]]))
-        b_star = pilot_bandwidth(x, 0.1, min_points=10)
+        b_star = pilot_bandwidth(x, 0.1)
         for xi in x:
             assert np.sum(np.abs(x - xi) <= b_star) >= 10
 
     def test_tiny_sample_spans_data(self):
         x = np.array([0.0, 1.0, 2.0])
-        b_star = pilot_bandwidth(x, 0.01, min_points=10)
+        b_star = pilot_bandwidth(x, 0.01)
         assert b_star >= 2.0

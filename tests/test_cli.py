@@ -100,6 +100,15 @@ class TestUsageErrors:
         assert code == 2
         assert "single character" in capsys.readouterr().err
 
+    def test_multi_character_delimiter_with_threshold_file(self, tmp_path, capsys):
+        data = _panel_csv(tmp_path)
+        cfile = tmp_path / "c.csv"
+        cfile.write_text("unit;c\nu0;0.0\nu1;0.0\n")
+        code = cli_main(["jump-test", "--data", data, "--delimiter", ";;",
+                         "--threshold", f"file:{cfile}"])
+        assert code == 2
+        assert "single character" in capsys.readouterr().err
+
     @pytest.mark.parametrize("level", ["nan", "-1"])
     def test_invalid_truncation(self, tmp_path, capsys, level):
         # Rejected before the panel is read: the file does not exist.
@@ -185,6 +194,15 @@ class TestJumpTestCommand:
                          "--schema", "id,tt,ret,run",
                          "--bandwidth", "fixed:0.4"])
         assert code == 0
+
+    def test_threshold_file_uses_the_delimiter(self, tmp_path, capsys):
+        data = _panel_csv(tmp_path, delimiter=";", header="unit;time;y;x")
+        cfile = tmp_path / "c.csv"
+        cfile.write_text("unit;c\nu0;0.0\nu1;0.0\n")
+        code = cli_main(["jump-test", "--data", data, "--delimiter", ";",
+                         "--bandwidth", "fixed:0.4", "--threshold", f"file:{cfile}"])
+        assert code == 0
+        assert "# reject,0.01,True" in capsys.readouterr().out
 
     def test_plugin_bandwidth_end_to_end(self, tmp_path, capsys):
         data = _panel_csv(tmp_path, t_obs=300)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from paneljump.estimator import (
     estimate_jump,
     smooth_residuals,
 )
-from paneljump.kernels import KernelSpec
+from paneljump.kernels import KernelSpec, local_weights
 
 UNIFORM = KernelSpec("uniform")
 EPA = KernelSpec("epanechnikov")
@@ -27,8 +29,10 @@ class TestEstimateJump:
         y = 0.4 + 1.1 * x + gamma * (x >= 0.0)
         fit = estimate_jump(y, x, 0.0, 0.5, UNIFORM)
         assert fit.gamma_hat == pytest.approx(gamma, abs=1e-10)
-        assert fit.mu_minus == pytest.approx(0.4, abs=1e-10)
-        assert fit.mu_plus == pytest.approx(0.4 + gamma, abs=1e-10)
+        mu_minus = local_weights(x, 0.0, 0.5, UNIFORM, "minus") @ y
+        mu_plus = local_weights(x, 0.0, 0.5, UNIFORM, "plus") @ y
+        assert mu_minus == pytest.approx(0.4, abs=1e-10)
+        assert mu_plus == pytest.approx(0.4 + gamma, abs=1e-10)
 
     def test_different_slopes_each_side(self):
         x = np.linspace(-1.0, 1.0, 101)
@@ -49,14 +53,12 @@ class TestEstimateJump:
     def test_metadata_fields(self):
         x = np.array([-0.4, -0.2, 0.1, 0.3, 2.5])
         y = np.zeros(5)
-        fit = estimate_jump(y, x, 0.0, 1.0, UNIFORM, unit_id="u7")
+        fit = estimate_jump(y, x, 0.0, 1.0, UNIFORM)
         assert isinstance(fit, UnitJumpFit)
-        assert fit.unit_id == "u7"
-        assert fit.n_obs == 5
-        assert fit.eff_obs_plus == 2  # 2.5 is outside the window
-        assert fit.eff_obs_minus == 2
-        assert fit.eff_obs == 4
-        assert fit.v_hat is None
+        assert [f.name for f in fields(fit)] == ["gamma_hat", "w_diff", "eff_obs"]
+        assert fit.eff_obs == 4  # 2.5 is outside the window
+        assert fit.w_diff.shape == (5,)
+        assert fit.w_diff[4] == 0.0
 
     def test_insufficient_side_reports_which(self):
         x = np.array([0.1, 0.2, 0.3, 0.4])

@@ -18,13 +18,11 @@ from paneljump.errors import (
     SingleUnit,
     ZeroVariance,
 )
-from paneljump.estimator import UnitJumpFit
+from paneljump.dgp import DgpConfig, GammaScheme, gen_dgp
 from paneljump.inference import (
     critical_value,
     search_thresholds,
     simulate_max_gaussian,
-    stat_existence,
-    stat_homogeneity,
 )
 from paneljump.inference import TestConfig as Config
 from paneljump.inference import test_existence as run_existence
@@ -33,64 +31,103 @@ from paneljump.kernels import local_weights
 from paneljump.panel import PanelData, PanelUnit
 from paneljump.variance import SigmaC
 
+# A bandwidth of 1 on T = 100 points gives sqrt(T b) = 10.
+STEP = Config(bandwidth=BandwidthPolicy.fixed(1.0))
 
-def _fit(t, unit_id="u", t_obs=100, b=1.0):
-    """UnitJumpFit whose standardised statistic is exactly ``t``."""
-    return UnitJumpFit(
-        unit_id=unit_id, c=0.0, b=b, n_obs=t_obs, gamma_hat=t,
-        mu_plus=t, mu_minus=0.0, w_diff=np.zeros(t_obs),
-        eff_obs_plus=t_obs // 2, eff_obs_minus=t_obs // 2,
-        v_hat=float(np.sqrt(t_obs * b)),
-    )
+
+def _step_panel(gammas, t_obs=100):
+    """Noiseless panel: unit ``uid`` steps up by ``gammas[uid]`` at x = 0."""
+    x = np.linspace(-1.0, 1.0, t_obs)
+    return PanelData([PanelUnit(unit_id=uid, y=g * (x >= 0.0), x=x)
+                      for uid, g in gammas.items()])
+
+
+@pytest.fixture
+def pin_scale(monkeypatch):
+    """Pins every unit's standardising scale v_j to the given value, so
+    t_j = sqrt(T b) gamma_j / v_j; v = 10 on a step panel makes t_j = gamma_j."""
+    def pin(v):
+        monkeypatch.setattr(paneljump.inference, "v_sq", lambda *args: v * v)
+    return pin
 
 
 class TestStatExistence:
-    def test_single_unit_arithmetic(self):
-        f = _fit(0.0, t_obs=100, b=1.0)
-        f = UnitJumpFit(**{**f.__dict__, "gamma_hat": 2.0, "v_hat": 1.0})
-        assert stat_existence([f]) == pytest.approx(20.0)
+    def test_single_unit_arithmetic(self, pin_scale):
+        pin_scale(1.0)
+        result = run_existence(_step_panel({"u": 2.0}), 0.0, STEP)
+        assert result.statistic == pytest.approx(20.0)
 
-    def test_all_zero_gammas(self):
-        assert stat_existence([_fit(0.0), _fit(0.0)]) == 0.0
+    def test_all_zero_gammas(self, pin_scale):
+        pin_scale(10.0)
+        result = run_existence(_step_panel({"a": 0.0, "b": 0.0}), 0.0, STEP)
+        assert result.statistic == 0.0
 
-    def test_two_sided_takes_absolute(self):
-        fits = [_fit(1.5, "a"), _fit(-3.2, "b"), _fit(2.0, "c")]
-        assert stat_existence(fits) == pytest.approx(3.2)
+    def test_two_sided_takes_absolute(self, pin_scale):
+        pin_scale(10.0)
+        panel = _step_panel({"a": 1.5, "b": -3.2, "c": 2.0})
+        assert run_existence(panel, 0.0, STEP).statistic == pytest.approx(3.2)
 
-    def test_one_sided_keeps_sign(self):
-        fits = [_fit(1.5, "a"), _fit(-3.2, "b"), _fit(2.0, "c")]
-        assert stat_existence(fits, "one_sided_upper") == pytest.approx(2.0)
+    def test_one_sided_keeps_sign(self, pin_scale):
+        pin_scale(10.0)
+        panel = _step_panel({"a": 1.5, "b": -3.2, "c": 2.0})
+        cfg = Config(bandwidth=STEP.bandwidth, sidedness="one_sided_upper")
+        assert run_existence(panel, 0.0, cfg).statistic == pytest.approx(2.0)
 
-    def test_zero_variance_names_unit(self):
-        bad = UnitJumpFit(**{**_fit(1.0).__dict__, "unit_id": "u9", "v_hat": 0.0})
+    def test_zero_variance_names_unit(self, pin_scale):
+        pin_scale(np.nan)
         with pytest.raises(ZeroVariance, match="u9"):
-            stat_existence([bad])
+            run_existence(_step_panel({"u9": 1.0}), 0.0, STEP)
 
 
 class TestStatHomogeneity:
-    def test_equal_gammas_give_zero(self):
-        assert stat_homogeneity([_fit(1.3, "a"), _fit(1.3, "b")]) == 0.0
+    def test_equal_gammas_give_zero(self, pin_scale):
+        pin_scale(10.0)
+        result = run_homogeneity(_step_panel({"a": 1.3, "b": 1.3}), 0.0, STEP)
+        assert result.statistic == 0.0
 
-    def test_two_unit_arithmetic(self):
+    def test_two_unit_arithmetic(self, pin_scale):
         """gammas (0, 1) with v chosen so each centred scale is exactly 1:
         both deviations are 0.5, times sqrt(Tb) = 10, giving 5."""
-        fits = []
-        for uid, g in (("a", 0.0), ("b", 1.0)):
-            f = _fit(0.0, uid, t_obs=100, b=1.0)
-            fits.append(UnitJumpFit(**{
-                **f.__dict__, "gamma_hat": g, "v_hat": float(np.sqrt(2.0)),
-            }))
-        assert stat_homogeneity(fits) == pytest.approx(5.0)
+        pin_scale(np.sqrt(2.0))
+        result = run_homogeneity(_step_panel({"a": 0.0, "b": 1.0}), 0.0, STEP)
+        assert result.statistic == pytest.approx(5.0)
 
-    def test_median_center(self):
-        fits = [_fit(0.0, "a"), _fit(0.0, "b"), _fit(5.0, "c")]
-        ts_med = stat_homogeneity(fits, center="median")
-        ts_mean = stat_homogeneity(fits, center="mean")
+    def test_median_center(self, pin_scale):
+        pin_scale(10.0)
+        panel = _step_panel({"a": 0.0, "b": 0.0, "c": 5.0})
+        ts_med = run_homogeneity(panel, 0.0, Config(bandwidth=STEP.bandwidth,
+                                                    center="median")).statistic
+        ts_mean = run_homogeneity(panel, 0.0, STEP).statistic
         assert ts_med != ts_mean
 
     def test_single_unit_rejected(self):
+        """One unit left after skips is too few to compare."""
+        x = np.linspace(-1.0, 1.0, 100)
+        units = [PanelUnit(unit_id="ok", y=1.0 * (x >= 0.0), x=x),
+                 PanelUnit(unit_id="bad", y=np.ones(30), x=np.linspace(0.1, 1.0, 30))]
         with pytest.raises(SingleUnit):
-            stat_homogeneity([_fit(1.0)])
+            run_homogeneity(PanelData(units), 0.0, STEP)
+
+
+@pytest.mark.parametrize("run, cfg", [
+    (run_existence, Config()),
+    (run_existence, Config(sidedness="one_sided_upper")),
+    (run_homogeneity, Config()),
+    (run_homogeneity, Config(center="median")),
+])
+def test_report_rows_carry_the_statistic(run, cfg):
+    """Each row's t is sqrt(T b) times its (centred) jump over its scale,
+    bit for bit, and the panel statistic is the max over the rows."""
+    panel, _, _ = gen_dgp(DgpConfig(dgp_id=1, n_units=10, t_obs=200, seed=4,
+                                    gamma_scheme=GammaScheme.sparse_power(0.3)))
+    result = run(panel, 0.0, cfg)
+    assert len(result.per_unit) == 10
+    for u in result.per_unit:
+        jump = u.gamma_hat if u.centered is None else u.centered
+        assert u.t_stat == np.sqrt(u.n_obs * u.bandwidth) * jump / u.v_hat
+    ts = np.array([u.t_stat for u in result.per_unit])
+    upper = result.sidedness == "one_sided_upper"
+    assert result.statistic == np.max(ts if upper else np.abs(ts))
 
 
 class TestCriticalValue:
@@ -265,6 +302,11 @@ class TestExistencePipeline:
         assert [s.unit_id for s in result.skipped] == ["bad"]
         assert "minus" in result.skipped[0].reason
 
+    def test_truncation_is_rejected(self):
+        cfg = Config(bandwidth=BandwidthPolicy.fixed(0.4), truncation=0.0)
+        with pytest.raises(ValueError, match="TestConfig.truncation"):
+            run_existence(_noise_panel(), 0.0, cfg)
+
     def test_one_sided_direction(self):
         """A large downward jump escapes the one-sided-upper test."""
         panel = _jump_panel([-3.0, -2.0], sd=0.05, seed=9)
@@ -308,6 +350,11 @@ class TestHomogeneityPipeline:
     def test_single_unit_panel_rejected(self):
         with pytest.raises(SingleUnit):
             run_homogeneity(_noise_panel(n_units=1), 0.0, FIXED)
+
+    def test_truncation_is_rejected(self):
+        cfg = Config(bandwidth=BandwidthPolicy.fixed(0.4), truncation=np.inf)
+        with pytest.raises(ValueError, match="TestConfig.truncation"):
+            run_homogeneity(_noise_panel(), 0.0, cfg)
 
     def test_centered_column_present(self):
         result = run_homogeneity(_noise_panel(seed=15), 0.0, FIXED)
