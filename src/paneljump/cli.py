@@ -21,6 +21,7 @@ from .kernels import KERNEL_KINDS, KernelSpec
 __all__ = ["cli_main", "main"]
 
 _SIDED = {"two": "two_sided", "upper": "one_sided_upper"}
+_THRESHOLD_FORMS = {"scalar": "<v>", "file": "file:<path>", "grid": "grid:<v1,v2,...>"}
 
 
 class UsageError(Exception):
@@ -55,21 +56,28 @@ def _parse_bandwidth(text: str) -> BandwidthPolicy:
     raise UsageError(f"--bandwidth must be auto, pooled, or fixed:<v>, got {text!r}")
 
 
-def _parse_threshold(text: str, delimiter: str = ","):
-    """Returns a scalar, a per-unit mapping, or ('grid', values).
+def _parse_threshold(args, kinds: tuple[str, ...], delimiter: str = ","):
+    """Returns a scalar, a per-unit mapping (``file:``) or a list of grid
+    values (``grid:``).
 
-    A ``file:`` threshold file is split on ``delimiter``.
+    A kind the command does not take (``kinds``) is a usage error, raised
+    before any file is read.  A threshold file is split on ``delimiter``.
     """
-    if text.startswith("file:"):
+    text = args.threshold
+    kind = text[:4] if text.startswith(("file:", "grid:")) else "scalar"
+    if kind not in kinds:
+        forms = " or ".join(_THRESHOLD_FORMS[k] for k in kinds)
+        raise UsageError(f"{args.command} takes --threshold {forms}, got {text!r}")
+    if kind == "file":
         return read_threshold_csv(text[5:], delimiter)
-    if text.startswith("grid:"):
+    if kind == "grid":
         try:
             values = [float(v) for v in text[5:].split(",") if v.strip()]
         except ValueError:
             raise UsageError(f"bad grid in {text!r}") from None
         if not values:
             raise UsageError("grid needs at least one value")
-        return ("grid", values)
+        return values
     try:
         return float(text)
     except ValueError:
@@ -195,9 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_jump_test(args) -> int:
     schema = _parse_schema(args.schema, args.delimiter)
-    threshold = _parse_threshold(args.threshold, schema.delimiter)
-    if isinstance(threshold, tuple):
-        raise UsageError("jump-test takes a scalar or file: threshold, not a grid")
+    threshold = _parse_threshold(args, ("scalar", "file"), schema.delimiter)
     config = _test_config(args)
     result = test_existence(read_panel_csv(args.data, schema), threshold, config)
     _emit(result, args)
@@ -206,9 +212,7 @@ def _cmd_jump_test(args) -> int:
 
 def _cmd_homogeneity_test(args) -> int:
     schema = _parse_schema(args.schema, args.delimiter)
-    threshold = _parse_threshold(args.threshold, schema.delimiter)
-    if isinstance(threshold, tuple):
-        raise UsageError("homogeneity-test takes a scalar or file: threshold, not a grid")
+    threshold = _parse_threshold(args, ("scalar", "file"), schema.delimiter)
     config = _test_config(args, "two_sided")
     result = test_homogeneity(read_panel_csv(args.data, schema), threshold, config)
     _emit(result, args)
@@ -217,25 +221,16 @@ def _cmd_homogeneity_test(args) -> int:
 
 def _cmd_threshold_search(args) -> int:
     schema = _parse_schema(args.schema, args.delimiter)
-    threshold = _parse_threshold(args.threshold)
-    if not isinstance(threshold, tuple):
-        raise UsageError("threshold-search needs --threshold grid:<v1,v2,...>")
+    grid = _parse_threshold(args, ("grid",))
     config = _test_config(args)
-    result = search_thresholds(read_panel_csv(args.data, schema), threshold[1], config)
+    result = search_thresholds(read_panel_csv(args.data, schema), grid, config)
     _emit(result, args)
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    threshold = _parse_threshold(args.threshold)
-    grid = None
-    c0 = 0.0
-    if isinstance(threshold, tuple):
-        grid = threshold[1]
-    elif isinstance(threshold, dict):
-        raise UsageError("simulate takes a scalar or grid: threshold")
-    else:
-        c0 = threshold
+    threshold = _parse_threshold(args, ("scalar", "grid"))
+    grid, c0 = (threshold, 0.0) if isinstance(threshold, list) else (None, threshold)
     scheme = (GammaScheme.sparse_power(args.fraction, args.scale)
               if args.fraction > 0.0 else GammaScheme.null())
     dgp_cfg = DgpConfig(dgp_id=args.dgp, n_units=args.n, t_obs=args.t,

@@ -43,23 +43,19 @@ __all__ = [
 class GammaScheme:
     """How jump sizes are assigned across units.
 
-    ``null`` leaves all jumps at zero.  ``sparse_power`` gives a random
-    fraction of units a jump scaled to the detection boundary,
-    scale * T^(-2/5) (log N)^(1/2) B with B ~ U[2, 10].  ``accuracy``
-    gives that jump to every unit; it is meant for threshold-location
-    experiments where each unit needs a jump to locate.
+    A random ``fraction`` of units gets a jump scaled to the detection
+    boundary, scale * T^(-2/5) (log N)^(1/2) B with B ~ U[2, 10].
+    ``null`` gives no unit a jump and ``accuracy`` every unit, for
+    threshold-location experiments where each unit needs a jump to locate.
     """
 
-    kind: str = "null"
     fraction: float = 0.0
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("null", "sparse_power", "accuracy"):
-            raise ValueError(f"unknown gamma scheme {self.kind!r}")
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError("fraction must lie in [0, 1]")
-        if self.kind != "null" and self.scale <= 0.0:
+        if self.fraction > 0.0 and self.scale <= 0.0:
             raise ValueError("scale must be positive")
 
     @classmethod
@@ -68,11 +64,11 @@ class GammaScheme:
 
     @classmethod
     def sparse_power(cls, fraction: float, scale: float = 1.0) -> "GammaScheme":
-        return cls(kind="sparse_power", fraction=fraction, scale=scale)
+        return cls(fraction=fraction, scale=scale)
 
     @classmethod
     def accuracy(cls, scale: float = 5.0) -> "GammaScheme":
-        return cls(kind="accuracy", fraction=1.0, scale=scale)
+        return cls(fraction=1.0, scale=scale)
 
 
 @dataclass(frozen=True)
@@ -81,8 +77,6 @@ class DgpConfig:
     n_units: int
     t_obs: int
     seed: int = 0
-    beta_decay: float = 1.5
-    ma_lag: int = 100
     threshold: float = 0.0
     gamma_scheme: GammaScheme = GammaScheme()
 
@@ -91,8 +85,6 @@ class DgpConfig:
             raise ValueError(f"dgp_id must be 1..6, got {self.dgp_id}")
         if self.n_units < 1 or self.t_obs < 2:
             raise ValueError("need at least 1 unit and 2 observations")
-        if self.ma_lag < 0:
-            raise ValueError("ma_lag must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -154,6 +146,10 @@ class AccuracyTable:
 
 # ----------------------------------------------------------------------
 # generators
+
+# Decay rate beta and truncation lag of the MA filter behind designs 2-6.
+_BETA_DECAY = 1.5
+_MA_LAG = 100
 
 
 def _ma_coefficients(beta: float, lag: int) -> np.ndarray:
@@ -226,11 +222,11 @@ def gen_dgp(cfg: DgpConfig) -> tuple[PanelData, np.ndarray, np.ndarray]:
         lam_eps = rng_load.standard_normal(n)
         lam_x = rng_load.standard_normal(n)
         rng_fac = np.random.default_rng(s_fac)
-        f_eps = _ma_rows(1, t, cfg.beta_decay, cfg.ma_lag, rng_fac)[0]
-        f_x = _ma_rows(1, t, cfg.beta_decay, cfg.ma_lag, rng_fac)[0]
+        f_eps = _ma_rows(1, t, _BETA_DECAY, _MA_LAG, rng_fac)[0]
+        f_x = _ma_rows(1, t, _BETA_DECAY, _MA_LAG, rng_fac)[0]
         rng_idio = np.random.default_rng(s_idio)
-        u_eps = _ma_rows(n, t, cfg.beta_decay, cfg.ma_lag, rng_idio)
-        u_x = _ma_rows(n, t, cfg.beta_decay, cfg.ma_lag, rng_idio)
+        u_eps = _ma_rows(n, t, _BETA_DECAY, _MA_LAG, rng_idio)
+        u_x = _ma_rows(n, t, _BETA_DECAY, _MA_LAG, rng_idio)
         if cfg.dgp_id in (2, 3):
             eps = lam_eps[:, None] * f_eps + u_eps
             x = 0.25 * (lam_x[:, None] * f_x + u_x)
@@ -293,7 +289,7 @@ def _one_rep(dgp_cfg: DgpConfig, rep_seed: int, test: str, grid,
         return None
     if test == "accuracy":
         true_c = float(thresholds[0])
-        return [abs(u.c_hat - true_c) for u in result.per_unit]
+        return [abs(u.threshold - true_c) for u in result.per_unit]
     return result.reject
 
 
@@ -316,13 +312,16 @@ def run_size_power(dgp_cfg: DgpConfig, mc: McConfig, test: str = "existence",
     """Rejection-rate table over Monte Carlo replications.
 
     ``test`` selects the known-threshold existence or homogeneity test;
-    passing ``grid`` switches to the unknown-threshold search instead.
+    passing ``grid`` runs the unknown-threshold existence search instead,
+    so it needs ``test="existence"``.
     Rates are reported at ``config.alphas``.  Replications that fail
     numerically are counted and excluded from the rates; acceptance-grade
     runs are expected to have none.
     """
     if test not in ("existence", "homogeneity"):
         raise ValueError(f"test must be 'existence' or 'homogeneity', got {test!r}")
+    if grid is not None and test != "existence":
+        raise ValueError(f"grid runs the existence search and cannot take test={test!r}")
     config = config or TestConfig()
     counts = {a: 0 for a in config.alphas}
     failed = 0

@@ -29,7 +29,7 @@ from .errors import (
     TooFewObservations,
     ZeroVariance,
 )
-from .estimator import estimate_jump, smooth_residuals
+from .estimator import UnitJumpFit, estimate_jump, smooth_residuals
 from .kernels import KernelSpec
 from .panel import PanelData, PanelUnit
 from .variance import (
@@ -46,7 +46,6 @@ __all__ = [
     "UnitResult",
     "SkippedUnit",
     "TestResult",
-    "UnitSearch",
     "ThresholdSearchResult",
     "critical_value",
     "simulate_max_gaussian",
@@ -106,6 +105,10 @@ class TestConfig:
 
 @dataclass
 class UnitResult:
+    """One unit's report row: the jump fit at ``threshold``, its scale and
+    statistic.  A search row sits at the unit's best grid point, and
+    ``stats`` holds the statistic at every grid point (NaN where invalid)."""
+
     unit_id: str
     threshold: float
     bandwidth: float
@@ -116,6 +119,7 @@ class UnitResult:
     n_obs: int
     eff_obs: int
     centered: float | None = None
+    stats: np.ndarray | None = None
 
 
 @dataclass
@@ -139,10 +143,7 @@ class TestResult:
 
     def table(self) -> tuple[list[str], list[list], list[list]]:
         """Report header, typed per-unit rows and typed summary lines."""
-        header = ["unit", "threshold", "gamma_hat", "std_error", "t_stat",
-                  "obs", "eff_obs", "bandwidth"]
-        rows = [[u.unit_id, u.threshold, u.gamma_hat, u.std_error, u.t_stat,
-                 u.n_obs, u.eff_obs, u.bandwidth] for u in self.per_unit]
+        header, rows = _unit_table(self.per_unit, "threshold")
         if self.kind == "homogeneity":
             header.insert(3, "centered")
             for row, u in zip(rows, self.per_unit):
@@ -152,20 +153,6 @@ class TestResult:
         if self.center is not None:
             summary += [["center", self.center], ["center_value", self.center_value]]
         return header, rows, summary + _decision_lines(self) + _skipped_lines(self.skipped)
-
-
-@dataclass
-class UnitSearch:
-    unit_id: str
-    bandwidth: float
-    n_obs: int
-    c_hat: float
-    best_index: int
-    best_stat: float
-    stats: np.ndarray
-    gammas: np.ndarray
-    v_hats: np.ndarray
-    eff_obs: np.ndarray
 
 
 @dataclass
@@ -179,20 +166,13 @@ class ThresholdSearchResult:
     n_comparisons: int
     truncation: float
     spacing_warning: bool
-    per_unit: list[UnitSearch]
+    per_unit: list[UnitResult]
     skipped: list[SkippedUnit]
 
     def table(self) -> tuple[list[str], list[list], list[list]]:
         """Report header, typed rows at each unit's best grid point, and
         typed summary lines; the grid is one sequence-valued cell."""
-        header = ["unit", "c_hat", "gamma_hat", "std_error", "t_stat",
-                  "obs", "eff_obs", "bandwidth"]
-        rows = []
-        for u in self.per_unit:
-            i = u.best_index
-            rows.append([u.unit_id, u.c_hat, u.gammas[i],
-                         _std_error(u.v_hats[i], u.n_obs, u.bandwidth),
-                         u.stats[i], u.n_obs, int(u.eff_obs[i]), u.bandwidth])
+        header, rows = _unit_table(self.per_unit, "c_hat")
         summary = [["test", "threshold_search"], ["sidedness", self.sidedness],
                    ["statistic", self.statistic], ["grid", self.grid],
                    ["truncation", self.truncation], *_decision_lines(self),
@@ -200,6 +180,13 @@ class ThresholdSearchResult:
         if self.spacing_warning:
             summary.append(["warning", "grid spacing at most twice the bandwidth"])
         return header, rows, summary + _skipped_lines(self.skipped)
+
+
+def _unit_table(per_unit: list[UnitResult], place: str) -> tuple[list[str], list[list]]:
+    header = ["unit", place, "gamma_hat", "std_error", "t_stat", "obs", "eff_obs", "bandwidth"]
+    rows = [[u.unit_id, u.threshold, u.gamma_hat, u.std_error, u.t_stat,
+             u.n_obs, u.eff_obs, u.bandwidth] for u in per_unit]
+    return header, rows
 
 
 def _decision_lines(result: TestResult | ThresholdSearchResult) -> list[list]:
@@ -214,6 +201,11 @@ def _skipped_lines(skipped: list[SkippedUnit]) -> list[list]:
 
 # ----------------------------------------------------------------------
 # critical values
+
+
+def _score(t, sidedness: str):
+    """What the max runs over: |t| for a two-sided test, t for an upper one."""
+    return np.abs(t) if sidedness == "two_sided" else t
 
 
 def simulate_max_gaussian(n_comparisons: int, reps: int, seed: int,
@@ -262,24 +254,23 @@ def simulate_max_gaussian(n_comparisons: int, reps: int, seed: int,
         else:
             parts = [rng.standard_normal((m, f.shape[0])) @ f.T for f in factors]
             z = np.hstack(parts)
-        vals = np.abs(z) if sidedness == "two_sided" else z
-        out[pos:pos + m] = vals.max(axis=1)
+        out[pos:pos + m] = _score(z, sidedness).max(axis=1)
         pos += m
     return out
 
 
 def critical_value(n_comparisons: int, alpha: float, sidedness: str = "two_sided",
-                   method: str = "analytic", reps: int = 100_000, seed: int = 0,
-                   sigma_c: SigmaC | None = None) -> float:
-    """Critical value for the maximum of n Gaussian comparisons.
+                   method: str = "analytic", reps: int = 100_000, seed: int = 0) -> float:
+    """Critical value for the maximum of n independent Gaussian comparisons.
 
-    Analytic values treat the comparisons as independent:
+    Analytic values are in closed form:
 
         two-sided    q = Phi^-1( (1 + (1 - alpha)^(1/n)) / 2 )
         one-sided    q = Phi^-1( (1 - alpha)^(1/n) )
 
     The simulated method returns the empirical (1 - alpha) quantile of
-    ``simulate_max_gaussian``, and is the route that honours ``sigma_c``.
+    ``simulate_max_gaussian`` with independent draws.  Correlated draws
+    enter only through ``search_thresholds`` with ``cv_method="simulated"``.
     """
     alpha = _check_alpha(alpha)
     if method not in CV_METHODS:
@@ -293,7 +284,7 @@ def critical_value(n_comparisons: int, alpha: float, sidedness: str = "two_sided
         if sidedness == "one_sided_upper":
             return float(ndtri(p))
         raise ValueError(f"sidedness must be one of {SIDEDNESS}")
-    sample = simulate_max_gaussian(n_comparisons, reps, seed, sigma_c, sidedness)
+    sample = simulate_max_gaussian(n_comparisons, reps, seed, sidedness=sidedness)
     return float(np.quantile(sample, 1.0 - alpha))
 
 
@@ -352,15 +343,11 @@ def _resolve_bandwidths(panel: PanelData, thresholds: dict[str, float],
     return {u.unit_id: pooled for u in panel}, {}
 
 
-def _analyze_unit(unit: PanelUnit, c: float, b: float, kernel: KernelSpec) -> UnitResult:
-    """Fit both boundaries at c and standardise the jump into a report row."""
-    y, x = unit.y, unit.x
-    fit = estimate_jump(y, x, c, b, kernel)
-    resid = smooth_residuals(y, x, b, kernel, jump_removal=(c, fit.gamma_hat))
-    sigma_e_sq = sigma_e_sq_truncated(resid, x, c, b, np.inf)
-    v = _floored_scale(v_sq(fit.w_diff, sigma_e_sq, unit.n_obs, b), _v_floor(y))
-    if not v > 0.0:
-        raise ZeroVariance(unit.unit_id)
+def _unit_row(unit: PanelUnit, c: float, b: float, fit: UnitJumpFit,
+              sigma_e_sq: float, floor: float) -> UnitResult:
+    """Standardise the jump fit at c into a report row: scale v, its
+    standard error and t = sqrt(T b) gamma_hat / v."""
+    v = _floored_scale(v_sq(fit.w_diff, sigma_e_sq, unit.n_obs, b), floor)
     return UnitResult(
         unit_id=unit.unit_id,
         threshold=c,
@@ -372,6 +359,17 @@ def _analyze_unit(unit: PanelUnit, c: float, b: float, kernel: KernelSpec) -> Un
         n_obs=unit.n_obs,
         eff_obs=fit.eff_obs,
     )
+
+
+def _analyze_unit(unit: PanelUnit, c: float, b: float, kernel: KernelSpec) -> UnitResult:
+    """Fit both boundaries at the known threshold c into a report row."""
+    y, x = unit.y, unit.x
+    fit = estimate_jump(y, x, c, b, kernel)
+    resid = smooth_residuals(y, x, b, kernel, jump_removal=(c, fit.gamma_hat))
+    row = _unit_row(unit, c, b, fit, sigma_e_sq_truncated(resid, x, c, b, np.inf), _v_floor(y))
+    if not row.v_hat > 0.0:
+        raise ZeroVariance(unit.unit_id)
+    return row
 
 
 def _fit_panel(panel: PanelData, threshold, config: TestConfig):
@@ -420,8 +418,7 @@ def test_existence(panel: PanelData, threshold=0.0,
     """
     config = config or TestConfig()
     rows, skipped = _fit_panel(panel, threshold, config)
-    ts = np.array([r.t_stat for r in rows])
-    stat = float(np.max(np.abs(ts) if config.sidedness == "two_sided" else ts))
+    stat = float(np.max(_score(np.array([r.t_stat for r in rows]), config.sidedness)))
     cvs = _critical_values(len(rows), config, config.sidedness)
     return TestResult(
         kind="existence",
@@ -477,33 +474,26 @@ def test_homogeneity(panel: PanelData, threshold=0.0,
 
 def _search_unit(unit: PanelUnit, grid: np.ndarray, b: float, a_trunc: float,
                  resid: np.ndarray, kernel: KernelSpec):
-    """Per-grid statistics for one unit; NaN marks unusable grid points.
+    """One report row per grid point for one unit; None marks unusable
+    grid points.
 
     Also returns the weight-difference rows of the valid grid points, in
     grid order, from which the unit's correlation block is built.
     """
     y, x = unit.y, unit.x
-    k = grid.size
-    stats = np.full(k, np.nan)
-    gammas = np.full(k, np.nan)
-    v_hats = np.full(k, np.nan)
-    effs = np.zeros(k, dtype=int)
+    rows: list[UnitResult | None] = []
     w_diffs = []
     floor = _v_floor(y)
-    root_tb = np.sqrt(unit.n_obs * b)
-    for i, c in enumerate(grid.tolist()):
+    for c in grid.tolist():
         try:
             fit = estimate_jump(y, x, c, b, kernel)
             sigma_e_sq = sigma_e_sq_truncated(resid, x, c, b, a_trunc)
         except (InsufficientSupport, EmptyWindow):
+            rows.append(None)
             continue
-        v_hat = _floored_scale(v_sq(fit.w_diff, sigma_e_sq, unit.n_obs, b), floor)
-        stats[i] = root_tb * fit.gamma_hat / v_hat
-        gammas[i] = fit.gamma_hat
-        v_hats[i] = v_hat
-        effs[i] = fit.eff_obs
+        rows.append(_unit_row(unit, c, b, fit, sigma_e_sq, floor))
         w_diffs.append(fit.w_diff)
-    return stats, gammas, v_hats, effs, w_diffs
+    return rows, w_diffs
 
 
 def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) -> ThresholdSearchResult:
@@ -559,44 +549,27 @@ def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) 
             len(panel) * grid.size,
         )
 
-    per_unit: list[UnitSearch] = []
-    used_bandwidths = []
+    per_unit: list[UnitResult] = []
     blocks = []
     for unit in panel:
         if unit.unit_id not in residuals:
             continue
-        b = bandwidths[unit.unit_id]
-        stats, gammas, v_hats, effs, w_diffs = _search_unit(
-            unit, grid, b, a_trunc, residuals[unit.unit_id], config.kernel
-        )
-        score = np.abs(stats) if config.sidedness == "two_sided" else stats
-        score = np.where(np.isfinite(score), score, -np.inf)
+        rows, w_diffs = _search_unit(unit, grid, bandwidths[unit.unit_id], a_trunc,
+                                     residuals[unit.unit_id], config.kernel)
+        stats = np.array([np.nan if r is None else r.t_stat for r in rows])
         if not np.any(np.isfinite(stats)):
             skipped.append(SkippedUnit(unit.unit_id, "no valid grid point"))
             continue
-        best = int(np.argmax(score))
+        score = _score(stats, config.sidedness)
+        best = int(np.argmax(np.where(np.isfinite(score), score, -np.inf)))
         if config.cv_method == "simulated":
             blocks.append(sigma_c_matrix(w_diffs))
-        per_unit.append(
-            UnitSearch(
-                unit_id=unit.unit_id,
-                bandwidth=b,
-                n_obs=unit.n_obs,
-                c_hat=float(grid[best]),
-                best_index=best,
-                best_stat=float(score[best]),
-                stats=stats,
-                gammas=gammas,
-                v_hats=v_hats,
-                eff_obs=effs,
-            )
-        )
-        used_bandwidths.append(b)
+        per_unit.append(replace(rows[best], stats=stats))
     if not per_unit:
         detail = "; ".join(f"{s.unit_id}: {s.reason}" for s in skipped)
         raise AllUnitsSkipped(f"no unit admits a grid search ({detail})")
 
-    statistic = max(u.best_stat for u in per_unit)
+    statistic = float(np.max(_score(np.array([u.t_stat for u in per_unit]), config.sidedness)))
     n_comparisons = int(sum(np.count_nonzero(np.isfinite(u.stats)) for u in per_unit))
 
     sigma_c = None
@@ -604,13 +577,13 @@ def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) 
         sigma_c = SigmaC(unit_ids=[u.unit_id for u in per_unit], blocks=blocks)
     cvs = _critical_values(n_comparisons, config, config.sidedness, sigma_c)
 
-    spacing_warning = bool(grid.size > 1
-                           and np.min(np.diff(grid)) <= 2.0 * max(used_bandwidths))
+    spacing_warning = bool(grid.size > 1 and np.min(np.diff(grid))
+                           <= 2.0 * max(u.bandwidth for u in per_unit))
 
     return ThresholdSearchResult(
         grid=grid,
         sidedness=config.sidedness,
-        statistic=float(statistic),
+        statistic=statistic,
         critical_values=cvs,
         reject={a: statistic > q for a, q in cvs.items()},
         n_effective=len(per_unit),

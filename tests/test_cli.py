@@ -89,6 +89,22 @@ class TestUsageErrors:
                          "--threshold", "0.0"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["threshold-search", "simulate"])
+    def test_threshold_file_rejected_before_reading(self, tmp_path, capsys, command):
+        # Neither the panel nor the threshold file exists: nothing is read.
+        args = (["--data", str(tmp_path / "panel.csv")] if command == "threshold-search"
+                else ["--dgp", "1", "--n", "3", "--t", "80", "--reps", "1"])
+        code = cli_main([command, *args, "--threshold", f"file:{tmp_path / 'absent.csv'}"])
+        assert code == 2
+        assert "takes --threshold" in capsys.readouterr().err
+
+    def test_grid_rejected_by_simulate_homogeneity(self, capsys):
+        code = cli_main(["simulate", "--dgp", "1", "--n", "3", "--t", "80",
+                         "--reps", "1", "--test", "homogeneity",
+                         "--threshold", "grid:-0.3,0.3"])
+        assert code == 2
+        assert "test='homogeneity'" in capsys.readouterr().err
+
     def test_bad_schema_spec(self, tmp_path, capsys):
         data = _panel_csv(tmp_path)
         code = cli_main(["jump-test", "--data", data, "--schema", "unit,time"])

@@ -131,10 +131,11 @@ class TestGenDgp:
             DgpConfig(dgp_id=1, n_units=0, t_obs=64)
 
     def test_invalid_scheme(self):
-        with pytest.raises(ValueError, match="unknown gamma scheme"):
-            GammaScheme(kind="boom")
         with pytest.raises(ValueError, match="fraction"):
-            GammaScheme(kind="sparse_power", fraction=1.5)
+            GammaScheme(fraction=1.5)
+        with pytest.raises(ValueError, match="scale"):
+            GammaScheme.sparse_power(0.5, scale=0.0)
+        assert GammaScheme(scale=0.0).fraction == 0.0  # no jumps, so no scale
 
 
 class TestRunSizePower:
@@ -191,6 +192,15 @@ class TestRunSizePower:
             cfg, McConfig(reps=4, base_seed=9, workers=2), config=FIXED
         )
         assert serial.rates == pooled.rates
+
+    def test_grid_rejects_homogeneity(self):
+        with pytest.raises(ValueError, match="grid.*test='homogeneity'"):
+            run_size_power(
+                DgpConfig(dgp_id=1, n_units=3, t_obs=80),
+                McConfig(reps=2),
+                test="homogeneity",
+                grid=[-0.4, 0.0, 0.4],
+            )
 
     def test_unknown_test_name(self):
         with pytest.raises(ValueError, match="existence"):

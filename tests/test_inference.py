@@ -109,25 +109,45 @@ class TestStatHomogeneity:
             run_homogeneity(PanelData(units), 0.0, STEP)
 
 
+def _search_grid(panel, _threshold, cfg):
+    """The grid search, called like the known-threshold tests."""
+    return search_thresholds(panel, np.linspace(-0.5, 0.5, 11), cfg)
+
+
 @pytest.mark.parametrize("run, cfg", [
     (run_existence, Config()),
     (run_existence, Config(sidedness="one_sided_upper")),
     (run_homogeneity, Config()),
     (run_homogeneity, Config(center="median")),
+    (_search_grid, Config()),
+    (_search_grid, Config(sidedness="one_sided_upper")),
 ])
 def test_report_rows_carry_the_statistic(run, cfg):
-    """Each row's t is sqrt(T b) times its (centred) jump over its scale,
-    bit for bit, and the panel statistic is the max over the rows."""
+    """Each row's t is sqrt(T b) times its (centred) jump over its scale
+    and its standard error the scale over sqrt(T b), bit for bit; a search
+    row sits at its unit's best grid point; and the panel statistic is the
+    max over the rows."""
     panel, _, _ = gen_dgp(DgpConfig(dgp_id=1, n_units=10, t_obs=200, seed=4,
                                     gamma_scheme=GammaScheme.sparse_power(0.3)))
     result = run(panel, 0.0, cfg)
+    upper = result.sidedness == "one_sided_upper"
+
+    def score(t):
+        return t if upper else np.abs(t)
+
     assert len(result.per_unit) == 10
     for u in result.per_unit:
         jump = u.gamma_hat if u.centered is None else u.centered
         assert u.t_stat == np.sqrt(u.n_obs * u.bandwidth) * jump / u.v_hat
+        assert u.std_error == u.v_hat / np.sqrt(u.n_obs * u.bandwidth)
+        if run is _search_grid:
+            best = int(np.nanargmax(score(u.stats)))
+            assert u.threshold == result.grid[best]
+            assert u.t_stat == u.stats[best]
+        else:
+            assert u.stats is None
     ts = np.array([u.t_stat for u in result.per_unit])
-    upper = result.sidedness == "one_sided_upper"
-    assert result.statistic == np.max(ts if upper else np.abs(ts))
+    assert result.statistic == np.max(score(ts))
 
 
 class TestCriticalValue:
@@ -384,7 +404,7 @@ class TestSearchThresholds:
         grid = [-0.4, -0.2, 0.0, 0.2, 0.4]
         result = search_thresholds(panel, grid, FIXED)
         for u in result.per_unit:
-            assert u.c_hat == 0.0
+            assert u.threshold == 0.0
         assert all(result.reject.values())
 
     def test_tie_breaks_to_smaller_threshold(self):
@@ -394,8 +414,8 @@ class TestSearchThresholds:
         )
         unit = result.per_unit[0]
         assert unit.stats[0] == unit.stats[1]
-        assert unit.c_hat == -5.0
-        assert unit.best_index == 0
+        assert unit.threshold == -5.0
+        assert unit.t_stat == unit.stats[0]
 
     def test_spacing_warning_flag(self):
         # The flag is the only channel: no Python warning is issued.
@@ -420,6 +440,23 @@ class TestSearchThresholds:
     def test_grid_must_increase(self):
         with pytest.raises(ValueError, match="increas"):
             search_thresholds(_jump_panel([1.0]), [0.0, 0.0, 0.1], FIXED)
+
+    def test_rows_keep_a_statistic_per_grid_point(self):
+        """Each row's stats has one entry per grid point, NaN where the
+        point is unusable; the benchmark tracer counts valid points from it."""
+        rng = np.random.default_rng(28)
+        units = []
+        for j, upper in enumerate((1.0, 0.3)):
+            x = rng.uniform(-1.0, upper, size=300)
+            y = (x >= 0.0) + 0.1 * rng.normal(size=300)
+            units.append(PanelUnit(unit_id=f"u{j}", y=y, x=x))
+        grid = np.array([-0.5, -0.25, 0.0, 0.25, 0.5])
+        result = search_thresholds(PanelData(units), grid,
+                                   Config(bandwidth=BandwidthPolicy.fixed(0.2)))
+        assert [u.stats.size for u in result.per_unit] == [grid.size, grid.size]
+        assert [int(np.isnan(u.stats).sum()) for u in result.per_unit] == [0, 1]
+        assert np.isnan(result.per_unit[1].stats[-1])
+        assert result.n_comparisons == 9
 
     def test_comparison_count_over_valid_pairs(self):
         panel = _jump_panel([1.0, 1.0], seed=24, sd=0.05)

@@ -20,7 +20,6 @@ from paneljump.inference import (
     SkippedUnit,
     ThresholdSearchResult,
     UnitResult,
-    UnitSearch,
 )
 from paneljump.io import (
     PanelSchema,
@@ -192,10 +191,9 @@ def _existence_result():
 
 
 def _search_result():
-    unit = UnitSearch(
-        unit_id="a", bandwidth=0.25, n_obs=64, c_hat=-0.2, best_index=0,
-        best_stat=2.5, stats=np.array([2.5, 1.0]), gammas=np.array([1.2, 0.4]),
-        v_hats=np.array([2.0, 2.0]), eff_obs=np.array([30, 28]),
+    unit = UnitResult(
+        unit_id="a", threshold=-0.2, bandwidth=0.25, gamma_hat=1.2, v_hat=2.0,
+        std_error=0.5, t_stat=2.5, n_obs=64, eff_obs=30, stats=np.array([2.5, 1.0]),
     )
     return ThresholdSearchResult(
         grid=np.array([-0.2, 0.2]), sidedness="two_sided", statistic=2.5,
