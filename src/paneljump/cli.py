@@ -8,6 +8,7 @@ critical-value.  Exit codes: 0 success, 2 usage error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -61,7 +62,8 @@ def _parse_threshold(args, kinds: tuple[str, ...], delimiter: str = ","):
     values (``grid:``).
 
     A kind the command does not take (``kinds``) is a usage error, raised
-    before any file is read.  A threshold file is split on ``delimiter``.
+    before any file is read, and so is a non-finite threshold or grid
+    value.  A threshold file is split on ``delimiter``.
     """
     text = args.threshold
     kind = text[:4] if text.startswith(("file:", "grid:")) else "scalar"
@@ -70,18 +72,16 @@ def _parse_threshold(args, kinds: tuple[str, ...], delimiter: str = ","):
         raise UsageError(f"{args.command} takes --threshold {forms}, got {text!r}")
     if kind == "file":
         return read_threshold_csv(text[5:], delimiter)
-    if kind == "grid":
-        try:
-            values = [float(v) for v in text[5:].split(",") if v.strip()]
-        except ValueError:
-            raise UsageError(f"bad grid in {text!r}") from None
-        if not values:
-            raise UsageError("grid needs at least one value")
-        return values
+    fields = [v for v in text[5:].split(",") if v.strip()] if kind == "grid" else [text]
     try:
-        return float(text)
+        values = [float(v) for v in fields]
     except ValueError:
         raise UsageError(f"bad threshold {text!r}") from None
+    if not values:
+        raise UsageError("grid needs at least one value")
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"thresholds must be finite, got {text!r}")
+    return values if kind == "grid" else values[0]
 
 
 def _alphas(args) -> tuple[float, ...]:

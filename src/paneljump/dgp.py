@@ -85,6 +85,8 @@ class DgpConfig:
             raise ValueError(f"dgp_id must be 1..6, got {self.dgp_id}")
         if self.n_units < 1 or self.t_obs < 2:
             raise ValueError("need at least 1 unit and 2 observations")
+        if not np.isfinite(self.threshold):
+            raise ValueError(f"threshold must be finite, got {self.threshold}")
 
 
 @dataclass(frozen=True)
@@ -313,7 +315,7 @@ def run_size_power(dgp_cfg: DgpConfig, mc: McConfig, test: str = "existence",
 
     ``test`` selects the known-threshold existence or homogeneity test;
     passing ``grid`` runs the unknown-threshold existence search instead,
-    so it needs ``test="existence"``.
+    so it needs ``test="existence"``, and homogeneity needs two units.
     Rates are reported at ``config.alphas``.  Replications that fail
     numerically are counted and excluded from the rates; acceptance-grade
     runs are expected to have none.
@@ -322,6 +324,9 @@ def run_size_power(dgp_cfg: DgpConfig, mc: McConfig, test: str = "existence",
         raise ValueError(f"test must be 'existence' or 'homogeneity', got {test!r}")
     if grid is not None and test != "existence":
         raise ValueError(f"grid runs the existence search and cannot take test={test!r}")
+    if test == "homogeneity" and dgp_cfg.n_units < 2:
+        raise ValueError("the homogeneity test needs at least 2 units, "
+                         f"got n_units={dgp_cfg.n_units}")
     config = config or TestConfig()
     counts = {a: 0 for a in config.alphas}
     failed = 0

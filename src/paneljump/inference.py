@@ -30,7 +30,7 @@ from .errors import (
     ZeroVariance,
 )
 from .estimator import UnitJumpFit, estimate_jump, smooth_residuals
-from .kernels import KernelSpec
+from .kernels import KernelSpec, denominator_floor
 from .panel import PanelData, PanelUnit
 from .variance import (
     SigmaC,
@@ -64,6 +64,17 @@ _V_FLOOR_REL = 1e-12
 
 # Cap on floats drawn per simulation chunk (about 32 MB).
 _CHUNK_BUDGET = 4_000_000
+
+# Grid-search scan.  A scan statistic stands in for the dense one only
+# where its error bound is within _SCAN_RTOL relative.  Points scoring
+# within _TIE_RTOL (relative) of a unit's best scan score are solved
+# densely, so ties break as in the dense search; that needs _TIE_RTOL
+# above twice _SCAN_RTOL.  Designs whose denominator lies within
+# _FLOOR_RTOL (relative) of the singular-design floor are left for the
+# dense solver to accept or reject.
+_SCAN_RTOL = 4e-10
+_TIE_RTOL = 1e-9
+_FLOOR_RTOL = 1e-6
 
 
 def _check_alpha(alpha: float) -> float:
@@ -107,7 +118,13 @@ class TestConfig:
 class UnitResult:
     """One unit's report row: the jump fit at ``threshold``, its scale and
     statistic.  A search row sits at the unit's best grid point, and
-    ``stats`` holds the statistic at every grid point (NaN where invalid)."""
+    ``stats`` holds the statistic at every grid point (NaN where invalid).
+
+    ``stats`` is exact at the reported point and at any near-tie.  Where a
+    uniform-kernel search with analytic critical values ranked the grid by
+    its prefix-sum scan, the other entries are scan values within 4e-10
+    relative of the dense ones (typically 1e-12); the NaN mask is always
+    exact."""
 
     unit_id: str
     threshold: float
@@ -314,9 +331,13 @@ def _resolve_thresholds(panel: PanelData, threshold) -> dict[str, float]:
         missing = [u.unit_id for u in panel if u.unit_id not in threshold]
         if missing:
             raise DataError(f"no threshold given for units: {', '.join(missing)}")
-        return {u.unit_id: float(threshold[u.unit_id]) for u in panel}
-    c = float(threshold)
-    return {u.unit_id: c for u in panel}
+        out = {u.unit_id: float(threshold[u.unit_id]) for u in panel}
+    else:
+        out = dict.fromkeys((u.unit_id for u in panel), float(threshold))
+    bad = [f"{uid}={c}" for uid, c in out.items() if not np.isfinite(c)]
+    if bad:
+        raise ValueError(f"thresholds must be finite, got {', '.join(bad[:3])}")
+    return out
 
 
 def _resolve_bandwidths(panel: PanelData, thresholds: dict[str, float],
@@ -472,28 +493,179 @@ def test_homogeneity(panel: PanelData, threshold=0.0,
 # unknown threshold
 
 
-def _search_unit(unit: PanelUnit, grid: np.ndarray, b: float, a_trunc: float,
-                 resid: np.ndarray, kernel: KernelSpec):
-    """One report row per grid point for one unit; None marks unusable
-    grid points.
+def _window_edges(xs: np.ndarray, grid: np.ndarray, b: float) -> np.ndarray:
+    """Edges in sorted ``xs`` of each grid point's windows, as the dense
+    code draws them: rows are the first index with (x - c)/b >= -1, the
+    first with (x - c)/b > 1, the first with x - c >= -b and the first
+    with x - c > b (kernel support, then variance window).
 
-    Also returns the weight-difference rows of the valid grid points, in
-    grid order, from which the unit's correlation block is built.
+    Each predicate is monotone in x, so a ``searchsorted`` guess is
+    corrected step by step; a step skips a whole run of tied x values.
+    """
+    k = grid.size
+    c = np.tile(grid, 4)
+    div = np.repeat([b, b, 1.0, 1.0], k)  # dividing by 1.0 is exact
+    lim = np.repeat([-1.0, 1.0, -b, b], k)
+    below = np.repeat([True, False, True, False], k)
+
+    def inside(v):  # true up to the edge, false from it on
+        q = (v - c) / div
+        return np.where(below, q < lim, q <= lim)
+
+    idx = np.searchsorted(xs, c + lim * div)
+    last = xs.size - 1
+    while True:
+        before = xs[np.maximum(idx - 1, 0)]
+        at = xs[np.minimum(idx, last)]
+        back = (idx > 0) & ~inside(before)
+        ahead = (idx <= last) & inside(at)
+        if not (back.any() or ahead.any()):
+            return idx.reshape(4, k)
+        idx = np.where(back, np.searchsorted(xs, before, "left"),
+                       np.where(ahead, np.searchsorted(xs, at, "right"), idx))
+
+
+def _scan_uniform(x: np.ndarray, y: np.ndarray, resid: np.ndarray, grid: np.ndarray,
+                  b: float, a_trunc: float, floor: float):
+    """Uniform-kernel statistics at every grid point from prefix sums.
+
+    Mirrors ``estimate_jump``, ``sigma_e_sq_truncated`` and ``_unit_row``
+    without forming a weight row: with the kernel constant, each side's
+    fit needs only the windowed sums of 1, d, d^2, y and d y (d = x - c),
+    and its squared weight norm is S_dd / (n S_dd - S_d^2).  Window edges
+    reproduce the dense predicates exactly.  Sums run in numpy's long
+    double, recentred on the mean of x; where that is plain float64 the
+    error bound below is wider and more points go to the dense solver.
+
+    Returns the statistic per grid point (NaN where the scan finds the
+    point unusable) and a mask of points to solve densely: those whose
+    validity hinges on the singular-design floor, and valid ones whose
+    first-order error bound, covering the scan's prefix sums and the
+    dense solver's own rounding, exceeds ``_SCAN_RTOL`` relative.
+    """
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    n_obs, k = xs.size, grid.size
+    lo_m, hi_p, v_lo, v_hi = _window_edges(xs, grid, b)
+    lo_p = np.searchsorted(xs, grid, "left")  # d >= 0 exactly when x >= c
+
+    ld = np.longdouble
+    centre = ld(xs.mean())
+    xc = xs.astype(ld) - centre
+    ys = y[order].astype(ld)
+    rs = resid[order]
+    finite = np.isfinite(rs)
+    capped = np.minimum(ld(a_trunc), np.where(finite, rs, 0.0).astype(ld) ** 2)
+    terms = (xc, xc * xc, ys, xc * ys, np.abs(xc), np.abs(ys), np.abs(xc * ys), capped, finite)
+    prefix = np.zeros((n_obs + 1, len(terms)), dtype=ld)
+    np.cumsum(np.stack(terms, axis=1), axis=0, out=prefix[1:])
+    # Windows: plus sides, minus sides, then variance windows.
+    lo = np.concatenate((lo_p, lo_m, v_lo))
+    hi = np.concatenate((hi_p, lo_p, v_hi))
+    win = prefix[hi] - prefix[lo]
+    mag = prefix[hi] + prefix[lo]  # bounds the prefix sums' rounding
+
+    # Rounding per unit of magnitude: a sequential cumsum bound for the
+    # scan's prefix sums and the few operations after them, and a
+    # typical-rounding estimate for the dense solver's float64 sums.
+    eps = np.finfo(float).eps
+    scan_acc = (n_obs + 16) * np.finfo(ld).eps
+    sides = slice(0, 2 * k)
+    n = (hi[sides] - lo[sides]).astype(ld)
+    dense_acc = (np.sqrt(n) + 16) * eps
+    uc = np.tile(grid.astype(ld) - centre, 2)
+    au = np.abs(uc)
+    m1, m2, r0, r1_raw, _, abs_y = win[sides, :6].T
+    g_m1, g_m2, g_r0, g_r1 = mag[sides, 4], mag[sides, 1], mag[sides, 5], mag[sides, 6]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s1 = m1 - uc * n
+        s2 = m2 - 2 * uc * m1 + uc * uc * n
+        r1 = r1_raw - uc * r0
+        # Error magnitudes of s1, s2, r0 and r1: prefix terms for the scan,
+        # window terms (|d| <= b) for the dense solver.
+        e_s1 = scan_acc * (g_m1 + au * n) + dense_acc * b * n
+        e_s2 = scan_acc * (g_m2 + 2 * au * g_m1 + au * au * n) + dense_acc * s2
+        e_r0 = scan_acc * g_r0 + dense_acc * abs_y
+        e_r1 = scan_acc * (g_r1 + au * g_r0) + dense_acc * b * abs_y
+        den = n * s2 - s1 * s1
+        e_den = n * e_s2 + 2 * np.abs(s1) * e_s1
+        mu = (s2 * r0 - s1 * r1) / den
+        e_mu = (e_s2 * np.abs(r0) + np.abs(s2) * e_r0 + e_s1 * np.abs(r1)
+                + np.abs(s1) * e_r1 + np.abs(mu) * e_den) / den
+        # The dense sums carry the kernel value 1/2: its s0 is n/2, its s2
+        # is s2/2 and its denominator den/4.
+        den_floor = denominator_floor(n / 2, s2 / 2)
+        distinct = ((hi[sides] - lo[sides] >= 2)
+                    & (xs[np.minimum(lo[sides], n_obs - 1)] < xs[np.maximum(hi[sides] - 1, 0)]))
+        solvable = distinct & (den / 4 > den_floor)
+        near_floor = np.abs(den / 4 - den_floor) <= np.maximum(_FLOOR_RTOL * den_floor, e_den / 4)
+
+        cnt = win[2 * k:, 8]
+        sigma_e_sq = win[2 * k:, 7] / cnt
+        e_sigma = (scan_acc * mag[2 * k:, 7] / win[2 * k:, 7]
+                   + (np.sqrt(cnt) + 16) * eps)
+        plus, minus = slice(0, k), slice(k, 2 * k)
+        gamma = mu[plus] - mu[minus]
+        tb = ld(n_obs * b)
+        w_sq = s2 / den
+        v = np.maximum(np.sqrt(np.maximum(tb * (w_sq[plus] + w_sq[minus]) * sigma_e_sq, 0)),
+                       ld(floor))
+        t = (np.sqrt(tb) * gamma / v).astype(float)
+        # Relative error of t = sqrt(T b) gamma / v: that of gamma plus half
+        # that of v^2 (w_sq and sigma_e_sq terms).
+        e_w_sq = e_s2 / s2 + e_den / den
+        rel = ((e_mu[plus] + e_mu[minus]) / np.abs(gamma)
+               + 0.5 * (e_w_sq[plus] + e_w_sq[minus] + e_sigma) + 16 * eps).astype(float)
+    possible = distinct[plus] & distinct[minus] & (cnt > 0)
+    valid = solvable[plus] & solvable[minus] & (cnt > 0)
+    t[~valid] = np.nan
+    unsure = possible & (near_floor[plus] | near_floor[minus] | (valid & ~(rel <= _SCAN_RTOL)))
+    return t, unsure
+
+
+def _search_unit(unit: PanelUnit, grid: np.ndarray, b: float, a_trunc: float,
+                 resid: np.ndarray, config: TestConfig):
+    """One unit's report row at its best grid point (the first on exact
+    ties), with the statistic at every grid point in ``stats`` (NaN where
+    unusable); None when no grid point is usable.
+
+    Also returns the weight-difference rows of the solved valid grid
+    points, in grid order, from which the unit's correlation block is
+    built; every point is solved when critical values are simulated.
+    With the uniform kernel and analytic critical values a prefix-sum scan
+    ranks the grid first, and only the points that can win, and those the
+    scan cannot vouch for, are solved densely; their exact values replace
+    the scan's.  Any other configuration solves every point.
     """
     y, x = unit.y, unit.x
-    rows: list[UnitResult | None] = []
-    w_diffs = []
     floor = _v_floor(y)
-    for c in grid.tolist():
+    if config.kernel.kind == "uniform" and config.cv_method == "analytic":
+        stats, unsure = _scan_uniform(x, y, resid, grid, b, a_trunc, floor)
+        sure = np.isfinite(stats) & ~unsure
+        score = _score(stats, config.sidedness)
+        top = np.max(score[sure], initial=-np.inf)
+        near = sure & (score >= top - _TIE_RTOL * max(1.0, abs(top)))
+        solve = np.flatnonzero(unsure | near)
+    else:
+        stats = np.full(grid.size, np.nan)
+        solve = range(grid.size)
+    rows: list[UnitResult] = []
+    w_diffs = []
+    for k in solve:
+        c = float(grid[k])
         try:
-            fit = estimate_jump(y, x, c, b, kernel)
+            fit = estimate_jump(y, x, c, b, config.kernel)
             sigma_e_sq = sigma_e_sq_truncated(resid, x, c, b, a_trunc)
         except (InsufficientSupport, EmptyWindow):
-            rows.append(None)
+            stats[k] = np.nan
             continue
         rows.append(_unit_row(unit, c, b, fit, sigma_e_sq, floor))
+        stats[k] = rows[-1].t_stat
         w_diffs.append(fit.w_diff)
-    return rows, w_diffs
+    if not rows:
+        return None, w_diffs
+    best = int(np.argmax(_score(np.array([r.t_stat for r in rows]), config.sidedness)))
+    return replace(rows[best], stats=stats), w_diffs
 
 
 def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) -> ThresholdSearchResult:
@@ -507,6 +679,15 @@ def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) 
     residuals are truncated before averaging, so the unknown jump cannot
     inflate the variance estimates.
 
+    With the uniform kernel and analytic critical values, a prefix-sum
+    scan ranks every grid point and only the points that can be a unit's
+    best (or that the scan cannot vouch for) are solved densely, so each
+    row's ``stats`` holds exact values at the reported point and any
+    near-ties, scan values within 4e-10 relative (typically 1e-12)
+    elsewhere, and an exact NaN mask.  Other kernels, and simulated
+    critical values, which need every weight row, solve every grid point.
+    Grid values must be finite.
+
     The result's ``spacing_warning`` flag is set when the grid spacing
     drops to 2 bandwidths or less, where statistics at neighbouring grid
     points share observations and independent critical values become
@@ -517,6 +698,8 @@ def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) 
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError(f"grid values must be finite, got {grid[~np.isfinite(grid)][0]}")
     if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
         raise ValueError("grid must be strictly increasing")
     if len(panel) == 0:
@@ -554,17 +737,14 @@ def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) 
     for unit in panel:
         if unit.unit_id not in residuals:
             continue
-        rows, w_diffs = _search_unit(unit, grid, bandwidths[unit.unit_id], a_trunc,
-                                     residuals[unit.unit_id], config.kernel)
-        stats = np.array([np.nan if r is None else r.t_stat for r in rows])
-        if not np.any(np.isfinite(stats)):
+        row, w_diffs = _search_unit(unit, grid, bandwidths[unit.unit_id], a_trunc,
+                                    residuals[unit.unit_id], config)
+        if row is None:
             skipped.append(SkippedUnit(unit.unit_id, "no valid grid point"))
             continue
-        score = _score(stats, config.sidedness)
-        best = int(np.argmax(np.where(np.isfinite(score), score, -np.inf)))
         if config.cv_method == "simulated":
             blocks.append(sigma_c_matrix(w_diffs))
-        per_unit.append(replace(rows[best], stats=stats))
+        per_unit.append(row)
     if not per_unit:
         detail = "; ".join(f"{s.unit_id}: {s.reason}" for s in skipped)
         raise AllUnitsSkipped(f"no unit admits a grid search ({detail})")

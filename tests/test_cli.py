@@ -105,6 +105,25 @@ class TestUsageErrors:
         assert code == 2
         assert "test='homogeneity'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,threshold", [
+        ("jump-test", "nan"), ("jump-test", "-inf"), ("homogeneity-test", "inf"),
+        ("threshold-search", "grid:nan"), ("threshold-search", "grid:-0.2,inf"),
+        ("simulate", "nan"), ("simulate", "grid:-0.2,inf"),
+    ])
+    def test_non_finite_threshold_rejected(self, tmp_path, capsys, command, threshold):
+        # Rejected before the panel is read: the file does not exist.
+        args = (["--data", str(tmp_path / "absent.csv")] if command != "simulate"
+                else ["--dgp", "1", "--n", "3", "--t", "80", "--reps", "1"])
+        code = cli_main([command, *args, f"--threshold={threshold}"])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_one_unit_homogeneity_simulation_rejected(self, capsys):
+        code = cli_main(["simulate", "--dgp", "1", "--n", "1", "--t", "80", "--reps", "2",
+                         "--test", "homogeneity", "--bandwidth", "fixed:0.3"])
+        assert code == 2
+        assert "at least 2 units" in capsys.readouterr().err
+
     def test_bad_schema_spec(self, tmp_path, capsys):
         data = _panel_csv(tmp_path)
         code = cli_main(["jump-test", "--data", data, "--schema", "unit,time"])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import paneljump.dgp
 from paneljump.bandwidth import BandwidthPolicy
 from paneljump.dgp import (
     AccuracyTable,
@@ -129,6 +130,8 @@ class TestGenDgp:
             DgpConfig(dgp_id=7, n_units=3, t_obs=64)
         with pytest.raises(ValueError, match="at least 1 unit"):
             DgpConfig(dgp_id=1, n_units=0, t_obs=64)
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            DgpConfig(dgp_id=1, n_units=3, t_obs=64, threshold=float("nan"))
 
     def test_invalid_scheme(self):
         with pytest.raises(ValueError, match="fraction"):
@@ -192,6 +195,15 @@ class TestRunSizePower:
             cfg, McConfig(reps=4, base_seed=9, workers=2), config=FIXED
         )
         assert serial.rates == pooled.rates
+
+    def test_one_unit_homogeneity_rejected_before_any_replication(self, monkeypatch):
+        def no_rep(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(paneljump.dgp, "_one_rep", no_rep)
+        with pytest.raises(ValueError, match="at least 2 units"):
+            run_size_power(DgpConfig(dgp_id=1, n_units=1, t_obs=80), McConfig(reps=2),
+                           test="homogeneity", config=FIXED)
 
     def test_grid_rejects_homogeneity(self):
         with pytest.raises(ValueError, match="grid.*test='homogeneity'"):

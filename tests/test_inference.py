@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 import paneljump.inference
@@ -14,11 +16,14 @@ from paneljump.bandwidth import BandwidthPolicy
 from paneljump.errors import (
     AllUnitsSkipped,
     DataError,
+    EmptyWindow,
+    InsufficientSupport,
     InvalidAlpha,
     SingleUnit,
     ZeroVariance,
 )
 from paneljump.dgp import DgpConfig, GammaScheme, gen_dgp
+from paneljump.estimator import estimate_jump
 from paneljump.inference import (
     critical_value,
     search_thresholds,
@@ -29,7 +34,7 @@ from paneljump.inference import test_existence as run_existence
 from paneljump.inference import test_homogeneity as run_homogeneity
 from paneljump.kernels import local_weights
 from paneljump.panel import PanelData, PanelUnit
-from paneljump.variance import SigmaC
+from paneljump.variance import SigmaC, sigma_e_sq_truncated
 
 # A bandwidth of 1 on T = 100 points gives sqrt(T b) = 10.
 STEP = Config(bandwidth=BandwidthPolicy.fixed(1.0))
@@ -302,6 +307,12 @@ class TestExistencePipeline:
             panel.units[1] = PanelUnit(unit_id="u1", **arrays)
             run_existence(panel, 0.0, FIXED)
 
+    @pytest.mark.parametrize("run", [run_existence, run_homogeneity])
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, {"u0": 0.0, "u1": -np.inf}])
+    def test_non_finite_threshold_rejected(self, run, threshold):
+        with pytest.raises(ValueError, match="thresholds must be finite"):
+            run(_noise_panel(n_units=2), threshold, FIXED)
+
     def test_all_units_skipped(self):
         # all mass on one side of the threshold defeats every unit
         units = [
@@ -417,6 +428,22 @@ class TestSearchThresholds:
         assert unit.threshold == -5.0
         assert unit.t_stat == unit.stats[0]
 
+    def test_scan_error_cannot_break_a_tie(self, monkeypatch):
+        """Scan values that differ within the tolerance send both tied
+        points to the dense solver, which keeps the first."""
+        scan = paneljump.inference._scan_uniform
+
+        def nudged(*args):
+            t, unsure = scan(*args)
+            return t * (1.0 + 1e-10 * np.arange(t.size)), unsure
+
+        monkeypatch.setattr(paneljump.inference, "_scan_uniform", nudged)
+        result = search_thresholds(_mirror_panel(), [-5.0, 5.0],
+                                   Config(bandwidth=BandwidthPolicy.fixed(0.25)))
+        unit = result.per_unit[0]
+        assert unit.stats[0] == unit.stats[1]
+        assert unit.threshold == -5.0
+
     def test_spacing_warning_flag(self):
         # The flag is the only channel: no Python warning is issued.
         panel = _jump_panel([1.0], seed=22)
@@ -436,6 +463,11 @@ class TestSearchThresholds:
         with pytest.raises(ValueError, match="truncation"):
             Config(truncation=level)
         assert Config(truncation=np.inf).truncation == np.inf
+
+    @pytest.mark.parametrize("grid", [[np.nan], [-0.2, np.inf], [-np.inf, 0.0]])
+    def test_non_finite_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="grid values must be finite"):
+            search_thresholds(_jump_panel([1.0]), grid, FIXED)
 
     def test_grid_must_increase(self):
         with pytest.raises(ValueError, match="increas"):
@@ -525,3 +557,113 @@ class TestSearchThresholds:
         result = search_thresholds(panel, [-0.3, 0.0, 0.3], cfg)
         assert result.n_comparisons == 6
         assert len(calls) == 2 * result.n_comparisons
+
+    def test_uniform_search_solves_few_grid_points(self, monkeypatch):
+        """The scan ranks the grid; only the points that can win are solved."""
+        calls = []
+
+        def counting(x, c, b, kernel, side):
+            calls.append((c, side))
+            return local_weights(x, c, b, kernel, side)
+
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("paneljump")
+                    and getattr(module, "local_weights", None) is local_weights):
+                monkeypatch.setattr(module, "local_weights", counting)
+        panel, _, _ = gen_dgp(DgpConfig(dgp_id=2, n_units=10, t_obs=800, seed=3,
+                                        gamma_scheme=GammaScheme.accuracy()))
+        grid = np.round(np.arange(-0.30, 0.301, 0.01), 10)
+        result = search_thresholds(panel, grid, Config())
+        assert result.n_comparisons == 10 * grid.size
+        solved = len(calls) // 2
+        assert len(calls) == 2 * solved
+        assert len(panel) <= solved <= 2 * len(panel)
+
+
+def test_scan_defers_near_singular_designs():
+    """Two plus-side points 2e-6 apart put the design denominator at its
+    floor; across separations straddling that point the scan's validity
+    mask equals the dense solver's, which decides the close calls."""
+    rng = np.random.default_rng(30)
+    x_minus = rng.uniform(-0.2, 0.0, size=20)
+    config = Config()
+    grid = np.array([0.0])
+    for k in range(-200, 201):
+        x = np.concatenate([x_minus, [0.1, 0.1 + 2e-6 * (1.0 + k * 1e-6)]])
+        unit = PanelUnit(unit_id="u", y=rng.normal(size=x.size), x=x)
+        resid = rng.normal(size=x.size)
+        row, _ = paneljump.inference._search_unit(unit, grid, 0.2, np.inf, resid, config)
+        ref_row = _dense_search_unit(unit, grid, 0.2, np.inf, resid, config)
+        assert (row is None) == (ref_row is None), k
+
+
+def _dense_search_unit(unit, grid, b, a_trunc, resid, config):
+    """Reference for ``_search_unit``'s row: every grid point solved
+    densely, the first best grid point on ties, None if none is usable."""
+    floor = paneljump.inference._v_floor(unit.y)
+    rows = []
+    for c in grid.tolist():
+        try:
+            fit = estimate_jump(unit.y, unit.x, c, b, config.kernel)
+            sigma_e_sq = sigma_e_sq_truncated(resid, unit.x, c, b, a_trunc)
+        except (InsufficientSupport, EmptyWindow):
+            rows.append(None)
+            continue
+        rows.append(paneljump.inference._unit_row(unit, c, b, fit, sigma_e_sq, floor))
+    stats = np.array([np.nan if r is None else r.t_stat for r in rows])
+    if np.all(np.isnan(stats)):
+        return None
+    score = np.abs(stats) if config.sidedness == "two_sided" else stats
+    return replace(rows[int(np.nanargmax(score))], stats=stats)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_obs=st.integers(min_value=2, max_value=60),
+    levels=st.sampled_from([0, 3, 8]),
+    jitter=st.sampled_from([0.0, 1e-7]),
+    n_grid=st.integers(min_value=1, max_value=6),
+    b=st.sampled_from([0.05, 0.2, 0.45]),
+    shift=st.sampled_from([0.0, 1e4]),
+    y_shift=st.sampled_from([0.0, 1e6]),
+    pin=st.booleans(),
+    nan_frac=st.sampled_from([0.0, 0.3]),
+    a_trunc=st.sampled_from([np.inf, 0.05]),
+    sidedness=st.sampled_from(paneljump.inference.SIDEDNESS),
+)
+def test_scan_search_matches_dense_reference(seed, n_obs, levels, jitter, n_grid, b, shift,
+                                             y_shift, pin, nan_frac, a_trunc, sidedness):
+    """The scan-ranked search agrees with solving every grid point: same
+    NaN mask and comparison count, the same report row field for field,
+    and statistics equal to rtol 1e-9.  Cases cover tied x (``levels``),
+    near-singular designs (``jitter`` around the tied levels), observations
+    exactly at c and c +- b (``pin``), grid points beyond the data (an
+    empty side), NaN residuals and large x and y offsets."""
+    rng = np.random.default_rng(seed)
+    if levels:
+        x0 = rng.integers(-levels, levels + 1, size=n_obs) / levels
+        x0 += jitter * rng.normal(size=n_obs)
+    else:
+        x0 = rng.uniform(-1.0, 1.0, size=n_obs)
+    grid = np.unique(rng.uniform(-1.2, 1.2, size=n_grid)) + shift
+    x = x0 + shift
+    if pin:
+        c = grid[rng.integers(grid.size)]
+        x[:3] = [c, c - b, c + b][:n_obs]
+    y = y_shift + 0.5 * x0 + (x0 >= 0.1) + 0.3 * rng.normal(size=n_obs)
+    resid = 0.3 * rng.normal(size=n_obs)
+    resid[rng.uniform(size=n_obs) < nan_frac] = np.nan
+    unit = PanelUnit(unit_id="u", y=y, x=x)
+    config = Config(sidedness=sidedness)
+
+    row, _ = paneljump.inference._search_unit(unit, grid, b, a_trunc, resid, config)
+    ref_row = _dense_search_unit(unit, grid, b, a_trunc, resid, config)
+    if ref_row is None:  # no usable grid point
+        assert row is None
+        return
+    np.testing.assert_array_equal(np.isnan(row.stats), np.isnan(ref_row.stats))
+    assert (np.count_nonzero(np.isfinite(row.stats))
+            == np.count_nonzero(np.isfinite(ref_row.stats)))
+    np.testing.assert_allclose(row.stats, ref_row.stats, rtol=1e-9, atol=0.0)
+    assert replace(row, stats=None) == replace(ref_row, stats=None)
