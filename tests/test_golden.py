@@ -4,9 +4,11 @@
 sparse jumps (units u4 and u6), plus unit u8 observed only below the
 threshold, which every run on it skips.  ``data/golden_thresholds.csv``
 gives each of those units its own threshold.  The ``simulate`` run needs
-no panel: it draws a small fixed-seed Monte Carlo table.  The expected
-reports next to them were written by the code, so a change that moves any
-reported number fails here even when reruns still agree with each other.
+no panel: it draws a small fixed-seed Monte Carlo table.  The two
+``critical-value`` runs have no ``--out``; their stdout is the report.
+The expected reports next to them were written by the code, so a change
+that moves any reported number fails here even when reruns still agree
+with each other.
 
 After a deliberate change of the numbers, rewrite the expected files with
 
@@ -15,6 +17,8 @@ After a deliberate change of the numbers, rewrite the expected files with
 
 from __future__ import annotations
 
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
@@ -40,6 +44,11 @@ RUNS = {
     "simulate": ["simulate", "--dgp", "2", "--n", "6", "--t", "150", "--reps", "6",
                  "--fraction", "0.5", "--scale", "0.7",
                  "--bandwidth", "fixed:0.3", "--workers", "1"],
+    "critical-value": ["critical-value", "--n", "29"],
+    "critical-value-simulated": ["critical-value", "--sided", "upper", "--n", "13",
+                                 "--method", "simulated", "--cv-reps", "20000",
+                                 "--seed", "3", "--alpha", "0.05", "--alpha", "0.05",
+                                 "--alpha", "0.01"],
 }
 
 
@@ -49,7 +58,12 @@ def _expected_path(name: str) -> Path:
 
 
 def _report(name: str, out: Path) -> bytes:
-    assert cli_main([*RUNS[name], "--out", str(out)]) == 0
+    if RUNS[name][0] == "critical-value":  # no --out flag: keep stdout
+        with redirect_stdout(StringIO()) as buf:
+            assert cli_main(RUNS[name]) == 0
+        out.write_bytes(buf.getvalue().encode())
+    else:
+        assert cli_main([*RUNS[name], "--out", str(out)]) == 0
     return out.read_bytes()
 
 
