@@ -15,7 +15,7 @@ import sys
 from .bandwidth import BandwidthPolicy
 from .dgp import DgpConfig, GammaScheme, McConfig, run_size_power
 from .errors import DataError, InvalidAlpha, NumericalError
-from .inference import TestConfig, critical_value, search_thresholds, test_existence, test_homogeneity
+from .inference import TestConfig, critical_values, search_thresholds, test_existence, test_homogeneity
 from .io import PanelSchema, read_panel_csv, read_threshold_csv, write_report
 from .kernels import KERNEL_KINDS, KernelSpec
 
@@ -84,16 +84,14 @@ def _parse_threshold(args, kinds: tuple[str, ...], delimiter: str = ","):
     return values if kind == "grid" else values[0]
 
 
-def _alphas(args) -> tuple[float, ...]:
-    return tuple(args.alpha) if args.alpha else TestConfig.alphas
-
-
-def _test_config(args, sidedness: str | None = None) -> TestConfig:
+def _test_config(args) -> TestConfig:
+    """The TestConfig the command's flags set; a flag the command lacks
+    takes its default (critical-value has no kernel or bandwidth)."""
     return TestConfig(
-        alphas=_alphas(args),
-        kernel=KernelSpec(args.kernel),
-        bandwidth=_parse_bandwidth(args.bandwidth),
-        sidedness=sidedness or _SIDED[getattr(args, "sided", "two")],
+        alphas=tuple(args.alpha) if args.alpha else TestConfig.alphas,
+        kernel=KernelSpec(getattr(args, "kernel", "uniform")),
+        bandwidth=_parse_bandwidth(getattr(args, "bandwidth", "auto")),
+        sidedness=_SIDED[getattr(args, "sided", "two")],
         center=getattr(args, "center", "mean"),
         cv_method=args.method,
         cv_reps=args.cv_reps,
@@ -120,17 +118,21 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delimiter", default=",")
 
 
-def _add_test_flags(p: argparse.ArgumentParser) -> None:
+def _add_cv_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", action="append", type=float, default=None,
                    help="significance level, repeatable (default 0.10 0.05 0.01)")
-    p.add_argument("--kernel", choices=KERNEL_KINDS, default="uniform")
-    p.add_argument("--bandwidth", default="auto",
-                   help="auto | pooled | fixed:<v> (default auto)")
     p.add_argument("--method", choices=("analytic", "simulated"), default="analytic",
                    help="critical value method")
     p.add_argument("--cv-reps", type=int, default=100_000,
                    help="replications for simulated critical values")
     p.add_argument("--seed", type=int, default=0)
+
+
+def _add_test_flags(p: argparse.ArgumentParser) -> None:
+    _add_cv_flags(p)
+    p.add_argument("--kernel", choices=KERNEL_KINDS, default="uniform")
+    p.add_argument("--bandwidth", default="auto",
+                   help="auto | pooled | fixed:<v> (default auto)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -147,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="<v> or file:<path> with per-unit (unit,c) rows")
     p.add_argument("--sided", choices=("two", "upper"), default="two")
     _add_io_flags(p)
-    p.set_defaults(func=_cmd_jump_test)
+    p.set_defaults(func=_cmd_test, run=test_existence, kinds=("scalar", "file"))
 
     p = sub.add_parser("homogeneity-test", help="common jump size test")
     _add_data_flags(p)
@@ -156,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="<v> or file:<path> with per-unit (unit,c) rows")
     p.add_argument("--center", choices=("mean", "median"), default="mean")
     _add_io_flags(p)
-    p.set_defaults(func=_cmd_homogeneity_test)
+    p.set_defaults(func=_cmd_test, run=test_homogeneity, kinds=("scalar", "file"))
 
     p = sub.add_parser("threshold-search", help="grid search for unknown thresholds")
     _add_data_flags(p)
@@ -167,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truncation", type=float, default=None,
                    help="cap on squared residuals (default: data driven)")
     _add_io_flags(p)
-    p.set_defaults(func=_cmd_threshold_search)
+    p.set_defaults(func=_cmd_test, run=search_thresholds, kinds=("grid",))
 
     p = sub.add_parser("simulate", help="Monte Carlo size/power table")
     p.add_argument("--dgp", type=int, required=True, choices=range(1, 7))
@@ -191,40 +193,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("critical-value", help="print critical values")
     p.add_argument("--n", type=int, required=True, help="number of comparisons")
-    p.add_argument("--alpha", action="append", type=float, default=None)
+    _add_cv_flags(p)
     p.add_argument("--sided", choices=("two", "upper"), default="two")
-    p.add_argument("--method", choices=("analytic", "simulated"), default="analytic")
-    p.add_argument("--cv-reps", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_critical_value)
 
     return parser
 
 
-def _cmd_jump_test(args) -> int:
+def _cmd_test(args) -> int:
+    """jump-test, homogeneity-test and threshold-search: ``args.run`` is
+    the library test, ``args.kinds`` the threshold forms it takes."""
     schema = _parse_schema(args.schema, args.delimiter)
-    threshold = _parse_threshold(args, ("scalar", "file"), schema.delimiter)
+    threshold = _parse_threshold(args, args.kinds, schema.delimiter)
     config = _test_config(args)
-    result = test_existence(read_panel_csv(args.data, schema), threshold, config)
-    _emit(result, args)
-    return 0
-
-
-def _cmd_homogeneity_test(args) -> int:
-    schema = _parse_schema(args.schema, args.delimiter)
-    threshold = _parse_threshold(args, ("scalar", "file"), schema.delimiter)
-    config = _test_config(args, "two_sided")
-    result = test_homogeneity(read_panel_csv(args.data, schema), threshold, config)
-    _emit(result, args)
-    return 0
-
-
-def _cmd_threshold_search(args) -> int:
-    schema = _parse_schema(args.schema, args.delimiter)
-    grid = _parse_threshold(args, ("grid",))
-    config = _test_config(args)
-    result = search_thresholds(read_panel_csv(args.data, schema), grid, config)
-    _emit(result, args)
+    _emit(args.run(read_panel_csv(args.data, schema), threshold, config), args)
     return 0
 
 
@@ -243,11 +225,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_critical_value(args) -> int:
-    sided = _SIDED[args.sided]
-    for alpha in _alphas(args):
-        q = critical_value(args.n, alpha, sided, method=args.method,
-                           reps=args.cv_reps, seed=args.seed)
-        sys.stdout.write(f"{q:.3f}\n")
+    config = _test_config(args)
+    cvs = critical_values(args.n, config)
+    sys.stdout.write("".join(f"{cvs[a]:.3f}\n" for a in config.alphas))
     return 0
 
 

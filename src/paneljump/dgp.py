@@ -315,7 +315,8 @@ def run_size_power(dgp_cfg: DgpConfig, mc: McConfig, test: str = "existence",
 
     ``test`` selects the known-threshold existence or homogeneity test;
     passing ``grid`` runs the unknown-threshold existence search instead,
-    so it needs ``test="existence"``, and homogeneity needs two units.
+    so it needs ``test="existence"``, and homogeneity needs two units and
+    a two-sided ``config``.
     Rates are reported at ``config.alphas``.  Replications that fail
     numerically are counted and excluded from the rates; acceptance-grade
     runs are expected to have none.
@@ -328,6 +329,10 @@ def run_size_power(dgp_cfg: DgpConfig, mc: McConfig, test: str = "existence",
         raise ValueError("the homogeneity test needs at least 2 units, "
                          f"got n_units={dgp_cfg.n_units}")
     config = config or TestConfig()
+    if test == "homogeneity" and config.sidedness != "two_sided":
+        raise ValueError(
+            f"the homogeneity test is two-sided; got sidedness={config.sidedness!r}"
+        )
     counts = {a: 0 for a in config.alphas}
     failed = 0
     for outcome in _run_reps(dgp_cfg, mc, test, grid, config):

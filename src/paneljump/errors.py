@@ -109,7 +109,8 @@ class NonFiniteValue(DataError):
 
 
 class DuplicateKey(DataError):
-    """The same (unit, time) pair appears more than once."""
+    """The same (unit, time) pair, or the same unit id in a panel or a
+    threshold file, appears more than once."""
 
 
 class EmptyUnit(DataError):

@@ -47,7 +47,7 @@ __all__ = [
     "SkippedUnit",
     "TestResult",
     "ThresholdSearchResult",
-    "critical_value",
+    "critical_values",
     "simulate_max_gaussian",
     "test_existence",
     "test_homogeneity",
@@ -77,12 +77,6 @@ _TIE_RTOL = 1e-9
 _FLOOR_RTOL = 1e-6
 
 
-def _check_alpha(alpha: float) -> float:
-    if not (0.0 < alpha < 1.0):
-        raise InvalidAlpha(f"alpha must lie in (0, 1), got {alpha}")
-    return float(alpha)
-
-
 @dataclass(frozen=True)
 class TestConfig:
     """Statistical knobs shared by the panel-level tests."""
@@ -99,7 +93,8 @@ class TestConfig:
 
     def __post_init__(self) -> None:
         for a in self.alphas:
-            _check_alpha(a)
+            if not 0.0 < a < 1.0:
+                raise InvalidAlpha(f"alpha must lie in (0, 1), got {a}")
         if self.sidedness not in SIDEDNESS:
             raise ValueError(f"sidedness must be one of {SIDEDNESS}")
         if self.center not in CENTERS:
@@ -276,41 +271,31 @@ def simulate_max_gaussian(n_comparisons: int, reps: int, seed: int,
     return out
 
 
-def critical_value(n_comparisons: int, alpha: float, sidedness: str = "two_sided",
-                   method: str = "analytic", reps: int = 100_000, seed: int = 0) -> float:
-    """Critical value for the maximum of n independent Gaussian comparisons.
+def critical_values(n_comparisons: int, config: TestConfig,
+                    sigma_c: SigmaC | None = None) -> dict[float, float]:
+    """Critical value at each of ``config.alphas`` for the maximum of
+    ``n_comparisons`` Gaussian comparisons, with ``config.sidedness``.
 
-    Analytic values are in closed form:
+    Analytic values are in closed form for independent comparisons:
 
         two-sided    q = Phi^-1( (1 + (1 - alpha)^(1/n)) / 2 )
         one-sided    q = Phi^-1( (1 - alpha)^(1/n) )
 
-    The simulated method returns the empirical (1 - alpha) quantile of
-    ``simulate_max_gaussian`` with independent draws.  Correlated draws
-    enter only through ``search_thresholds`` with ``cv_method="simulated"``.
+    Simulated values are the empirical (1 - alpha) quantiles of one
+    ``simulate_max_gaussian`` sample of ``config.cv_reps`` draws, correlated
+    within the blocks of ``sigma_c`` when it is given.
     """
-    alpha = _check_alpha(alpha)
-    if method not in CV_METHODS:
-        raise ValueError(f"method must be one of {CV_METHODS}")
-    if method == "analytic":
-        if n_comparisons < 1:
-            raise ValueError("need at least one comparison")
-        p = (1.0 - alpha) ** (1.0 / n_comparisons)
-        if sidedness == "two_sided":
-            return float(ndtri(0.5 * (1.0 + p)))
-        if sidedness == "one_sided_upper":
-            return float(ndtri(p))
-        raise ValueError(f"sidedness must be one of {SIDEDNESS}")
-    sample = simulate_max_gaussian(n_comparisons, reps, seed, sidedness=sidedness)
-    return float(np.quantile(sample, 1.0 - alpha))
-
-
-def _critical_values(n: int, config: TestConfig, sidedness: str,
-                     sigma_c: SigmaC | None = None) -> dict[float, float]:
-    if config.cv_method == "analytic":
-        return {a: critical_value(n, a, sidedness) for a in config.alphas}
-    sample = simulate_max_gaussian(n, config.cv_reps, config.seed, sigma_c, sidedness)
-    return {a: float(np.quantile(sample, 1.0 - a)) for a in config.alphas}
+    if config.cv_method == "simulated":
+        sample = simulate_max_gaussian(n_comparisons, config.cv_reps, config.seed,
+                                       sigma_c, config.sidedness)
+        return {a: float(np.quantile(sample, 1.0 - a)) for a in config.alphas}
+    if n_comparisons < 1:
+        raise ValueError("need at least one comparison")
+    out = {}
+    for a in config.alphas:
+        p = (1.0 - a) ** (1.0 / n_comparisons)
+        out[a] = float(ndtri(0.5 * (1.0 + p) if config.sidedness == "two_sided" else p))
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -440,7 +425,7 @@ def test_existence(panel: PanelData, threshold=0.0,
     config = config or TestConfig()
     rows, skipped = _fit_panel(panel, threshold, config)
     stat = float(np.max(_score(np.array([r.t_stat for r in rows]), config.sidedness)))
-    cvs = _critical_values(len(rows), config, config.sidedness)
+    cvs = critical_values(len(rows), config)
     return TestResult(
         kind="existence",
         sidedness=config.sidedness,
@@ -457,10 +442,15 @@ def test_homogeneity(panel: PanelData, threshold=0.0,
                      config: TestConfig | None = None) -> TestResult:
     """Simultaneous test that all units share a common jump size.
 
-    Always two-sided: deviations from the cross-unit centre in either
-    direction count against homogeneity.
+    Two-sided by rule: deviations from the cross-unit centre in either
+    direction count against homogeneity, so a config with any other
+    ``sidedness`` is a ValueError.
     """
     config = config or TestConfig()
+    if config.sidedness != "two_sided":
+        raise ValueError(
+            f"the homogeneity test is two-sided; got sidedness={config.sidedness!r}"
+        )
     rows, skipped = _fit_panel(panel, threshold, config)
     if len(rows) < 2:
         raise SingleUnit("homogeneity comparison needs at least two units")
@@ -469,7 +459,7 @@ def test_homogeneity(panel: PanelData, threshold=0.0,
     v_tildes = np.sqrt(v_tilde_sq(np.array([r.v_hat**2 for r in rows])))
     ts = np.sqrt([r.n_obs * r.bandwidth for r in rows]) * (gammas - center_value) / v_tildes
     stat = float(np.max(np.abs(ts)))
-    cvs = _critical_values(len(rows), config, "two_sided")
+    cvs = critical_values(len(rows), config)
     rows = [
         replace(r, v_hat=float(vt), std_error=_std_error(vt, r.n_obs, r.bandwidth),
                 t_stat=float(t), centered=float(r.gamma_hat - center_value))
@@ -477,7 +467,7 @@ def test_homogeneity(panel: PanelData, threshold=0.0,
     ]
     return TestResult(
         kind="homogeneity",
-        sidedness="two_sided",
+        sidedness=config.sidedness,
         statistic=stat,
         critical_values=cvs,
         reject={a: stat > q for a, q in cvs.items()},
@@ -755,7 +745,7 @@ def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) 
     sigma_c = None
     if config.cv_method == "simulated":
         sigma_c = SigmaC(unit_ids=[u.unit_id for u in per_unit], blocks=blocks)
-    cvs = _critical_values(n_comparisons, config, config.sidedness, sigma_c)
+    cvs = critical_values(n_comparisons, config, sigma_c)
 
     spacing_warning = bool(grid.size > 1 and np.min(np.diff(grid))
                            <= 2.0 * max(u.bandwidth for u in per_unit))

@@ -65,6 +65,20 @@ def _parse_number(text: str, row: int, what: str) -> float:
     return value
 
 
+def _records(path: str, delimiter: str):
+    """Yield (physical line the record starts on, its cells) for each CSV
+    record; a quoted cell may span lines, so records and lines can differ."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            line = 1
+            for row in reader:
+                yield line, row
+                line = reader.line_num + 1
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from None
+
+
 def read_panel_csv(path: str, schema: PanelSchema | None = None) -> PanelData:
     """Read a long-format panel.
 
@@ -80,15 +94,11 @@ def read_panel_csv(path: str, schema: PanelSchema | None = None) -> PanelData:
         Row numbers in errors refer to physical file rows, header = row 1.
     """
     schema = schema or PanelSchema()
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh, delimiter=schema.delimiter)
-            rows = list(reader)
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from None
-    if not rows:
+    records_in = _records(path, schema.delimiter)
+    first = next(records_in, None)
+    if first is None:
         raise EmptyUnit(f"{path} is empty")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in first[1]]
     idx = {}
     for col in (schema.unit_col, schema.time_col, schema.y_col, schema.x_col):
         if col not in header:
@@ -97,7 +107,7 @@ def read_panel_csv(path: str, schema: PanelSchema | None = None) -> PanelData:
 
     records: dict[str, list[tuple[str, float, float]]] = {}
     numeric_time = True
-    for row_no, row in enumerate(rows[1:], start=2):
+    for row_no, row in records_in:
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) < len(header):
@@ -141,13 +151,8 @@ def read_threshold_csv(path: str, delimiter: str = ",") -> dict[str, float]:
     does not parse as a number.  Row numbers in errors refer to physical
     file rows, blank ones included.
     """
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh, delimiter=delimiter)
-            rows = [(row_no, r) for row_no, r in enumerate(reader, start=1)
-                    if r and any(c.strip() for c in r)]
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from None
+    rows = [(row_no, r) for row_no, r in _records(path, delimiter)
+            if r and any(c.strip() for c in r)]
     if not rows:
         raise EmptyUnit(f"{path} is empty")
     out: dict[str, float] = {}

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyUnit, NonFiniteValue
+from .errors import DuplicateKey, EmptyUnit, NonFiniteValue
 
 __all__ = ["PanelUnit", "PanelData"]
 
@@ -48,6 +48,13 @@ class PanelUnit:
 @dataclass
 class PanelData:
     units: list[PanelUnit] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        seen: set[str] = set()
+        for u in self.units:
+            if u.unit_id in seen:
+                raise DuplicateKey(f"unit id {u.unit_id!r} appears more than once")
+            seen.add(u.unit_id)
 
     def __len__(self) -> int:
         return len(self.units)

@@ -15,7 +15,12 @@ import numpy as np
 import pytest
 
 import paneljump
+import paneljump.cli
+import paneljump.dgp
+import paneljump.inference
 from paneljump.cli import cli_main
+from paneljump.inference import simulate_max_gaussian
+from paneljump.inference import test_existence as run_existence
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN_PANEL = Path(__file__).parent / "data" / "golden_panel.csv"
@@ -62,6 +67,25 @@ class TestCriticalValueCommand:
     def test_invalid_alpha_is_usage_error(self, capsys):
         assert cli_main(["critical-value", "--n", "10", "--alpha", "0"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_zero_cv_reps_is_usage_error(self, capsys):
+        assert cli_main(["critical-value", "--n", "10", "--cv-reps", "0"]) == 2
+        assert "cv_reps" in capsys.readouterr().err
+
+    def test_simulated_levels_share_one_sample(self, monkeypatch, capsys):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return simulate_max_gaussian(*args, **kwargs)
+
+        monkeypatch.setattr(paneljump.inference, "simulate_max_gaussian", spy)
+        code = cli_main(["critical-value", "--n", "5", "--method", "simulated",
+                         "--cv-reps", "2000", "--alpha", "0.1", "--alpha", "0.05",
+                         "--alpha", "0.01"])
+        assert code == 0
+        assert len(calls) == 1
+        assert len(capsys.readouterr().out.splitlines()) == 3
 
 
 class TestUsageErrors:
@@ -117,6 +141,16 @@ class TestUsageErrors:
         code = cli_main([command, *args, f"--threshold={threshold}"])
         assert code == 2
         assert "must be finite" in capsys.readouterr().err
+
+    def test_one_sided_homogeneity_simulation_rejected(self, monkeypatch, capsys):
+        def no_reps(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(paneljump.dgp, "_run_reps", no_reps)
+        code = cli_main(["simulate", "--dgp", "1", "--n", "3", "--t", "80", "--reps", "2",
+                         "--test", "homogeneity", "--sided", "upper"])
+        assert code == 2
+        assert "sidedness" in capsys.readouterr().err
 
     def test_one_unit_homogeneity_simulation_rejected(self, capsys):
         code = cli_main(["simulate", "--dgp", "1", "--n", "1", "--t", "80", "--reps", "2",
@@ -197,6 +231,21 @@ class TestJumpTestCommand:
         assert out.splitlines()[0].startswith("unit,threshold,gamma_hat")
         assert "# test,existence" in out
         assert "# reject,0.01,True" in out
+
+    def test_calls_the_bound_library_function(self, tmp_path, monkeypatch, capsys):
+        """The command looks up ``paneljump.cli.test_existence`` on each run,
+        so a wrapper bound there after import is what it calls."""
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return run_existence(*args)
+
+        monkeypatch.setattr(paneljump.cli, "test_existence", spy)
+        data = _panel_csv(tmp_path)
+        assert cli_main(["jump-test", "--data", data, "--bandwidth", "fixed:0.4"]) == 0
+        assert len(calls) == 1
+        assert "# test,existence" in capsys.readouterr().out
 
     def test_out_file_silences_stdout(self, tmp_path, capsys):
         data = _panel_csv(tmp_path)

@@ -16,6 +16,7 @@ from paneljump.bandwidth import BandwidthPolicy
 from paneljump.errors import (
     AllUnitsSkipped,
     DataError,
+    DuplicateKey,
     EmptyWindow,
     InsufficientSupport,
     InvalidAlpha,
@@ -25,7 +26,7 @@ from paneljump.errors import (
 from paneljump.dgp import DgpConfig, GammaScheme, gen_dgp
 from paneljump.estimator import estimate_jump
 from paneljump.inference import (
-    critical_value,
+    critical_values,
     search_thresholds,
     simulate_max_gaussian,
 )
@@ -155,6 +156,11 @@ def test_report_rows_carry_the_statistic(run, cfg):
     assert result.statistic == np.max(score(ts))
 
 
+def critical_value(n, alpha, sidedness="two_sided", **knobs):
+    """One level's critical value, through ``critical_values``."""
+    return critical_values(n, Config(alphas=(alpha,), sidedness=sidedness, **knobs))[alpha]
+
+
 class TestCriticalValue:
     def test_one_sided_quantiles_n13(self):
         for alpha, expected in ((0.10, 2.405), (0.05, 2.657), (0.01, 3.165)):
@@ -191,8 +197,24 @@ class TestCriticalValue:
         with pytest.raises(InvalidAlpha):
             critical_value(10, 1.0)
 
+    def test_levels_share_one_simulated_sample(self, monkeypatch):
+        """All levels are quantiles of one sample, with the config's knobs."""
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return simulate_max_gaussian(*args)
+
+        monkeypatch.setattr(paneljump.inference, "simulate_max_gaussian", spy)
+        cfg = Config(alphas=(0.10, 0.05, 0.01), sidedness="one_sided_upper",
+                     cv_method="simulated", cv_reps=5_000, seed=4)
+        qs = critical_values(7, cfg)
+        assert calls == [(7, 5_000, 4, None, "one_sided_upper")]
+        sample = simulate_max_gaussian(7, 5_000, 4, sidedness="one_sided_upper")
+        assert qs == {a: float(np.quantile(sample, 1.0 - a)) for a in cfg.alphas}
+
     def test_simulated_matches_analytic(self):
-        q_sim = critical_value(100, 0.05, method="simulated", reps=200_000, seed=3)
+        q_sim = critical_value(100, 0.05, cv_method="simulated", cv_reps=200_000, seed=3)
         q_ana = critical_value(100, 0.05)
         assert q_sim == pytest.approx(q_ana, abs=0.02)
 
@@ -307,6 +329,13 @@ class TestExistencePipeline:
             panel.units[1] = PanelUnit(unit_id="u1", **arrays)
             run_existence(panel, 0.0, FIXED)
 
+    def test_duplicate_unit_id_is_data_error(self):
+        """Per-unit results are keyed by id, so a repeated id would let
+        one unit overwrite another."""
+        units = _noise_panel(n_units=2).units
+        with pytest.raises(DuplicateKey, match="'u0'"):
+            PanelData([units[0], PanelUnit(unit_id="u0", y=units[1].y, x=units[1].x)])
+
     @pytest.mark.parametrize("run", [run_existence, run_homogeneity])
     @pytest.mark.parametrize("threshold", [np.nan, np.inf, {"u0": 0.0, "u1": -np.inf}])
     def test_non_finite_threshold_rejected(self, run, threshold):
@@ -385,6 +414,11 @@ class TestHomogeneityPipeline:
     def test_truncation_is_rejected(self):
         cfg = Config(bandwidth=BandwidthPolicy.fixed(0.4), truncation=np.inf)
         with pytest.raises(ValueError, match="TestConfig.truncation"):
+            run_homogeneity(_noise_panel(), 0.0, cfg)
+
+    def test_one_sided_config_is_rejected(self):
+        cfg = Config(bandwidth=BandwidthPolicy.fixed(0.4), sidedness="one_sided_upper")
+        with pytest.raises(ValueError, match="sidedness"):
             run_homogeneity(_noise_panel(), 0.0, cfg)
 
     def test_centered_column_present(self):

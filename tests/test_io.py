@@ -97,11 +97,13 @@ class TestReadPanelCsv:
             read_panel_csv(path)
 
     def test_bad_value_reports_physical_row(self, tmp_path):
-        path = _write(tmp_path, "p.csv",
-                      "unit,time,y,x\na,1,0.1,0.2\na,2,oops,0.4\n")
-        with pytest.raises(NonFiniteValue, match="row 3") as err:
-            read_panel_csv(path)
-        assert err.value.row == 3
+        # The second file's quoted unit id spans lines 2 and 3.
+        for text, row in (("unit,time,y,x\na,1,0.1,0.2\na,2,oops,0.4\n", 3),
+                          ('unit,time,y,x\n"a\nb",1,2,3\nu,2,nan,1\n', 4)):
+            path = _write(tmp_path, "p.csv", text)
+            with pytest.raises(NonFiniteValue, match=f"row {row}") as err:
+                read_panel_csv(path)
+            assert err.value.row == row
 
     def test_rejects_inf(self, tmp_path):
         path = _write(tmp_path, "p.csv", "unit,time,y,x\na,1,inf,0.2\n")
@@ -161,10 +163,12 @@ class TestReadThresholdCsv:
             read_threshold_csv(path)
 
     def test_error_row_counts_blank_lines(self, tmp_path):
-        path = _write(tmp_path, "c.csv", "unit,c\n\nu1,abc\n")
-        with pytest.raises(NonFiniteValue, match="row 3") as err:
-            read_threshold_csv(path)
-        assert err.value.row == 3
+        # The second file's quoted unit id spans lines 2 and 3.
+        for text, row in (("unit,c\n\nu1,abc\n", 3), ('unit,c\n"a\nb",1\nu1,abc\n', 4)):
+            path = _write(tmp_path, "c.csv", text)
+            with pytest.raises(NonFiniteValue, match=f"row {row}") as err:
+                read_threshold_csv(path)
+            assert err.value.row == row
 
     def test_too_few_columns(self, tmp_path):
         with pytest.raises(NonFiniteValue, match="2 columns"):
