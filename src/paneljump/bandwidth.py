@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooFewObservations
+from .errors import ConfigError, TooFewObservations
 from .kernels import KernelSpec
 
 __all__ = [
@@ -58,13 +58,14 @@ class BandwidthPolicy:
 
     def __post_init__(self) -> None:
         if self.mode not in ("fixed", "plugin", "pooled_plugin"):
-            raise ValueError(f"unknown bandwidth mode {self.mode!r}")
+            raise ConfigError(f"unknown bandwidth mode {self.mode!r}")
         if self.mode == "fixed":
-            if self.value is None or self.value <= 0.0:
-                raise ValueError("fixed bandwidth needs a positive value")
+            if self.value is None or not 0.0 < self.value < np.inf:
+                raise ConfigError(
+                    f"fixed bandwidth needs a finite positive value, got {self.value}")
         lo, hi = self.bounds
         if not (0.0 < lo < hi):
-            raise ValueError(f"invalid bandwidth bounds {self.bounds}")
+            raise ConfigError(f"invalid bandwidth bounds {self.bounds}")
 
     @classmethod
     def fixed(cls, value: float) -> "BandwidthPolicy":
@@ -132,8 +133,9 @@ def plugin_bandwidth(y, x, c: float, kernel: KernelSpec,
     ------
     TooFewObservations
         Fewer than 20 observations overall, fewer than 5 distinct
-        covariate values on either side of c, or a degenerate covariate
-        range.
+        covariate values on either side of c, a degenerate covariate
+        range, or a covariate scale so extreme that f(c) curv^2
+        underflows to 0 or overflows.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -171,9 +173,12 @@ def plugin_bandwidth(y, x, c: float, kernel: KernelSpec,
 
     curv = abs(curvs[0] - curvs[1])
     curv = max(curv, _CURV_FLOOR * np.sqrt(sigma_sq) / x_range**2)
-    raw = boundary_constant(kernel.kind) * (
-        sigma_sq / (dens * curv * curv)
-    ) ** 0.2 * t_obs ** (-0.2)
+    dens_curv_sq = dens * curv * curv
+    if not 0.0 < dens_curv_sq < np.inf:
+        raise TooFewObservations(
+            f"density x curvature^2 = {dens_curv_sq} leaves float range at this covariate scale"
+        )
+    raw = boundary_constant(kernel.kind) * (sigma_sq / dens_curv_sq) ** 0.2 * t_obs ** (-0.2)
     return float(np.clip(raw, lo * x_range, hi * x_range))
 
 
@@ -186,9 +191,9 @@ def pooled_bandwidth(bandwidths, clamp: tuple[float, float] | None = None) -> fl
     """
     bs = np.asarray(bandwidths, dtype=float)
     if bs.size == 0:
-        raise ValueError("no bandwidths to pool")
+        raise ConfigError("no bandwidths to pool")
     if np.any(bs <= 0.0):
-        raise ValueError("bandwidths must be positive")
+        raise ConfigError("bandwidths must be positive")
     pooled = float(np.exp(np.mean(np.log(bs))))
     if clamp is not None:
         pooled = float(np.clip(pooled, clamp[0], clamp[1]))

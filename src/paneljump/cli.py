@@ -1,8 +1,10 @@
 """Command line interface.
 
 Subcommands: jump-test, homogeneity-test, threshold-search, simulate,
-critical-value.  Exit codes: 0 success, 2 usage error, 3 data error,
-4 numerical failure.
+critical-value.  Exit codes follow the error family: 0 success, 2 usage
+error (argparse, or ConfigError), 3 data error (DataError), 4 numerical
+failure (NumericalError).  Any other exception is a fault in the program:
+it is not caught and ends in a traceback with exit 1.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import sys
 
 from .bandwidth import BandwidthPolicy
 from .dgp import DgpConfig, GammaScheme, McConfig, run_size_power
-from .errors import DataError, InvalidAlpha, NumericalError
+from .errors import ConfigError, DataError, NumericalError
 from .inference import TestConfig, critical_values, search_thresholds, test_existence, test_homogeneity
 from .io import PanelSchema, read_panel_csv, read_threshold_csv, write_report
 from .kernels import KERNEL_KINDS, KernelSpec
@@ -25,16 +27,12 @@ _SIDED = {"two": "two_sided", "upper": "one_sided_upper"}
 _THRESHOLD_FORMS = {"scalar": "<v>", "file": "file:<path>", "grid": "grid:<v1,v2,...>"}
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_schema(text: str | None, delimiter: str) -> PanelSchema:
     if text is None:
         return PanelSchema(delimiter=delimiter)
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4 or not all(parts):
-        raise UsageError(
+        raise ConfigError(
             f"--schema needs 4 comma-separated column names (unit,time,y,x), got {text!r}"
         )
     return PanelSchema(unit_col=parts[0], time_col=parts[1], y_col=parts[2],
@@ -50,18 +48,16 @@ def _parse_bandwidth(text: str) -> BandwidthPolicy:
         try:
             value = float(text[6:])
         except ValueError:
-            raise UsageError(f"bad fixed bandwidth {text!r}") from None
-        if value <= 0.0:
-            raise UsageError("fixed bandwidth must be positive")
+            raise ConfigError(f"bad fixed bandwidth {text!r}") from None
         return BandwidthPolicy.fixed(value)
-    raise UsageError(f"--bandwidth must be auto, pooled, or fixed:<v>, got {text!r}")
+    raise ConfigError(f"--bandwidth must be auto, pooled, or fixed:<v>, got {text!r}")
 
 
 def _parse_threshold(args, kinds: tuple[str, ...], delimiter: str = ","):
     """Returns a scalar, a per-unit mapping (``file:``) or a list of grid
     values (``grid:``).
 
-    A kind the command does not take (``kinds``) is a usage error, raised
+    A kind the command does not take (``kinds``) is a ConfigError, raised
     before any file is read, and so is a non-finite threshold or grid
     value.  A threshold file is split on ``delimiter``.
     """
@@ -69,18 +65,18 @@ def _parse_threshold(args, kinds: tuple[str, ...], delimiter: str = ","):
     kind = text[:4] if text.startswith(("file:", "grid:")) else "scalar"
     if kind not in kinds:
         forms = " or ".join(_THRESHOLD_FORMS[k] for k in kinds)
-        raise UsageError(f"{args.command} takes --threshold {forms}, got {text!r}")
+        raise ConfigError(f"{args.command} takes --threshold {forms}, got {text!r}")
     if kind == "file":
         return read_threshold_csv(text[5:], delimiter)
     fields = [v for v in text[5:].split(",") if v.strip()] if kind == "grid" else [text]
     try:
         values = [float(v) for v in fields]
     except ValueError:
-        raise UsageError(f"bad threshold {text!r}") from None
+        raise ConfigError(f"bad threshold {text!r}") from None
     if not values:
-        raise UsageError("grid needs at least one value")
+        raise ConfigError("grid needs at least one value")
     if not all(math.isfinite(v) for v in values):
-        raise UsageError(f"thresholds must be finite, got {text!r}")
+        raise ConfigError(f"thresholds must be finite, got {text!r}")
     return values if kind == "grid" else values[0]
 
 
@@ -239,7 +235,7 @@ def cli_main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (UsageError, InvalidAlpha, ValueError) as exc:
+    except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except DataError as exc:

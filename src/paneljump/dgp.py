@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericalError
-from .inference import TestConfig, search_thresholds, test_existence, test_homogeneity
+from .errors import ConfigError, NumericalError
+from .inference import TestConfig, _check_two_sided, search_thresholds, test_existence, test_homogeneity
 from .panel import PanelData, PanelUnit
 
 __all__ = [
@@ -54,9 +54,9 @@ class GammaScheme:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.fraction <= 1.0:
-            raise ValueError("fraction must lie in [0, 1]")
-        if self.fraction > 0.0 and self.scale <= 0.0:
-            raise ValueError("scale must be positive")
+            raise ConfigError("fraction must lie in [0, 1]")
+        if self.fraction > 0.0 and not 0.0 < self.scale < np.inf:
+            raise ConfigError(f"scale must be positive and finite, got {self.scale}")
 
     @classmethod
     def null(cls) -> "GammaScheme":
@@ -82,11 +82,11 @@ class DgpConfig:
 
     def __post_init__(self) -> None:
         if self.dgp_id not in (1, 2, 3, 4, 5, 6):
-            raise ValueError(f"dgp_id must be 1..6, got {self.dgp_id}")
+            raise ConfigError(f"dgp_id must be 1..6, got {self.dgp_id}")
         if self.n_units < 1 or self.t_obs < 2:
-            raise ValueError("need at least 1 unit and 2 observations")
+            raise ConfigError("need at least 1 unit and 2 observations")
         if not np.isfinite(self.threshold):
-            raise ValueError(f"threshold must be finite, got {self.threshold}")
+            raise ConfigError(f"threshold must be finite, got {self.threshold}")
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,9 @@ class McConfig:
 
     def __post_init__(self) -> None:
         if self.reps < 1:
-            raise ValueError("reps must be positive")
+            raise ConfigError("reps must be positive")
         if self.workers < 1:
-            raise ValueError("workers must be positive")
+            raise ConfigError("workers must be positive")
 
 
 @dataclass
@@ -302,11 +302,14 @@ def _run_reps(dgp_cfg: DgpConfig, mc: McConfig, test: str, grid,
     grid_t = None if grid is None else tuple(float(g) for g in grid)
     columns = ([dgp_cfg] * n, [_rep_seed(mc.base_seed, r) for r in range(n)],
                [test] * n, [grid_t] * n, [config] * n)
-    if mc.workers <= 1:
+    # No more processes than replications: a fork pool starts all of its
+    # workers at the first submit.
+    workers = min(mc.workers, n)
+    if workers <= 1:
         return list(map(_one_rep, *columns))
-    with ProcessPoolExecutor(max_workers=mc.workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_one_rep, *columns,
-                             chunksize=max(1, n // (8 * mc.workers))))
+                             chunksize=max(1, n // (8 * workers))))
 
 
 def run_size_power(dgp_cfg: DgpConfig, mc: McConfig, test: str = "existence",
@@ -317,32 +320,31 @@ def run_size_power(dgp_cfg: DgpConfig, mc: McConfig, test: str = "existence",
     passing ``grid`` runs the unknown-threshold existence search instead,
     so it needs ``test="existence"``, and homogeneity needs two units and
     a two-sided ``config``.
-    Rates are reported at ``config.alphas``.  Replications that fail
+    Rates are reported once for each distinct level of ``config.alphas``.
+    Replications that fail
     numerically are counted and excluded from the rates; acceptance-grade
     runs are expected to have none.
     """
     if test not in ("existence", "homogeneity"):
-        raise ValueError(f"test must be 'existence' or 'homogeneity', got {test!r}")
+        raise ConfigError(f"test must be 'existence' or 'homogeneity', got {test!r}")
     if grid is not None and test != "existence":
-        raise ValueError(f"grid runs the existence search and cannot take test={test!r}")
+        raise ConfigError(f"grid runs the existence search and cannot take test={test!r}")
     if test == "homogeneity" and dgp_cfg.n_units < 2:
-        raise ValueError("the homogeneity test needs at least 2 units, "
+        raise ConfigError("the homogeneity test needs at least 2 units, "
                          f"got n_units={dgp_cfg.n_units}")
     config = config or TestConfig()
-    if test == "homogeneity" and config.sidedness != "two_sided":
-        raise ValueError(
-            f"the homogeneity test is two-sided; got sidedness={config.sidedness!r}"
-        )
+    if test == "homogeneity":
+        _check_two_sided(config)
     counts = {a: 0 for a in config.alphas}
     failed = 0
     for outcome in _run_reps(dgp_cfg, mc, test, grid, config):
         if outcome is None:
             failed += 1
             continue
-        for a in config.alphas:
+        for a in counts:
             counts[a] += bool(outcome[a])
     ok = mc.reps - failed
-    rates = {a: counts[a] / ok if ok else float("nan") for a in config.alphas}
+    rates = {a: counts[a] / ok if ok else float("nan") for a in counts}
     ses = {
         a: float(np.sqrt(r * (1.0 - r) / ok)) if ok else float("nan")
         for a, r in rates.items()

@@ -1,14 +1,22 @@
 """Exception hierarchy.
 
-Two broad families matter for callers: DataError (malformed or unusable
-input) and NumericalError (a computation could not be carried out on
-otherwise valid input).  The command line maps these to distinct exit codes.
+Three families matter for callers, and the command line maps each to its
+own exit code:
+
+  * ConfigError (exit 2): an invalid argument or setting, such as a level
+    outside (0, 1) or a non-finite bandwidth.  It is also a ValueError.
+  * DataError (exit 3): an input file or unit is malformed or unusable.
+  * NumericalError (exit 4): a computation could not be carried out on
+    otherwise valid input.
+
+Any other exception is a fault in the program, not in its input.
 """
 
 from __future__ import annotations
 
 __all__ = [
     "PanelJumpError",
+    "ConfigError",
     "DataError",
     "NumericalError",
     "InsufficientSupport",
@@ -19,7 +27,6 @@ __all__ = [
     "AllUnitsSkipped",
     "TooFewObservations",
     "NotPositiveSemidefinite",
-    "InvalidAlpha",
     "MissingColumn",
     "NonFiniteValue",
     "DuplicateKey",
@@ -30,6 +37,10 @@ __all__ = [
 
 class PanelJumpError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class ConfigError(PanelJumpError, ValueError):
+    """An argument or setting is invalid."""
 
 
 class DataError(PanelJumpError):
@@ -86,10 +97,6 @@ class TooFewObservations(NumericalError):
 
 class NotPositiveSemidefinite(NumericalError):
     """A correlation block is indefinite beyond numerical tolerance."""
-
-
-class InvalidAlpha(PanelJumpError):
-    """Significance level outside the open interval (0, 1)."""
 
 
 class MissingColumn(DataError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateEverywhere
+from .errors import ConfigError, DegenerateEverywhere
 from .kernels import KernelSpec, denominator_floor, eval_kernel, local_weights
 
 __all__ = [
@@ -162,7 +162,7 @@ def smooth_residuals(y, x, b_pilot: float, kernel: KernelSpec,
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     if b_pilot <= 0.0:
-        raise ValueError(f"pilot bandwidth must be positive, got {b_pilot}")
+        raise ConfigError(f"pilot bandwidth must be positive, got {b_pilot}")
     if jump_removal is not None:
         c, gamma = jump_removal
         y = y - gamma * (x >= c)

@@ -19,11 +19,11 @@ from scipy.special import ndtri
 from .bandwidth import BandwidthPolicy, pilot_bandwidth, plugin_bandwidth, pooled_bandwidth
 from .errors import (
     AllUnitsSkipped,
+    ConfigError,
     DataError,
     DegenerateEverywhere,
     EmptyWindow,
     InsufficientSupport,
-    InvalidAlpha,
     NotPositiveSemidefinite,
     SingleUnit,
     TooFewObservations,
@@ -92,20 +92,22 @@ class TestConfig:
     truncation: float | None = None
 
     def __post_init__(self) -> None:
+        if not self.alphas:
+            raise ConfigError("alphas needs at least one significance level")
         for a in self.alphas:
             if not 0.0 < a < 1.0:
-                raise InvalidAlpha(f"alpha must lie in (0, 1), got {a}")
+                raise ConfigError(f"alpha must lie in (0, 1), got {a}")
         if self.sidedness not in SIDEDNESS:
-            raise ValueError(f"sidedness must be one of {SIDEDNESS}")
+            raise ConfigError(f"sidedness must be one of {SIDEDNESS}")
         if self.center not in CENTERS:
-            raise ValueError(f"center must be one of {CENTERS}")
+            raise ConfigError(f"center must be one of {CENTERS}")
         if self.cv_method not in CV_METHODS:
-            raise ValueError(f"cv_method must be one of {CV_METHODS}")
+            raise ConfigError(f"cv_method must be one of {CV_METHODS}")
         if self.cv_reps < 1:
-            raise ValueError("cv_reps must be positive")
-        if self.truncation is not None and not self.truncation >= 0.0:
-            raise ValueError(
-                f"truncation must be nonnegative (inf disables it), got {self.truncation}"
+            raise ConfigError("cv_reps must be positive")
+        if self.truncation is not None and not self.truncation > 0.0:
+            raise ConfigError(
+                f"truncation must be positive (inf disables it), got {self.truncation}"
             )
 
 
@@ -236,9 +238,9 @@ def simulate_max_gaussian(n_comparisons: int, reps: int, seed: int,
         If a correlation block has an eigenvalue below -1e-8.
     """
     if sidedness not in SIDEDNESS:
-        raise ValueError(f"sidedness must be one of {SIDEDNESS}")
+        raise ConfigError(f"sidedness must be one of {SIDEDNESS}")
     if reps < 1:
-        raise ValueError("reps must be positive")
+        raise ConfigError("reps must be positive")
     factors = None
     if sigma_c is not None:
         n_comparisons = sigma_c.n_comparisons
@@ -251,7 +253,7 @@ def simulate_max_gaussian(n_comparisons: int, reps: int, seed: int,
                 )
             factors.append(vecs * np.sqrt(np.clip(vals, 0.0, None)))
     if n_comparisons < 1:
-        raise ValueError("need at least one comparison")
+        raise ConfigError("need at least one comparison")
 
     chunk = max(1, min(reps, _CHUNK_BUDGET // n_comparisons))
     n_chunks = -(-reps // chunk)
@@ -290,7 +292,7 @@ def critical_values(n_comparisons: int, config: TestConfig,
                                        sigma_c, config.sidedness)
         return {a: float(np.quantile(sample, 1.0 - a)) for a in config.alphas}
     if n_comparisons < 1:
-        raise ValueError("need at least one comparison")
+        raise ConfigError("need at least one comparison")
     out = {}
     for a in config.alphas:
         p = (1.0 - a) ** (1.0 / n_comparisons)
@@ -321,7 +323,7 @@ def _resolve_thresholds(panel: PanelData, threshold) -> dict[str, float]:
         out = dict.fromkeys((u.unit_id for u in panel), float(threshold))
     bad = [f"{uid}={c}" for uid, c in out.items() if not np.isfinite(c)]
     if bad:
-        raise ValueError(f"thresholds must be finite, got {', '.join(bad[:3])}")
+        raise ConfigError(f"thresholds must be finite, got {', '.join(bad[:3])}")
     return out
 
 
@@ -381,7 +383,7 @@ def _analyze_unit(unit: PanelUnit, c: float, b: float, kernel: KernelSpec) -> Un
 def _fit_panel(panel: PanelData, threshold, config: TestConfig):
     """Shared known-threshold front end: report rows, with per-unit skip reasons."""
     if config.truncation is not None:
-        raise ValueError(
+        raise ConfigError(
             "TestConfig.truncation applies only to search_thresholds; "
             "known-threshold tests need truncation=None"
         )
@@ -438,19 +440,17 @@ def test_existence(panel: PanelData, threshold=0.0,
     )
 
 
+def _check_two_sided(config: TestConfig) -> None:
+    # Deviations from the cross-unit centre either way count against homogeneity.
+    if config.sidedness != "two_sided":
+        raise ConfigError(f"the homogeneity test is two-sided; got sidedness={config.sidedness!r}")
+
+
 def test_homogeneity(panel: PanelData, threshold=0.0,
                      config: TestConfig | None = None) -> TestResult:
-    """Simultaneous test that all units share a common jump size.
-
-    Two-sided by rule: deviations from the cross-unit centre in either
-    direction count against homogeneity, so a config with any other
-    ``sidedness`` is a ValueError.
-    """
+    """Simultaneous test that all units share a common jump size, two-sided by rule."""
     config = config or TestConfig()
-    if config.sidedness != "two_sided":
-        raise ValueError(
-            f"the homogeneity test is two-sided; got sidedness={config.sidedness!r}"
-        )
+    _check_two_sided(config)
     rows, skipped = _fit_panel(panel, threshold, config)
     if len(rows) < 2:
         raise SingleUnit("homogeneity comparison needs at least two units")
@@ -687,11 +687,11 @@ def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) 
     config = config or TestConfig()
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("grid must be a nonempty 1-d sequence")
+        raise ConfigError("grid must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(grid)):
-        raise ValueError(f"grid values must be finite, got {grid[~np.isfinite(grid)][0]}")
+        raise ConfigError(f"grid values must be finite, got {grid[~np.isfinite(grid)][0]}")
     if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
-        raise ValueError("grid must be strictly increasing")
+        raise ConfigError("grid must be strictly increasing")
     if len(panel) == 0:
         raise AllUnitsSkipped("empty panel")
 

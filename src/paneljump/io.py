@@ -16,6 +16,8 @@ from io import StringIO
 import numpy as np
 
 from .errors import (
+    ConfigError,
+    DataError,
     DuplicateKey,
     EmptyUnit,
     IoFailure,
@@ -48,9 +50,9 @@ class PanelSchema:
     def __post_init__(self) -> None:
         names = (self.unit_col, self.time_col, self.y_col, self.x_col)
         if len(set(names)) != 4:
-            raise ValueError(f"schema column names must be distinct, got {names}")
+            raise ConfigError(f"schema column names must be distinct, got {names}")
         if len(self.delimiter) != 1:
-            raise ValueError(
+            raise ConfigError(
                 f"delimiter must be a single character, got {self.delimiter!r}"
             )
 
@@ -68,15 +70,22 @@ def _parse_number(text: str, row: int, what: str) -> float:
 def _records(path: str, delimiter: str):
     """Yield (physical line the record starts on, its cells) for each CSV
     record; a quoted cell may span lines, so records and lines can differ."""
+    line = 1
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
-            line = 1
             for row in reader:
                 yield line, row
                 line = reader.line_num + 1
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:  # raised per decoded block, not per line
+        with open(path, newline="", errors="surrogateescape") as fh:  # bad byte -> U+DCxx
+            line = next((n for n, text in enumerate(fh, 1) if not text.isascii()
+                         and any("\udc80" <= ch <= "\udcff" for ch in text)), line)
+        raise DataError(f"{path} line {line}: cannot decode as {exc.encoding} ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path} line {line}: {exc}") from None
 
 
 def read_panel_csv(path: str, schema: PanelSchema | None = None) -> PanelData:
@@ -208,7 +217,7 @@ def render_report(result, output_format: str = "csv") -> str:
     format.
     """
     if output_format not in FORMATS:
-        raise ValueError(f"format must be one of {FORMATS}")
+        raise ConfigError(f"format must be one of {FORMATS}")
     if not hasattr(result, "table"):
         raise TypeError(f"cannot render {type(result).__name__}")
     header, rows, summary = result.table()

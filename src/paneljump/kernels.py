@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientSupport
+from .errors import ConfigError, InsufficientSupport
 
 __all__ = [
     "KERNEL_KINDS",
@@ -40,7 +40,7 @@ class KernelSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in KERNEL_KINDS:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown kernel {self.kind!r}; expected one of {KERNEL_KINDS}"
             )
 
@@ -92,9 +92,9 @@ def local_weights(x, c: float, b: float, kernel: KernelSpec, side: str) -> np.nd
         the requested side, or the design denominator falls below its floor.
     """
     if side not in ("plus", "minus"):
-        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+        raise ConfigError(f"side must be 'plus' or 'minus', got {side!r}")
     if b <= 0.0:
-        raise ValueError(f"bandwidth must be positive, got {b}")
+        raise ConfigError(f"bandwidth must be positive, got {b}")
     x = np.asarray(x, dtype=float)
     d = x - c
     mask = d >= 0.0 if side == "plus" else d < 0.0

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DuplicateKey, EmptyUnit, NonFiniteValue
+from .errors import ConfigError, DuplicateKey, EmptyUnit, NonFiniteValue
 
 __all__ = ["PanelUnit", "PanelData"]
 
@@ -26,9 +26,9 @@ class PanelUnit:
         self.y = np.asarray(self.y, dtype=float)
         self.x = np.asarray(self.x, dtype=float)
         if self.y.ndim != 1 or self.x.ndim != 1:
-            raise ValueError(f"unit {self.unit_id!r}: y and x must be 1-d")
+            raise ConfigError(f"unit {self.unit_id!r}: y and x must be 1-d")
         if self.y.size != self.x.size:
-            raise ValueError(
+            raise ConfigError(
                 f"unit {self.unit_id!r}: y and x lengths differ "
                 f"({self.y.size} vs {self.x.size})"
             )

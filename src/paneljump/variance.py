@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyWindow, SingleUnit
+from .errors import ConfigError, EmptyWindow, SingleUnit
 
 __all__ = [
     "SigmaC",
@@ -51,9 +51,9 @@ def sigma_e_sq_truncated(resid, x, c: float, b: float, a_trunc: float) -> float:
     count.
     """
     if not a_trunc >= 0.0:
-        raise ValueError(f"truncation level must be nonnegative, got {a_trunc}")
+        raise ConfigError(f"truncation level must be nonnegative, got {a_trunc}")
     if b <= 0.0:
-        raise ValueError(f"window width must be positive, got {b}")
+        raise ConfigError(f"window width must be positive, got {b}")
     resid = np.asarray(resid, dtype=float)
     x = np.asarray(x, dtype=float)
     vals = resid[(np.abs(x - c) <= b) & np.isfinite(resid)]

@@ -14,7 +14,7 @@ from paneljump.bandwidth import (
     plugin_bandwidth,
     pooled_bandwidth,
 )
-from paneljump.errors import TooFewObservations
+from paneljump.errors import ConfigError, TooFewObservations
 from paneljump.kernels import KernelSpec, eval_kernel
 
 UNIFORM = KernelSpec("uniform")
@@ -37,6 +37,11 @@ class TestBandwidthPolicy:
     def test_fixed_needs_positive_value(self):
         with pytest.raises(ValueError, match="positive value"):
             BandwidthPolicy.fixed(0.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_fixed_needs_finite_value(self, value):
+        with pytest.raises(ConfigError, match="positive value"):
+            BandwidthPolicy.fixed(value)
 
     def test_bounds_validated(self):
         with pytest.raises(ValueError, match="bounds"):
@@ -147,6 +152,14 @@ class TestPluginBandwidth:
         x = np.concatenate([np.full(3, -0.5), np.linspace(0.1, 1.0, 27)])
         with pytest.raises(TooFewObservations, match="per side"):
             plugin_bandwidth(np.zeros(30), x, 0.0, UNIFORM)
+
+    @pytest.mark.parametrize("scale", [1e100, 1e-100])
+    def test_extreme_covariate_scale(self, scale):
+        # f(c) curv^2 scales as scale^-5: it underflows to 0 at 1e100 and
+        # overflows at 1e-100, where the bandwidth would clamp to its bound.
+        y, x = _curved_sample(seed=6)
+        with pytest.raises(TooFewObservations, match="float range"):
+            plugin_bandwidth(y, scale * x, 0.0, UNIFORM)
 
     def test_degenerate_range(self):
         with pytest.raises(TooFewObservations, match="range"):

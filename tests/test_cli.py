@@ -19,6 +19,7 @@ import paneljump.cli
 import paneljump.dgp
 import paneljump.inference
 from paneljump.cli import cli_main
+from paneljump.errors import ConfigError, PanelJumpError
 from paneljump.inference import simulate_max_gaussian
 from paneljump.inference import test_existence as run_existence
 
@@ -31,6 +32,18 @@ def _run_python(*args):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=120)
+
+
+def _scaled_golden_panel(tmp_path, scale):
+    """The golden panel with every covariate multiplied by ``scale``."""
+    header, *rows = GOLDEN_PANEL.read_text().splitlines()
+    lines = [header]
+    for row in rows:
+        unit, time, y, x = row.split(",")
+        lines.append(f"{unit},{time},{y},{float(x) * scale!r}")
+    path = tmp_path / "scaled.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
 
 
 def _panel_csv(tmp_path, name="panel.csv", n_units=2, t_obs=120, jump=3.0,
@@ -94,6 +107,21 @@ class TestUsageErrors:
 
     def test_missing_required_flag(self, capsys):
         assert cli_main(["jump-test"]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_fixed_bandwidth(self, tmp_path, capsys, value):
+        # Rejected before the panel is read: the file does not exist.
+        code = cli_main(["jump-test", "--data", str(tmp_path / "absent.csv"),
+                         "--bandwidth", f"fixed:{value}"])
+        assert code == 2
+        assert "positive value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_non_finite_jump_scale(self, capsys, scale):
+        code = cli_main(["simulate", "--dgp", "1", "--n", "3", "--t", "80", "--reps", "1",
+                         "--bandwidth", "fixed:0.3", "--fraction", "0.5", "--scale", scale])
+        assert code == 2
+        assert "scale" in capsys.readouterr().err
 
     def test_bad_bandwidth(self, tmp_path, capsys):
         data = _panel_csv(tmp_path)
@@ -178,13 +206,13 @@ class TestUsageErrors:
         assert code == 2
         assert "single character" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("level", ["nan", "-1"])
+    @pytest.mark.parametrize("level", ["nan", "-1", "0"])
     def test_invalid_truncation(self, tmp_path, capsys, level):
         # Rejected before the panel is read: the file does not exist.
         code = cli_main(["threshold-search", "--data", str(tmp_path / "absent.csv"),
                          "--truncation", level, "--threshold", "grid:-0.5,0.0,0.5"])
         assert code == 2
-        assert "truncation must be nonnegative" in capsys.readouterr().err
+        assert "truncation must be positive" in capsys.readouterr().err
 
     def test_bad_workers_env_is_usage_error_on_simulate(self, monkeypatch, capsys):
         monkeypatch.setenv("PANELJUMP_THREADS", "two")
@@ -210,6 +238,26 @@ class TestDataErrors:
         path.write_text("unit,time,y,x\na,1,oops,0.2\n")
         assert cli_main(["jump-test", "--data", str(path)]) == 3
 
+    def test_undecodable_panel_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"unit,time,y,x\na,1,0.5,0.2\na,2,0.\xff5,0.3\n")
+        assert cli_main(["jump-test", "--data", str(path)]) == 3
+        assert "bad.csv line 3: cannot decode" in capsys.readouterr().err
+
+    def test_undecodable_threshold_file(self, tmp_path, capsys):
+        cfile = tmp_path / "c.csv"
+        cfile.write_bytes(b"unit,c\nu0,0.0\nu1,0.\xff0\n")
+        code = cli_main(["jump-test", "--data", _panel_csv(tmp_path),
+                         "--threshold", f"file:{cfile}"])
+        assert code == 3
+        assert "c.csv line 3: cannot decode" in capsys.readouterr().err
+
+    def test_oversized_cell(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("unit,time,y,x\na,1," + "1" * 200_000 + ",0.2\n")
+        assert cli_main(["jump-test", "--data", str(path)]) == 3
+        assert "big.csv line 2: field larger" in capsys.readouterr().err
+
 
 class TestNumericalFailures:
     def test_no_support_on_one_side(self, tmp_path, capsys):
@@ -219,6 +267,24 @@ class TestNumericalFailures:
                          "--bandwidth", "fixed:0.4", "--threshold", "0.0"])
         assert code == 4
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", [1e100, 1e-100])
+    def test_extreme_covariate_scale(self, tmp_path, capsys, scale):
+        code = cli_main(["jump-test", "--data", _scaled_golden_panel(tmp_path, scale)])
+        assert code == 4
+        assert "bandwidth selection failed: density x curvature^2" in capsys.readouterr().err
+
+
+class TestInternalFaults:
+    def test_plain_value_error_propagates(self, tmp_path, monkeypatch):
+        """Only the three error families map to exit codes; any other
+        exception is a fault in the program and is not caught."""
+        def fault(*args):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(paneljump.cli, "test_existence", fault)
+        with pytest.raises(ValueError, match="internal fault"):
+            cli_main(["jump-test", "--data", _panel_csv(tmp_path), "--bandwidth", "fixed:0.4"])
 
 
 class TestJumpTestCommand:
@@ -403,6 +469,22 @@ class TestModuleEntry:
         proc = _run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == ""
+
+    def test_bad_settings_raise_config_error(self):
+        # One exception for an invalid argument or setting: no bare
+        # ValueError is raised, and the names it replaced stay gone.
+        assert issubclass(ConfigError, PanelJumpError) and issubclass(ConfigError, ValueError)
+        for info in pkgutil.iter_modules(paneljump.__path__):
+            module = importlib.import_module(f"paneljump.{info.name}")
+            tree = ast.parse(Path(module.__file__).read_text())
+            for node in ast.walk(tree):
+                where = f"{info.name}.py:{getattr(node, 'lineno', '?')}"
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    assert getattr(exc, "id", None) != "ValueError", f"{where} raises ValueError"
+                for field in ("id", "name", "attr"):
+                    assert getattr(node, field, None) not in ("UsageError", "InvalidAlpha"), \
+                        f"{where} names {getattr(node, field)}"
 
     def test_all_names_are_defined_in_their_module(self):
         # Traced benchmark runs call getattr on every __all__ entry, so a

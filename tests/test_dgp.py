@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 import paneljump.dgp
 from paneljump.bandwidth import BandwidthPolicy
+from paneljump.errors import ConfigError
 from paneljump.dgp import (
     AccuracyTable,
     DgpConfig,
@@ -140,6 +143,11 @@ class TestGenDgp:
             GammaScheme.sparse_power(0.5, scale=0.0)
         assert GammaScheme(scale=0.0).fraction == 0.0  # no jumps, so no scale
 
+    @pytest.mark.parametrize("scale", [np.nan, np.inf])
+    def test_non_finite_scale(self, scale):
+        with pytest.raises(ConfigError, match="scale"):
+            GammaScheme.sparse_power(0.5, scale=scale)
+
 
 class TestRunSizePower:
     def test_table_fields_and_rates(self):
@@ -195,6 +203,37 @@ class TestRunSizePower:
             cfg, McConfig(reps=4, base_seed=9, workers=2), config=FIXED
         )
         assert serial.rates == pooled.rates
+
+    def test_repeated_levels_count_once(self):
+        cfg = DgpConfig(dgp_id=1, n_units=3, t_obs=80)
+        mc = McConfig(reps=4, base_seed=3)
+        repeated = run_size_power(cfg, mc, config=replace(FIXED, alphas=(0.5, 0.1, 0.5)))
+        distinct = run_size_power(cfg, mc, config=replace(FIXED, alphas=(0.5, 0.1)))
+        assert repeated == distinct
+
+    def test_pool_has_no_more_workers_than_reps(self, monkeypatch):
+        # A fork pool starts all of its workers at the first submit, so a
+        # recorder stands in for the pool and no process is started.
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *columns, chunksize=1):
+                return map(fn, *columns)
+
+        monkeypatch.setattr(paneljump.dgp, "ProcessPoolExecutor", Recorder)
+        cfg = DgpConfig(dgp_id=1, n_units=3, t_obs=80)
+        pooled = run_size_power(cfg, McConfig(reps=3, base_seed=9, workers=32), config=FIXED)
+        assert sizes == [3]
+        assert pooled == run_size_power(cfg, McConfig(reps=3, base_seed=9), config=FIXED)
 
     def test_one_unit_homogeneity_rejected_before_any_replication(self, monkeypatch):
         def no_rep(*args):

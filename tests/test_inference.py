@@ -18,8 +18,8 @@ from paneljump.errors import (
     DataError,
     DuplicateKey,
     EmptyWindow,
+    ConfigError,
     InsufficientSupport,
-    InvalidAlpha,
     SingleUnit,
     ZeroVariance,
 )
@@ -192,10 +192,14 @@ class TestCriticalValue:
         assert qa == sorted(qa)
 
     def test_invalid_alpha(self):
-        with pytest.raises(InvalidAlpha):
+        with pytest.raises(ConfigError):
             critical_value(10, 0.0)
-        with pytest.raises(InvalidAlpha):
+        with pytest.raises(ConfigError):
             critical_value(10, 1.0)
+
+    def test_needs_a_level(self):
+        with pytest.raises(ConfigError, match="at least one"):
+            Config(alphas=())
 
     def test_levels_share_one_simulated_sample(self, monkeypatch):
         """All levels are quantiles of one sample, with the config's knobs."""
@@ -363,7 +367,7 @@ class TestExistencePipeline:
         assert "minus" in result.skipped[0].reason
 
     def test_truncation_is_rejected(self):
-        cfg = Config(bandwidth=BandwidthPolicy.fixed(0.4), truncation=0.0)
+        cfg = Config(bandwidth=BandwidthPolicy.fixed(0.4), truncation=1.0)
         with pytest.raises(ValueError, match="TestConfig.truncation"):
             run_existence(_noise_panel(), 0.0, cfg)
 
@@ -492,7 +496,7 @@ class TestSearchThresholds:
         result = search_thresholds(panel, [-0.5, 0.0, 0.5], cfg)
         assert not result.spacing_warning
 
-    @pytest.mark.parametrize("level", [np.nan, -1.0])
+    @pytest.mark.parametrize("level", [np.nan, -1.0, 0.0])
     def test_invalid_truncation_rejected(self, level):
         with pytest.raises(ValueError, match="truncation"):
             Config(truncation=level)

@@ -10,6 +10,7 @@ import pytest
 
 from paneljump.dgp import AccuracyTable, RateTable
 from paneljump.errors import (
+    DataError,
     DuplicateKey,
     EmptyUnit,
     IoFailure,
@@ -142,6 +143,22 @@ class TestReadPanelCsv:
         with pytest.raises(IoFailure, match="cannot read"):
             read_panel_csv(str(tmp_path / "absent.csv"))
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_undecodable_byte_names_its_line(self, tmp_path, newline):
+        # The bad byte lies past the text reader's first decoding block.
+        lines = ["unit,time,y,x"] + [f"a,{t},0.1,0.2" for t in range(1, 2000)]
+        path = tmp_path / "p.csv"
+        path.write_bytes(newline.join(lines).encode() + newline.encode()
+                         + b"b,1,0.\xff,0.2" + newline.encode())
+        with pytest.raises(DataError, match="p.csv line 2001: cannot decode"):
+            read_panel_csv(str(path))
+
+    def test_oversized_cell_names_its_line(self, tmp_path):
+        path = _write(tmp_path, "p.csv",
+                      "unit,time,y,x\na,1,0.1,0.2\na,2," + "1" * 200_000 + ",0.4\n")
+        with pytest.raises(DataError, match="p.csv line 3: field larger than field limit"):
+            read_panel_csv(path)
+
 
 class TestReadThresholdCsv:
     def test_with_header(self, tmp_path):
@@ -169,6 +186,12 @@ class TestReadThresholdCsv:
             with pytest.raises(NonFiniteValue, match=f"row {row}") as err:
                 read_threshold_csv(path)
             assert err.value.row == row
+
+    def test_undecodable_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_bytes(b"unit,c\n\na,0.\xff5\n")
+        with pytest.raises(DataError, match="c.csv line 3: cannot decode"):
+            read_threshold_csv(str(path))
 
     def test_too_few_columns(self, tmp_path):
         with pytest.raises(NonFiniteValue, match="2 columns"):
