@@ -213,7 +213,7 @@ def _cmd_simulate(args) -> int:
               if args.fraction > 0.0 else GammaScheme.null())
     dgp_cfg = DgpConfig(dgp_id=args.dgp, n_units=args.n, t_obs=args.t,
                         threshold=c0, gamma_scheme=scheme)
-    mc = McConfig(reps=args.reps, base_seed=args.seed, workers=max(1, args.workers))
+    mc = McConfig(reps=args.reps, base_seed=args.seed, workers=args.workers)
     table = run_size_power(dgp_cfg, mc, test=args.test, grid=grid,
                            config=_test_config(args))
     _emit(table, args)

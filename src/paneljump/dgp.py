@@ -321,9 +321,9 @@ def run_size_power(dgp_cfg: DgpConfig, mc: McConfig, test: str = "existence",
     so it needs ``test="existence"``, and homogeneity needs two units and
     a two-sided ``config``.
     Rates are reported once for each distinct level of ``config.alphas``.
-    Replications that fail
-    numerically are counted and excluded from the rates; acceptance-grade
-    runs are expected to have none.
+    Replications that fail numerically are counted and excluded from the
+    rates; acceptance-grade runs are expected to have none.  When every
+    replication fails there is no rate, and a ``NumericalError`` says so.
     """
     if test not in ("existence", "homogeneity"):
         raise ConfigError(f"test must be 'existence' or 'homogeneity', got {test!r}")
@@ -343,12 +343,11 @@ def run_size_power(dgp_cfg: DgpConfig, mc: McConfig, test: str = "existence",
             continue
         for a in counts:
             counts[a] += bool(outcome[a])
+    if failed == mc.reps:
+        raise NumericalError(f"every replication failed numerically ({failed} of {mc.reps})")
     ok = mc.reps - failed
-    rates = {a: counts[a] / ok if ok else float("nan") for a in counts}
-    ses = {
-        a: float(np.sqrt(r * (1.0 - r) / ok)) if ok else float("nan")
-        for a, r in rates.items()
-    }
+    rates = {a: counts[a] / ok for a in counts}
+    ses = {a: float(np.sqrt(r * (1.0 - r) / ok)) for a, r in rates.items()}
     return RateTable(
         dgp_id=dgp_cfg.dgp_id,
         n_units=dgp_cfg.n_units,
@@ -366,7 +365,9 @@ def run_threshold_accuracy(dgp_cfg: DgpConfig, mc: McConfig, grid,
     """Mean and worst absolute threshold-location error over replications.
 
     Meant for configurations whose gamma scheme gives every unit a jump;
-    units skipped by the search simply contribute nothing.
+    units skipped by the search simply contribute nothing.  When every
+    replication fails there is no error to report, and a
+    ``NumericalError`` says so.
     """
     errors: list[float] = []
     failed = 0
@@ -375,17 +376,14 @@ def run_threshold_accuracy(dgp_cfg: DgpConfig, mc: McConfig, grid,
             failed += 1
         else:
             errors.extend(outcome)
-    if errors:
-        mean_err = float(np.mean(errors))
-        max_err = float(np.max(errors))
-    else:
-        mean_err = max_err = float("nan")
+    if failed == mc.reps:
+        raise NumericalError(f"every replication failed numerically ({failed} of {mc.reps})")
     return AccuracyTable(
         dgp_id=dgp_cfg.dgp_id,
         n_units=dgp_cfg.n_units,
         t_obs=dgp_cfg.t_obs,
         reps=mc.reps,
         failed=failed,
-        mean_abs_error=mean_err,
-        max_abs_error=max_err,
+        mean_abs_error=float(np.mean(errors)),
+        max_abs_error=float(np.max(errors)),
     )

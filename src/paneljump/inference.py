@@ -483,38 +483,6 @@ def test_homogeneity(panel: PanelData, threshold=0.0,
 # unknown threshold
 
 
-def _window_edges(xs: np.ndarray, grid: np.ndarray, b: float) -> np.ndarray:
-    """Edges in sorted ``xs`` of each grid point's windows, as the dense
-    code draws them: rows are the first index with (x - c)/b >= -1, the
-    first with (x - c)/b > 1, the first with x - c >= -b and the first
-    with x - c > b (kernel support, then variance window).
-
-    Each predicate is monotone in x, so a ``searchsorted`` guess is
-    corrected step by step; a step skips a whole run of tied x values.
-    """
-    k = grid.size
-    c = np.tile(grid, 4)
-    div = np.repeat([b, b, 1.0, 1.0], k)  # dividing by 1.0 is exact
-    lim = np.repeat([-1.0, 1.0, -b, b], k)
-    below = np.repeat([True, False, True, False], k)
-
-    def inside(v):  # true up to the edge, false from it on
-        q = (v - c) / div
-        return np.where(below, q < lim, q <= lim)
-
-    idx = np.searchsorted(xs, c + lim * div)
-    last = xs.size - 1
-    while True:
-        before = xs[np.maximum(idx - 1, 0)]
-        at = xs[np.minimum(idx, last)]
-        back = (idx > 0) & ~inside(before)
-        ahead = (idx <= last) & inside(at)
-        if not (back.any() or ahead.any()):
-            return idx.reshape(4, k)
-        idx = np.where(back, np.searchsorted(xs, before, "left"),
-                       np.where(ahead, np.searchsorted(xs, at, "right"), idx))
-
-
 def _scan_uniform(x: np.ndarray, y: np.ndarray, resid: np.ndarray, grid: np.ndarray,
                   b: float, a_trunc: float, floor: float):
     """Uniform-kernel statistics at every grid point from prefix sums.
@@ -522,8 +490,8 @@ def _scan_uniform(x: np.ndarray, y: np.ndarray, resid: np.ndarray, grid: np.ndar
     Mirrors ``estimate_jump``, ``sigma_e_sq_truncated`` and ``_unit_row``
     without forming a weight row: with the kernel constant, each side's
     fit needs only the windowed sums of 1, d, d^2, y and d y (d = x - c),
-    and its squared weight norm is S_dd / (n S_dd - S_d^2).  Window edges
-    reproduce the dense predicates exactly.  Sums run in numpy's long
+    and its squared weight norm is S_dd / (n S_dd - S_d^2).  The variance
+    window is the union of the two sides' windows.  Sums run in numpy's long
     double, recentred on the mean of x; where that is plain float64 the
     error bound below is wider and more points go to the dense solver.
 
@@ -536,8 +504,9 @@ def _scan_uniform(x: np.ndarray, y: np.ndarray, resid: np.ndarray, grid: np.ndar
     order = np.argsort(x, kind="stable")
     xs = x[order]
     n_obs, k = xs.size, grid.size
-    lo_m, hi_p, v_lo, v_hi = _window_edges(xs, grid, b)
-    lo_p = np.searchsorted(xs, grid, "left")  # d >= 0 exactly when x >= c
+    lo_m = np.searchsorted(xs, grid - b, "left")
+    lo_p = np.searchsorted(xs, grid, "left")
+    hi_p = np.searchsorted(xs, grid + b, "right")
 
     ld = np.longdouble
     centre = ld(xs.mean())
@@ -550,8 +519,8 @@ def _scan_uniform(x: np.ndarray, y: np.ndarray, resid: np.ndarray, grid: np.ndar
     prefix = np.zeros((n_obs + 1, len(terms)), dtype=ld)
     np.cumsum(np.stack(terms, axis=1), axis=0, out=prefix[1:])
     # Windows: plus sides, minus sides, then variance windows.
-    lo = np.concatenate((lo_p, lo_m, v_lo))
-    hi = np.concatenate((hi_p, lo_p, v_hi))
+    lo = np.concatenate((lo_p, lo_m, lo_m))
+    hi = np.concatenate((hi_p, lo_p, hi_p))
     win = prefix[hi] - prefix[lo]
     mag = prefix[hi] + prefix[lo]  # bounds the prefix sums' rounding
 
@@ -667,7 +636,9 @@ def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) 
     critical values for the total comparison count.  Residuals are taken
     from an undersmoothing pilot without jump removal, and squared
     residuals are truncated before averaging, so the unknown jump cannot
-    inflate the variance estimates.
+    inflate the variance estimates.  An explicit ``config.truncation`` at
+    or below every finite squared residual would cap them all, and is a
+    ``ConfigError``.
 
     With the uniform kernel and analytic critical values, a prefix-sum
     scan ranks every grid point and only the points that can be a unit's
@@ -713,14 +684,16 @@ def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) 
         except DegenerateEverywhere as exc:
             skipped.append(SkippedUnit(unit.unit_id, str(exc)))
 
-    if config.truncation is not None:
-        a_trunc = float(config.truncation)
+    pooled = np.concatenate([r[np.isfinite(r)] ** 2 for r in residuals.values()] or [np.empty(0)])
+    if config.truncation is None:
+        a_trunc = default_truncation(pooled, len(panel) * grid.size)
     else:
-        pooled = [r[np.isfinite(r)] ** 2 for r in residuals.values()]
-        a_trunc = default_truncation(
-            np.concatenate(pooled) if pooled else np.empty(0),
-            len(panel) * grid.size,
-        )
+        a_trunc = float(config.truncation)
+        if pooled.size and a_trunc <= pooled.min():
+            raise ConfigError(
+                f"truncation {a_trunc!r} is at or below every squared pilot "
+                f"residual (the smallest is {float(pooled.min())!r})"
+            )
 
     per_unit: list[UnitResult] = []
     blocks = []

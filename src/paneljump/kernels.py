@@ -1,10 +1,15 @@
 """Kernels and one-sided local linear threshold weights.
 
 Conventions used throughout:
-  * kernels live on [-1, 1] with the endpoints included, so a point at
-    exactly distance b from the centre still contributes;
+  * the window rule: an observation x is in the window of width b around
+    c when fl(c - b) <= x <= fl(c + b), the bounds rounded once; every
+    windowed computation (one-sided weights, windowed variance, residual
+    smoothing and the grid-search scan) tests these same bounds, so a
+    ``searchsorted`` on them finds exactly the dense windows;
   * the plus side is x >= c and the minus side is x < c, which puts a
     point sitting exactly on the threshold on the plus side;
+  * kernels live on [-1, 1] with the endpoints included, and inside the
+    window they are evaluated at clip((x - c) / b, -1, 1);
   * weights are returned as full-length vectors, zero off the own side.
 """
 
@@ -48,9 +53,7 @@ class KernelSpec:
 def eval_kernel(kernel: KernelSpec, u) -> np.ndarray:
     """Evaluate the kernel elementwise at ``u``, zero outside [-1, 1].
 
-    The support is closed: ``|u| == 1`` is inside.  Only the uniform kernel
-    is discontinuous there, and including the endpoint keeps window
-    membership consistent with the side sums.
+    The support is closed: ``|u| == 1`` is inside.
     """
     arr = np.asarray(u, dtype=float)
     inside = np.abs(arr) <= 1.0
@@ -97,10 +100,11 @@ def local_weights(x, c: float, b: float, kernel: KernelSpec, side: str) -> np.nd
         raise ConfigError(f"bandwidth must be positive, got {b}")
     x = np.asarray(x, dtype=float)
     d = x - c
-    mask = d >= 0.0 if side == "plus" else d < 0.0
-    kw = np.where(mask, eval_kernel(kernel, d / b), 0.0)
-    support = kw > 0.0
-    if np.unique(x[support]).size < 2:
+    mask = (x >= c) & (x <= c + b) if side == "plus" else (x < c) & (x >= c - b)
+    kw = np.zeros_like(d)
+    kw[mask] = eval_kernel(kernel, np.clip(d[mask] / b, -1.0, 1.0))
+    support = x[kw > 0.0]
+    if support.size == 0 or support.min() == support.max():
         raise InsufficientSupport(side, "fewer than 2 distinct in-support points")
     s0 = float(kw.sum())
     s1 = float(kw @ d)

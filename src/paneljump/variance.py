@@ -42,7 +42,8 @@ class SigmaC:
 
 
 def sigma_e_sq_truncated(resid, x, c: float, b: float, a_trunc: float) -> float:
-    """Windowed mean of min(a_trunc, residual^2) over |x - c| <= b.
+    """Windowed mean of min(a_trunc, residual^2) over the window of width b
+    around c (the kernels module's window rule).
 
     Capping each squared residual bounds the damage from isolated large
     residuals, e.g. those produced by smoothing across an unremoved jump;
@@ -56,7 +57,7 @@ def sigma_e_sq_truncated(resid, x, c: float, b: float, a_trunc: float) -> float:
         raise ConfigError(f"window width must be positive, got {b}")
     resid = np.asarray(resid, dtype=float)
     x = np.asarray(x, dtype=float)
-    vals = resid[(np.abs(x - c) <= b) & np.isfinite(resid)]
+    vals = resid[(x >= c - b) & (x <= c + b) & np.isfinite(resid)]
     if vals.size == 0:
         raise EmptyWindow(f"no usable residuals within {b} of c={c}")
     return float(np.mean(np.minimum(a_trunc, vals * vals)))

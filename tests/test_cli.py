@@ -221,6 +221,22 @@ class TestUsageErrors:
         assert code == 2
         assert "--workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, env", [(["--workers", "0"], "1"), (["--workers", "-1"], "1"),
+                                            ([], "0")], ids=["zero", "negative", "env-zero"])
+    def test_nonpositive_workers_is_usage_error(self, monkeypatch, capsys, flags, env):
+        monkeypatch.setenv("PANELJUMP_THREADS", env)
+        code = cli_main(["simulate", "--dgp", "1", "--n", "2", "--t", "30", "--reps", "1",
+                         "--bandwidth", "fixed:0.3", *flags])
+        assert code == 2
+        assert "workers must be positive" in capsys.readouterr().err
+
+    def test_truncation_below_every_residual(self, capsys):
+        code = cli_main(["threshold-search", "--data", str(GOLDEN_PANEL),
+                         "--threshold", "grid:0", "--truncation", "1e-320"])
+        assert code == 2
+        assert "truncation 1e-320 is at or below every squared pilot residual" in (
+            capsys.readouterr().err)
+
     def test_bad_workers_env_ignored_elsewhere(self, monkeypatch, capsys):
         monkeypatch.setenv("PANELJUMP_THREADS", "two")
         assert cli_main(["critical-value", "--n", "3"]) == 0
@@ -267,6 +283,13 @@ class TestNumericalFailures:
                          "--bandwidth", "fixed:0.4", "--threshold", "0.0"])
         assert code == 4
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_every_replication_failing(self, capsys):
+        code = cli_main(["simulate", "--dgp", "1", "--n", "2", "--t", "2", "--reps", "1"])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert "every replication failed numerically (1 of 1)" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("scale", [1e100, 1e-100])
     def test_extreme_covariate_scale(self, tmp_path, capsys, scale):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import paneljump.dgp
 from paneljump.bandwidth import BandwidthPolicy
-from paneljump.errors import ConfigError
+from paneljump.errors import ConfigError, NumericalError
 from paneljump.dgp import (
     AccuracyTable,
     DgpConfig,
@@ -253,6 +253,20 @@ class TestRunSizePower:
                 grid=[-0.4, 0.0, 0.4],
             )
 
+    def test_every_replication_failing_raises(self):
+        # Two observations per unit leave no local design on either side.
+        with pytest.raises(NumericalError, match=r"every replication failed .* \(2 of 2\)"):
+            run_size_power(DgpConfig(dgp_id=1, n_units=2, t_obs=2), McConfig(reps=2),
+                           config=FIXED)
+
+    def test_partial_failures_are_counted(self, monkeypatch):
+        outcomes = iter([None, {0.5: True}, {0.5: False}])
+        monkeypatch.setattr(paneljump.dgp, "_one_rep", lambda *args: next(outcomes))
+        tab = run_size_power(DgpConfig(dgp_id=1, n_units=2, t_obs=30), McConfig(reps=3),
+                             config=replace(FIXED, alphas=(0.5,)))
+        assert tab.failed == 1
+        assert tab.rates == {0.5: 0.5}
+
     def test_unknown_test_name(self):
         with pytest.raises(ValueError, match="existence"):
             run_size_power(
@@ -285,3 +299,8 @@ class TestRunThresholdAccuracy:
         b = run_threshold_accuracy(cfg, mc, grid, config=FIXED)
         assert a.mean_abs_error == b.mean_abs_error
         assert a.max_abs_error == b.max_abs_error
+
+    def test_every_replication_failing_raises(self):
+        with pytest.raises(NumericalError, match=r"every replication failed .* \(2 of 2\)"):
+            run_threshold_accuracy(DgpConfig(dgp_id=1, n_units=2, t_obs=2), McConfig(reps=2),
+                                   grid=[0.0], config=FIXED)

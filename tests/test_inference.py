@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import sys
 import warnings
 from dataclasses import replace
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 import paneljump.inference
-from paneljump.bandwidth import BandwidthPolicy
+from paneljump.bandwidth import BandwidthPolicy, pilot_bandwidth
 from paneljump.errors import (
     AllUnitsSkipped,
     DataError,
@@ -24,7 +25,7 @@ from paneljump.errors import (
     ZeroVariance,
 )
 from paneljump.dgp import DgpConfig, GammaScheme, gen_dgp
-from paneljump.estimator import estimate_jump
+from paneljump.estimator import estimate_jump, smooth_residuals
 from paneljump.inference import (
     critical_values,
     search_thresholds,
@@ -501,6 +502,20 @@ class TestSearchThresholds:
         with pytest.raises(ValueError, match="truncation"):
             Config(truncation=level)
         assert Config(truncation=np.inf).truncation == np.inf
+
+    def test_truncation_below_every_residual_rejected(self):
+        """A level at or below the smallest squared pilot residual caps them
+        all; a level just above it, inf and the default are accepted."""
+        panel = _noise_panel(n_units=2)
+        grid = [-0.2, 0.0, 0.2]
+        pilots = [smooth_residuals(u.y, u.x, pilot_bandwidth(u.x, 0.4), FIXED.kernel)
+                  for u in panel]
+        smallest = min(float(np.nanmin(r * r)) for r in pilots)
+        for level in (1e-320, smallest):
+            with pytest.raises(ConfigError, match=re.escape(f"(the smallest is {smallest!r})")):
+                search_thresholds(panel, grid, replace(FIXED, truncation=level))
+        for level in (np.nextafter(smallest, np.inf), np.inf, None):
+            search_thresholds(panel, grid, replace(FIXED, truncation=level))
 
     @pytest.mark.parametrize("grid", [[np.nan], [-0.2, np.inf], [-np.inf, 0.0]])
     def test_non_finite_grid_rejected(self, grid):

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from paneljump.errors import InsufficientSupport
+from paneljump.errors import EmptyWindow, InsufficientSupport
+from paneljump.estimator import smooth_residuals
 from paneljump.kernels import (
     KERNEL_KINDS,
     KernelSpec,
@@ -15,6 +16,7 @@ from paneljump.kernels import (
     eval_kernel,
     local_weights,
 )
+from paneljump.variance import sigma_e_sq_truncated
 
 UNIFORM = KernelSpec("uniform")
 
@@ -197,3 +199,47 @@ def test_weights_scale_equivariant():
     for s in (2.0, 0.125, 37.5):
         w1 = local_weights(s * x, s * 0.25, s * 0.5, KernelSpec("triangular"), "minus")
         np.testing.assert_allclose(w1, w0, atol=1e-10)
+
+
+def _edge_panel(c, b):
+    """Observations at fl(c - b), fl(c + b) and c, one ULP either side of
+    each, and interior points that keep both sides' designs regular."""
+    pivots = (c - b, c, c + b)
+    ulps = [np.nextafter(p, -np.inf) for p in pivots] + [np.nextafter(p, np.inf) for p in pivots]
+    interior = [c + f * b for f in (-0.5, -0.25, 0.25, 0.5)]
+    return np.unique(np.array([*pivots, *ulps, *interior]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    c=st.floats(min_value=-1.0, max_value=1.0),
+    b=st.floats(min_value=0.01, max_value=1.0),
+    offset=st.sampled_from([0.0, 1e4]),
+)
+# x = -0.0341396113661226 lies one ULP below fl(c - b), yet fl(x - c) / b
+# rounds to exactly -1.
+@example(c=0.2, b=0.2341396113661226, offset=0.0)
+def test_windows_agree_at_the_edges(c, b, offset):
+    """The one-sided weights, the windowed variance and the uniform
+    residual smooth all draw the window c - b <= x <= c + b, split at c."""
+    c += offset
+    x = _edge_panel(c, b)
+    inside = (c - b <= x) & (x <= c + b)
+    plus = inside & (x >= c)
+    minus = inside & (x < c)
+    np.testing.assert_array_equal(local_weights(x, c, b, UNIFORM, "plus") != 0.0, plus)
+    np.testing.assert_array_equal(local_weights(x, c, b, UNIFORM, "minus") != 0.0, minus)
+
+    at_c = int(np.flatnonzero(x == c)[0])
+    for i in range(x.size):
+        resid = np.full(x.size, np.nan)
+        resid[i] = 1.0
+        try:
+            counted = sigma_e_sq_truncated(resid, x, c, b, np.inf) == 1.0
+        except EmptyWindow:
+            counted = False
+        assert counted == inside[i]
+        if i != at_c:
+            # y is the indicator of x[i], so the fit at c is x[i]'s weight
+            r = smooth_residuals(np.eye(x.size)[i], x, b, UNIFORM)
+            assert (r[at_c] != 0.0) == inside[i]
