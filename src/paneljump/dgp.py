@@ -31,7 +31,6 @@ __all__ = [
     "McConfig",
     "RateTable",
     "AccuracyTable",
-    "gen_ma_inf",
     "gen_dgp",
     "inject_jumps",
     "run_size_power",
@@ -162,20 +161,14 @@ def _ma_coefficients(beta: float, lag: int) -> np.ndarray:
 
 def _ma_rows(n_series: int, t_obs: int, beta: float, lag: int,
              rng: np.random.Generator) -> np.ndarray:
-    """n_series independent unit-variance MA(lag) rows of length t_obs."""
+    """n_series independent MA(lag) rows of length t_obs, with coefficients
+    (k+1)^-(beta+1) normalised to unit variance and the warm-up discarded."""
     # Imported here: scipy.signal is slow to load and only the simulator needs it.
     from scipy.signal import fftconvolve
 
     a = _ma_coefficients(beta, lag)
     eta = rng.standard_normal((n_series, t_obs + lag))
     return fftconvolve(eta, a[None, :], mode="valid", axes=1)
-
-
-def gen_ma_inf(t_obs: int, beta: float, lag: int,
-               rng: np.random.Generator) -> np.ndarray:
-    """One MA series with coefficients (k+1)^-(beta+1), normalised to unit
-    variance, truncated at ``lag`` with the warm-up discarded."""
-    return _ma_rows(1, t_obs, beta, lag, rng)[0]
 
 
 def inject_jumps(n_units: int, t_obs: int, fraction: float, scale: float,

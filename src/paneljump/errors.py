@@ -10,6 +10,13 @@ own exit code:
     otherwise valid input.
 
 Any other exception is a fault in the program, not in its input.
+
+A failure gets its own subclass only when code tells it apart from the
+rest of its family: either ``src/`` catches it by type (the per-unit skips
+InsufficientSupport, EmptyWindow and DegenerateEverywhere, and
+TooFewObservations), or its constructor formats a message that many raise
+sites share (NonFiniteValue, with its ``row``).  Every other failure raises
+its family class with a message that names it.
 """
 
 from __future__ import annotations
@@ -22,16 +29,8 @@ __all__ = [
     "InsufficientSupport",
     "DegenerateEverywhere",
     "EmptyWindow",
-    "SingleUnit",
-    "ZeroVariance",
-    "AllUnitsSkipped",
     "TooFewObservations",
-    "NotPositiveSemidefinite",
-    "MissingColumn",
     "NonFiniteValue",
-    "DuplicateKey",
-    "EmptyUnit",
-    "IoFailure",
 ]
 
 
@@ -75,32 +74,8 @@ class EmptyWindow(NumericalError):
     """No usable residuals inside the variance window."""
 
 
-class SingleUnit(NumericalError):
-    """An operation that compares units received fewer than two."""
-
-
-class ZeroVariance(NumericalError):
-    """A unit carries a nonpositive variance estimate."""
-
-    def __init__(self, unit_id: str):
-        self.unit_id = unit_id
-        super().__init__(f"nonpositive variance for unit {unit_id!r}")
-
-
-class AllUnitsSkipped(NumericalError):
-    """Every unit in the panel was skipped; no statistic can be formed."""
-
-
 class TooFewObservations(NumericalError):
     """Not enough observations for bandwidth selection."""
-
-
-class NotPositiveSemidefinite(NumericalError):
-    """A correlation block is indefinite beyond numerical tolerance."""
-
-
-class MissingColumn(DataError):
-    """A required column is absent from the input file."""
 
 
 class NonFiniteValue(DataError):
@@ -113,16 +88,3 @@ class NonFiniteValue(DataError):
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
-
-
-class DuplicateKey(DataError):
-    """The same (unit, time) pair, or the same unit id in a panel or a
-    threshold file, appears more than once."""
-
-
-class EmptyUnit(DataError):
-    """A unit has no observations."""
-
-
-class IoFailure(DataError):
-    """Reading or writing a file failed at the OS level."""

@@ -22,6 +22,9 @@ __all__ = [
     "smooth_residuals",
 ]
 
+# Evaluation points per block on the dense (non-uniform kernel) path.
+_CHUNK = 256
+
 
 @dataclass
 class UnitJumpFit:
@@ -99,7 +102,7 @@ def _fitted_uniform(eval_points: np.ndarray, xs: np.ndarray, ys: np.ndarray,
 
 
 def _fitted_general(eval_points: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                    b: float, kernel: KernelSpec, chunk: int = 256) -> np.ndarray:
+                    b: float, kernel: KernelSpec) -> np.ndarray:
     """Chunked dense path for non-uniform kernels.
 
     Evaluation points are processed in sorted blocks so each block touches a
@@ -107,8 +110,8 @@ def _fitted_general(eval_points: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     """
     order = np.argsort(eval_points, kind="stable")
     out = np.full(eval_points.size, np.nan)
-    for start in range(0, order.size, chunk):
-        idx = order[start:start + chunk]
+    for start in range(0, order.size, _CHUNK):
+        idx = order[start:start + _CHUNK]
         u = eval_points[idx]
         w0 = int(np.searchsorted(xs, u.min() - b, side="left"))
         w1 = int(np.searchsorted(xs, u.max() + b, side="right"))

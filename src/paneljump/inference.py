@@ -18,16 +18,13 @@ from scipy.special import ndtri
 
 from .bandwidth import BandwidthPolicy, pilot_bandwidth, plugin_bandwidth, pooled_bandwidth
 from .errors import (
-    AllUnitsSkipped,
     ConfigError,
     DataError,
     DegenerateEverywhere,
     EmptyWindow,
     InsufficientSupport,
-    NotPositiveSemidefinite,
-    SingleUnit,
+    NumericalError,
     TooFewObservations,
-    ZeroVariance,
 )
 from .estimator import UnitJumpFit, estimate_jump, smooth_residuals
 from .kernels import KernelSpec, denominator_floor
@@ -234,7 +231,7 @@ def simulate_max_gaussian(n_comparisons: int, reps: int, seed: int,
 
     Raises
     ------
-    NotPositiveSemidefinite
+    NumericalError
         If a correlation block has an eigenvalue below -1e-8.
     """
     if sidedness not in SIDEDNESS:
@@ -248,7 +245,7 @@ def simulate_max_gaussian(n_comparisons: int, reps: int, seed: int,
         for uid, block in zip(sigma_c.unit_ids, sigma_c.blocks):
             vals, vecs = np.linalg.eigh(block)
             if vals.min() < -1e-8:
-                raise NotPositiveSemidefinite(
+                raise NumericalError(
                     f"correlation block for unit {uid!r} has eigenvalue {vals.min():.3e}"
                 )
             factors.append(vecs * np.sqrt(np.clip(vals, 0.0, None)))
@@ -376,7 +373,7 @@ def _analyze_unit(unit: PanelUnit, c: float, b: float, kernel: KernelSpec) -> Un
     resid = smooth_residuals(y, x, b, kernel, jump_removal=(c, fit.gamma_hat))
     row = _unit_row(unit, c, b, fit, sigma_e_sq_truncated(resid, x, c, b, np.inf), _v_floor(y))
     if not row.v_hat > 0.0:
-        raise ZeroVariance(unit.unit_id)
+        raise NumericalError(f"nonpositive variance for unit {unit.unit_id!r}")
     return row
 
 
@@ -388,7 +385,7 @@ def _fit_panel(panel: PanelData, threshold, config: TestConfig):
             "known-threshold tests need truncation=None"
         )
     if len(panel) == 0:
-        raise AllUnitsSkipped("empty panel")
+        raise NumericalError("empty panel")
     thresholds = _resolve_thresholds(panel, threshold)
     bandwidths, failures = _resolve_bandwidths(
         panel, thresholds, config.bandwidth, config.kernel
@@ -407,7 +404,7 @@ def _fit_panel(panel: PanelData, threshold, config: TestConfig):
             skipped.append(SkippedUnit(unit.unit_id, str(exc)))
     if not rows:
         detail = "; ".join(f"{s.unit_id}: {s.reason}" for s in skipped)
-        raise AllUnitsSkipped(f"no unit admits a jump fit ({detail})")
+        raise NumericalError(f"no unit admits a jump fit ({detail})")
     return rows, skipped
 
 
@@ -453,7 +450,7 @@ def test_homogeneity(panel: PanelData, threshold=0.0,
     _check_two_sided(config)
     rows, skipped = _fit_panel(panel, threshold, config)
     if len(rows) < 2:
-        raise SingleUnit("homogeneity comparison needs at least two units")
+        raise NumericalError("homogeneity comparison needs at least two units")
     gammas = np.array([r.gamma_hat for r in rows])
     center_value = float(np.mean(gammas) if config.center == "mean" else np.median(gammas))
     v_tildes = np.sqrt(v_tilde_sq(np.array([r.v_hat**2 for r in rows])))
@@ -664,7 +661,7 @@ def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) 
     if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
         raise ConfigError("grid must be strictly increasing")
     if len(panel) == 0:
-        raise AllUnitsSkipped("empty panel")
+        raise NumericalError("empty panel")
 
     c_mid = float(grid[grid.size // 2])
     bandwidths, failures = _resolve_bandwidths(
@@ -710,7 +707,7 @@ def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) 
         per_unit.append(row)
     if not per_unit:
         detail = "; ".join(f"{s.unit_id}: {s.reason}" for s in skipped)
-        raise AllUnitsSkipped(f"no unit admits a grid search ({detail})")
+        raise NumericalError(f"no unit admits a grid search ({detail})")
 
     statistic = float(np.max(_score(np.array([u.t_stat for u in per_unit]), config.sidedness)))
     n_comparisons = int(sum(np.count_nonzero(np.isfinite(u.stats)) for u in per_unit))

@@ -15,15 +15,7 @@ from io import StringIO
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DataError,
-    DuplicateKey,
-    EmptyUnit,
-    IoFailure,
-    MissingColumn,
-    NonFiniteValue,
-)
+from .errors import ConfigError, DataError, NonFiniteValue
 from .panel import PanelData, PanelUnit
 
 __all__ = [
@@ -78,7 +70,7 @@ def _records(path: str, delimiter: str):
                 yield line, row
                 line = reader.line_num + 1
     except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from None
+        raise DataError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:  # raised per decoded block, not per line
         with open(path, newline="", errors="surrogateescape") as fh:  # bad byte -> U+DCxx
             line = next((n for n, text in enumerate(fh, 1) if not text.isascii()
@@ -99,19 +91,23 @@ def read_panel_csv(path: str, schema: PanelSchema | None = None) -> PanelData:
 
     Raises
     ------
-    MissingColumn, NonFiniteValue, DuplicateKey, EmptyUnit, IoFailure
-        Row numbers in errors refer to physical file rows, header = row 1.
+    NonFiniteValue
+        A cell does not parse to a finite number, or a row is short.
+    DataError
+        The file cannot be read or decoded, is empty, lacks a column, or
+        repeats a (unit, time) pair.  Row numbers in errors refer to
+        physical file rows, header = row 1.
     """
     schema = schema or PanelSchema()
     records_in = _records(path, schema.delimiter)
     first = next(records_in, None)
     if first is None:
-        raise EmptyUnit(f"{path} is empty")
+        raise DataError(f"{path} is empty")
     header = [h.strip() for h in first[1]]
     idx = {}
     for col in (schema.unit_col, schema.time_col, schema.y_col, schema.x_col):
         if col not in header:
-            raise MissingColumn(f"column {col!r} not found in {path} (has {header})")
+            raise DataError(f"column {col!r} not found in {path} (has {header})")
         idx[col] = header.index(col)
 
     records: dict[str, list[tuple[str, float, float]]] = {}
@@ -132,7 +128,7 @@ def read_panel_csv(path: str, schema: PanelSchema | None = None) -> PanelData:
         x = _parse_number(row[idx[schema.x_col]].strip(), row_no, schema.x_col)
         records.setdefault(unit, []).append((time, y, x))
     if not records:
-        raise EmptyUnit(f"{path} has a header but no data rows")
+        raise DataError(f"{path} has a header but no data rows")
 
     units = []
     for unit_id in sorted(records):
@@ -141,7 +137,7 @@ def read_panel_csv(path: str, schema: PanelSchema | None = None) -> PanelData:
         obs.sort(key=key)
         for prev, curr in zip(obs, obs[1:]):
             if key(prev) == key(curr):
-                raise DuplicateKey(
+                raise DataError(
                     f"unit {unit_id!r} has duplicate time {curr[0]!r}"
                 )
         units.append(PanelUnit(
@@ -163,7 +159,7 @@ def read_threshold_csv(path: str, delimiter: str = ",") -> dict[str, float]:
     rows = [(row_no, r) for row_no, r in _records(path, delimiter)
             if r and any(c.strip() for c in r)]
     if not rows:
-        raise EmptyUnit(f"{path} is empty")
+        raise DataError(f"{path} is empty")
     out: dict[str, float] = {}
     for row_no, row in rows:
         if len(row) < 2:
@@ -178,10 +174,10 @@ def read_threshold_csv(path: str, delimiter: str = ",") -> dict[str, float]:
         if not math.isfinite(c):
             raise NonFiniteValue(row_no, f"c={row[1]!r}")
         if unit in out:
-            raise DuplicateKey(f"unit {unit!r} listed twice in {path}")
+            raise DataError(f"unit {unit!r} listed twice in {path}")
         out[unit] = c
     if not out:
-        raise EmptyUnit(f"{path} has no data rows")
+        raise DataError(f"{path} has no data rows")
     return out
 
 
@@ -256,5 +252,5 @@ def write_report(result, output_format: str = "csv",
             with open(path, "w", newline="") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise IoFailure(f"cannot write {path}: {exc}") from None
+            raise DataError(f"cannot write {path}: {exc}") from None
     return text

@@ -92,7 +92,8 @@ def local_weights(x, c: float, b: float, kernel: KernelSpec, side: str) -> np.nd
     ------
     InsufficientSupport
         If fewer than two distinct covariate values carry kernel weight on
-        the requested side, or the design denominator falls below its floor.
+        the requested side, or the design denominator is not above its
+        floor (a NaN denominator included).
     """
     if side not in ("plus", "minus"):
         raise ConfigError(f"side must be 'plus' or 'minus', got {side!r}")
@@ -110,6 +111,6 @@ def local_weights(x, c: float, b: float, kernel: KernelSpec, side: str) -> np.nd
     s1 = float(kw @ d)
     s2 = float(kw @ (d * d))
     den = s2 * s0 - s1 * s1
-    if den <= denominator_floor(s0, s2):
+    if not den > denominator_floor(s0, s2):  # also rejects a NaN from overflowing sums
         raise InsufficientSupport(side, "singular local design")
     return kw * (s2 - d * s1) / den

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DuplicateKey, EmptyUnit, NonFiniteValue
+from .errors import ConfigError, DataError, NonFiniteValue
 
 __all__ = ["PanelUnit", "PanelData"]
 
@@ -33,7 +33,7 @@ class PanelUnit:
                 f"({self.y.size} vs {self.x.size})"
             )
         if self.y.size == 0:
-            raise EmptyUnit(f"unit {self.unit_id!r} has no observations")
+            raise DataError(f"unit {self.unit_id!r} has no observations")
         for name, values in (("y", self.y), ("x", self.x)):
             finite = np.isfinite(values)
             if not finite.all():
@@ -53,7 +53,7 @@ class PanelData:
         seen: set[str] = set()
         for u in self.units:
             if u.unit_id in seen:
-                raise DuplicateKey(f"unit id {u.unit_id!r} appears more than once")
+                raise DataError(f"unit id {u.unit_id!r} appears more than once")
             seen.add(u.unit_id)
 
     def __len__(self) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyWindow, SingleUnit
+from .errors import ConfigError, EmptyWindow, NumericalError
 
 __all__ = [
     "SigmaC",
@@ -98,7 +98,7 @@ def v_tilde_sq(v_sqs) -> np.ndarray:
     v = np.asarray(v_sqs, dtype=float)
     n = v.size
     if n < 2:
-        raise SingleUnit("centred scale needs at least two units")
+        raise NumericalError("centred scale needs at least two units")
     others = v.sum() - v
     return (1.0 - 1.0 / n) ** 2 * v + others / n**2
 

@@ -506,8 +506,11 @@ class TestModuleEntry:
                     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                     assert getattr(exc, "id", None) != "ValueError", f"{where} raises ValueError"
                 for field in ("id", "name", "attr"):
-                    assert getattr(node, field, None) not in ("UsageError", "InvalidAlpha"), \
-                        f"{where} names {getattr(node, field)}"
+                    assert getattr(node, field, None) not in (
+                        "UsageError", "InvalidAlpha", "SingleUnit", "ZeroVariance",
+                        "AllUnitsSkipped", "NotPositiveSemidefinite", "MissingColumn",
+                        "DuplicateKey", "EmptyUnit", "IoFailure",
+                    ), f"{where} names {getattr(node, field)}"
 
     def test_all_names_are_defined_in_their_module(self):
         # Traced benchmark runs call getattr on every __all__ entry, so a

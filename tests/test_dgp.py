@@ -18,8 +18,8 @@ from paneljump.dgp import (
     GammaScheme,
     McConfig,
     RateTable,
+    _ma_rows,
     gen_dgp,
-    gen_ma_inf,
     inject_jumps,
     run_size_power,
     run_threshold_accuracy,
@@ -31,23 +31,23 @@ FIXED = Config(bandwidth=BandwidthPolicy.fixed(0.3))
 
 class TestMaGenerator:
     def test_length(self):
-        s = gen_ma_inf(250, 1.5, 100, np.random.default_rng(0))
+        s = _ma_rows(1, 250, 1.5, 100, np.random.default_rng(0))[0]
         assert s.shape == (250,)
 
     def test_unit_variance(self):
         """Coefficients are normalised so the process variance is one."""
-        s = gen_ma_inf(30_000, 1.5, 100, np.random.default_rng(1))
+        s = _ma_rows(1, 30_000, 1.5, 100, np.random.default_rng(1))[0]
         assert np.var(s) == pytest.approx(1.0, abs=0.1)
 
     def test_positive_autocorrelation(self):
-        s = gen_ma_inf(30_000, 1.5, 100, np.random.default_rng(2))
+        s = _ma_rows(1, 30_000, 1.5, 100, np.random.default_rng(2))[0]
         rho1 = np.corrcoef(s[:-1], s[1:])[0, 1]
         # theoretical lag-1 autocorrelation for this decay is about 0.18
         assert rho1 > 0.1
 
     def test_deterministic_given_rng_seed(self):
-        a = gen_ma_inf(100, 1.5, 50, np.random.default_rng(7))
-        b = gen_ma_inf(100, 1.5, 50, np.random.default_rng(7))
+        a = _ma_rows(1, 100, 1.5, 50, np.random.default_rng(7))[0]
+        b = _ma_rows(1, 100, 1.5, 50, np.random.default_rng(7))[0]
         np.testing.assert_array_equal(a, b)
 
 

@@ -15,14 +15,11 @@ from scipy import stats as sps
 import paneljump.inference
 from paneljump.bandwidth import BandwidthPolicy, pilot_bandwidth
 from paneljump.errors import (
-    AllUnitsSkipped,
     DataError,
-    DuplicateKey,
     EmptyWindow,
     ConfigError,
     InsufficientSupport,
-    SingleUnit,
-    ZeroVariance,
+    NumericalError,
 )
 from paneljump.dgp import DgpConfig, GammaScheme, gen_dgp
 from paneljump.estimator import estimate_jump, smooth_residuals
@@ -82,7 +79,7 @@ class TestStatExistence:
 
     def test_zero_variance_names_unit(self, pin_scale):
         pin_scale(np.nan)
-        with pytest.raises(ZeroVariance, match="u9"):
+        with pytest.raises(NumericalError, match="nonpositive variance for unit 'u9'"):
             run_existence(_step_panel({"u9": 1.0}), 0.0, STEP)
 
 
@@ -112,7 +109,8 @@ class TestStatHomogeneity:
         x = np.linspace(-1.0, 1.0, 100)
         units = [PanelUnit(unit_id="ok", y=1.0 * (x >= 0.0), x=x),
                  PanelUnit(unit_id="bad", y=np.ones(30), x=np.linspace(0.1, 1.0, 30))]
-        with pytest.raises(SingleUnit):
+        with pytest.raises(NumericalError,
+                           match="homogeneity comparison needs at least two units"):
             run_homogeneity(PanelData(units), 0.0, STEP)
 
 
@@ -338,7 +336,7 @@ class TestExistencePipeline:
         """Per-unit results are keyed by id, so a repeated id would let
         one unit overwrite another."""
         units = _noise_panel(n_units=2).units
-        with pytest.raises(DuplicateKey, match="'u0'"):
+        with pytest.raises(DataError, match="unit id 'u0' appears more than once"):
             PanelData([units[0], PanelUnit(unit_id="u0", y=units[1].y, x=units[1].x)])
 
     @pytest.mark.parametrize("run", [run_existence, run_homogeneity])
@@ -353,7 +351,7 @@ class TestExistencePipeline:
             PanelUnit(unit_id="a", y=np.ones(30), x=np.linspace(0.1, 1.0, 30)),
             PanelUnit(unit_id="b", y=np.ones(30), x=np.linspace(0.2, 1.1, 30)),
         ]
-        with pytest.raises(AllUnitsSkipped):
+        with pytest.raises(NumericalError, match="no unit admits a jump fit"):
             run_existence(PanelData(units), 0.0, FIXED)
 
     def test_partial_skip_reported(self):
@@ -413,7 +411,8 @@ class TestHomogeneityPipeline:
         assert result.reject[0.01]
 
     def test_single_unit_panel_rejected(self):
-        with pytest.raises(SingleUnit):
+        with pytest.raises(NumericalError,
+                           match="homogeneity comparison needs at least two units"):
             run_homogeneity(_noise_panel(n_units=1), 0.0, FIXED)
 
     def test_truncation_is_rejected(self):
@@ -482,6 +481,18 @@ class TestSearchThresholds:
         unit = result.per_unit[0]
         assert unit.stats[0] == unit.stats[1]
         assert unit.threshold == -5.0
+
+    def test_overflowing_design_fails_instead_of_nan(self):
+        """A grid point whose design sums overflow is unusable; with no
+        usable point left the search raises rather than report NaN."""
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-1.0, 1.0, 300)
+        y = np.cos(x) + 0.02 * rng.standard_normal(300)
+        panel = PanelData([PanelUnit("a", y, x * 4e152)])
+        cfg = Config(bandwidth=BandwidthPolicy.fixed(4e152))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match="no unit admits a grid search"):
+            search_thresholds(panel, [-0.8e152, 0.0, 0.8e152], cfg)
 
     def test_spacing_warning_flag(self):
         # The flag is the only channel: no Python warning is issued.

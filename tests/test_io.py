@@ -9,14 +9,7 @@ import numpy as np
 import pytest
 
 from paneljump.dgp import AccuracyTable, RateTable
-from paneljump.errors import (
-    DataError,
-    DuplicateKey,
-    EmptyUnit,
-    IoFailure,
-    MissingColumn,
-    NonFiniteValue,
-)
+from paneljump.errors import DataError, NonFiniteValue
 from paneljump.inference import (
     SkippedUnit,
     ThresholdSearchResult,
@@ -94,7 +87,7 @@ class TestReadPanelCsv:
 
     def test_missing_column(self, tmp_path):
         path = _write(tmp_path, "p.csv", "unit,time,y\na,1,0.1\n")
-        with pytest.raises(MissingColumn, match="'x'"):
+        with pytest.raises(DataError, match="column 'x' not found"):
             read_panel_csv(path)
 
     def test_bad_value_reports_physical_row(self, tmp_path):
@@ -128,19 +121,19 @@ class TestReadPanelCsv:
     def test_duplicate_key(self, tmp_path):
         path = _write(tmp_path, "p.csv",
                       "unit,time,y,x\na,1,0.1,0.2\na,1,0.3,0.4\n")
-        with pytest.raises(DuplicateKey, match="'a'"):
+        with pytest.raises(DataError, match="unit 'a' has duplicate time '1'"):
             read_panel_csv(path)
 
     def test_empty_file(self, tmp_path):
-        with pytest.raises(EmptyUnit):
+        with pytest.raises(DataError, match="p.csv is empty"):
             read_panel_csv(_write(tmp_path, "p.csv", ""))
 
     def test_header_only(self, tmp_path):
-        with pytest.raises(EmptyUnit, match="no data rows"):
+        with pytest.raises(DataError, match="has a header but no data rows"):
             read_panel_csv(_write(tmp_path, "p.csv", "unit,time,y,x\n"))
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(IoFailure, match="cannot read"):
+        with pytest.raises(DataError, match="cannot read"):
             read_panel_csv(str(tmp_path / "absent.csv"))
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
@@ -171,7 +164,7 @@ class TestReadThresholdCsv:
 
     def test_duplicate_unit(self, tmp_path):
         path = _write(tmp_path, "c.csv", "a,0.5\na,0.6\n")
-        with pytest.raises(DuplicateKey, match="'a'"):
+        with pytest.raises(DataError, match="unit 'a' listed twice"):
             read_threshold_csv(path)
 
     def test_bad_number_in_body(self, tmp_path):
@@ -198,7 +191,7 @@ class TestReadThresholdCsv:
             read_threshold_csv(_write(tmp_path, "c.csv", "a\n"))
 
     def test_empty(self, tmp_path):
-        with pytest.raises(EmptyUnit):
+        with pytest.raises(DataError, match="c.csv is empty"):
             read_threshold_csv(_write(tmp_path, "c.csv", ""))
 
 
@@ -333,7 +326,7 @@ class TestWriteReport:
         assert (tmp_path / "out.csv").read_text() == text
 
     def test_unwritable_path(self, tmp_path):
-        with pytest.raises(IoFailure, match="cannot write"):
+        with pytest.raises(DataError, match="cannot write"):
             write_report(_existence_result(), "csv",
                          str(tmp_path / "no" / "such" / "dir.csv"))
 

@@ -149,6 +149,14 @@ class TestLocalWeights:
         with pytest.raises(InsufficientSupport, match="singular"):
             local_weights([0.5, 0.5 + 1e-9], 0.0, 1.0, UNIFORM, "plus")
 
+    def test_overflowing_design_is_singular(self):
+        # At |x| near 1e152 the side sums overflow and the design
+        # denominator is NaN; that is no usable design, not NaN weights.
+        x = np.random.default_rng(0).uniform(-1.0, 1.0, 300) * 4e152
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(InsufficientSupport, match="singular local design"):
+            local_weights(x, -8e151, 4e152, UNIFORM, "plus")
+
 
 # dyadic grids keep the identity checks exact in floating point
 _dyadic = st.integers(min_value=-256, max_value=256).map(lambda k: k / 256.0)

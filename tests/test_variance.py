@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from paneljump.errors import EmptyWindow, SingleUnit
+from paneljump.errors import EmptyWindow, NumericalError
 from paneljump.kernels import KernelSpec, local_weights
 from paneljump.variance import (
     default_truncation,
@@ -129,7 +129,7 @@ class TestVTildeSq:
         assert v_tilde_sq(v)[17] == pytest.approx(2.0, abs=1e-4)
 
     def test_single_unit_rejected(self):
-        with pytest.raises(SingleUnit):
+        with pytest.raises(NumericalError, match="centred scale needs at least two units"):
             v_tilde_sq([1.0])
 
 
