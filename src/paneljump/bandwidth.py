@@ -7,10 +7,23 @@ estimate supplies the design density, and a kernel-specific boundary
 constant ties them together.  The selector is deliberately simple; it is
 judged by the size and power it delivers downstream, not by bandwidth
 optimality per se.
+
+The plugin rule runs once per unit, so it avoids numpy's convenience
+wrappers, whose per-call overhead was most of its cost: one sort of the
+covariate gives its range, each side's distinct-value count and the
+quartiles, and the quartic fits are done with plain array operations and
+one ``lstsq`` call per side.  Each step replays the floating-point
+operations of the library call it replaces (``np.unique``,
+``np.percentile``, ``np.polynomial.Polynomial.fit`` with its evaluation and
+second derivative, ``np.clip``) on the same operands in the same order, so
+the bandwidths, errors and rank warnings are bit-identical to the rule
+written with those calls; ``tests/test_bandwidth.py`` holds that reference
+and checks it under hypothesis.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +50,8 @@ _CURV_FLOOR = 0.1
 
 # Neighbours each sample point keeps inside the pilot window.
 _PILOT_MIN_POINTS = 10
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -109,10 +124,67 @@ def boundary_constant(kind: str) -> float:
 
 
 def _quartic_side(y: np.ndarray, d: np.ndarray):
-    """Quartic fit in the centred covariate; returns (rss, curvature at 0)."""
-    poly = np.polynomial.Polynomial.fit(d, y, 4)
-    resid = y - poly(d)
-    return float(resid @ resid), float(poly.deriv(2)(0.0))
+    """Quartic fit in the centred covariate; returns (rss, curvature at 0).
+
+    The steps are those of ``np.polynomial.Polynomial.fit(d, y, 4)``, of
+    evaluating the fit at ``d`` and of ``.deriv(2)(0.0)``, replayed in
+    numpy 2's order: the domain [min d, max d] (widened by 1 each way when
+    the two are equal) is mapped onto [-1, 1] as ``mapparms`` does, in
+    numpy scalars, so a span that rounds to 0 divides as numpy does; the
+    Vandermonde rows are built by successive multiplication as in
+    ``polyvander``; the columns are scaled to unit norm (a zero norm stays
+    1) and solved by ``lstsq`` with ``rcond = len(d) * eps``, warning
+    ``RankWarning`` on a rank below 5; the fit is evaluated by
+    ``polyval``'s Horner recursion and differentiated by
+    ``polyder(c, 2, scl)``'s two scale-and-multiply passes before being
+    evaluated at the mapped 0.  Every floating-point operation, operand
+    and order matches the library's, so the results are bit-identical to
+    it without its wrappers' per-call overhead.
+    """
+    lo, hi = d.min(), d.max()
+    if lo == hi:
+        lo, hi = lo - 1.0, hi + 1.0
+    span = hi - lo
+    off = (-hi - lo) / span
+    scl = 2.0 / span
+    u = off + scl * d
+    x = u + 0.0  # the fit's copy of its abscissae: -0.0 becomes 0.0
+    van = np.empty((5, d.size))
+    van[0] = x * 0 + 1
+    van[1] = x
+    for k in range(2, 5):
+        np.multiply(van[k - 1], x, out=van[k])
+    norms = np.sqrt(np.square(van).sum(1))
+    norms[norms == 0] = 1
+    coef, _, rank, _ = np.linalg.lstsq(van.T / norms, y + 0.0, d.size * _EPS)
+    coef = coef / norms
+    if rank != 5:
+        warnings.warn("The fit may be poorly conditioned", np.exceptions.RankWarning,
+                      stacklevel=2)
+    fit = coef[4] + u * 0  # polyval starts from c[-1] + x * 0
+    for k in (3, 2, 1, 0):
+        fit = coef[k] + fit * u
+    resid = y - fit
+    c = coef * scl
+    d2 = (2 * c[2] * scl, 2 * (3 * c[3] * scl), 3 * (4 * c[4] * scl))
+    z = off + scl * 0.0
+    curv = d2[0] + (d2[1] + (d2[2] + z * 0) * z) * z
+    return float(resid @ resid), float(curv)
+
+
+def _quartile(ds: np.ndarray, q: float):
+    """numpy's ``linear`` percentile of the sorted array ``ds`` at q in (0, 1).
+
+    Replays ``np.percentile``: virtual index (n - 1) q, then ``_lerp``
+    between its neighbours, from the upper one when the weight is 0.5 or
+    more.  Needs an interior index, which n >= 2 and 0 < q < 1 give.
+    """
+    pos = (ds.size - 1) * q
+    k = int(pos)
+    t = pos - k
+    below, above = ds[k], ds[k + 1]
+    step = above - below
+    return above - step * (1 - t) if t >= 0.5 else below + step * t
 
 
 def plugin_bandwidth(y, x, c: float, kernel: KernelSpec,
@@ -129,6 +201,12 @@ def plugin_bandwidth(y, x, c: float, kernel: KernelSpec,
     up; the result is then clamped into ``bounds`` times the covariate
     range.  Deterministic in its inputs.
 
+    One sort of x gives the covariate range, each side's distinct-value
+    count and the quartiles; the quartic fits keep the input order.  The
+    bandwidth is bit-identical to the same rule computed with
+    ``np.unique``, ``np.percentile``, ``np.polynomial.Polynomial.fit`` and
+    ``np.clip`` (see ``_quartic_side`` and ``_quartile``).
+
     Raises
     ------
     TooFewObservations
@@ -142,15 +220,20 @@ def plugin_bandwidth(y, x, c: float, kernel: KernelSpec,
     t_obs = x.size
     if t_obs < _MIN_OBS:
         raise TooFewObservations(f"need at least {_MIN_OBS} observations, got {t_obs}")
-    x_range = float(x.max() - x.min())
+    xs = np.sort(x)
+    x_range = float(xs[-1] - xs[0])
     if x_range <= 0.0:
         raise TooFewObservations("degenerate covariate range")
     d = x - c
+    ds = xs - c  # d sorted: x -> x - c never reorders
+    split = int(np.searchsorted(ds, 0.0))  # minus side x < c, then plus side
+    first = np.ones(t_obs, dtype=bool)  # each value's first place, so also split
+    np.not_equal(xs[1:], xs[:-1], out=first[1:])
     plus = d >= 0.0
     rss = 0.0
     curvs = []
-    for side_mask in (plus, ~plus):
-        if np.unique(x[side_mask]).size < _MIN_SIDE:
+    for side_mask, part in ((plus, slice(split, None)), (~plus, slice(0, split))):
+        if np.count_nonzero(first[part]) < _MIN_SIDE:
             raise TooFewObservations(
                 f"need at least {_MIN_SIDE} distinct covariate values per side"
             )
@@ -165,7 +248,7 @@ def plugin_bandwidth(y, x, c: float, kernel: KernelSpec,
 
     # Silverman rule-of-thumb density estimate at the threshold.
     spread = float(np.std(d))
-    q75, q25 = np.percentile(d, [75.0, 25.0])
+    q75, q25 = _quartile(ds, 0.75), _quartile(ds, 0.25)
     iqr_scale = (q75 - q25) / 1.34
     width = min(spread, iqr_scale) if iqr_scale > 0.0 else spread
     h_dens = 0.9 * width * t_obs ** (-0.2)
@@ -179,7 +262,7 @@ def plugin_bandwidth(y, x, c: float, kernel: KernelSpec,
             f"density x curvature^2 = {dens_curv_sq} leaves float range at this covariate scale"
         )
     raw = boundary_constant(kernel.kind) * (sigma_sq / dens_curv_sq) ** 0.2 * t_obs ** (-0.2)
-    return float(np.clip(raw, lo * x_range, hi * x_range))
+    return float(min(max(raw, lo * x_range), hi * x_range))
 
 
 def pooled_bandwidth(bandwidths, clamp: tuple[float, float] | None = None) -> float:
@@ -196,7 +279,7 @@ def pooled_bandwidth(bandwidths, clamp: tuple[float, float] | None = None) -> fl
         raise ConfigError("bandwidths must be positive")
     pooled = float(np.exp(np.mean(np.log(bs))))
     if clamp is not None:
-        pooled = float(np.clip(pooled, clamp[0], clamp[1]))
+        pooled = float(min(max(pooled, clamp[0]), clamp[1]))
     return pooled
 
 

@@ -10,6 +10,16 @@ structure with serially correlated components (2, 3), and progressively
 stronger factor dominance (4, 5, 6).  Serial dependence comes from a
 truncated MA(infinity) filter with polynomially decaying coefficients.
 
+Deviation: the heteroskedastic designs (all but 2) use
+sigma_j(X, U) = 1 + (0.375 - 0.25 |clip(X, -1, 1)|) 1.5^(2U), with the |X|
+term read at X clipped to [-1, 1].  Read unclipped, the bracket turns
+negative once |X| > 1.5, and the factor-driven covariates of designs 3-6
+reach that often enough that sigma went non-positive on most draws (38 or
+39 of 40 seeds at 100 x 200 for each of designs 4-6).  Design 1 draws X
+from U[-1, 1], where the clip changes nothing, and design 2 is
+homoskedastic, so both generate the same panels bit for bit as without
+the clip.
+
 Replication r of a Monte Carlo run draws its seed from (base_seed, r), so
 tables are reproducible bit for bit and independent of execution order.
 """
@@ -192,10 +202,12 @@ def inject_jumps(n_units: int, t_obs: int, fraction: float, scale: float,
 
 
 def _sigma_hetero(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    s = 1.0 + (0.375 - 0.25 * np.abs(x)) * np.power(1.5, 2.0 * u)
-    if not np.all(s > 0.0):
-        raise NumericalError("volatility surface not positive on a draw")
-    return s
+    """sigma = 1 + (0.375 - 0.25 |clip(X, -1, 1)|) 1.5^(2U), at least 1.
+
+    The |X| term is read at X clipped to [-1, 1] (a deviation; see the
+    module docstring), so the bracket stays in [0.125, 0.375].
+    """
+    return 1.0 + (0.375 - 0.25 * np.abs(np.clip(x, -1.0, 1.0))) * np.power(1.5, 2.0 * u)
 
 
 def gen_dgp(cfg: DgpConfig) -> tuple[PanelData, np.ndarray, np.ndarray]:

@@ -493,8 +493,9 @@ def _scan_uniform(x: np.ndarray, y: np.ndarray, resid: np.ndarray, grid: np.ndar
     error bound below is wider and more points go to the dense solver.
 
     Returns the statistic per grid point (NaN where the scan finds the
-    point unusable) and a mask of points to solve densely: those whose
-    validity hinges on the singular-design floor, and valid ones whose
+    point unusable, including where the dense solver's float64 sums would
+    overflow) and a mask of points to solve densely: those whose validity
+    hinges on the singular-design floor or on that overflow, and valid ones whose
     first-order error bound, covering the scan's prefix sums and the
     dense solver's own rounding, exceeds ``_SCAN_RTOL`` relative.
     """
@@ -553,8 +554,17 @@ def _scan_uniform(x: np.ndarray, y: np.ndarray, resid: np.ndarray, grid: np.ndar
         den_floor = denominator_floor(n / 2, s2 / 2)
         distinct = ((hi[sides] - lo[sides] >= 2)
                     & (xs[np.minimum(lo[sides], n_obs - 1)] < xs[np.maximum(hi[sides] - 1, 0)]))
-        solvable = distinct & (den / 4 > den_floor)
-        near_floor = np.abs(den / 4 - den_floor) <= np.maximum(_FLOOR_RTOL * den_floor, e_den / 4)
+        # The dense solver's float64 sums overflow where its s0 s2 = n s2 / 4
+        # leaves the float range, and its design is then singular; the long
+        # double sums here do not overflow, so such points are invalid, and
+        # those the error bound cannot place go to the dense solver.
+        f_max = np.finfo(float).max
+        overflows = n * (s2 - e_s2) / 4 > f_max
+        in_range = np.maximum(1, n / 4) * (s2 + e_s2) < f_max / 2
+        solvable = distinct & (den / 4 > den_floor) & ~overflows
+        borderline = ((np.abs(den / 4 - den_floor)
+                       <= np.maximum(_FLOOR_RTOL * den_floor, e_den / 4))
+                      | ~(overflows | in_range))
 
         cnt = win[2 * k:, 8]
         sigma_e_sq = win[2 * k:, 7] / cnt
@@ -575,7 +585,7 @@ def _scan_uniform(x: np.ndarray, y: np.ndarray, resid: np.ndarray, grid: np.ndar
     possible = distinct[plus] & distinct[minus] & (cnt > 0)
     valid = solvable[plus] & solvable[minus] & (cnt > 0)
     t[~valid] = np.nan
-    unsure = possible & (near_floor[plus] | near_floor[minus] | (valid & ~(rel <= _SCAN_RTOL)))
+    unsure = possible & (borderline[plus] | borderline[minus] | (valid & ~(rel <= _SCAN_RTOL)))
     return t, unsure
 
 

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from paneljump.bandwidth import (
     DEFAULT_BOUNDS,
     BandwidthPolicy,
+    _quartile,
     boundary_constant,
     pilot_bandwidth,
     plugin_bandwidth,
@@ -164,6 +168,130 @@ class TestPluginBandwidth:
     def test_degenerate_range(self):
         with pytest.raises(TooFewObservations, match="range"):
             plugin_bandwidth(np.zeros(25), np.full(25, 0.7), 0.0, UNIFORM)
+
+
+def _reference_plugin_bandwidth(y, x, c, kernel, bounds=DEFAULT_BOUNDS):
+    """The plugin rule written with numpy's library calls: ``np.unique``
+    for the per-side distinct counts, ``Polynomial.fit`` for the quartic
+    fits, ``np.percentile`` for the quartiles and ``np.clip`` for the
+    bounds.  ``plugin_bandwidth`` replays these calls' arithmetic."""
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    t_obs = x.size
+    if t_obs < 20:
+        raise TooFewObservations(f"need at least 20 observations, got {t_obs}")
+    x_range = float(x.max() - x.min())
+    if x_range <= 0.0:
+        raise TooFewObservations("degenerate covariate range")
+    d = x - c
+    plus = d >= 0.0
+    rss = 0.0
+    curvs = []
+    for side_mask in (plus, ~plus):
+        if np.unique(x[side_mask]).size < 5:
+            raise TooFewObservations("need at least 5 distinct covariate values per side")
+        poly = np.polynomial.Polynomial.fit(d[side_mask], y[side_mask], 4)
+        resid = y[side_mask] - poly(d[side_mask])
+        rss += float(resid @ resid)
+        curvs.append(float(poly.deriv(2)(0.0)))
+    sigma_sq = rss / max(t_obs - 10, 1)
+    lo, hi = bounds
+    if sigma_sq <= 0.0:
+        return lo * x_range
+    spread = float(np.std(d))
+    q75, q25 = np.percentile(d, [75.0, 25.0])
+    iqr_scale = (q75 - q25) / 1.34
+    width = min(spread, iqr_scale) if iqr_scale > 0.0 else spread
+    h_dens = 0.9 * width * t_obs ** (-0.2)
+    dens = float(np.mean(np.exp(-0.5 * (d / h_dens) ** 2)) / (h_dens * np.sqrt(2.0 * np.pi)))
+    curv = max(abs(curvs[0] - curvs[1]), 0.1 * np.sqrt(sigma_sq) / x_range**2)
+    dens_curv_sq = dens * curv * curv
+    if not 0.0 < dens_curv_sq < np.inf:
+        raise TooFewObservations(
+            f"density x curvature^2 = {dens_curv_sq} leaves float range at this covariate scale"
+        )
+    raw = boundary_constant(kernel.kind) * (sigma_sq / dens_curv_sq) ** 0.2 * t_obs ** (-0.2)
+    return float(np.clip(raw, lo * x_range, hi * x_range))
+
+
+def _outcome(select, *args):
+    """(bandwidth or (exception type, message), RankWarning count)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = select(*args)
+        except Exception as exc:  # noqa: BLE001 - compared, not handled
+            value = (type(exc), str(exc))
+    return value, sum(issubclass(w.category, np.exceptions.RankWarning) for w in caught)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    t_obs=st.sampled_from([12, 20, 23, 35, 59, 120, 199]),
+    levels=st.sampled_from([0, 40, 12, 4]),
+    cluster=st.booleans(),
+    cube=st.booleans(),
+    scale=st.sampled_from([1e-6, 1e-3, 0.5, 1.0, 1e3, 1e6]),
+    offset=st.sampled_from([0.0, 1e3, -7.5]),
+    at=st.sampled_from([0.5, 0.3, 0.7, 0.4, 0.6, 0.04, 0.96, 0.0, 1.0]),
+    kind=st.sampled_from(["uniform", "triangular", "epanechnikov"]),
+    bounds=st.sampled_from([DEFAULT_BOUNDS, (0.2, 0.5)]),
+)
+def test_plugin_bandwidth_matches_library_reference(seed, t_obs, levels, cluster, cube, scale,
+                                                    offset, at, kind, bounds):
+    """Bit-identical to the rule written with numpy's library calls, with
+    the same exception and message and the same RankWarning count.  Cases
+    cover tied covariates (``levels``), clusters 1e-13 wide that leave the
+    scaled Vandermonde matrix rank-deficient, covariates piled up near the
+    centre (``cube``) so that the quartiles set the density bandwidth,
+    offsets, scales from 1e-6 to 1e6, and thresholds near either end
+    where a side runs short of distinct values.  Most sample sizes put a
+    quartile's interpolation weight at 0.5 or 0.75, where ``np.percentile``
+    interpolates from the upper neighbour."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-1.0, 1.0, size=t_obs)
+    if levels:
+        u = np.round(u * levels) / levels
+    if cluster:
+        u[: t_obs // 3] = 0.5 + 1e-13 * np.arange(t_obs // 3)
+    if cube:
+        u = u**3
+    x = offset + scale * u
+    y = np.cos(2.0 * u) + (u >= 0.1) + 0.3 * rng.standard_normal(t_obs)
+    c = float(np.quantile(x, at))
+    args = (y, x, c, KernelSpec(kind), bounds)
+    new, ref = _outcome(plugin_bandwidth, *args), _outcome(_reference_plugin_bandwidth, *args)
+    assert type(new[0]) is type(ref[0])
+    assert new == ref
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=40),
+    q=st.sampled_from([0.25, 0.75]),
+)
+def test_quartile_matches_np_percentile(values, q):
+    """Bit for bit, including the upper-neighbour form np.percentile uses
+    at interpolation weights of 0.5 and more, which differs from the lower
+    one where the neighbours' difference rounds (say across zero)."""
+    ds = np.sort(np.array(values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = np.percentile(ds, 100.0 * q)
+        got = _quartile(ds, q)
+    assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+
+
+def test_plugin_bandwidth_matches_library_reference_on_collapsed_side():
+    """25 distinct covariates 1e-14 apart all centre to d = 1000 at c = -1000:
+    the plus side's fit widens its one-point domain and warns of rank 1,
+    then the empty minus side raises."""
+    x = 1e-14 * np.arange(25.0)
+    y = np.cos(np.arange(25.0))
+    args = (y, x, -1e3, UNIFORM, DEFAULT_BOUNDS)
+    new = _outcome(plugin_bandwidth, *args)
+    assert new == _outcome(_reference_plugin_bandwidth, *args)
+    assert new[1] == 1
 
 
 class TestPooledBandwidth:

@@ -128,6 +128,30 @@ class TestGenDgp:
             panel, _, _ = gen_dgp(DgpConfig(dgp_id=dgp_id, n_units=3, t_obs=64))
             assert all(np.all(np.isfinite(u.y)) for u in panel.units)
 
+    @pytest.mark.parametrize("dgp_id", [3, 4, 5, 6])
+    def test_factor_designs_generate_every_seed(self, dgp_id):
+        """With the |X| term read at clip(X, -1, 1) the volatility surface
+        stays at least 1, so no draw fails (unclipped, 38 of these 40 seeds
+        failed on each of designs 4-6)."""
+        for seed in range(40):
+            panel, _, _ = gen_dgp(DgpConfig(dgp_id=dgp_id, n_units=100, t_obs=200, seed=seed))
+            assert all(np.all(np.isfinite(u.y)) for u in panel.units)
+
+    @pytest.mark.parametrize("dgp_id", [1, 2])
+    def test_clip_leaves_designs_1_and_2_unchanged(self, dgp_id, monkeypatch):
+        """Design 1's X lies in [-1, 1] and design 2 is homoskedastic, so
+        both panels equal, bit for bit, those of the unclipped surface."""
+        cfg = DgpConfig(dgp_id=dgp_id, n_units=20, t_obs=200, seed=11,
+                        gamma_scheme=GammaScheme.sparse_power(0.2))
+        clipped, _, _ = gen_dgp(cfg)
+        monkeypatch.setattr(
+            paneljump.dgp, "_sigma_hetero",
+            lambda x, u: 1.0 + (0.375 - 0.25 * np.abs(x)) * np.power(1.5, 2.0 * u))
+        unclipped, _, _ = gen_dgp(cfg)
+        for a, b in zip(clipped.units, unclipped.units):
+            assert a.x.tobytes() == b.x.tobytes()
+            assert a.y.tobytes() == b.y.tobytes()
+
     def test_invalid_config(self):
         with pytest.raises(ValueError, match="dgp_id"):
             DgpConfig(dgp_id=7, n_units=3, t_obs=64)

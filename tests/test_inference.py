@@ -661,6 +661,57 @@ def test_scan_defers_near_singular_designs():
         assert (row is None) == (ref_row is None), k
 
 
+def _overflow_unit(scale):
+    """One unit at |x| up to ``scale``, where the dense solver's float64
+    side sums overflow at some grid points (all of them at 4e152)."""
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-1.0, 1.0, 300)
+    y = np.cos(x) + 0.02 * rng.standard_normal(300)
+    resid = 0.02 * np.random.default_rng(1).standard_normal(300)
+    return PanelUnit(unit_id="a", y=y, x=x * scale), resid
+
+
+def _dense_valid(unit, grid, b):
+    valid = []
+    for c in grid.tolist():
+        try:
+            estimate_jump(unit.y, unit.x, c, b, Config().kernel)
+            valid.append(True)
+        except InsufficientSupport:
+            valid.append(False)
+    return np.array(valid)
+
+
+def test_scan_marks_overflowing_designs_invalid():
+    """Where the dense solver's float64 sums overflow it finds the design
+    singular; the scan's long double sums do not overflow, and it must not
+    report a statistic there."""
+    unit, resid = _overflow_unit(4e152)
+    grid = np.array([-0.8e152, 0.0, 0.8e152])
+    with np.errstate(over="ignore", invalid="ignore"):
+        t, _ = paneljump.inference._scan_uniform(
+            unit.x, unit.y, resid, grid, 4e152, np.inf, paneljump.inference._v_floor(unit.y))
+        valid = _dense_valid(unit, grid, 4e152)
+    assert not valid.any()
+    np.testing.assert_array_equal(np.isnan(t), ~valid)
+
+
+def test_overflowing_grid_points_leave_the_search():
+    """At 3e152 the two central grid points overflow densely and the rest
+    solve: the search's NaN mask, comparison count and values follow the
+    dense solver."""
+    unit, resid = _overflow_unit(3e152)
+    grid = np.linspace(-0.8, 0.8, 9) * 3e152
+    with np.errstate(over="ignore", invalid="ignore"):
+        row, _ = paneljump.inference._search_unit(unit, grid, 3e152, np.inf, resid, Config())
+        ref_row = _dense_search_unit(unit, grid, 3e152, np.inf, resid, Config())
+        valid = _dense_valid(unit, grid, 3e152)
+    assert np.count_nonzero(valid) == 7
+    np.testing.assert_array_equal(np.isnan(row.stats), ~valid)
+    np.testing.assert_allclose(row.stats, ref_row.stats, rtol=1e-9, atol=0.0)
+    assert replace(row, stats=None) == replace(ref_row, stats=None)
+
+
 def _dense_search_unit(unit, grid, b, a_trunc, resid, config):
     """Reference for ``_search_unit``'s row: every grid point solved
     densely, the first best grid point on ties, None if none is usable."""
