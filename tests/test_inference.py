@@ -31,6 +31,7 @@ from paneljump.inference import (
 from paneljump.inference import TestConfig as Config
 from paneljump.inference import test_existence as run_existence
 from paneljump.inference import test_homogeneity as run_homogeneity
+from paneljump.io import render_report
 from paneljump.kernels import local_weights
 from paneljump.panel import PanelData, PanelUnit
 from paneljump.variance import SigmaC, sigma_e_sq_truncated
@@ -381,6 +382,71 @@ class TestExistencePipeline:
         )
         assert two.reject[0.05]
         assert not one.reject[0.05]
+
+
+def _skip_panel():
+    """Two fittable units among three that each stage skips: ``short``
+    defeats plugin bandwidth selection; ``far`` has no covariate within
+    reach below 0, so no minus side at 0 or at any grid point below it;
+    ``ties`` repeats ten covariate values ten times each with y = 0, so its
+    plugin bandwidth (0.02 of the range) reaches no second value, and no
+    residual smoothing window holds two distinct values."""
+    rng = np.random.default_rng(3)
+    x = np.linspace(-1.0, 1.0, 100)
+    far_x = np.concatenate((np.linspace(-10.0, -9.0, 50), np.linspace(0.0, 1.0, 50)))
+    return PanelData([
+        PanelUnit("good1", np.sin(x) + 0.1 * rng.standard_normal(100), x),
+        PanelUnit("far", np.cos(far_x) + 0.1 * rng.standard_normal(100), far_x),
+        PanelUnit("ties", np.zeros(100), np.repeat(np.arange(-5.0, 5.0), 10)),
+        PanelUnit("good2", np.sin(x) + 0.1 * rng.standard_normal(100), x),
+        PanelUnit("short", np.zeros(10), np.linspace(-1.0, 1.0, 10)),
+    ])
+
+
+_BANDWIDTH_SKIP = ("short", "bandwidth selection failed: need at least 20 observations, got 10")
+
+
+def _skipped_report_lines(result):
+    return [line for line in render_report(result).splitlines()
+            if line.startswith("# skipped")]
+
+
+@pytest.mark.parametrize("run", [run_existence, run_homogeneity])
+def test_known_threshold_skips_in_order(run):
+    """Bandwidth failures come first, then fit failures in panel order,
+    each with the reason its step gave."""
+    result = run(_skip_panel(), 0.0, Config())
+    assert [(s.unit_id, s.reason) for s in result.skipped] == [
+        _BANDWIDTH_SKIP,
+        ("far", "insufficient support on minus side: fewer than 2 distinct in-support points"),
+        ("ties", "insufficient support on plus side: fewer than 2 distinct in-support points"),
+    ]
+    assert [u.unit_id for u in result.per_unit] == ["good1", "good2"]
+    assert _skipped_report_lines(result) == [
+        '# skipped,short,"bandwidth selection failed: need at least 20 observations, got 10"',
+        "# skipped,far,insufficient support on minus side: fewer than 2 distinct in-support points",
+        "# skipped,ties,insufficient support on plus side: fewer than 2 distinct in-support points",
+    ]
+
+
+@pytest.mark.parametrize("cv_method", ["analytic", "simulated"])
+def test_search_skips_in_order(cv_method):
+    """Bandwidth failures come first, then the pilot smoothing's, then the
+    grid search's; ``ties`` precedes ``far`` although it follows it in the
+    panel, because its failing stage runs first."""
+    cfg = Config(cv_method=cv_method, cv_reps=1000)
+    result = search_thresholds(_skip_panel(), [-0.4, -0.2, 0.0], cfg)
+    assert [(s.unit_id, s.reason) for s in result.skipped] == [
+        _BANDWIDTH_SKIP,
+        ("ties", "no sample point admits a local linear fit"),
+        ("far", "no valid grid point"),
+    ]
+    assert [u.unit_id for u in result.per_unit] == ["good1", "good2"]
+    assert _skipped_report_lines(result) == [
+        '# skipped,short,"bandwidth selection failed: need at least 20 observations, got 10"',
+        "# skipped,ties,no sample point admits a local linear fit",
+        "# skipped,far,no valid grid point",
+    ]
 
 
 class TestHomogeneityPipeline:
