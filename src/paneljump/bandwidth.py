@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, TooFewObservations
+from .errors import ConfigError, InsufficientSupport
 from .kernels import KernelSpec
 
 __all__ = [
@@ -139,12 +139,20 @@ def _quartic_side(y: np.ndarray, d: np.ndarray):
     ``polyder(c, 2, scl)``'s two scale-and-multiply passes before being
     evaluated at the mapped 0.  Every floating-point operation, operand
     and order matches the library's, so the results are bit-identical to
-    it without its wrappers' per-call overhead.
+    it without its wrappers' per-call overhead.  Where the library would
+    hand LAPACK NaN abscissae and fail, this raises InsufficientSupport:
+    when the span rounds to 0 (the widening by 1 lost below the
+    covariates' last place) or overflows, or when hi + lo overflows.
     """
     lo, hi = d.min(), d.max()
     if lo == hi:
         lo, hi = lo - 1.0, hi + 1.0
     span = hi - lo
+    if not (0.0 < span < np.inf and abs(hi + lo) < np.inf):  # else lstsq gets NaN
+        raise InsufficientSupport(
+            f"one side's centred covariates span [{lo}, {hi}], which floating point "
+            "cannot map onto [-1, 1]"
+        )
     off = (-hi - lo) / span
     scl = 2.0 / span
     u = off + scl * d
@@ -209,21 +217,22 @@ def plugin_bandwidth(y, x, c: float, kernel: KernelSpec,
 
     Raises
     ------
-    TooFewObservations
+    InsufficientSupport
         Fewer than 20 observations overall, fewer than 5 distinct
         covariate values on either side of c, a degenerate covariate
-        range, or a covariate scale so extreme that f(c) curv^2
-        underflows to 0 or overflows.
+        range, a side whose centred covariates floating point cannot map
+        onto the quartic fit's [-1, 1], or a covariate scale so extreme
+        that f(c) curv^2 underflows to 0 or overflows.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     t_obs = x.size
     if t_obs < _MIN_OBS:
-        raise TooFewObservations(f"need at least {_MIN_OBS} observations, got {t_obs}")
+        raise InsufficientSupport(f"need at least {_MIN_OBS} observations, got {t_obs}")
     xs = np.sort(x)
     x_range = float(xs[-1] - xs[0])
     if x_range <= 0.0:
-        raise TooFewObservations("degenerate covariate range")
+        raise InsufficientSupport("degenerate covariate range")
     d = x - c
     ds = xs - c  # d sorted: x -> x - c never reorders
     split = int(np.searchsorted(ds, 0.0))  # minus side x < c, then plus side
@@ -234,7 +243,7 @@ def plugin_bandwidth(y, x, c: float, kernel: KernelSpec,
     curvs = []
     for side_mask, part in ((plus, slice(split, None)), (~plus, slice(0, split))):
         if np.count_nonzero(first[part]) < _MIN_SIDE:
-            raise TooFewObservations(
+            raise InsufficientSupport(
                 f"need at least {_MIN_SIDE} distinct covariate values per side"
             )
         rss_side, curv = _quartic_side(y[side_mask], d[side_mask])
@@ -258,7 +267,7 @@ def plugin_bandwidth(y, x, c: float, kernel: KernelSpec,
     curv = max(curv, _CURV_FLOOR * np.sqrt(sigma_sq) / x_range**2)
     dens_curv_sq = dens * curv * curv
     if not 0.0 < dens_curv_sq < np.inf:
-        raise TooFewObservations(
+        raise InsufficientSupport(
             f"density x curvature^2 = {dens_curv_sq} leaves float range at this covariate scale"
         )
     raw = boundary_constant(kernel.kind) * (sigma_sq / dens_curv_sq) ** 0.2 * t_obs ** (-0.2)

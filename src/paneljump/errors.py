@@ -12,11 +12,14 @@ own exit code:
 Any other exception is a fault in the program, not in its input.
 
 A failure gets its own subclass only when code tells it apart from the
-rest of its family: either ``src/`` catches it by type (the per-unit skips
-InsufficientSupport, EmptyWindow and DegenerateEverywhere, and
-TooFewObservations), or its constructor formats a message that many raise
-sites share (NonFiniteValue, with its ``row``).  Every other failure raises
-its family class with a message that names it.
+rest of its family: either ``src/`` catches it by type, or its constructor
+formats a message that many raise sites share (NonFiniteValue, with its
+``row``).  The one class caught by type is InsufficientSupport, the
+per-unit skip: a per-unit step (bandwidth selection, the jump fit, residual
+smoothing, the windowed variance) raises it when one unit's data cannot
+support that step, and the panel tests skip the unit with its message as
+the reason (a grid search first skips just the grid point).  Every other
+failure raises its family class with a message that names it.
 """
 
 from __future__ import annotations
@@ -27,9 +30,6 @@ __all__ = [
     "DataError",
     "NumericalError",
     "InsufficientSupport",
-    "DegenerateEverywhere",
-    "EmptyWindow",
-    "TooFewObservations",
     "NonFiniteValue",
 ]
 
@@ -51,31 +51,8 @@ class NumericalError(PanelJumpError):
 
 
 class InsufficientSupport(NumericalError):
-    """Too little kernel support on one side of the threshold.
-
-    Raised when fewer than two distinct covariate values fall inside the
-    kernel window on the requested side, or when the local design matrix is
-    numerically singular.
-    """
-
-    def __init__(self, side: str, detail: str = ""):
-        self.side = side
-        msg = f"insufficient support on {side} side"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
-
-
-class DegenerateEverywhere(NumericalError):
-    """Residual smoothing failed at every sample point."""
-
-
-class EmptyWindow(NumericalError):
-    """No usable residuals inside the variance window."""
-
-
-class TooFewObservations(NumericalError):
-    """Not enough observations for bandwidth selection."""
+    """One unit has too little data for a per-unit step; the panel tests
+    skip the unit and give the message as the reason."""
 
 
 class NonFiniteValue(DataError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateEverywhere
+from .errors import ConfigError, InsufficientSupport
 from .kernels import KernelSpec, denominator_floor, eval_kernel, local_weights
 
 __all__ = [
@@ -51,8 +51,8 @@ def estimate_jump(y, x, c: float, b: float, kernel: KernelSpec) -> UnitJumpFit:
     Raises
     ------
     InsufficientSupport
-        If either side lacks a valid local design; the exception records
-        which side failed.
+        If either side lacks a valid local design; the message names the
+        side that failed.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -159,7 +159,7 @@ def smooth_residuals(y, x, b_pilot: float, kernel: KernelSpec,
 
     Raises
     ------
-    DegenerateEverywhere
+    InsufficientSupport
         If no sample point admits a valid local fit.
     """
     y = np.asarray(y, dtype=float)
@@ -179,5 +179,5 @@ def smooth_residuals(y, x, b_pilot: float, kernel: KernelSpec,
         fitted = _fitted_general(x, xs, ys, b_pilot, kernel)
     resid = y - fitted
     if not np.any(np.isfinite(resid)):
-        raise DegenerateEverywhere("no sample point admits a local linear fit")
+        raise InsufficientSupport("no sample point admits a local linear fit")
     return resid

@@ -17,15 +17,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .bandwidth import BandwidthPolicy, pilot_bandwidth, plugin_bandwidth, pooled_bandwidth
-from .errors import (
-    ConfigError,
-    DataError,
-    DegenerateEverywhere,
-    EmptyWindow,
-    InsufficientSupport,
-    NumericalError,
-    TooFewObservations,
-)
+from .errors import ConfigError, DataError, InsufficientSupport, NumericalError
 from .estimator import UnitJumpFit, estimate_jump, smooth_residuals
 from .kernels import KernelSpec, denominator_floor
 from .panel import PanelData, PanelUnit
@@ -336,12 +328,12 @@ def _resolve_bandwidths(panel: PanelData, thresholds: dict[str, float],
             per_unit[u.unit_id] = plugin_bandwidth(
                 u.y, u.x, thresholds[u.unit_id], kernel, policy.bounds
             )
-        except TooFewObservations as exc:
+        except InsufficientSupport as exc:
             failures[u.unit_id] = f"bandwidth selection failed: {exc}"
     if policy.mode == "plugin":
         return per_unit, failures
     if not per_unit:
-        raise TooFewObservations("no unit supports plugin bandwidth selection")
+        raise NumericalError("no unit supports plugin bandwidth selection")
     ranges = [float(u.x.max() - u.x.min()) for u in panel if u.x.size > 1]
     clamp = (policy.bounds[0] * min(ranges), policy.bounds[1] * max(ranges))
     pooled = pooled_bandwidth(list(per_unit.values()), clamp=clamp)
@@ -351,8 +343,16 @@ def _resolve_bandwidths(panel: PanelData, thresholds: dict[str, float],
 def _unit_row(unit: PanelUnit, c: float, b: float, fit: UnitJumpFit,
               sigma_e_sq: float, floor: float) -> UnitResult:
     """Standardise the jump fit at c into a report row: scale v, its
-    standard error and t = sqrt(T b) gamma_hat / v."""
+    standard error and t = sqrt(T b) gamma_hat / v.  A scale that is not
+    a positive finite number is a NumericalError naming the unit: an
+    infinite one would report t = 0 however large the jump."""
     v = _floored_scale(v_sq(fit.w_diff, sigma_e_sq, unit.n_obs, b), floor)
+    if not v > 0.0:
+        raise NumericalError(f"nonpositive variance for unit {unit.unit_id!r}")
+    if v == np.inf:
+        raise NumericalError(
+            f"variance for unit {unit.unit_id!r} at c={c} overflows at this outcome scale"
+        )
     return UnitResult(
         unit_id=unit.unit_id,
         threshold=c,
@@ -371,10 +371,23 @@ def _analyze_unit(unit: PanelUnit, c: float, b: float, kernel: KernelSpec) -> Un
     y, x = unit.y, unit.x
     fit = estimate_jump(y, x, c, b, kernel)
     resid = smooth_residuals(y, x, b, kernel, jump_removal=(c, fit.gamma_hat))
-    row = _unit_row(unit, c, b, fit, sigma_e_sq_truncated(resid, x, c, b, np.inf), _v_floor(y))
-    if not row.v_hat > 0.0:
-        raise NumericalError(f"nonpositive variance for unit {unit.unit_id!r}")
-    return row
+    return _unit_row(unit, c, b, fit, sigma_e_sq_truncated(resid, x, c, b, np.inf), _v_floor(y))
+
+
+def _each_unit(units, step, skipped: list[SkippedUnit], what: str) -> dict:
+    """``step(unit)`` for each unit, keyed by unit id.  A unit whose step
+    raises InsufficientSupport is left out and appended to ``skipped``
+    with the message as its reason; a NumericalError if none is left."""
+    out = {}
+    for unit in units:
+        try:
+            out[unit.unit_id] = step(unit)
+        except InsufficientSupport as exc:
+            skipped.append(SkippedUnit(unit.unit_id, str(exc)))
+    if not out:
+        detail = "; ".join(f"{s.unit_id}: {s.reason}" for s in skipped)
+        raise NumericalError(f"no unit admits {what} ({detail})")
+    return out
 
 
 def _fit_panel(panel: PanelData, threshold, config: TestConfig):
@@ -390,22 +403,13 @@ def _fit_panel(panel: PanelData, threshold, config: TestConfig):
     bandwidths, failures = _resolve_bandwidths(
         panel, thresholds, config.bandwidth, config.kernel
     )
-    rows: list[UnitResult] = []
     skipped = [SkippedUnit(uid, reason) for uid, reason in failures.items()]
-    for unit in panel:
-        if unit.unit_id not in bandwidths:
-            continue
-        try:
-            rows.append(
-                _analyze_unit(unit, thresholds[unit.unit_id],
-                              bandwidths[unit.unit_id], config.kernel)
-            )
-        except (InsufficientSupport, EmptyWindow, DegenerateEverywhere) as exc:
-            skipped.append(SkippedUnit(unit.unit_id, str(exc)))
-    if not rows:
-        detail = "; ".join(f"{s.unit_id}: {s.reason}" for s in skipped)
-        raise NumericalError(f"no unit admits a jump fit ({detail})")
-    return rows, skipped
+    rows = _each_unit(
+        [u for u in panel if u.unit_id in bandwidths],
+        lambda u: _analyze_unit(u, thresholds[u.unit_id], bandwidths[u.unit_id], config.kernel),
+        skipped, "a jump fit",
+    )
+    return list(rows.values()), skipped
 
 
 def _std_error(v: float, n_obs: int, b: float) -> float:
@@ -622,7 +626,7 @@ def _search_unit(unit: PanelUnit, grid: np.ndarray, b: float, a_trunc: float,
         try:
             fit = estimate_jump(y, x, c, b, config.kernel)
             sigma_e_sq = sigma_e_sq_truncated(resid, x, c, b, a_trunc)
-        except (InsufficientSupport, EmptyWindow):
+        except InsufficientSupport:
             stats[k] = np.nan
             continue
         rows.append(_unit_row(unit, c, b, fit, sigma_e_sq, floor))
@@ -678,53 +682,42 @@ def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) 
         panel, {u.unit_id: c_mid for u in panel}, config.bandwidth, config.kernel
     )
     skipped = [SkippedUnit(uid, reason) for uid, reason in failures.items()]
+    residuals = _each_unit(
+        [u for u in panel if u.unit_id in bandwidths],
+        lambda u: smooth_residuals(u.y, u.x, pilot_bandwidth(u.x, bandwidths[u.unit_id]),
+                                   config.kernel),
+        skipped, "a grid search",
+    )
 
-    residuals: dict[str, np.ndarray] = {}
-    for unit in panel:
-        if unit.unit_id not in bandwidths:
-            continue
-        b_star = pilot_bandwidth(unit.x, bandwidths[unit.unit_id])
-        try:
-            residuals[unit.unit_id] = smooth_residuals(
-                unit.y, unit.x, b_star, config.kernel
-            )
-        except DegenerateEverywhere as exc:
-            skipped.append(SkippedUnit(unit.unit_id, str(exc)))
-
-    pooled = np.concatenate([r[np.isfinite(r)] ** 2 for r in residuals.values()] or [np.empty(0)])
+    pooled = np.concatenate([r[np.isfinite(r)] ** 2 for r in residuals.values()])
     if config.truncation is None:
         a_trunc = default_truncation(pooled, len(panel) * grid.size)
     else:
         a_trunc = float(config.truncation)
-        if pooled.size and a_trunc <= pooled.min():
+        if a_trunc <= pooled.min():
             raise ConfigError(
                 f"truncation {a_trunc!r} is at or below every squared pilot "
                 f"residual (the smallest is {float(pooled.min())!r})"
             )
 
-    per_unit: list[UnitResult] = []
-    blocks = []
-    for unit in panel:
-        if unit.unit_id not in residuals:
-            continue
+    simulated = config.cv_method == "simulated"
+
+    def search(unit: PanelUnit):
         row, w_diffs = _search_unit(unit, grid, bandwidths[unit.unit_id], a_trunc,
                                     residuals[unit.unit_id], config)
         if row is None:
-            skipped.append(SkippedUnit(unit.unit_id, "no valid grid point"))
-            continue
-        if config.cv_method == "simulated":
-            blocks.append(sigma_c_matrix(w_diffs))
-        per_unit.append(row)
-    if not per_unit:
-        detail = "; ".join(f"{s.unit_id}: {s.reason}" for s in skipped)
-        raise NumericalError(f"no unit admits a grid search ({detail})")
+            raise InsufficientSupport("no valid grid point")
+        return row, sigma_c_matrix(w_diffs) if simulated else None
 
+    found = _each_unit([u for u in panel if u.unit_id in residuals], search,
+                       skipped, "a grid search")
+    per_unit = [row for row, _ in found.values()]
     statistic = float(np.max(_score(np.array([u.t_stat for u in per_unit]), config.sidedness)))
     n_comparisons = int(sum(np.count_nonzero(np.isfinite(u.stats)) for u in per_unit))
 
     sigma_c = None
-    if config.cv_method == "simulated":
-        sigma_c = SigmaC(unit_ids=[u.unit_id for u in per_unit], blocks=blocks)
+    if simulated:
+        sigma_c = SigmaC(unit_ids=list(found), blocks=[block for _, block in found.values()])
     cvs = critical_values(n_comparisons, config, sigma_c)
 
     spacing_warning = bool(grid.size > 1 and np.min(np.diff(grid))

@@ -106,11 +106,12 @@ def local_weights(x, c: float, b: float, kernel: KernelSpec, side: str) -> np.nd
     kw[mask] = eval_kernel(kernel, np.clip(d[mask] / b, -1.0, 1.0))
     support = x[kw > 0.0]
     if support.size == 0 or support.min() == support.max():
-        raise InsufficientSupport(side, "fewer than 2 distinct in-support points")
+        raise InsufficientSupport(
+            f"insufficient support on {side} side: fewer than 2 distinct in-support points")
     s0 = float(kw.sum())
     s1 = float(kw @ d)
     s2 = float(kw @ (d * d))
     den = s2 * s0 - s1 * s1
     if not den > denominator_floor(s0, s2):  # also rejects a NaN from overflowing sums
-        raise InsufficientSupport(side, "singular local design")
+        raise InsufficientSupport(f"insufficient support on {side} side: singular local design")
     return kw * (s2 - d * s1) / den

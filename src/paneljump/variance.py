@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyWindow, NumericalError
+from .errors import ConfigError, InsufficientSupport, NumericalError
 
 __all__ = [
     "SigmaC",
@@ -59,7 +59,7 @@ def sigma_e_sq_truncated(resid, x, c: float, b: float, a_trunc: float) -> float:
     x = np.asarray(x, dtype=float)
     vals = resid[(x >= c - b) & (x <= c + b) & np.isfinite(resid)]
     if vals.size == 0:
-        raise EmptyWindow(f"no usable residuals within {b} of c={c}")
+        raise InsufficientSupport(f"no usable residuals within {b} of c={c}")
     return float(np.mean(np.minimum(a_trunc, vals * vals)))
 
 

@@ -18,7 +18,7 @@ from paneljump.bandwidth import (
     plugin_bandwidth,
     pooled_bandwidth,
 )
-from paneljump.errors import ConfigError, TooFewObservations
+from paneljump.errors import ConfigError, InsufficientSupport
 from paneljump.kernels import KernelSpec, eval_kernel
 
 UNIFORM = KernelSpec("uniform")
@@ -149,12 +149,12 @@ class TestPluginBandwidth:
         assert medians[0] > medians[1] > medians[2]
 
     def test_too_few_observations(self):
-        with pytest.raises(TooFewObservations, match="at least 20"):
+        with pytest.raises(InsufficientSupport, match="at least 20"):
             plugin_bandwidth(np.zeros(10), np.linspace(-1, 1, 10), 0.0, UNIFORM)
 
     def test_too_few_per_side(self):
         x = np.concatenate([np.full(3, -0.5), np.linspace(0.1, 1.0, 27)])
-        with pytest.raises(TooFewObservations, match="per side"):
+        with pytest.raises(InsufficientSupport, match="per side"):
             plugin_bandwidth(np.zeros(30), x, 0.0, UNIFORM)
 
     @pytest.mark.parametrize("scale", [1e100, 1e-100])
@@ -162,11 +162,31 @@ class TestPluginBandwidth:
         # f(c) curv^2 scales as scale^-5: it underflows to 0 at 1e100 and
         # overflows at 1e-100, where the bandwidth would clamp to its bound.
         y, x = _curved_sample(seed=6)
-        with pytest.raises(TooFewObservations, match="float range"):
+        with pytest.raises(InsufficientSupport, match="float range"):
             plugin_bandwidth(y, scale * x, 0.0, UNIFORM)
 
+    def test_side_span_rounding_to_zero(self):
+        # Every d = x + 1e30 rounds to 1e30, and so does the fit's widened
+        # domain [1e30 - 1, 1e30 + 1]; the library fit would hand LAPACK NaN.
+        with pytest.raises(InsufficientSupport,
+                           match=r"span \[1e\+30, 1e\+30\], which floating point cannot"):
+            plugin_bandwidth(np.zeros(30), np.linspace(-1.0, 1.0, 30), -1e30, UNIFORM)
+
+    @pytest.mark.parametrize("c, domain", [
+        (-0.9e308, r"\[.*, inf\]"),  # x - c overflows on the plus side
+        (0.0, r"\[-9.9.*e\+307, -9.5.*e\+307\]"),  # the minus side's hi + lo overflows
+    ])
+    def test_side_domain_overflowing(self, c, domain):
+        # Both sides hold 30 distinct covariates.
+        rng = np.random.default_rng(0)
+        x = np.concatenate((rng.uniform(-1e308, -0.95e308, 30), rng.uniform(0.5e308, 1e308, 30)))
+        y = rng.standard_normal(60)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(InsufficientSupport, match=f"span {domain}, which floating point"):
+            plugin_bandwidth(y, x, c, UNIFORM)
+
     def test_degenerate_range(self):
-        with pytest.raises(TooFewObservations, match="range"):
+        with pytest.raises(InsufficientSupport, match="range"):
             plugin_bandwidth(np.zeros(25), np.full(25, 0.7), 0.0, UNIFORM)
 
 
@@ -179,17 +199,17 @@ def _reference_plugin_bandwidth(y, x, c, kernel, bounds=DEFAULT_BOUNDS):
     x = np.asarray(x, dtype=float)
     t_obs = x.size
     if t_obs < 20:
-        raise TooFewObservations(f"need at least 20 observations, got {t_obs}")
+        raise InsufficientSupport(f"need at least 20 observations, got {t_obs}")
     x_range = float(x.max() - x.min())
     if x_range <= 0.0:
-        raise TooFewObservations("degenerate covariate range")
+        raise InsufficientSupport("degenerate covariate range")
     d = x - c
     plus = d >= 0.0
     rss = 0.0
     curvs = []
     for side_mask in (plus, ~plus):
         if np.unique(x[side_mask]).size < 5:
-            raise TooFewObservations("need at least 5 distinct covariate values per side")
+            raise InsufficientSupport("need at least 5 distinct covariate values per side")
         poly = np.polynomial.Polynomial.fit(d[side_mask], y[side_mask], 4)
         resid = y[side_mask] - poly(d[side_mask])
         rss += float(resid @ resid)
@@ -207,7 +227,7 @@ def _reference_plugin_bandwidth(y, x, c, kernel, bounds=DEFAULT_BOUNDS):
     curv = max(abs(curvs[0] - curvs[1]), 0.1 * np.sqrt(sigma_sq) / x_range**2)
     dens_curv_sq = dens * curv * curv
     if not 0.0 < dens_curv_sq < np.inf:
-        raise TooFewObservations(
+        raise InsufficientSupport(
             f"density x curvature^2 = {dens_curv_sq} leaves float range at this covariate scale"
         )
     raw = boundary_constant(kernel.kind) * (sigma_sq / dens_curv_sq) ** 0.2 * t_obs ** (-0.2)

@@ -17,6 +17,7 @@ import pytest
 import paneljump
 import paneljump.cli
 import paneljump.dgp
+import paneljump.errors
 import paneljump.inference
 from paneljump.cli import cli_main
 from paneljump.errors import ConfigError, PanelJumpError
@@ -297,6 +298,17 @@ class TestNumericalFailures:
         assert code == 4
         assert "bandwidth selection failed: density x curvature^2" in capsys.readouterr().err
 
+    def test_covariates_collapsing_at_a_far_threshold(self):
+        """At c = -1e30 every centred covariate rounds to 1e30, where the
+        quartic fit's widening by 1 leaves a zero span; that is a skip
+        reason, not a LAPACK error."""
+        proc = _run_python("-m", "paneljump.cli", "jump-test", "--data", str(GOLDEN_PANEL),
+                           "--threshold=-1e30")
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.startswith("numerical failure: no unit admits a jump fit (u0: "
+                                      "bandwidth selection failed: one side's centred covariates span [1e+30, 1e+30]")
+        assert "Traceback" not in proc.stderr and "DLASCL" not in proc.stdout + proc.stderr
+
 
 class TestInternalFaults:
     def test_plain_value_error_propagates(self, tmp_path, monkeypatch):
@@ -509,8 +521,26 @@ class TestModuleEntry:
                     assert getattr(node, field, None) not in (
                         "UsageError", "InvalidAlpha", "SingleUnit", "ZeroVariance",
                         "AllUnitsSkipped", "NotPositiveSemidefinite", "MissingColumn",
-                        "DuplicateKey", "EmptyUnit", "IoFailure",
+                        "DuplicateKey", "EmptyUnit", "IoFailure", "EmptyWindow",
+                        "DegenerateEverywhere", "TooFewObservations",
                     ), f"{where} names {getattr(node, field)}"
+
+    def test_each_leaf_error_is_caught_or_formats_its_message(self):
+        # The rule in the errors docstring: below the three families, a
+        # class exists only if src/ catches it by type or its constructor
+        # formats the message.
+        caught = set()
+        for info in pkgutil.iter_modules(paneljump.__path__):
+            module = importlib.import_module(f"paneljump.{info.name}")
+            for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+                if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                    types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                    caught |= {getattr(t, "id", getattr(t, "attr", None)) for t in types}
+        families = {"PanelJumpError", "ConfigError", "DataError", "NumericalError"}
+        leaves = [name for name in paneljump.errors.__all__ if name not in families]
+        assert leaves
+        for name in leaves:
+            assert name in caught or "__init__" in vars(getattr(paneljump.errors, name)), name
 
     def test_all_names_are_defined_in_their_module(self):
         # Traced benchmark runs call getattr on every __all__ entry, so a

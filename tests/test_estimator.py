@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from paneljump.errors import DegenerateEverywhere, InsufficientSupport
+from paneljump.errors import InsufficientSupport
 from paneljump.estimator import (
     UnitJumpFit,
     estimate_jump,
@@ -120,7 +120,7 @@ class TestSmoothResiduals:
 
     def test_degenerate_everywhere(self):
         x = np.full(6, 1.25)
-        with pytest.raises(DegenerateEverywhere):
+        with pytest.raises(InsufficientSupport, match="no sample point admits a local linear fit"):
             smooth_residuals(np.ones(6), x, 0.1, UNIFORM)
 
     def test_bad_pilot_bandwidth(self):

@@ -16,7 +16,6 @@ import paneljump.inference
 from paneljump.bandwidth import BandwidthPolicy, pilot_bandwidth
 from paneljump.errors import (
     DataError,
-    EmptyWindow,
     ConfigError,
     InsufficientSupport,
     NumericalError,
@@ -354,6 +353,15 @@ class TestExistencePipeline:
         ]
         with pytest.raises(NumericalError, match="no unit admits a jump fit"):
             run_existence(PanelData(units), 0.0, FIXED)
+
+    def test_no_unit_for_pooled_bandwidth(self):
+        """A panel-level failure, not a unit's skip reason."""
+        units = [PanelUnit(unit_id=u, y=np.zeros(10), x=np.linspace(-1.0, 1.0, 10)) for u in "ab"]
+        cfg = Config(bandwidth=BandwidthPolicy.pooled())
+        with pytest.raises(NumericalError) as err:
+            run_existence(PanelData(units), 0.0, cfg)
+        assert type(err.value) is NumericalError
+        assert str(err.value) == "no unit supports plugin bandwidth selection"
 
     def test_partial_skip_reported(self):
         units = [
@@ -727,6 +735,29 @@ def test_scan_defers_near_singular_designs():
         assert (row is None) == (ref_row is None), k
 
 
+@pytest.mark.parametrize("run, place", [
+    (run_existence, 0.0),
+    (search_thresholds, [-0.2, 0.0, 0.2]),
+])
+def test_overflowing_scale_is_numerical_error(run, place):
+    """t does not depend on the scale of y, but squared residuals overflow
+    near 1e154: there the scale v is infinite, which would report t = 0
+    and no rejection; it is an error naming the unit instead."""
+    panel, _, _ = gen_dgp(DgpConfig(dgp_id=1, n_units=5, t_obs=200, seed=0,
+                                    gamma_scheme=GammaScheme.accuracy()))
+    cfg = Config(bandwidth=BandwidthPolicy.fixed(0.3))
+
+    def scaled(s):
+        return PanelData([PanelUnit(u.unit_id, u.y * s, u.x) for u in panel])
+
+    base = run(scaled(1.0), place, cfg).statistic
+    assert base > 7.0
+    assert run(scaled(1e150), place, cfg).statistic == pytest.approx(base, rel=1e-12)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericalError, match="variance for unit 'u1' at c=0.0 overflows"):
+        run(scaled(1e160), place, cfg)
+
+
 def _overflow_unit(scale):
     """One unit at |x| up to ``scale``, where the dense solver's float64
     side sums overflow at some grid points (all of them at 4e152)."""
@@ -787,7 +818,7 @@ def _dense_search_unit(unit, grid, b, a_trunc, resid, config):
         try:
             fit = estimate_jump(unit.y, unit.x, c, b, config.kernel)
             sigma_e_sq = sigma_e_sq_truncated(resid, unit.x, c, b, a_trunc)
-        except (InsufficientSupport, EmptyWindow):
+        except InsufficientSupport:
             rows.append(None)
             continue
         rows.append(paneljump.inference._unit_row(unit, c, b, fit, sigma_e_sq, floor))

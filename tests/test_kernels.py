@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from paneljump.errors import EmptyWindow, InsufficientSupport
+from paneljump.errors import InsufficientSupport
 from paneljump.estimator import smooth_residuals
 from paneljump.kernels import (
     KERNEL_KINDS,
@@ -244,7 +244,8 @@ def test_windows_agree_at_the_edges(c, b, offset):
         resid[i] = 1.0
         try:
             counted = sigma_e_sq_truncated(resid, x, c, b, np.inf) == 1.0
-        except EmptyWindow:
+        except InsufficientSupport as exc:
+            assert str(exc).startswith("no usable residuals")
             counted = False
         assert counted == inside[i]
         if i != at_c:

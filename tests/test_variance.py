@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from paneljump.errors import EmptyWindow, NumericalError
+from paneljump.errors import InsufficientSupport, NumericalError
 from paneljump.kernels import KernelSpec, local_weights
 from paneljump.variance import (
     default_truncation,
@@ -37,7 +37,7 @@ class TestSigmaESqKnown:
         assert _untruncated([2.0, np.nan, -2.0], [0.0, 0.1, 0.2], 0.0, 0.5) == pytest.approx(4.0)
 
     def test_empty_window_raises(self):
-        with pytest.raises(EmptyWindow):
+        with pytest.raises(InsufficientSupport, match="no usable residuals within 0.5 of c=0.0"):
             _untruncated([1.0, 2.0], [3.0, -3.0], 0.0, 0.5)
 
     def test_consistent_on_iid_noise(self):
