@@ -220,9 +220,10 @@ def plugin_bandwidth(y, x, c: float, kernel: KernelSpec,
     InsufficientSupport
         Fewer than 20 observations overall, fewer than 5 distinct
         covariate values on either side of c, a degenerate covariate
-        range, a side whose centred covariates floating point cannot map
-        onto the quartic fit's [-1, 1], or a covariate scale so extreme
-        that f(c) curv^2 underflows to 0 or overflows.
+        range or one that overflows to inf, a side whose centred
+        covariates floating point cannot map onto the quartic fit's
+        [-1, 1], or a covariate scale so extreme that f(c) curv^2
+        underflows to 0 or overflows.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -249,6 +250,8 @@ def plugin_bandwidth(y, x, c: float, kernel: KernelSpec,
         rss_side, curv = _quartic_side(y[side_mask], d[side_mask])
         rss += rss_side
         curvs.append(curv)
+    if x_range == np.inf:
+        raise InsufficientSupport(f"covariate range {xs[0]} to {xs[-1]} overflows to inf")
     df = max(t_obs - 10, 1)
     sigma_sq = rss / df
     lo, hi = bounds

@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 FORMATS = ("csv", "tsv", "markdown")
+_ROW = np.dtype([("unit", object), ("time", float), ("y", float), ("x", float)])
 
 
 @dataclass(frozen=True)
@@ -60,14 +61,18 @@ def _parse_number(text: str, row: int, what: str) -> float:
 
 
 def _records(path: str, delimiter: str):
-    """Yield (physical line the record starts on, its cells) for each CSV
-    record; a quoted cell may span lines, so records and lines can differ."""
+    """Yield (physical line the record starts on, its cells) for each
+    non-blank CSV record; a quoted cell may span lines, so records and lines
+    can differ.  A UTF-8 byte-order mark is not part of the first cell."""
     line = 1
     try:
         with open(path, newline="") as fh:
+            if fh.read(1) != "\ufeff":
+                fh.seek(0)
             reader = csv.reader(fh, delimiter=delimiter)
             for row in reader:
-                yield line, row
+                if any(cell.strip() for cell in row):
+                    yield line, row
                 line = reader.line_num + 1
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
@@ -80,6 +85,43 @@ def _records(path: str, delimiter: str):
         raise DataError(f"{path} line {line}: {exc}") from None
 
 
+def _columnar(path: str, delimiter: str, cols: list[int]) -> PanelData | None:
+    """The panel from one ``np.loadtxt`` pass, or None for a file this read
+    cannot certify: every line after the header must be one record whose
+    cells the scanner would parse to the same finite numbers and stripped id."""
+    try:
+        with open(path, "rb") as fh:
+            if b"\r" in fh.readline()[:-2]:
+                return None  # csv ends the header at a lone CR; loadtxt skips the whole line
+            lines = np.fromiter(map(len, fh), np.intp)  # bytes per data line bound its cells
+        if lines.size == 0 or lines.min() < 3 or lines.max() > csv.field_size_limit():
+            return None  # header only, a blank line, or room for an oversized cell
+        with open(path, newline="") as fh:
+            rows = np.loadtxt(fh, dtype=_ROW, delimiter=delimiter, quotechar='"',
+                              comments=None, skiprows=1, usecols=cols, ndmin=1)
+    except (OSError, ValueError, TypeError):  # unreadable, undecodable, short row, bad cell
+        return None
+    num = np.stack([rows["time"], rows["y"], rows["x"]])
+    if rows.size != lines.size or not np.isfinite(num).all():
+        return None  # a record spans lines, or a value is nan or inf
+    ids = rows["unit"]
+    heads = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+    unit_ids, head_code = np.unique(ids[heads], return_inverse=True)  # code-point order
+    if any(u != u.strip() for u in unit_ids):
+        return None
+    del rows, ids  # frees the id strings before the sort's copies
+    code = np.repeat(head_code, np.diff(heads, append=num.shape[1]))
+    order = np.lexsort((num[0], code))
+    code, (time, y, x) = code[order], num.take(order, axis=1)
+    same_unit = code[1:] == code[:-1]
+    if (same_unit & (time[1:] == time[:-1])).any():
+        return None  # the scanner names the duplicate
+    cuts = np.flatnonzero(~same_unit) + 1
+    # Each unit owns its arrays, as the scanner's do, and the sorted block is freed.
+    return PanelData(units=[PanelUnit(unit_id, uy.copy(), ux.copy()) for unit_id, uy, ux
+                            in zip(unit_ids.tolist(), np.split(y, cuts), np.split(x, cuts))])
+
+
 def read_panel_csv(path: str, schema: PanelSchema | None = None) -> PanelData:
     """Read a long-format panel.
 
@@ -87,7 +129,17 @@ def read_panel_csv(path: str, schema: PanelSchema | None = None) -> PanelData:
     order in the file does not matter.  Units are ordered by id.  Time
     values are compared numerically when the whole column parses as
     numbers, lexicographically otherwise; a time cell that parses as a
-    non-finite number (nan, inf) is rejected.
+    non-finite number (nan, inf) is rejected.  The header is the first
+    non-blank record; a UTF-8 byte-order mark before it is dropped.
+
+    A file whose header is line 1 and has exactly the four schema columns
+    is read column by column with ``np.loadtxt``, which is several times
+    faster than the row scanner.  That read is kept only when every later
+    line is one record holding the four columns, the times, y and x are
+    finite numbers, ids have no surrounding whitespace, no line is longer
+    than ``csv.field_size_limit()`` and no (unit, time) pair repeats.  Any
+    other file is read row by row, so the result and every error are the
+    scanner's on every input.
 
     Raises
     ------
@@ -104,28 +156,30 @@ def read_panel_csv(path: str, schema: PanelSchema | None = None) -> PanelData:
     if first is None:
         raise DataError(f"{path} is empty")
     header = [h.strip() for h in first[1]]
-    idx = {}
-    for col in (schema.unit_col, schema.time_col, schema.y_col, schema.x_col):
+    names = (schema.unit_col, schema.time_col, schema.y_col, schema.x_col)
+    for col in names:
         if col not in header:
             raise DataError(f"column {col!r} not found in {path} (has {header})")
-        idx[col] = header.index(col)
+    cols = [header.index(col) for col in names]
+    if first[0] == 1 and len(header) == 4 and not any("\n" in h or "\r" in h for h in first[1]):
+        panel = _columnar(path, schema.delimiter, cols)  # needs the header to be line 1 alone
+        if panel is not None:
+            return panel
 
     records: dict[str, list[tuple[str, float, float]]] = {}
     numeric_time = True
     for row_no, row in records_in:
-        if not row or all(not cell.strip() for cell in row):
-            continue
         if len(row) < len(header):
             raise NonFiniteValue(row_no, "short row")
-        unit = row[idx[schema.unit_col]].strip()
-        time = row[idx[schema.time_col]].strip()
+        unit = row[cols[0]].strip()
+        time = row[cols[1]].strip()
         try:
             if not math.isfinite(float(time)):
                 raise NonFiniteValue(row_no, f"{schema.time_col}={time!r}")
         except ValueError:
             numeric_time = False
-        y = _parse_number(row[idx[schema.y_col]].strip(), row_no, schema.y_col)
-        x = _parse_number(row[idx[schema.x_col]].strip(), row_no, schema.x_col)
+        y = _parse_number(row[cols[2]].strip(), row_no, schema.y_col)
+        x = _parse_number(row[cols[3]].strip(), row_no, schema.x_col)
         records.setdefault(unit, []).append((time, y, x))
     if not records:
         raise DataError(f"{path} has a header but no data rows")
@@ -156,8 +210,7 @@ def read_threshold_csv(path: str, delimiter: str = ",") -> dict[str, float]:
     does not parse as a number.  Row numbers in errors refer to physical
     file rows, blank ones included.
     """
-    rows = [(row_no, r) for row_no, r in _records(path, delimiter)
-            if r and any(c.strip() for c in r)]
+    rows = list(_records(path, delimiter))
     if not rows:
         raise DataError(f"{path} is empty")
     out: dict[str, float] = {}

@@ -185,6 +185,19 @@ class TestPluginBandwidth:
                 pytest.raises(InsufficientSupport, match=f"span {domain}, which floating point"):
             plugin_bandwidth(y, x, c, UNIFORM)
 
+    def test_overflowing_range(self):
+        # Each side spans half the float range, but the whole range does not
+        # fit: the exact quartic fits would clamp the bandwidth to lo * inf.
+        rng = np.random.default_rng(0)
+        x = np.concatenate((rng.uniform(-1e308, -0.5e308, 30), rng.uniform(0.5e308, 1e308, 30)))
+        for y in (np.zeros(60), rng.standard_normal(60)):
+            with np.errstate(over="ignore"), pytest.raises(
+                    InsufficientSupport, match=r"covariate range -9.*e\+307 to 9.*e\+307 overflows to inf"):
+                plugin_bandwidth(y, x, 0.0, UNIFORM)
+            with np.errstate(over="ignore"):
+                args = (y, x, 0.0, UNIFORM)
+                assert _outcome(plugin_bandwidth, *args) == _outcome(_reference_plugin_bandwidth, *args)
+
     def test_degenerate_range(self):
         with pytest.raises(InsufficientSupport, match="range"):
             plugin_bandwidth(np.zeros(25), np.full(25, 0.7), 0.0, UNIFORM)
@@ -214,6 +227,8 @@ def _reference_plugin_bandwidth(y, x, c, kernel, bounds=DEFAULT_BOUNDS):
         resid = y[side_mask] - poly(d[side_mask])
         rss += float(resid @ resid)
         curvs.append(float(poly.deriv(2)(0.0)))
+    if x_range == np.inf:
+        raise InsufficientSupport(f"covariate range {x.min()} to {x.max()} overflows to inf")
     sigma_sq = rss / max(t_obs - 10, 1)
     lo, hi = bounds
     if sigma_sq <= 0.0:

@@ -395,6 +395,15 @@ class TestJumpTestCommand:
         assert code == 0
         assert "# reject,0.01,True" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("prefix", [b"\xef\xbb\xbf", b"\n\n", b"\xef\xbb\xbf\r\n"])
+    def test_byte_order_mark_and_leading_blank_lines(self, tmp_path, prefix):
+        # Excel writes a byte-order mark before the header of a UTF-8 csv.
+        data = tmp_path / "panel.csv"
+        data.write_bytes(prefix + GOLDEN_PANEL.read_bytes())
+        out = tmp_path / "report.csv"
+        assert cli_main(["jump-test", "--data", str(data), "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_PANEL.parent / "golden_jump-test.csv").read_bytes()
+
     def test_repeated_runs_byte_identical(self, tmp_path, capsys):
         data = _panel_csv(tmp_path)
         paths = [str(tmp_path / f"r{i}.csv") for i in (1, 2)]

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import csv
+import tempfile
 from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import paneljump.io
 from paneljump.dgp import AccuracyTable, RateTable
 from paneljump.errors import DataError, NonFiniteValue
 from paneljump.inference import (
@@ -152,6 +156,29 @@ class TestReadPanelCsv:
         with pytest.raises(DataError, match="p.csv line 3: field larger than field limit"):
             read_panel_csv(path)
 
+    @pytest.mark.parametrize("tail", ["", "\n"])  # the trailing blank line sends it to the scanner
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, tail):
+        text = '"unit","time","y","x"\n"a",2,0.7,0.1\n"a",1,0.5,-0.2\n' + tail
+        plain = read_panel_csv(_write(tmp_path, "plain.csv", text))
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert _units(read_panel_csv(str(path))) == _units(plain)
+        path.write_bytes(b"\xef\xbb\xbf" + text.replace("0.5", "oops").encode())
+        with pytest.raises(NonFiniteValue, match="row 3"):
+            read_panel_csv(str(path))
+
+    def test_header_is_the_first_non_blank_record(self, tmp_path):
+        path = _write(tmp_path, "p.csv", "\n , \nunit,time,y,x\na,1,0.1,0.2\na,2,0.3,0.4\n")
+        assert _units(read_panel_csv(path)) == [("a", [0.1, 0.3], [0.2, 0.4])]
+        path = _write(tmp_path, "p.csv", "\n\nunit,time,y,x\na,1,0.1,0.2\na,2,oops,0.4\n")
+        with pytest.raises(NonFiniteValue, match="row 5") as err:
+            read_panel_csv(path)
+        assert err.value.row == 5
+
+    def test_only_blank_lines_is_empty(self, tmp_path):
+        with pytest.raises(DataError, match="p.csv is empty"):
+            read_panel_csv(_write(tmp_path, "p.csv", "\n \n,,\n"))
+
 
 class TestReadThresholdCsv:
     def test_with_header(self, tmp_path):
@@ -186,6 +213,11 @@ class TestReadThresholdCsv:
         with pytest.raises(DataError, match="c.csv line 3: cannot decode"):
             read_threshold_csv(str(path))
 
+    def test_byte_order_mark_before_a_headerless_file(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_bytes(b"\xef\xbb\xbfu1,0.5\nu2,-0.25\n")
+        assert read_threshold_csv(str(path)) == {"u1": 0.5, "u2": -0.25}
+
     def test_too_few_columns(self, tmp_path):
         with pytest.raises(NonFiniteValue, match="2 columns"):
             read_threshold_csv(_write(tmp_path, "c.csv", "a\n"))
@@ -193,6 +225,134 @@ class TestReadThresholdCsv:
     def test_empty(self, tmp_path):
         with pytest.raises(DataError, match="c.csv is empty"):
             read_threshold_csv(_write(tmp_path, "c.csv", ""))
+
+
+def _units(panel):
+    return [(u.unit_id, u.y.tolist(), u.x.tolist()) for u in panel]
+
+
+def _outcome(path, schema=None, scanner_only=False):
+    """The panel as (id, y bytes, x bytes) per unit, or the error's type and
+    message; ``scanner_only`` reads every file with the row scanner."""
+    with pytest.MonkeyPatch.context() as mp:
+        if scanner_only:
+            mp.setattr(paneljump.io, "_columnar", lambda *args: None)
+        try:
+            panel = read_panel_csv(str(path), schema)
+        except Exception as exc:  # noqa: BLE001 - compared, not handled
+            return type(exc), str(exc)
+    return [(u.unit_id, u.y.tobytes(), u.x.tobytes()) for u in panel]
+
+
+_IDS = ["a", "b", "u1", "u10", "U1", 'q"t', "d{delim}e", "é", "日本", "z\x00", "\x00", "",
+        "a b", "#c", "l\nm", "cr\rlf"]
+_BAD = ["nan", "inf", "-inf", "1_0", "", " ", "abc", "1e999", "\uff11", "0x1", '"', "1\n"]
+_MUTATIONS = ["blank", "short", "long", "duplicate", "bad_number", "bad_time", "padded_id",
+              "whitespace_row"]
+
+
+@st.composite
+def _panel_files(draw):
+    """A long-format file as text, and its schema."""
+    delim = draw(st.sampled_from([",", ";", "\t", "|", " "]))
+    names = draw(st.permutations(["unit", "time", "y", "x"]))
+    if draw(st.integers(0, 4)) == 0:  # an extra column
+        names.insert(draw(st.integers(0, 4)), "note")
+    ids = [i.format(delim=delim) for i in
+           draw(st.lists(st.sampled_from(_IDS), min_size=1, max_size=4, unique=True))]
+    string_times = draw(st.integers(0, 5)) == 0
+    number = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    records = []
+    for unit in ids:
+        for t in draw(st.lists(st.integers(0, 30), min_size=1, max_size=8, unique=True)):
+            time = f"t{t}" if string_times else draw(st.sampled_from(
+                [str(t), f"{t}.0", f"{t}e0", f" {t} ", "-0.0" if t == 0 else str(t)]))
+            cells = {"unit": unit, "time": time, "y": draw(number), "x": draw(number),
+                     "note": draw(st.sampled_from(["", "n", 'say "hi"', f"p{delim}q"]))}
+            records.append([cells[name] for name in names])
+    records = draw(st.permutations(records))
+    col = names.index
+    for kind in draw(st.lists(st.sampled_from(_MUTATIONS), max_size=2)):
+        i = draw(st.integers(0, len(records) - 1))
+        if records[i] is None or len(records[i]) != len(names):  # a row inserted before
+            continue
+        cells = list(records[i])
+        if kind == "bad_number":
+            cells[col(draw(st.sampled_from(["y", "x"])))] = draw(st.sampled_from(_BAD))
+        elif kind == "bad_time":
+            cells[col("time")] = draw(st.sampled_from(_BAD))
+        elif kind == "padded_id":
+            cells[col("unit")] = draw(st.sampled_from([" ", "\t"])) + cells[col("unit")]
+        else:
+            cells[col("y")] = draw(number)
+            records.insert(i, {"blank": None, "short": cells[:-1], "long": [*cells, "extra"],
+                               "duplicate": cells, "whitespace_row": [" "] * len(names)}[kind])
+            continue
+        records[i] = cells
+    buf = StringIO()
+    writer = csv.writer(buf, delimiter=delim, lineterminator=draw(st.sampled_from(["\n", "\r\n"])),
+                        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])))
+    writer.writerow(names)
+    for cells in records:
+        if cells is None:
+            buf.write("\n")
+        else:
+            writer.writerow(cells)
+    schema = PanelSchema(delimiter=delim)
+    prefix = draw(st.sampled_from(["", "", "", "\ufeff", "\n"]))
+    return prefix + buf.getvalue(), schema
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_panel_files())
+def test_columnar_read_matches_scanner(case):
+    """The columnar read gives the scanner's panel bit for bit, or its
+    exception type and message, on files with shuffled rows, float-like and
+    string times, quoted ids holding the delimiter, a quote, a newline or a
+    carriage return, padded ids, non-ASCII and NUL ids, CRLF endings, a
+    byte-order mark, extra columns and cells, short rows, blank lines,
+    non-finite and malformed numbers, and duplicate (unit, time) pairs."""
+    text, schema = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.csv"
+        path.write_bytes(text.encode())
+        assert _outcome(path, schema) == _outcome(path, schema, scanner_only=True)
+
+
+@pytest.mark.parametrize("text, delimiter, fast", [
+    ("unit,time,y,x\nb,2,1.5,0.3\na,1,0.5,-0.2\na,2,0.7,0.1\nb,1,-0.5,0.0\n", ",", True),
+    ('unit;time;y;x\r\n"a;""b""";1e0;0.5;-0.2\r\n"a;""b""";-0.0;"0.7";0.1\r\n', ";", True),
+    ("x\tunit\ttime\ty\n0.5\tz\x00\t 2 \t1\n0.25\t\u65e5\t1\t2", "\t", True),
+    ('"unit","time","y","x"\n"cr\rlf",1,2,3\n', ",", True),
+    ('unit,time,y,x\n"l\nm",1,2,3\n', ",", False),  # a record spans two lines
+    ('unit,time,y,x\ra,0,5,6\n"l\nm",1,2,3\n', ",", False),  # a lone CR ends the header
+    ("unit,time,y,x\na,1,2,3\na,1,4,5\n", ",", False),  # a duplicate
+    ("unit,time,y,x,note\na,1,2,3\n", ",", False),  # a short row under five columns
+    ("unit,time,y,x\na,1,2," + "0" * 200_000 + "1\n", ",", False),  # oversized, finite
+    ('unit"time"y"x\na"2"0.7"0.3\na"1"0.5"0.2\n', '"', False),
+])
+def test_columnar_read_is_taken_only_where_certified(tmp_path, text, delimiter, fast):
+    path = tmp_path / "p.csv"
+    path.write_bytes(text.encode())
+    schema = PanelSchema(delimiter=delimiter)
+    columnar, taken = paneljump.io._columnar, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(paneljump.io, "_columnar", lambda *args: taken.append(columnar(*args)) or taken[-1])
+        outcome = _outcome(path, schema)
+    assert any(panel is not None for panel in taken) == fast
+    assert outcome == _outcome(path, schema, scanner_only=True)
+
+
+def test_oversized_finite_number_names_its_line(tmp_path):
+    path = _write(tmp_path, "p.csv", "unit,time,y,x\na,1,0.1,0.2\na,2,0.3," + "0" * 200_000 + "1\n")
+    with pytest.raises(DataError, match="p.csv line 3: field larger than field limit"):
+        read_panel_csv(path)
+
+
+def test_quote_delimiter_schema(tmp_path):
+    path = _write(tmp_path, "p.csv", 'unit"time"y"x\na"2"0.7"0.3\na"1"0.5"0.2\n')
+    panel = read_panel_csv(path, PanelSchema(delimiter='"'))
+    assert _units(panel) == [("a", [0.5, 0.7], [0.2, 0.3])]
 
 
 def _existence_result():
