@@ -8,17 +8,17 @@ constant ties them together.  The selector is deliberately simple; it is
 judged by the size and power it delivers downstream, not by bandwidth
 optimality per se.
 
-The plugin rule runs once per unit, so it avoids numpy's convenience
-wrappers, whose per-call overhead was most of its cost: one sort of the
-covariate gives its range, each side's distinct-value count and the
-quartiles, and the quartic fits are done with plain array operations and
-one ``lstsq`` call per side.  Each step replays the floating-point
-operations of the library call it replaces (``np.unique``,
-``np.percentile``, ``np.polynomial.Polynomial.fit`` with its evaluation and
-second derivative, ``np.clip``) on the same operands in the same order, so
-the bandwidths, errors and rank warnings are bit-identical to the rule
-written with those calls; ``tests/test_bandwidth.py`` holds that reference
-and checks it under hypothesis.
+The plugin rule runs for a block of units at once, and avoids numpy's
+convenience wrappers where their per-call overhead would be paid per unit:
+one sort gives each unit's range and per-side distinct-value counts, and
+the quartic fits are done with plain array operations and one ``lstsq``
+call per side and unit.  Each step replays the floating-point operations
+of the library call it replaces (``np.unique``,
+``np.polynomial.Polynomial.fit`` with its evaluation and second
+derivative, ``np.clip``) on the same operands in the same order, so the
+bandwidths, errors and rank warnings are bit-identical to the rule written
+with those calls; ``tests/test_bandwidth.py`` holds that reference and
+checks it under hypothesis.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientSupport
+from .errors import ConfigError, InsufficientSupport, _raised
 from .kernels import KernelSpec
 
 __all__ = [
@@ -180,21 +180,6 @@ def _quartic_side(y: np.ndarray, d: np.ndarray):
     return float(resid @ resid), float(curv)
 
 
-def _quartile(ds: np.ndarray, q: float):
-    """numpy's ``linear`` percentile of the sorted array ``ds`` at q in (0, 1).
-
-    Replays ``np.percentile``: virtual index (n - 1) q, then ``_lerp``
-    between its neighbours, from the upper one when the weight is 0.5 or
-    more.  Needs an interior index, which n >= 2 and 0 < q < 1 give.
-    """
-    pos = (ds.size - 1) * q
-    k = int(pos)
-    t = pos - k
-    below, above = ds[k], ds[k + 1]
-    step = above - below
-    return above - step * (1 - t) if t >= 0.5 else below + step * t
-
-
 def plugin_bandwidth(y, x, c: float, kernel: KernelSpec,
                      bounds: tuple[float, float] = DEFAULT_BOUNDS) -> float:
     """Rule-of-thumb bandwidth for the jump estimate at c.
@@ -209,11 +194,9 @@ def plugin_bandwidth(y, x, c: float, kernel: KernelSpec,
     up; the result is then clamped into ``bounds`` times the covariate
     range.  Deterministic in its inputs.
 
-    One sort of x gives the covariate range, each side's distinct-value
-    count and the quartiles; the quartic fits keep the input order.  The
-    bandwidth is bit-identical to the same rule computed with
+    The bandwidth is bit-identical to the same rule computed with
     ``np.unique``, ``np.percentile``, ``np.polynomial.Polynomial.fit`` and
-    ``np.clip`` (see ``_quartic_side`` and ``_quartile``).
+    ``np.clip`` (see ``_quartic_side``).
 
     Raises
     ------
@@ -225,25 +208,50 @@ def plugin_bandwidth(y, x, c: float, kernel: KernelSpec,
         [-1, 1], or a covariate scale so extreme that f(c) curv^2
         underflows to 0 or overflows.
     """
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    t_obs = x.size
+    return _raised(_plugin_rows(np.asarray(y, dtype=float)[None],
+                                np.asarray(x, dtype=float)[None], np.array([c]), kernel, bounds)[0])
+
+
+def _plugin_rows(y, x, c, kernel: KernelSpec, bounds: tuple[float, float]) -> list:
+    """``plugin_bandwidth`` of each row at its own c, or the row's InsufficientSupport."""
+    t_obs = x.shape[1]
     if t_obs < _MIN_OBS:
-        raise InsufficientSupport(f"need at least {_MIN_OBS} observations, got {t_obs}")
-    xs = np.sort(x)
+        return [InsufficientSupport(f"need at least {_MIN_OBS} observations, got {t_obs}")
+                for _ in x]
+    xs = np.sort(x, 1)
+    first = np.ones(x.shape, dtype=bool)  # each value's first place, so also the split
+    np.not_equal(xs[:, 1:], xs[:, :-1], out=first[:, 1:])
+    with np.errstate(all="ignore"):  # it also covers rows that fail a check first
+        d = x - c[:, None]
+        # Silverman rule-of-thumb density estimate at the threshold.
+        spread = np.std(d, 1)
+        q75, q25 = np.percentile(d, [75.0, 25.0], axis=1)
+        iqr_scale = (q75 - q25) / 1.34
+        width = np.where(iqr_scale > 0.0, np.minimum(spread, iqr_scale), spread)
+        h_dens = 0.9 * width * t_obs ** (-0.2)
+        dens = np.mean(np.exp(-0.5 * (d / h_dens[:, None]) ** 2), 1) / (h_dens * np.sqrt(2.0 * np.pi))
+    n_minus = np.count_nonzero(first & (xs < c[:, None]), 1)  # minus side x < c, then plus side
+    out = []
+    for row in zip(y, d, xs, np.count_nonzero(first, 1) - n_minus, n_minus, dens):
+        try:
+            out.append(_plugin_row(*row, kernel, bounds))
+        except InsufficientSupport as exc:
+            out.append(exc)
+    return out
+
+
+def _plugin_row(y, d, xs, n_plus, n_minus, dens, kernel: KernelSpec,
+                bounds: tuple[float, float]) -> float:
+    """One row's checks, quartic fits and rule, after the block's front end."""
+    t_obs = d.size
     x_range = float(xs[-1] - xs[0])
     if x_range <= 0.0:
         raise InsufficientSupport("degenerate covariate range")
-    d = x - c
-    ds = xs - c  # d sorted: x -> x - c never reorders
-    split = int(np.searchsorted(ds, 0.0))  # minus side x < c, then plus side
-    first = np.ones(t_obs, dtype=bool)  # each value's first place, so also split
-    np.not_equal(xs[1:], xs[:-1], out=first[1:])
     plus = d >= 0.0
     rss = 0.0
     curvs = []
-    for side_mask, part in ((plus, slice(split, None)), (~plus, slice(0, split))):
-        if np.count_nonzero(first[part]) < _MIN_SIDE:
+    for side_mask, count in ((plus, n_plus), (~plus, n_minus)):
+        if count < _MIN_SIDE:
             raise InsufficientSupport(
                 f"need at least {_MIN_SIDE} distinct covariate values per side"
             )
@@ -257,18 +265,9 @@ def plugin_bandwidth(y, x, c: float, kernel: KernelSpec,
     lo, hi = bounds
     if sigma_sq <= 0.0:
         return lo * x_range
-
-    # Silverman rule-of-thumb density estimate at the threshold.
-    spread = float(np.std(d))
-    q75, q25 = _quartile(ds, 0.75), _quartile(ds, 0.25)
-    iqr_scale = (q75 - q25) / 1.34
-    width = min(spread, iqr_scale) if iqr_scale > 0.0 else spread
-    h_dens = 0.9 * width * t_obs ** (-0.2)
-    dens = float(np.mean(np.exp(-0.5 * (d / h_dens) ** 2)) / (h_dens * np.sqrt(2.0 * np.pi)))
-
     curv = abs(curvs[0] - curvs[1])
     curv = max(curv, _CURV_FLOOR * np.sqrt(sigma_sq) / x_range**2)
-    dens_curv_sq = dens * curv * curv
+    dens_curv_sq = float(dens) * curv * curv
     if not 0.0 < dens_curv_sq < np.inf:
         raise InsufficientSupport(
             f"density x curvature^2 = {dens_curv_sq} leaves float range at this covariate scale"
@@ -311,16 +310,12 @@ def pilot_bandwidth(x, b: float) -> float:
     xs = np.sort(x)
     k = _PILOT_MIN_POINTS - 1
     # Minimal half-width placing >= _PILOT_MIN_POINTS sample values in the
-    # window of each point, then the worst case over points.
+    # window of each point, then the worst case over points: point j + m
+    # is the m-th of the run xs[j:j + k + 1].
     half = np.full(n, np.inf)
     for m in range(k + 1):
-        left = np.arange(n) - m
-        right = left + k
-        valid = (left >= 0) & (right < n)
-        idx = np.where(valid)[0]
-        if idx.size == 0:
-            continue
-        width = np.maximum(xs[right[idx]] - xs[idx], xs[idx] - xs[left[idx]])
-        half[idx] = np.minimum(half[idx], width)
+        at = slice(m, n - k + m)
+        width = np.maximum(xs[k:] - xs[at], xs[at] - xs[:n - k])
+        np.minimum(half[at], width, out=half[at])
     needed = float(half[np.isfinite(half)].max())
     return max(b_star, needed)

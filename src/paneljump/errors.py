@@ -65,3 +65,10 @@ class NonFiniteValue(DataError):
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
+
+
+def _raised(value):
+    """``value``, or raised if it is the exception a row block kept for a row."""
+    if isinstance(value, PanelJumpError):
+        raise value
+    return value

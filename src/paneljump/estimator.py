@@ -2,9 +2,10 @@
 
 The jump estimate at a threshold c is the difference between two boundary
 local linear fits, one from each side.  Residual smoothing runs a plain
-two-sided local linear regression at every sample point; it backs the
-variance estimators and must stay cheap, so the uniform kernel gets a
-prefix-sum path that avoids per-point Python work.
+two-sided local linear regression at every sample point, or for the
+uniform kernel at those asked for (a known-threshold fit's variance window);
+it backs the variance estimators and must stay cheap, so the uniform
+kernel gets a prefix-sum path that avoids per-point Python work.
 """
 
 from __future__ import annotations
@@ -58,38 +59,40 @@ def estimate_jump(y, x, c: float, b: float, kernel: KernelSpec) -> UnitJumpFit:
     x = np.asarray(x, dtype=float)
     w_plus = local_weights(x, c, b, kernel, "plus")
     w_minus = local_weights(x, c, b, kernel, "minus")
-    return UnitJumpFit(
-        gamma_hat=float(w_plus @ y) - float(w_minus @ y),
-        w_diff=w_plus - w_minus,
-        eff_obs=int(np.count_nonzero(w_plus)) + int(np.count_nonzero(w_minus)),
-    )
+    return _jump_rows(y[None], w_plus[None], w_minus[None])[0]
 
 
-def _fitted_uniform(eval_points: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                    b: float) -> np.ndarray:
-    """Local linear fitted values with the uniform kernel via prefix sums.
+def _jump_rows(y, w_plus, w_minus) -> list[UnitJumpFit]:
+    """The jump fit of each row of a block from its one-sided weight rows."""
+    y_cols = y[..., None]
+    gamma = (w_plus[:, None] @ y_cols)[:, 0, 0] - (w_minus[:, None] @ y_cols)[:, 0, 0]
+    eff = (w_plus != 0.0).sum(1) + (w_minus != 0.0).sum(1)
+    return [UnitJumpFit(float(g), w, int(e)) for g, w, e in zip(gamma, w_plus - w_minus, eff)]
 
-    ``xs``/``ys`` must be sorted by x.  The constant kernel factor cancels
-    from the local linear ratio, so windowed power sums suffice.  All series
-    are recentred on the mean of x to tame cancellation in the squares.
+
+def _fitted_uniform(x: np.ndarray, at: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+                    b: np.ndarray) -> np.ndarray:
+    """Local linear fitted values with the uniform kernel via prefix sums,
+    at the points ``at`` marks in each row of ``x`` (NaN elsewhere).
+
+    ``xs``/``ys`` are the rows sorted by x.  The constant kernel factor
+    cancels from the local linear ratio, so windowed power sums suffice.
+    All series are recentred on the row's mean of x to tame cancellation.
     """
-    centre = float(xs.mean())
-    xc = xs - centre
-    z = np.zeros(1)
-    p1 = np.concatenate((z, np.cumsum(xc)))
-    p2 = np.concatenate((z, np.cumsum(xc * xc)))
-    q0 = np.concatenate((z, np.cumsum(ys)))
-    q1 = np.concatenate((z, np.cumsum(xc * ys)))
-
-    lo = np.searchsorted(xs, eval_points - b, side="left")
-    hi = np.searchsorted(xs, eval_points + b, side="right")
+    centre = xs.mean(1)
+    xc = xs - centre[:, None]
+    z = np.zeros((len(xs), 1))
+    p1, p2, q0, q1 = (np.concatenate((z, np.cumsum(v, 1)), 1).ravel()
+                      for v in (xc, xc * xc, ys, xc * ys))
+    points = [row[m] for row, m in zip(x, at)]
+    starts = range(0, p1.size, xs.shape[1] + 1)  # each row's place in the raveled sums
+    lo = np.concatenate([start + np.searchsorted(s, u - h, side="left")
+                         for start, s, u, h in zip(starts, xs, points, b)])
+    hi = np.concatenate([start + np.searchsorted(s, u + h, side="right")
+                         for start, s, u, h in zip(starts, xs, points, b)])
     n = (hi - lo).astype(float)
-    uc = eval_points - centre
-    m1 = p1[hi] - p1[lo]
-    m2 = p2[hi] - p2[lo]
-    r0 = q0[hi] - q0[lo]
-    r1 = q1[hi] - q1[lo]
-
+    uc = np.concatenate(points) - np.repeat(centre, [u.size for u in points])
+    m1, m2, r0, r1 = (p[hi] - p[lo] for p in (p1, p2, q0, q1))
     sd1 = m1 - uc * n
     sd2 = m2 - 2.0 * uc * m1 + uc * uc * n
     t1 = r1 - uc * r0
@@ -98,7 +101,9 @@ def _fitted_uniform(eval_points: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         fitted = (sd2 * r0 - sd1 * t1) / den
     fitted[~(den > floor)] = np.nan
-    return fitted
+    out = np.full(x.shape, np.nan)
+    out[at] = fitted
+    return out
 
 
 def _fitted_general(eval_points: np.ndarray, xs: np.ndarray, ys: np.ndarray,
@@ -170,14 +175,18 @@ def smooth_residuals(y, x, b_pilot: float, kernel: KernelSpec,
         c, gamma = jump_removal
         y = y - gamma * (x >= c)
 
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    ys = y[order]
-    if kernel.kind == "uniform":
-        fitted = _fitted_uniform(x, xs, ys, b_pilot)
-    else:
-        fitted = _fitted_general(x, xs, ys, b_pilot, kernel)
-    resid = y - fitted
+    resid = _residual_rows(y[None], x[None], np.array([b_pilot]), kernel,
+                           np.ones((1, x.size), dtype=bool))[0]
     if not np.any(np.isfinite(resid)):
         raise InsufficientSupport("no sample point admits a local linear fit")
     return resid
+
+
+def _residual_rows(y, x, b, kernel: KernelSpec, at) -> np.ndarray:
+    """Each row's residuals at its own bandwidth; the uniform kernel smooths
+    only the points ``at`` marks, leaving NaN elsewhere."""
+    order = np.argsort(x, axis=1, kind="stable")
+    xs, ys = np.take_along_axis(x, order, 1), np.take_along_axis(y, order, 1)
+    if kernel.kind == "uniform":
+        return y - _fitted_uniform(x, at, xs, ys, b)
+    return y - np.array([_fitted_general(*row, kernel) for row in zip(x, xs, ys, b)])

@@ -16,13 +16,14 @@ from typing import Mapping
 import numpy as np
 from scipy.special import ndtri
 
-from .bandwidth import BandwidthPolicy, pilot_bandwidth, plugin_bandwidth, pooled_bandwidth
-from .errors import ConfigError, DataError, InsufficientSupport, NumericalError
-from .estimator import UnitJumpFit, estimate_jump, smooth_residuals
-from .kernels import KernelSpec, denominator_floor
+from .bandwidth import BandwidthPolicy, _plugin_rows, pilot_bandwidth, pooled_bandwidth
+from .errors import ConfigError, DataError, InsufficientSupport, NumericalError, _raised
+from .estimator import UnitJumpFit, _jump_rows, _residual_rows, estimate_jump, smooth_residuals
+from .kernels import KernelSpec, _side_rows, denominator_floor
 from .panel import PanelData, PanelUnit
 from .variance import (
     SigmaC,
+    _window_rows,
     default_truncation,
     sigma_c_matrix,
     sigma_e_sq_truncated,
@@ -53,6 +54,9 @@ _V_FLOOR_REL = 1e-12
 
 # Cap on floats drawn per simulation chunk (about 32 MB).
 _CHUNK_BUDGET = 4_000_000
+
+# Cap on floats per row block of units (rows x T): keeps peak memory flat in N.
+_BLOCK_BUDGET = 2**13
 
 # Grid-search scan.  A scan statistic stands in for the dense one only
 # where its error bound is within _SCAN_RTOL relative.  Points scoring
@@ -316,20 +320,33 @@ def _resolve_thresholds(panel: PanelData, threshold) -> dict[str, float]:
     return out
 
 
+def _blocks(units, rows, *values) -> dict:
+    """``rows(block, y, x, *arrays)`` over row blocks of equal-length units,
+    at most _BLOCK_BUDGET floats each, where ``arrays`` holds the block's
+    entries of each mapping in ``values``; the row results by unit id."""
+    groups: dict[int, list[PanelUnit]] = {}
+    for u in units:
+        groups.setdefault(u.n_obs, []).append(u)
+    out = {}
+    for t_obs, group in groups.items():
+        step = max(1, _BLOCK_BUDGET // t_obs)
+        for block in (group[i:i + step] for i in range(0, len(group), step)):
+            arrays = [np.array([v[u.unit_id] for u in block]) for v in values]
+            out.update(zip([u.unit_id for u in block], rows(
+                block, np.array([u.y for u in block]), np.array([u.x for u in block]), *arrays)))
+    return {u.unit_id: out[u.unit_id] for u in units}
+
+
 def _resolve_bandwidths(panel: PanelData, thresholds: dict[str, float],
                         policy: BandwidthPolicy, kernel: KernelSpec):
     """Per-unit bandwidths plus skip reasons for units that defeated selection."""
     if policy.mode == "fixed":
         return {u.unit_id: float(policy.value) for u in panel}, {}
-    per_unit: dict[str, float] = {}
-    failures: dict[str, str] = {}
-    for u in panel:
-        try:
-            per_unit[u.unit_id] = plugin_bandwidth(
-                u.y, u.x, thresholds[u.unit_id], kernel, policy.bounds
-            )
-        except InsufficientSupport as exc:
-            failures[u.unit_id] = f"bandwidth selection failed: {exc}"
+    selected = _blocks(panel, lambda _, y, x, c: _plugin_rows(y, x, c, kernel, policy.bounds),
+                       thresholds)
+    failures = {uid: f"bandwidth selection failed: {b}" for uid, b in selected.items()
+                if isinstance(b, InsufficientSupport)}
+    per_unit = {uid: b for uid, b in selected.items() if uid not in failures}
     if policy.mode == "plugin":
         return per_unit, failures
     if not per_unit:
@@ -366,12 +383,28 @@ def _unit_row(unit: PanelUnit, c: float, b: float, fit: UnitJumpFit,
     )
 
 
-def _analyze_unit(unit: PanelUnit, c: float, b: float, kernel: KernelSpec) -> UnitResult:
-    """Fit both boundaries at the known threshold c into a report row."""
-    y, x = unit.y, unit.x
-    fit = estimate_jump(y, x, c, b, kernel)
-    resid = smooth_residuals(y, x, b, kernel, jump_removal=(c, fit.gamma_hat))
-    return _unit_row(unit, c, b, fit, sigma_e_sq_truncated(resid, x, c, b, np.inf), _v_floor(y))
+def _analyze_rows(block: list[PanelUnit], y, x, c, b, kernel: KernelSpec) -> list:
+    """Each unit's report row at its threshold, or the error that skips it or
+    stops the test.  Where no variance-window point smooths, the others decide why."""
+    w_plus, plus_errors = _side_rows(x, c, b, kernel, "plus")
+    w_minus, minus_errors = _side_rows(x, c, b, kernel, "minus")
+    out: list = [p or m for p, m in zip(plus_errors, minus_errors)]
+    keep = np.flatnonzero([error is None for error in out])
+    if not keep.size:
+        return out
+    fits = _jump_rows(y[keep], w_plus[keep], w_minus[keep])
+    y, x, c, b = y[keep], x[keep], c[keep], b[keep]
+    y = y - np.array([fit.gamma_hat for fit in fits])[:, None] * (x >= c[:, None])
+    resid = _residual_rows(y, x, b, kernel, (x >= (c - b)[:, None]) & (x <= (c + b)[:, None]))
+    for r, (i, fit, sigma_sq) in enumerate(zip(keep, fits, _window_rows(resid, x, c, b, np.inf))):
+        try:
+            if isinstance(sigma_sq, InsufficientSupport):
+                smooth_residuals(y[r], x[r], float(b[r]), kernel)
+            out[i] = _unit_row(block[i], float(c[r]), float(b[r]), fit, _raised(sigma_sq),
+                               _v_floor(block[i].y))
+        except NumericalError as exc:
+            out[i] = exc
+    return out
 
 
 def _each_unit(units, step, skipped: list[SkippedUnit], what: str) -> dict:
@@ -404,11 +437,10 @@ def _fit_panel(panel: PanelData, threshold, config: TestConfig):
         panel, thresholds, config.bandwidth, config.kernel
     )
     skipped = [SkippedUnit(uid, reason) for uid, reason in failures.items()]
-    rows = _each_unit(
-        [u for u in panel if u.unit_id in bandwidths],
-        lambda u: _analyze_unit(u, thresholds[u.unit_id], bandwidths[u.unit_id], config.kernel),
-        skipped, "a jump fit",
-    )
+    units = [u for u in panel if u.unit_id in bandwidths]
+    found = _blocks(units, lambda *args: _analyze_rows(*args, config.kernel),
+                    thresholds, bandwidths)
+    rows = _each_unit(units, lambda u: _raised(found[u.unit_id]), skipped, "a jump fit")
     return list(rows.values()), skipped
 
 

@@ -10,7 +10,10 @@ Conventions used throughout:
     point sitting exactly on the threshold on the plus side;
   * kernels live on [-1, 1] with the endpoints included, and inside the
     window they are evaluated at clip((x - c) / b, -1, 1);
-  * weights are returned as full-length vectors, zero off the own side.
+  * weights are returned as full-length vectors, zero off the own side;
+  * a private ``*_rows`` function solves a block of equal-length units,
+    one row each, by row sums and stacked one-row products, so each row
+    is bit-identical to the public one-unit function, its one-row case.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientSupport
+from .errors import ConfigError, InsufficientSupport, _raised
 
 __all__ = [
     "KERNEL_KINDS",
@@ -99,19 +102,30 @@ def local_weights(x, c: float, b: float, kernel: KernelSpec, side: str) -> np.nd
         raise ConfigError(f"side must be 'plus' or 'minus', got {side!r}")
     if b <= 0.0:
         raise ConfigError(f"bandwidth must be positive, got {b}")
-    x = np.asarray(x, dtype=float)
+    w, (error,) = _side_rows(np.asarray(x, dtype=float)[None], np.array([c]), np.array([b]),
+                             kernel, side)
+    _raised(error)
+    return w[0]
+
+
+def _side_rows(x, c, b, kernel: KernelSpec, side: str):
+    """``local_weights`` of each row at its own c and b: the weight rows
+    (meaningless where a row fails), and each row's InsufficientSupport or None."""
+    c, b = c[:, None], b[:, None]
     d = x - c
     mask = (x >= c) & (x <= c + b) if side == "plus" else (x < c) & (x >= c - b)
-    kw = np.zeros_like(d)
-    kw[mask] = eval_kernel(kernel, np.clip(d[mask] / b, -1.0, 1.0))
-    support = x[kw > 0.0]
-    if support.size == 0 or support.min() == support.max():
-        raise InsufficientSupport(
-            f"insufficient support on {side} side: fewer than 2 distinct in-support points")
-    s0 = float(kw.sum())
-    s1 = float(kw @ d)
-    s2 = float(kw @ (d * d))
-    den = s2 * s0 - s1 * s1
-    if not den > denominator_floor(s0, s2):  # also rejects a NaN from overflowing sums
-        raise InsufficientSupport(f"insufficient support on {side} side: singular local design")
-    return kw * (s2 - d * s1) / den
+    with np.errstate(over="ignore"):  # d / b may overflow off the window, where it is unused
+        kw = np.where(mask, eval_kernel(kernel, np.clip(d / b, -1.0, 1.0)), 0.0)
+    carried = kw > 0.0
+    distinct = np.where(carried, x, np.inf).min(1) < np.where(carried, x, -np.inf).max(1)
+    s0 = kw.sum(1, keepdims=True)
+    s1 = (kw[:, None] @ d[..., None])[:, 0]
+    s2 = (kw[:, None] @ (d * d)[..., None])[:, 0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        den = s2 * s0 - s1 * s1
+        solvable = (den > denominator_floor(s0, s2))[:, 0]  # also rejects a NaN den
+        w = kw * (s2 - d * s1) / den
+    return w, [None if ok else InsufficientSupport(
+        f"insufficient support on {side} side: "
+        + ("singular local design" if two else "fewer than 2 distinct in-support points"))
+        for two, ok in zip(distinct, distinct & solvable)]

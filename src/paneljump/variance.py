@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientSupport, NumericalError
+from .errors import ConfigError, InsufficientSupport, NumericalError, _raised
 
 __all__ = [
     "SigmaC",
@@ -55,12 +55,18 @@ def sigma_e_sq_truncated(resid, x, c: float, b: float, a_trunc: float) -> float:
         raise ConfigError(f"truncation level must be nonnegative, got {a_trunc}")
     if b <= 0.0:
         raise ConfigError(f"window width must be positive, got {b}")
-    resid = np.asarray(resid, dtype=float)
-    x = np.asarray(x, dtype=float)
-    vals = resid[(x >= c - b) & (x <= c + b) & np.isfinite(resid)]
-    if vals.size == 0:
-        raise InsufficientSupport(f"no usable residuals within {b} of c={c}")
-    return float(np.mean(np.minimum(a_trunc, vals * vals)))
+    return _raised(_window_rows(np.asarray(resid, dtype=float)[None],
+                                np.asarray(x, dtype=float)[None], np.array([c]), np.array([b]),
+                                a_trunc)[0])
+
+
+def _window_rows(resid, x, c, b, a_trunc: float) -> list:
+    """``sigma_e_sq_truncated`` of each row at its own c and b, or the
+    row's InsufficientSupport."""
+    usable = (x >= (c - b)[:, None]) & (x <= (c + b)[:, None]) & np.isfinite(resid)
+    return [float(np.mean(np.minimum(a_trunc, v * v))) if v.size else InsufficientSupport(
+        f"no usable residuals within {float(bb)} of c={float(cc)}")
+        for v, cc, bb in zip(map(np.compress, usable, resid), c, b)]
 
 
 def default_truncation(pooled_resid_sq, n_comparisons: int) -> float:

@@ -12,7 +12,6 @@ from scipy import integrate
 from paneljump.bandwidth import (
     DEFAULT_BOUNDS,
     BandwidthPolicy,
-    _quartile,
     boundary_constant,
     pilot_bandwidth,
     plugin_bandwidth,
@@ -301,22 +300,6 @@ def test_plugin_bandwidth_matches_library_reference(seed, t_obs, levels, cluster
     assert new == ref
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=40),
-    q=st.sampled_from([0.25, 0.75]),
-)
-def test_quartile_matches_np_percentile(values, q):
-    """Bit for bit, including the upper-neighbour form np.percentile uses
-    at interpolation weights of 0.5 and more, which differs from the lower
-    one where the neighbours' difference rounds (say across zero)."""
-    ds = np.sort(np.array(values))
-    with np.errstate(over="ignore", invalid="ignore"):
-        ref = np.percentile(ds, 100.0 * q)
-        got = _quartile(ds, q)
-    assert np.float64(got).tobytes() == np.float64(ref).tobytes()
-
-
 def test_plugin_bandwidth_matches_library_reference_on_collapsed_side():
     """25 distinct covariates 1e-14 apart all centre to d = 1000 at c = -1000:
     the plus side's fit widens its one-point domain and warns of rank 1,
@@ -370,3 +353,42 @@ class TestPilotBandwidth:
         x = np.array([0.0, 1.0, 2.0])
         b_star = pilot_bandwidth(x, 0.01)
         assert b_star >= 2.0
+
+
+def _reference_pilot_bandwidth(x, b):
+    """``pilot_bandwidth`` with its windows found by index arithmetic, one
+    fancy-indexed pass per place in the run of neighbours."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    b_star = b * float(n) ** (-0.1)
+    if n <= 10:
+        span = float(x.max() - x.min()) if n > 1 else b
+        return max(b_star, span)
+    xs = np.sort(x)
+    k = 9
+    half = np.full(n, np.inf)
+    for m in range(k + 1):
+        left = np.arange(n) - m
+        right = left + k
+        idx = np.where((left >= 0) & (right < n))[0]
+        width = np.maximum(xs[right[idx]] - xs[idx], xs[idx] - xs[left[idx]])
+        half[idx] = np.minimum(half[idx], width)
+    return max(b_star, float(half[np.isfinite(half)].max()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.sampled_from([1, 2, 10, 11, 12, 19, 20, 57, 200, 800]),
+    levels=st.sampled_from([0, 3, 25]),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    b=st.sampled_from([1e-4, 0.05, 0.3, 5.0]),
+)
+def test_pilot_bandwidth_matches_reference(seed, n, levels, scale, b):
+    """Bit-identical to the index-arithmetic form, ties and scales included."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(n)
+    if levels:
+        u = np.round(u * levels) / levels
+    x = scale * u
+    assert pilot_bandwidth(x, b) == _reference_pilot_bandwidth(x, b)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 import paneljump.inference
-from paneljump.bandwidth import BandwidthPolicy, pilot_bandwidth
+from paneljump.bandwidth import BandwidthPolicy, pilot_bandwidth, pooled_bandwidth
 from paneljump.errors import (
     DataError,
     ConfigError,
@@ -21,8 +21,9 @@ from paneljump.errors import (
     NumericalError,
 )
 from paneljump.dgp import DgpConfig, GammaScheme, gen_dgp
-from paneljump.estimator import estimate_jump, smooth_residuals
+from paneljump.estimator import UnitJumpFit, _fitted_general, estimate_jump, smooth_residuals
 from paneljump.inference import (
+    SkippedUnit,
     critical_values,
     search_thresholds,
     simulate_max_gaussian,
@@ -31,9 +32,10 @@ from paneljump.inference import TestConfig as Config
 from paneljump.inference import test_existence as run_existence
 from paneljump.inference import test_homogeneity as run_homogeneity
 from paneljump.io import render_report
-from paneljump.kernels import local_weights
+from paneljump.kernels import KERNEL_KINDS, KernelSpec, denominator_floor, eval_kernel, local_weights
 from paneljump.panel import PanelData, PanelUnit
 from paneljump.variance import SigmaC, sigma_e_sq_truncated
+from test_bandwidth import _reference_plugin_bandwidth
 
 # A bandwidth of 1 on T = 100 points gives sqrt(T b) = 10.
 STEP = Config(bandwidth=BandwidthPolicy.fixed(1.0))
@@ -879,3 +881,270 @@ def test_scan_search_matches_dense_reference(seed, n_obs, levels, jitter, n_grid
             == np.count_nonzero(np.isfinite(ref_row.stats)))
     np.testing.assert_allclose(row.stats, ref_row.stats, rtol=1e-9, atol=0.0)
     assert replace(row, stats=None) == replace(ref_row, stats=None)
+
+
+# ----------------------------------------------------------------------
+# row blocks: the known-threshold fit against the per-unit chain
+
+
+def _reference_local_weights(x, c, b, kernel, side):
+    """``kernels.local_weights`` written directly for one unit's 1-d arrays."""
+    d = x - c
+    mask = (x >= c) & (x <= c + b) if side == "plus" else (x < c) & (x >= c - b)
+    kw = np.zeros_like(d)
+    kw[mask] = eval_kernel(kernel, np.clip(d[mask] / b, -1.0, 1.0))
+    support = x[kw > 0.0]
+    if support.size == 0 or support.min() == support.max():
+        raise InsufficientSupport(
+            f"insufficient support on {side} side: fewer than 2 distinct in-support points")
+    s0 = float(kw.sum())
+    s1 = float(kw @ d)
+    s2 = float(kw @ (d * d))
+    den = s2 * s0 - s1 * s1
+    if not den > denominator_floor(s0, s2):
+        raise InsufficientSupport(f"insufficient support on {side} side: singular local design")
+    return kw * (s2 - d * s1) / den
+
+
+def _reference_fitted_uniform(eval_points, xs, ys, b):
+    """``estimator._fitted_uniform`` at every point of one unit, written on 1-d arrays."""
+    centre = float(xs.mean())
+    xc = xs - centre
+    z = np.zeros(1)
+    p1, p2, q0, q1 = (np.concatenate((z, np.cumsum(v))) for v in (xc, xc * xc, ys, xc * ys))
+    lo = np.searchsorted(xs, eval_points - b, side="left")
+    hi = np.searchsorted(xs, eval_points + b, side="right")
+    n = (hi - lo).astype(float)
+    uc = eval_points - centre
+    m1, m2, r0, r1 = (p[hi] - p[lo] for p in (p1, p2, q0, q1))
+    sd1 = m1 - uc * n
+    sd2 = m2 - 2.0 * uc * m1 + uc * uc * n
+    t1 = r1 - uc * r0
+    den = sd2 * n - sd1 * sd1
+    floor = denominator_floor(n, sd2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fitted = (sd2 * r0 - sd1 * t1) / den
+    fitted[~(den > floor)] = np.nan
+    return fitted
+
+
+def _reference_analyze_unit(unit, c, b, kernel):
+    """The known-threshold chain for one unit: both one-sided fits, the
+    jump-removed residuals smoothed at every point, their windowed mean
+    square and the report row."""
+    y, x = unit.y, unit.x
+    w_plus = _reference_local_weights(x, c, b, kernel, "plus")
+    w_minus = _reference_local_weights(x, c, b, kernel, "minus")
+    gamma = float(w_plus @ y) - float(w_minus @ y)
+    fit = UnitJumpFit(gamma, w_plus - w_minus,
+                      int(np.count_nonzero(w_plus)) + int(np.count_nonzero(w_minus)))
+    y = y - gamma * (x >= c)
+    order = np.argsort(x, kind="stable")
+    if kernel.kind == "uniform":
+        fitted = _reference_fitted_uniform(x, x[order], y[order], b)
+    else:
+        fitted = _fitted_general(x, x[order], y[order], b, kernel)
+    resid = y - fitted
+    if not np.any(np.isfinite(resid)):
+        raise InsufficientSupport("no sample point admits a local linear fit")
+    vals = resid[(x >= c - b) & (x <= c + b) & np.isfinite(resid)]
+    if vals.size == 0:
+        raise InsufficientSupport(f"no usable residuals within {b} of c={c}")
+    sigma_e_sq = float(np.mean(np.minimum(np.inf, vals * vals)))
+    return paneljump.inference._unit_row(unit, c, b, fit, sigma_e_sq,
+                                         paneljump.inference._v_floor(unit.y))
+
+
+def _reference_fit_panel(panel, threshold, config):
+    """``inference._fit_panel`` one unit at a time in panel order, with the
+    plugin rule written with numpy's library calls."""
+    if isinstance(threshold, dict):
+        thresholds = {u.unit_id: float(threshold[u.unit_id]) for u in panel}
+    else:
+        thresholds = dict.fromkeys((u.unit_id for u in panel), float(threshold))
+    policy, kernel = config.bandwidth, config.kernel
+    skipped = []
+    if policy.mode == "fixed":
+        bandwidths = {u.unit_id: policy.value for u in panel}
+    else:
+        bandwidths = {}
+        for u in panel:
+            try:
+                bandwidths[u.unit_id] = _reference_plugin_bandwidth(
+                    u.y, u.x, thresholds[u.unit_id], kernel, policy.bounds)
+            except InsufficientSupport as exc:
+                skipped.append(SkippedUnit(u.unit_id, f"bandwidth selection failed: {exc}"))
+        if policy.mode == "pooled_plugin":
+            if not bandwidths:
+                raise NumericalError("no unit supports plugin bandwidth selection")
+            ranges = [float(u.x.max() - u.x.min()) for u in panel if u.x.size > 1]
+            clamp = (policy.bounds[0] * min(ranges), policy.bounds[1] * max(ranges))
+            pooled = pooled_bandwidth(list(bandwidths.values()), clamp=clamp)
+            bandwidths, skipped = {u.unit_id: pooled for u in panel}, []
+    rows = []
+    for u in panel:
+        if u.unit_id in bandwidths:
+            try:
+                rows.append(_reference_analyze_unit(u, thresholds[u.unit_id],
+                                                    bandwidths[u.unit_id], kernel))
+            except InsufficientSupport as exc:
+                skipped.append(SkippedUnit(u.unit_id, str(exc)))
+    if not rows:
+        detail = "; ".join(f"{s.unit_id}: {s.reason}" for s in skipped)
+        raise NumericalError(f"no unit admits a jump fit ({detail})")
+    return rows, skipped
+
+
+# Units built to pass, or to stop at one stage of the fit.
+_STAGES = ("ok", "short", "levels", "plus", "minus", "floor", "far", "window",
+           "everywhere", "huge")
+
+
+def _stage_unit(uid, stage, c, t_obs, rng, k=0):
+    """A unit around threshold c that stops where ``stage`` says: at
+    bandwidth selection ("short", "levels"), at one side's support
+    ("plus", "minus", "far": every point far above c), at the singular
+    design floor ("floor", two plus points 2e-6 (1 + k 1e-6) apart), in
+    smoothing within the variance window ("window") or everywhere
+    ("everywhere"), or at an overflowing scale ("huge")."""
+    u = rng.uniform(-3.0, 3.0, t_obs)
+    if stage == "short":
+        u = u[:12]
+    elif stage == "levels":
+        u = np.round(u)
+    elif stage == "plus":
+        u[:4] = 0.3
+        u[4:] = -np.abs(u[4:]) - 1e-3
+    elif stage == "minus":
+        u[:4] = -0.3
+        u[4:] = np.abs(u[4:])
+    elif stage == "floor":
+        u = np.concatenate([rng.uniform(-0.2, 0.0, 20), [0.1, 0.1 + 2e-6 * (1.0 + k * 1e-6)]])
+    elif stage == "far":
+        u = rng.uniform(30.0, 40.0, t_obs)
+    y = np.cos(u) + (u >= 0.0) + 0.1 * rng.standard_normal(u.size)
+    if stage == "window":
+        y = y + 1e307 * (np.abs(u) <= 0.5)
+    elif stage == "everywhere":
+        y = y + 1e307
+    elif stage == "huge":
+        y = y * 1e160
+    return PanelUnit(uid, y, c + u)
+
+
+def _outcome(fit_panel, panel, threshold, config):
+    """(rows, skipped) or (error type, message), with the RankWarning
+    count and the set of RuntimeWarning messages raised on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            rows, skipped = fit_panel(panel, threshold, config)
+            value = ([_row_bytes(r) for r in rows], [(s.unit_id, s.reason) for s in skipped])
+        except (InsufficientSupport, NumericalError) as exc:
+            value = (type(exc), str(exc))
+    ranks = sum(issubclass(w.category, np.exceptions.RankWarning) for w in caught)
+    runtime = {str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)}
+    return value, ranks, runtime
+
+
+def _row_bytes(row):
+    """Every field of a report row, floats and arrays as their bytes."""
+    return tuple(np.asarray(getattr(row, f.name)).tobytes() if f.name != "unit_id"
+                 else row.unit_id for f in fields(row))
+
+
+def _assert_block_fit_equals_reference(panel, threshold, config):
+    """Equal outcomes and RankWarning counts, and no new RuntimeWarning.
+    A NumericalError from a report row stops the chain at its unit, where
+    the block has already fitted the units after it, so on that outcome
+    their warnings may show too."""
+    new = _outcome(paneljump.inference._fit_panel, panel, threshold, config)
+    ref = _outcome(_reference_fit_panel, panel, threshold, config)
+    assert new[:2] == ref[:2]
+    stopped = new[0][0] is NumericalError and not new[0][1].startswith("no unit admits")
+    assert stopped or new[2] <= ref[2], "new RuntimeWarnings"
+    return new[0]
+
+
+_POLICIES = (BandwidthPolicy.fixed(0.2), BandwidthPolicy.fixed(0.5), BandwidthPolicy.plugin(),
+             BandwidthPolicy.pooled((0.2, 0.5)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    units=st.lists(st.tuples(st.sampled_from((25, 40, 60)), st.sampled_from(_STAGES)),
+                   min_size=1, max_size=7),
+    mapping=st.booleans(),
+    kind=st.sampled_from(KERNEL_KINDS),
+    policy=st.sampled_from(_POLICIES),
+    k=st.integers(min_value=-200, max_value=200),
+)
+def test_block_fit_matches_per_unit_reference(seed, units, mapping, kind, policy, k):
+    """The row-block fit equals the per-unit chain bit for bit: every
+    report field, the skipped units in order with their reasons, the
+    NumericalError of the first failing unit in panel order, the
+    RankWarning count, and no RuntimeWarning the chain does not raise.
+    Panels are ragged (several lengths, often one unit alone in its
+    length) and units stop at every stage of the fit."""
+    rng = np.random.default_rng(seed)
+    cs = rng.uniform(-1.0, 1.0, len(units)) if mapping else np.zeros(len(units))
+    panel = PanelData([_stage_unit(f"u{j}", stage, c, t_obs, rng, k)
+                       for j, ((t_obs, stage), c) in enumerate(zip(units, cs))])
+    threshold = {u.unit_id: float(c) for u, c in zip(panel, cs)} if mapping else 0.0
+    _assert_block_fit_equals_reference(panel, threshold,
+                                       Config(kernel=KernelSpec(kind), bandwidth=policy))
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_block_fit_reaches_every_stage(kind, monkeypatch):
+    """A ragged panel whose units stop at each stage, in several blocks
+    (a unit alone in its length, then a cap of two rows a block), gives
+    the per-unit chain's rows and skip reasons, including the smoothing
+    precedence: no window point smooths ("no usable residuals") against
+    no point at all ("no sample point admits")."""
+    rng = np.random.default_rng(41)
+    # The non-uniform kernels smooth these huge values into an overflowing
+    # scale, a NumericalError, rather than into no residual.
+    window, everywhere = ("window", "everywhere") if kind == "uniform" else ("ok", "ok")
+    stages = ["ok", "plus", window, "ok", "minus", everywhere, "far", "ok", "ok"]
+    panel = PanelData([_stage_unit(f"u{j}", s, 0.0, 300 if j == 3 else 200, rng)
+                       for j, s in enumerate(stages)])
+    config = Config(kernel=KernelSpec(kind), bandwidth=BandwidthPolicy.fixed(0.5))
+    value = _assert_block_fit_equals_reference(panel, 0.0, config)
+    reasons = dict(value[1])
+    assert reasons["u1"].startswith("insufficient support on plus side")
+    assert reasons["u4"].startswith("insufficient support on minus side")
+    assert reasons["u6"].startswith("insufficient support on plus side")
+    if kind == "uniform":
+        assert reasons["u2"] == "no usable residuals within 0.5 of c=0.0"
+        assert reasons["u5"] == "no sample point admits a local linear fit"
+    monkeypatch.setattr(paneljump.inference, "_BLOCK_BUDGET", 400)
+    assert _assert_block_fit_equals_reference(panel, 0.0, config) == value
+
+
+def test_block_fit_first_numerical_error_in_panel_order():
+    """Two overflowing units in different blocks: the error names the one
+    first in panel order, though its block runs second."""
+    rng = np.random.default_rng(42)
+    panel = PanelData([_stage_unit("a", "ok", 0.0, 200, rng),
+                       _stage_unit("b", "huge", 0.0, 300, rng),
+                       _stage_unit("c", "huge", 0.0, 200, rng)])
+    config = Config(bandwidth=BandwidthPolicy.fixed(0.5))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _assert_block_fit_equals_reference(panel, 0.0, config)
+    assert value == (NumericalError,
+                     "variance for unit 'b' at c=0.0 overflows at this outcome scale")
+
+
+def test_block_fit_singular_floor_matches_reference():
+    """Across separations straddling the singular-design floor, the block
+    accepts and rejects the same units as the per-unit chain."""
+    rng = np.random.default_rng(43)
+    config = Config(bandwidth=BandwidthPolicy.fixed(0.2))
+    outcomes = set()
+    for k in range(-200, 201, 10):
+        panel = PanelData([_stage_unit("ok", "ok", 0.0, 22, rng),
+                           _stage_unit("f", "floor", 0.0, 22, rng, k)])
+        outcomes.add(tuple(_assert_block_fit_equals_reference(panel, 0.0, config)[1]))
+    assert len(outcomes) > 1
