@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientSupport
-from .kernels import KernelSpec, denominator_floor, eval_kernel, local_weights
+from .errors import ConfigError, InsufficientSupport, _raised
+from .kernels import KernelSpec, _side_rows, denominator_floor, eval_kernel
 
 __all__ = [
     "UnitJumpFit",
@@ -47,27 +47,33 @@ def estimate_jump(y, x, c: float, b: float, kernel: KernelSpec) -> UnitJumpFit:
 
     The estimate is ``mu_plus - mu_minus``, equivalently the weighted sum
     ``sum_t (w_t_plus - w_t_minus) y_t`` with the local linear boundary
-    weights from each side.
+    weights from each side (``kernels.local_weights``).
 
     Raises
     ------
     InsufficientSupport
         If either side lacks a valid local design; the message names the
-        side that failed.
+        side that failed, the plus side first.
     """
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    w_plus = local_weights(x, c, b, kernel, "plus")
-    w_minus = local_weights(x, c, b, kernel, "minus")
-    return _jump_rows(y[None], w_plus[None], w_minus[None])[0]
+    if b <= 0.0:
+        raise ConfigError(f"bandwidth must be positive, got {b}")
+    return _raised(_fit_rows(np.asarray(y, dtype=float)[None], np.asarray(x, dtype=float)[None],
+                             np.array([c]), np.array([b]), kernel)[0])
 
 
-def _jump_rows(y, w_plus, w_minus) -> list[UnitJumpFit]:
-    """The jump fit of each row of a block from its one-sided weight rows."""
-    y_cols = y[..., None]
+def _fit_rows(y, x, c, b, kernel: KernelSpec) -> list:
+    """``estimate_jump`` of each row at its own c and b: the row's
+    UnitJumpFit, or its InsufficientSupport (the plus side's first)."""
+    w_plus, plus_errors = _side_rows(x, c, b, kernel, "plus")
+    w_minus, minus_errors = _side_rows(x, c, b, kernel, "minus")
+    out: list = [p or m for p, m in zip(plus_errors, minus_errors)]
+    keep = np.flatnonzero([error is None for error in out])  # a failed side stops its row
+    w_plus, w_minus, y_cols = w_plus[keep], w_minus[keep], y[keep, :, None]
     gamma = (w_plus[:, None] @ y_cols)[:, 0, 0] - (w_minus[:, None] @ y_cols)[:, 0, 0]
     eff = (w_plus != 0.0).sum(1) + (w_minus != 0.0).sum(1)
-    return [UnitJumpFit(float(g), w, int(e)) for g, w, e in zip(gamma, w_plus - w_minus, eff)]
+    for i, g, w, e in zip(keep, gamma, w_plus - w_minus, eff):
+        out[i] = UnitJumpFit(float(g), w, int(e))
+    return out
 
 
 def _fitted_uniform(x: np.ndarray, at: np.ndarray, xs: np.ndarray, ys: np.ndarray,

@@ -18,15 +18,14 @@ from scipy.special import ndtri
 
 from .bandwidth import BandwidthPolicy, _plugin_rows, pilot_bandwidth, pooled_bandwidth
 from .errors import ConfigError, DataError, InsufficientSupport, NumericalError, _raised
-from .estimator import UnitJumpFit, _jump_rows, _residual_rows, estimate_jump, smooth_residuals
-from .kernels import KernelSpec, _side_rows, denominator_floor
+from .estimator import UnitJumpFit, _fit_rows, _residual_rows, smooth_residuals
+from .kernels import KernelSpec, denominator_floor
 from .panel import PanelData, PanelUnit
 from .variance import (
     SigmaC,
     _window_rows,
     default_truncation,
     sigma_c_matrix,
-    sigma_e_sq_truncated,
     v_sq,
     v_tilde_sq,
 )
@@ -302,10 +301,6 @@ def _v_floor(y: np.ndarray) -> float:
     return _V_FLOOR_REL * (scale if scale > 0.0 else 1.0)
 
 
-def _floored_scale(vsq: float, floor: float) -> float:
-    return max(float(np.sqrt(max(vsq, 0.0))), floor)
-
-
 def _resolve_thresholds(panel: PanelData, threshold) -> dict[str, float]:
     if isinstance(threshold, Mapping):
         missing = [u.unit_id for u in panel if u.unit_id not in threshold]
@@ -363,7 +358,7 @@ def _unit_row(unit: PanelUnit, c: float, b: float, fit: UnitJumpFit,
     standard error and t = sqrt(T b) gamma_hat / v.  A scale that is not
     a positive finite number is a NumericalError naming the unit: an
     infinite one would report t = 0 however large the jump."""
-    v = _floored_scale(v_sq(fit.w_diff, sigma_e_sq, unit.n_obs, b), floor)
+    v = max(float(np.sqrt(max(v_sq(fit.w_diff, sigma_e_sq, unit.n_obs, b), 0.0))), floor)
     if not v > 0.0:
         raise NumericalError(f"nonpositive variance for unit {unit.unit_id!r}")
     if v == np.inf:
@@ -386,21 +381,18 @@ def _unit_row(unit: PanelUnit, c: float, b: float, fit: UnitJumpFit,
 def _analyze_rows(block: list[PanelUnit], y, x, c, b, kernel: KernelSpec) -> list:
     """Each unit's report row at its threshold, or the error that skips it or
     stops the test.  Where no variance-window point smooths, the others decide why."""
-    w_plus, plus_errors = _side_rows(x, c, b, kernel, "plus")
-    w_minus, minus_errors = _side_rows(x, c, b, kernel, "minus")
-    out: list = [p or m for p, m in zip(plus_errors, minus_errors)]
-    keep = np.flatnonzero([error is None for error in out])
+    out = _fit_rows(y, x, c, b, kernel)
+    keep = np.flatnonzero([isinstance(fit, UnitJumpFit) for fit in out])
     if not keep.size:
         return out
-    fits = _jump_rows(y[keep], w_plus[keep], w_minus[keep])
     y, x, c, b = y[keep], x[keep], c[keep], b[keep]
-    y = y - np.array([fit.gamma_hat for fit in fits])[:, None] * (x >= c[:, None])
+    y = y - np.array([out[i].gamma_hat for i in keep])[:, None] * (x >= c[:, None])
     resid = _residual_rows(y, x, b, kernel, (x >= (c - b)[:, None]) & (x <= (c + b)[:, None]))
-    for r, (i, fit, sigma_sq) in enumerate(zip(keep, fits, _window_rows(resid, x, c, b, np.inf))):
+    for r, (i, sigma_sq) in enumerate(zip(keep, _window_rows(resid, x, c, b, np.inf))):
         try:
             if isinstance(sigma_sq, InsufficientSupport):
                 smooth_residuals(y[r], x[r], float(b[r]), kernel)
-            out[i] = _unit_row(block[i], float(c[r]), float(b[r]), fit, _raised(sigma_sq),
+            out[i] = _unit_row(block[i], float(c[r]), float(b[r]), out[i], _raised(sigma_sq),
                                _v_floor(block[i].y))
         except NumericalError as exc:
             out[i] = exc
@@ -637,7 +629,9 @@ def _search_unit(unit: PanelUnit, grid: np.ndarray, b: float, a_trunc: float,
     With the uniform kernel and analytic critical values a prefix-sum scan
     ranks the grid first, and only the points that can win, and those the
     scan cannot vouch for, are solved densely; their exact values replace
-    the scan's.  Any other configuration solves every point.
+    the scan's.  Any other configuration solves every point.  Solved points
+    run as row blocks (the unit's arrays once per point, at most
+    _BLOCK_BUDGET floats), each row bit-identical to its point alone.
     """
     y, x = unit.y, unit.x
     floor = _v_floor(y)
@@ -650,20 +644,20 @@ def _search_unit(unit: PanelUnit, grid: np.ndarray, b: float, a_trunc: float,
         solve = np.flatnonzero(unsure | near)
     else:
         stats = np.full(grid.size, np.nan)
-        solve = range(grid.size)
+        solve = np.arange(grid.size)
     rows: list[UnitResult] = []
     w_diffs = []
-    for k in solve:
-        c = float(grid[k])
-        try:
-            fit = estimate_jump(y, x, c, b, config.kernel)
-            sigma_e_sq = sigma_e_sq_truncated(resid, x, c, b, a_trunc)
-        except InsufficientSupport:
+    step = max(1, _BLOCK_BUDGET // unit.n_obs)
+    for block in (solve[i:i + step] for i in range(0, solve.size, step)):
+        c, bs = grid[block], np.full(block.size, b)
+        y_rows, x_rows, resid_rows = (np.repeat(v[None], block.size, 0) for v in (y, x, resid))
+        for k, fit, sigma_e_sq in zip(block, _fit_rows(y_rows, x_rows, c, bs, config.kernel),
+                                      _window_rows(resid_rows, x_rows, c, bs, a_trunc)):
             stats[k] = np.nan
-            continue
-        rows.append(_unit_row(unit, c, b, fit, sigma_e_sq, floor))
-        stats[k] = rows[-1].t_stat
-        w_diffs.append(fit.w_diff)
+            if isinstance(fit, UnitJumpFit) and isinstance(sigma_e_sq, float):
+                rows.append(_unit_row(unit, float(grid[k]), b, fit, sigma_e_sq, floor))
+                stats[k] = rows[-1].t_stat
+                w_diffs.append(fit.w_diff)
     if not rows:
         return None, w_diffs
     best = int(np.argmax(_score(np.array([r.t_stat for r in rows]), config.sidedness)))
@@ -690,7 +684,7 @@ def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) 
     near-ties, scan values within 4e-10 relative (typically 1e-12)
     elsewhere, and an exact NaN mask.  Other kernels, and simulated
     critical values, which need every weight row, solve every grid point.
-    Grid values must be finite.
+    Solved points run as row blocks.  Grid values must be finite.
 
     The result's ``spacing_warning`` flag is set when the grid spacing
     drops to 2 bandwidths or less, where statistics at neighbouring grid

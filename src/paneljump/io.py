@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 from io import StringIO
 
@@ -237,15 +238,6 @@ def read_threshold_csv(path: str, delimiter: str = ",") -> dict[str, float]:
 # ----------------------------------------------------------------------
 # rendering
 
-def _num(value: float) -> str:
-    """Delimited formats carry full precision so values round-trip."""
-    return format(float(value), ".15g")
-
-
-def _num_md(value: float) -> str:
-    return format(float(value), ".4f")
-
-
 def _cell(value, markdown: bool) -> str:
     if isinstance(value, str):
         return value
@@ -255,7 +247,13 @@ def _cell(value, markdown: bool) -> str:
         return str(int(value))
     if isinstance(value, np.ndarray):
         return " ".join(_cell(v, markdown) for v in value)
-    return _num_md(value) if markdown else _num(value)
+    return format(float(value), ".4f" if markdown else ".15g")  # delimited values round-trip
+
+
+def _md(text: str) -> str:
+    """``text`` as one markdown table cell or line: backslashes and pipes
+    escaped, each line break written as <br>."""
+    return re.sub(r"\r\n?|\n", "<br>", text.replace("\\", "\\\\").replace("|", "\\|"))
 
 
 def render_report(result, output_format: str = "csv") -> str:
@@ -275,11 +273,11 @@ def render_report(result, output_format: str = "csv") -> str:
         lines = ["| " + " | ".join(header) + " |",
                  "|" + "|".join(" --- " for _ in header) + "|"]
         for row in rows:
-            lines.append("| " + " | ".join(_cell(v, True) for v in row) + " |")
+            lines.append("| " + " | ".join(_md(_cell(v, True)) for v in row) + " |")
         if summary:
             lines.append("")
             for item in summary:
-                lines.append(": ".join(item))
+                lines.append(_md(": ".join(item)))
         return "\n".join(lines) + "\n"
     # The csv module quotes cells that hold the delimiter, a quote or a
     # newline, such as unit ids or skip reasons; other cells are unchanged.

@@ -72,8 +72,10 @@ def _window_rows(resid, x, c, b, a_trunc: float) -> list:
 def default_truncation(pooled_resid_sq, n_comparisons: int) -> float:
     """Default truncation level from pooled squared residuals.
 
-    Scales the pooled median by max(9, sqrt(log of the comparison count)).
-    A zero median (noiseless data) disables truncation entirely.
+    Scales the pooled median by max(9, sqrt(log n)) for n comparisons,
+    which is 9 for every n below e^81 (about 1.5e35), so in practice the
+    comparison count never moves the level.  A zero median (noiseless
+    data) disables truncation entirely.
     """
     pooled = np.asarray(pooled_resid_sq, dtype=float)
     pooled = pooled[np.isfinite(pooled)]

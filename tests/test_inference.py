@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-import sys
 import warnings
 from dataclasses import fields, replace
 
@@ -21,7 +20,7 @@ from paneljump.errors import (
     NumericalError,
 )
 from paneljump.dgp import DgpConfig, GammaScheme, gen_dgp
-from paneljump.estimator import UnitJumpFit, _fitted_general, estimate_jump, smooth_residuals
+from paneljump.estimator import UnitJumpFit, _fitted_general, smooth_residuals
 from paneljump.inference import (
     SkippedUnit,
     critical_values,
@@ -34,7 +33,7 @@ from paneljump.inference import test_homogeneity as run_homogeneity
 from paneljump.io import render_report
 from paneljump.kernels import KERNEL_KINDS, KernelSpec, denominator_floor, eval_kernel, local_weights
 from paneljump.panel import PanelData, PanelUnit
-from paneljump.variance import SigmaC, sigma_e_sq_truncated
+from paneljump.variance import SigmaC, sigma_c_matrix
 from test_bandwidth import _reference_plugin_bandwidth
 
 # A bandwidth of 1 on T = 100 points gives sqrt(T b) = 10.
@@ -682,59 +681,86 @@ class TestSearchThresholds:
             np.testing.assert_allclose(block, z @ z.T, rtol=0.0, atol=1e-12)
 
     def test_simulated_search_solves_each_threshold_once(self, monkeypatch):
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return local_weights(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("paneljump") and getattr(module, "local_weights", None) is local_weights:
-                monkeypatch.setattr(module, "local_weights", counting)
+        solved = _count_solved_rows(monkeypatch)
         panel = _jump_panel([1.0, 1.0], seed=27, sd=0.1)
         cfg = Config(bandwidth=BandwidthPolicy.fixed(0.2), cv_method="simulated",
                      cv_reps=2_000, seed=5)
         result = search_thresholds(panel, [-0.3, 0.0, 0.3], cfg)
         assert result.n_comparisons == 6
-        assert len(calls) == 2 * result.n_comparisons
+        assert sum(solved) == result.n_comparisons
 
     def test_uniform_search_solves_few_grid_points(self, monkeypatch):
         """The scan ranks the grid; only the points that can win are solved."""
-        calls = []
-
-        def counting(x, c, b, kernel, side):
-            calls.append((c, side))
-            return local_weights(x, c, b, kernel, side)
-
-        for name, module in list(sys.modules.items()):
-            if (name.startswith("paneljump")
-                    and getattr(module, "local_weights", None) is local_weights):
-                monkeypatch.setattr(module, "local_weights", counting)
+        solved = _count_solved_rows(monkeypatch)
         panel, _, _ = gen_dgp(DgpConfig(dgp_id=2, n_units=10, t_obs=800, seed=3,
                                         gamma_scheme=GammaScheme.accuracy()))
         grid = np.round(np.arange(-0.30, 0.301, 0.01), 10)
         result = search_thresholds(panel, grid, Config())
         assert result.n_comparisons == 10 * grid.size
-        solved = len(calls) // 2
-        assert len(calls) == 2 * solved
-        assert len(panel) <= solved <= 2 * len(panel)
+        assert len(panel) <= sum(solved) <= 2 * len(panel)
+
+
+@pytest.mark.parametrize("config", [
+    Config(kernel=KernelSpec("epanechnikov")),
+    Config(cv_method="simulated", cv_reps=2_000, seed=5),
+], ids=["epanechnikov", "simulated"])
+def test_search_block_cap_leaves_results(config, monkeypatch):
+    """With the block cap at one or two rows of T, a search that solves
+    every grid point gives the results of the default cap, which holds all
+    seven points in one block: every report field and statistic, the
+    critical values and the comparison count."""
+    panel, _, _ = gen_dgp(DgpConfig(dgp_id=2, n_units=4, t_obs=200, seed=8,
+                                    gamma_scheme=GammaScheme.accuracy()))
+    grid = np.linspace(-0.3, 0.3, 7)
+    solved = _count_solved_rows(monkeypatch)
+
+    def outcome():
+        solved.clear()
+        result = search_thresholds(panel, grid, config)
+        return ([_row_bytes(u) for u in result.per_unit], result.critical_values,
+                result.statistic, result.n_comparisons)
+
+    expected = outcome()
+    assert solved == [7] * 4
+    for rows in (1, 2):
+        monkeypatch.setattr(paneljump.inference, "_BLOCK_BUDGET", rows * 200)
+        assert outcome() == expected
+        assert max(solved) == rows and sum(solved) == 28
+
+
+def _count_solved_rows(monkeypatch) -> list[int]:
+    """Patch the search's jump fit to record the rows of each block it solves."""
+    solved = []
+    fit_rows = paneljump.inference._fit_rows
+
+    def counting(y, *args):
+        solved.append(len(y))
+        return fit_rows(y, *args)
+
+    monkeypatch.setattr(paneljump.inference, "_fit_rows", counting)
+    return solved
 
 
 def test_scan_defers_near_singular_designs():
     """Two plus-side points 2e-6 apart put the design denominator at its
     floor; across separations straddling that point the scan's validity
-    mask equals the dense solver's, which decides the close calls."""
+    mask equals the dense solver's, which decides the close calls.  The
+    grid point -0.1 is valid throughout, so each search reports a row whose
+    NaN mask must show the dense verdict at 0."""
     rng = np.random.default_rng(30)
     x_minus = rng.uniform(-0.2, 0.0, size=20)
     config = Config()
-    grid = np.array([0.0])
+    grid = np.array([-0.1, 0.0])
+    masks = set()
     for k in range(-200, 201):
         x = np.concatenate([x_minus, [0.1, 0.1 + 2e-6 * (1.0 + k * 1e-6)]])
         unit = PanelUnit(unit_id="u", y=rng.normal(size=x.size), x=x)
         resid = rng.normal(size=x.size)
         row, _ = paneljump.inference._search_unit(unit, grid, 0.2, np.inf, resid, config)
-        ref_row = _dense_search_unit(unit, grid, 0.2, np.inf, resid, config)
-        assert (row is None) == (ref_row is None), k
+        ref_row, _ = _dense_search_unit(unit, grid, 0.2, np.inf, resid, config)
+        assert tuple(np.isnan(row.stats)) == tuple(np.isnan(ref_row.stats)), k
+        masks.add(tuple(np.isnan(ref_row.stats)))
+    assert masks == {(False, False), (False, True)}
 
 
 @pytest.mark.parametrize("run, place", [
@@ -774,7 +800,7 @@ def _dense_valid(unit, grid, b):
     valid = []
     for c in grid.tolist():
         try:
-            estimate_jump(unit.y, unit.x, c, b, Config().kernel)
+            _reference_jump_fit(unit.y, unit.x, c, b, Config().kernel)
             valid.append(True)
         except InsufficientSupport:
             valid.append(False)
@@ -803,7 +829,7 @@ def test_overflowing_grid_points_leave_the_search():
     grid = np.linspace(-0.8, 0.8, 9) * 3e152
     with np.errstate(over="ignore", invalid="ignore"):
         row, _ = paneljump.inference._search_unit(unit, grid, 3e152, np.inf, resid, Config())
-        ref_row = _dense_search_unit(unit, grid, 3e152, np.inf, resid, Config())
+        ref_row, _ = _dense_search_unit(unit, grid, 3e152, np.inf, resid, Config())
         valid = _dense_valid(unit, grid, 3e152)
     assert np.count_nonzero(valid) == 7
     np.testing.assert_array_equal(np.isnan(row.stats), ~valid)
@@ -812,27 +838,32 @@ def test_overflowing_grid_points_leave_the_search():
 
 
 def _dense_search_unit(unit, grid, b, a_trunc, resid, config):
-    """Reference for ``_search_unit``'s row: every grid point solved
-    densely, the first best grid point on ties, None if none is usable."""
+    """Reference for ``_search_unit``: every grid point solved alone by the
+    test's reference chain; the row at the first best grid point on ties
+    (None if no point is usable) and the valid points' weight differences."""
     floor = paneljump.inference._v_floor(unit.y)
-    rows = []
+    rows, w_diffs = [], []
     for c in grid.tolist():
         try:
-            fit = estimate_jump(unit.y, unit.x, c, b, config.kernel)
-            sigma_e_sq = sigma_e_sq_truncated(resid, unit.x, c, b, a_trunc)
+            fit = _reference_jump_fit(unit.y, unit.x, c, b, config.kernel)
+            sigma_e_sq = _reference_window_mean(resid, unit.x, c, b, a_trunc)
         except InsufficientSupport:
             rows.append(None)
             continue
         rows.append(paneljump.inference._unit_row(unit, c, b, fit, sigma_e_sq, floor))
+        w_diffs.append(fit.w_diff)
     stats = np.array([np.nan if r is None else r.t_stat for r in rows])
     if np.all(np.isnan(stats)):
-        return None
+        return None, w_diffs
     score = np.abs(stats) if config.sidedness == "two_sided" else stats
-    return replace(rows[int(np.nanargmax(score))], stats=stats)
+    return replace(rows[int(np.nanargmax(score))], stats=stats), w_diffs
 
 
-@settings(max_examples=400, deadline=None)
-@given(
+# One unit's search inputs: tied x (``levels``), near-singular designs
+# (``jitter`` around the tied levels), observations exactly at c and c +- b
+# (``pin``), grid points beyond the data (an empty side), NaN residuals and
+# large x and y offsets.
+_SEARCH_CASES = dict(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     n_obs=st.integers(min_value=2, max_value=60),
     levels=st.sampled_from([0, 3, 8]),
@@ -846,14 +877,10 @@ def _dense_search_unit(unit, grid, b, a_trunc, resid, config):
     a_trunc=st.sampled_from([np.inf, 0.05]),
     sidedness=st.sampled_from(paneljump.inference.SIDEDNESS),
 )
-def test_scan_search_matches_dense_reference(seed, n_obs, levels, jitter, n_grid, b, shift,
-                                             y_shift, pin, nan_frac, a_trunc, sidedness):
-    """The scan-ranked search agrees with solving every grid point: same
-    NaN mask and comparison count, the same report row field for field,
-    and statistics equal to rtol 1e-9.  Cases cover tied x (``levels``),
-    near-singular designs (``jitter`` around the tied levels), observations
-    exactly at c and c +- b (``pin``), grid points beyond the data (an
-    empty side), NaN residuals and large x and y offsets."""
+
+
+def _search_case(seed, n_obs, levels, jitter, n_grid, b, shift, y_shift, pin, nan_frac):
+    """(unit, grid, residuals) for one draw of ``_SEARCH_CASES``."""
     rng = np.random.default_rng(seed)
     if levels:
         x0 = rng.integers(-levels, levels + 1, size=n_obs) / levels
@@ -868,11 +895,22 @@ def test_scan_search_matches_dense_reference(seed, n_obs, levels, jitter, n_grid
     y = y_shift + 0.5 * x0 + (x0 >= 0.1) + 0.3 * rng.normal(size=n_obs)
     resid = 0.3 * rng.normal(size=n_obs)
     resid[rng.uniform(size=n_obs) < nan_frac] = np.nan
-    unit = PanelUnit(unit_id="u", y=y, x=x)
+    return PanelUnit(unit_id="u", y=y, x=x), grid, resid
+
+
+@settings(max_examples=400, deadline=None)
+@given(**_SEARCH_CASES)
+def test_scan_search_matches_dense_reference(seed, n_obs, levels, jitter, n_grid, b, shift,
+                                             y_shift, pin, nan_frac, a_trunc, sidedness):
+    """The scan-ranked search agrees with solving every grid point: same
+    NaN mask and comparison count, the same report row field for field,
+    and statistics equal to rtol 1e-9."""
+    unit, grid, resid = _search_case(seed, n_obs, levels, jitter, n_grid, b, shift, y_shift,
+                                     pin, nan_frac)
     config = Config(sidedness=sidedness)
 
     row, _ = paneljump.inference._search_unit(unit, grid, b, a_trunc, resid, config)
-    ref_row = _dense_search_unit(unit, grid, b, a_trunc, resid, config)
+    ref_row, _ = _dense_search_unit(unit, grid, b, a_trunc, resid, config)
     if ref_row is None:  # no usable grid point
         assert row is None
         return
@@ -881,6 +919,31 @@ def test_scan_search_matches_dense_reference(seed, n_obs, levels, jitter, n_grid
             == np.count_nonzero(np.isfinite(ref_row.stats)))
     np.testing.assert_allclose(row.stats, ref_row.stats, rtol=1e-9, atol=0.0)
     assert replace(row, stats=None) == replace(ref_row, stats=None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(**_SEARCH_CASES, path=st.sampled_from(
+    [(kind, method) for kind in KERNEL_KINDS for method in paneljump.inference.CV_METHODS
+     if (kind, method) != ("uniform", "analytic")]))
+def test_dense_search_matches_reference(seed, n_obs, levels, jitter, n_grid, b, shift,
+                                        y_shift, pin, nan_frac, a_trunc, sidedness, path):
+    """Every search the scan does not rank (the triangular and Epanechnikov
+    kernels, and simulated critical values) solves every grid point as row
+    blocks, and equals the reference chain solving each point alone bit for
+    bit: the report row field for field, every statistic with its NaN mask,
+    and the correlation block built from the weight rows."""
+    unit, grid, resid = _search_case(seed, n_obs, levels, jitter, n_grid, b, shift, y_shift,
+                                     pin, nan_frac)
+    config = Config(kernel=KernelSpec(path[0]), cv_method=path[1], sidedness=sidedness)
+
+    row, w_diffs = paneljump.inference._search_unit(unit, grid, b, a_trunc, resid, config)
+    ref_row, ref_w_diffs = _dense_search_unit(unit, grid, b, a_trunc, resid, config)
+    if ref_row is None:
+        assert row is None and w_diffs == []
+        return
+    np.testing.assert_array_equal(row.stats, ref_row.stats)
+    assert replace(row, stats=None) == replace(ref_row, stats=None)
+    np.testing.assert_array_equal(sigma_c_matrix(w_diffs), sigma_c_matrix(ref_w_diffs))
 
 
 # ----------------------------------------------------------------------
@@ -904,6 +967,22 @@ def _reference_local_weights(x, c, b, kernel, side):
     if not den > denominator_floor(s0, s2):
         raise InsufficientSupport(f"insufficient support on {side} side: singular local design")
     return kw * (s2 - d * s1) / den
+
+
+def _reference_jump_fit(y, x, c, b, kernel):
+    """``estimator.estimate_jump`` from the reference one-sided weights."""
+    w_plus = _reference_local_weights(x, c, b, kernel, "plus")
+    w_minus = _reference_local_weights(x, c, b, kernel, "minus")
+    return UnitJumpFit(float(w_plus @ y) - float(w_minus @ y), w_plus - w_minus,
+                       int(np.count_nonzero(w_plus)) + int(np.count_nonzero(w_minus)))
+
+
+def _reference_window_mean(resid, x, c, b, a_trunc):
+    """``variance.sigma_e_sq_truncated`` written for one unit's 1-d arrays."""
+    vals = resid[(x >= c - b) & (x <= c + b) & np.isfinite(resid)]
+    if vals.size == 0:
+        raise InsufficientSupport(f"no usable residuals within {b} of c={c}")
+    return float(np.mean(np.minimum(a_trunc, vals * vals)))
 
 
 def _reference_fitted_uniform(eval_points, xs, ys, b):
@@ -933,12 +1012,8 @@ def _reference_analyze_unit(unit, c, b, kernel):
     jump-removed residuals smoothed at every point, their windowed mean
     square and the report row."""
     y, x = unit.y, unit.x
-    w_plus = _reference_local_weights(x, c, b, kernel, "plus")
-    w_minus = _reference_local_weights(x, c, b, kernel, "minus")
-    gamma = float(w_plus @ y) - float(w_minus @ y)
-    fit = UnitJumpFit(gamma, w_plus - w_minus,
-                      int(np.count_nonzero(w_plus)) + int(np.count_nonzero(w_minus)))
-    y = y - gamma * (x >= c)
+    fit = _reference_jump_fit(y, x, c, b, kernel)
+    y = y - fit.gamma_hat * (x >= c)
     order = np.argsort(x, kind="stable")
     if kernel.kind == "uniform":
         fitted = _reference_fitted_uniform(x, x[order], y[order], b)
@@ -947,10 +1022,7 @@ def _reference_analyze_unit(unit, c, b, kernel):
     resid = y - fitted
     if not np.any(np.isfinite(resid)):
         raise InsufficientSupport("no sample point admits a local linear fit")
-    vals = resid[(x >= c - b) & (x <= c + b) & np.isfinite(resid)]
-    if vals.size == 0:
-        raise InsufficientSupport(f"no usable residuals within {b} of c={c}")
-    sigma_e_sq = float(np.mean(np.minimum(np.inf, vals * vals)))
+    sigma_e_sq = _reference_window_mean(resid, x, c, b, np.inf)
     return paneljump.inference._unit_row(unit, c, b, fit, sigma_e_sq,
                                          paneljump.inference._v_floor(unit.y))
 

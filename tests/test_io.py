@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import re
 import tempfile
 from io import StringIO
 from pathlib import Path
@@ -411,6 +412,26 @@ class TestRenderReport:
         assert lines[2] == "| a | 0.0000 | 1.5000 | 0.5000 | 3.0000 | 64 | 32 | 0.2500 |"
         assert "test: existence" in lines
         assert "reject: 0.05: True" in lines
+
+    def test_markdown_cells_hold_pipes_and_line_breaks(self, tmp_path):
+        """The CSV reader accepts quoted ids holding a pipe, a backslash or a
+        line break.  In markdown each unit stays one table row with the
+        header's cell count (a cell ends at a pipe no backslash escapes), and
+        each summary item, a skip reason included, stays one line."""
+        ids = ["a|b", "line\nbreak", "c\\|d\r\ne"]
+        path = _write(tmp_path, "p.csv", "unit,time,y,x\n" + "".join(
+            f'"{uid}",{t},0.5,{t}\n' for uid in ids for t in range(3)))
+        assert [u.unit_id for u in read_panel_csv(path)] == sorted(ids)
+        r = _existence_result()
+        r.per_unit[0].unit_id, r.per_unit[1].unit_id = ids[:2]
+        r.skipped = [SkippedUnit(ids[2], "a | reason\nover two lines")]
+        lines = render_report(r, "markdown").splitlines()
+        cells = [re.findall(r"(?:\\.|[^\\|])+", line[1:-1]) for line in lines[:4]]
+        assert [len(row) for row in cells] == [8, 8, 8, 8]
+        assert [re.sub(r"\\(.)", r"\1", row[0].strip()).replace("<br>", "\n")
+                for row in cells[2:]] == ids[:2]
+        assert len(lines) == 4 + 1 + len(r.table()[2])
+        assert lines[-1] == r"skipped: c\\\|d<br>e: a \| reason<br>over two lines"
 
     def test_homogeneity_adds_centered_column(self):
         r = _existence_result()
