@@ -28,13 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientSupport, _raised
+from .errors import ConfigError, InsufficientSupport
 from .kernels import KernelSpec
 
 __all__ = [
     "BandwidthPolicy",
     "boundary_constant",
-    "plugin_bandwidth",
     "pooled_bandwidth",
     "pilot_bandwidth",
 ]
@@ -45,7 +44,7 @@ DEFAULT_BOUNDS = (0.02, 0.5)
 _MIN_OBS = 20
 _MIN_SIDE = 5
 
-# Relative curvature floor: see plugin_bandwidth.
+# Relative curvature floor: see _plugin_rows.
 _CURV_FLOOR = 0.1
 
 # Neighbours each sample point keeps inside the pilot window.
@@ -180,9 +179,9 @@ def _quartic_side(y: np.ndarray, d: np.ndarray):
     return float(resid @ resid), float(curv)
 
 
-def plugin_bandwidth(y, x, c: float, kernel: KernelSpec,
-                     bounds: tuple[float, float] = DEFAULT_BOUNDS) -> float:
-    """Rule-of-thumb bandwidth for the jump estimate at c.
+def _plugin_rows(y, x, c, kernel: KernelSpec, bounds: tuple[float, float]) -> list:
+    """Rule-of-thumb bandwidth for the jump estimate at each row's own c,
+    or the row's InsufficientSupport.
 
         b = C(K) [ sigma^2 / (f(c) curv^2) ]^(1/5) T^(-1/5)
 
@@ -198,22 +197,13 @@ def plugin_bandwidth(y, x, c: float, kernel: KernelSpec,
     ``np.unique``, ``np.percentile``, ``np.polynomial.Polynomial.fit`` and
     ``np.clip`` (see ``_quartic_side``).
 
-    Raises
-    ------
-    InsufficientSupport
-        Fewer than 20 observations overall, fewer than 5 distinct
-        covariate values on either side of c, a degenerate covariate
-        range or one that overflows to inf, a side whose centred
-        covariates floating point cannot map onto the quartic fit's
-        [-1, 1], or a covariate scale so extreme that f(c) curv^2
-        underflows to 0 or overflows.
+    A row's InsufficientSupport says why: fewer than 20 observations
+    overall, fewer than 5 distinct covariate values on either side of c,
+    a degenerate covariate range or one that overflows to inf, a side
+    whose centred covariates floating point cannot map onto the quartic
+    fit's [-1, 1], or a covariate scale so extreme that f(c) curv^2
+    underflows to 0 or overflows.
     """
-    return _raised(_plugin_rows(np.asarray(y, dtype=float)[None],
-                                np.asarray(x, dtype=float)[None], np.array([c]), kernel, bounds)[0])
-
-
-def _plugin_rows(y, x, c, kernel: KernelSpec, bounds: tuple[float, float]) -> list:
-    """``plugin_bandwidth`` of each row at its own c, or the row's InsufficientSupport."""
     t_obs = x.shape[1]
     if t_obs < _MIN_OBS:
         return [InsufficientSupport(f"need at least {_MIN_OBS} observations, got {t_obs}")

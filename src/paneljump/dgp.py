@@ -372,8 +372,11 @@ def run_threshold_accuracy(dgp_cfg: DgpConfig, mc: McConfig, grid,
     Meant for configurations whose gamma scheme gives every unit a jump;
     units skipped by the search simply contribute nothing.  When every
     replication fails there is no error to report, and a
-    ``NumericalError`` says so.
+    ``NumericalError`` says so.  ``grid`` is required: without one there
+    is no threshold to locate, and it is a ``ConfigError``.
     """
+    if grid is None:
+        raise ConfigError("threshold accuracy needs a grid to search")
     errors: list[float] = []
     failed = 0
     for outcome in _run_reps(dgp_cfg, mc, "accuracy", grid, config or TestConfig()):

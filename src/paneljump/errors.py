@@ -16,10 +16,11 @@ rest of its family: either ``src/`` catches it by type, or its constructor
 formats a message that many raise sites share (NonFiniteValue, with its
 ``row``).  The one class caught by type is InsufficientSupport, the
 per-unit skip: a per-unit step (bandwidth selection, the jump fit, residual
-smoothing, the windowed variance) raises it when one unit's data cannot
-support that step, and the panel tests skip the unit with its message as
-the reason (a grid search first skips just the grid point).  Every other
-failure raises its family class with a message that names it.
+smoothing, the windowed variance) gives it in place of a unit's result when
+that unit's data cannot support the step, and the panel tests skip the unit
+with its message as the reason (a grid search first skips just the grid
+point).  Every other failure raises its family class with a message that
+names it.
 """
 
 from __future__ import annotations

@@ -14,14 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientSupport, _raised
+from .errors import InsufficientSupport
 from .kernels import KernelSpec, _side_rows, denominator_floor, eval_kernel
 
-__all__ = [
-    "UnitJumpFit",
-    "estimate_jump",
-    "smooth_residuals",
-]
+__all__ = ["UnitJumpFit"]
 
 # Evaluation points per block on the dense (non-uniform kernel) path.
 _CHUNK = 256
@@ -42,28 +38,15 @@ class UnitJumpFit:
     eff_obs: int
 
 
-def estimate_jump(y, x, c: float, b: float, kernel: KernelSpec) -> UnitJumpFit:
-    """Estimate the jump of the regression function at c.
+def _fit_rows(y, x, c, b, kernel: KernelSpec) -> list:
+    """The jump of each row's regression at its own c and bandwidth b.
 
     The estimate is ``mu_plus - mu_minus``, equivalently the weighted sum
     ``sum_t (w_t_plus - w_t_minus) y_t`` with the local linear boundary
-    weights from each side (``kernels.local_weights``).
-
-    Raises
-    ------
-    InsufficientSupport
-        If either side lacks a valid local design; the message names the
-        side that failed, the plus side first.
+    weights from each side (``kernels._side_rows``).  Gives each row's
+    UnitJumpFit, or the InsufficientSupport of the side that failed, the
+    plus side first.
     """
-    if b <= 0.0:
-        raise ConfigError(f"bandwidth must be positive, got {b}")
-    return _raised(_fit_rows(np.asarray(y, dtype=float)[None], np.asarray(x, dtype=float)[None],
-                             np.array([c]), np.array([b]), kernel)[0])
-
-
-def _fit_rows(y, x, c, b, kernel: KernelSpec) -> list:
-    """``estimate_jump`` of each row at its own c and b: the row's
-    UnitJumpFit, or its InsufficientSupport (the plus side's first)."""
     w_plus, plus_errors = _side_rows(x, c, b, kernel, "plus")
     w_minus, minus_errors = _side_rows(x, c, b, kernel, "minus")
     out: list = [p or m for p, m in zip(plus_errors, minus_errors)]
@@ -146,46 +129,13 @@ def _fitted_general(eval_points: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     return out
 
 
-def smooth_residuals(y, x, b_pilot: float, kernel: KernelSpec,
-                     jump_removal: tuple[float, float] | None = None) -> np.ndarray:
-    """Residuals from a two-sided local linear smooth at every sample point.
-
-    Parameters
-    ----------
-    y, x : array_like
-        Aligned observations for one unit.
-    b_pilot : float
-        Smoothing bandwidth.
-    kernel : KernelSpec
-    jump_removal : (c, gamma), optional
-        If given, ``gamma * 1{x >= c}`` is subtracted from y before
-        smoothing, so a previously estimated jump does not leak into the
-        residuals.
-
-    Returns
-    -------
-    numpy.ndarray
-        Residual vector aligned with the input; NaN marks points whose
-        local design was degenerate.
-
-    Raises
-    ------
-    InsufficientSupport
-        If no sample point admits a valid local fit.
-    """
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if b_pilot <= 0.0:
-        raise ConfigError(f"pilot bandwidth must be positive, got {b_pilot}")
-    if jump_removal is not None:
-        c, gamma = jump_removal
-        y = y - gamma * (x >= c)
-
-    resid = _residual_rows(y[None], x[None], np.array([b_pilot]), kernel,
-                           np.ones((1, x.size), dtype=bool))[0]
-    if not np.any(np.isfinite(resid)):
-        raise InsufficientSupport("no sample point admits a local linear fit")
-    return resid
+def _smooth_rows(y, x, b, kernel: KernelSpec) -> list:
+    """Each row's residuals from a two-sided local linear smooth at every
+    sample point (NaN where the local design is degenerate), or its
+    InsufficientSupport when no point admits a fit."""
+    return [r if np.isfinite(r).any() else InsufficientSupport(
+        "no sample point admits a local linear fit")
+        for r in _residual_rows(y, x, b, kernel, np.ones(x.shape, dtype=bool))]
 
 
 def _residual_rows(y, x, b, kernel: KernelSpec, at) -> np.ndarray:

@@ -18,7 +18,7 @@ from scipy.special import ndtri
 
 from .bandwidth import BandwidthPolicy, _plugin_rows, pilot_bandwidth, pooled_bandwidth
 from .errors import ConfigError, DataError, InsufficientSupport, NumericalError, _raised
-from .estimator import UnitJumpFit, _fit_rows, _residual_rows, smooth_residuals
+from .estimator import UnitJumpFit, _fit_rows, _residual_rows, _smooth_rows
 from .kernels import KernelSpec, denominator_floor
 from .panel import PanelData, PanelUnit
 from .variance import (
@@ -391,7 +391,7 @@ def _analyze_rows(block: list[PanelUnit], y, x, c, b, kernel: KernelSpec) -> lis
     for r, (i, sigma_sq) in enumerate(zip(keep, _window_rows(resid, x, c, b, np.inf))):
         try:
             if isinstance(sigma_sq, InsufficientSupport):
-                smooth_residuals(y[r], x[r], float(b[r]), kernel)
+                _raised(_smooth_rows(y[r:r + 1], x[r:r + 1], b[r:r + 1], kernel)[0])
             out[i] = _unit_row(block[i], float(c[r]), float(b[r]), out[i], _raised(sigma_sq),
                                _v_floor(block[i].y))
         except NumericalError as exc:
@@ -512,7 +512,7 @@ def _scan_uniform(x: np.ndarray, y: np.ndarray, resid: np.ndarray, grid: np.ndar
                   b: float, a_trunc: float, floor: float):
     """Uniform-kernel statistics at every grid point from prefix sums.
 
-    Mirrors ``estimate_jump``, ``sigma_e_sq_truncated`` and ``_unit_row``
+    Mirrors ``estimator._fit_rows``, ``variance._window_rows`` and ``_unit_row``
     without forming a weight row: with the kernel constant, each side's
     fit needs only the windowed sums of 1, d, d^2, y and d y (d = x - c),
     and its squared weight norm is S_dd / (n S_dd - S_d^2).  The variance
@@ -708,16 +708,15 @@ def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) 
         panel, {u.unit_id: c_mid for u in panel}, config.bandwidth, config.kernel
     )
     skipped = [SkippedUnit(uid, reason) for uid, reason in failures.items()]
-    residuals = _each_unit(
-        [u for u in panel if u.unit_id in bandwidths],
-        lambda u: smooth_residuals(u.y, u.x, pilot_bandwidth(u.x, bandwidths[u.unit_id]),
-                                   config.kernel),
-        skipped, "a grid search",
-    )
+    units = [u for u in panel if u.unit_id in bandwidths]
+    smoothed = _blocks(units, lambda _, y, x, b: _smooth_rows(y, x, b, config.kernel),
+                       {u.unit_id: pilot_bandwidth(u.x, bandwidths[u.unit_id]) for u in units})
+    residuals = _each_unit(units, lambda u: _raised(smoothed[u.unit_id]), skipped,
+                           "a grid search")
 
     pooled = np.concatenate([r[np.isfinite(r)] ** 2 for r in residuals.values()])
     if config.truncation is None:
-        a_trunc = default_truncation(pooled, len(panel) * grid.size)
+        a_trunc = default_truncation(pooled)
     else:
         a_trunc = float(config.truncation)
         if a_trunc <= pooled.min():

@@ -11,9 +11,11 @@ Conventions used throughout:
   * kernels live on [-1, 1] with the endpoints included, and inside the
     window they are evaluated at clip((x - c) / b, -1, 1);
   * weights are returned as full-length vectors, zero off the own side;
-  * a private ``*_rows`` function solves a block of equal-length units,
-    one row each, by row sums and stacked one-row products, so each row
-    is bit-identical to the public one-unit function, its one-row case.
+  * each per-unit step is one private ``*_rows`` function that solves a
+    block of equal-length units, one row each, by row sums and stacked
+    one-row products, so each row is bit-identical to a block of that row
+    alone; a row the step cannot serve gets its InsufficientSupport in
+    place of a result.
 """
 
 from __future__ import annotations
@@ -22,13 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientSupport, _raised
+from .errors import ConfigError, InsufficientSupport
 
 __all__ = [
     "KERNEL_KINDS",
     "KernelSpec",
     "eval_kernel",
-    "local_weights",
 ]
 
 KERNEL_KINDS = ("uniform", "triangular", "epanechnikov")
@@ -75,42 +76,24 @@ def denominator_floor(s0, s2):
     return 1e-12 * np.maximum(1.0, s0 * s2)
 
 
-def local_weights(x, c: float, b: float, kernel: KernelSpec, side: str) -> np.ndarray:
-    """Local linear weights for the boundary value of the regression at c.
+def _side_rows(x, c, b, kernel: KernelSpec, side: str):
+    """Local linear weights for the boundary value of each row's regression
+    at its own c and bandwidth b, from one side (``plus`` or ``minus``).
 
     The weight of observation t is
 
         w_t = K_t [S_2 - (x_t - c) S_1] / (S_2 S_0 - S_1^2)
 
-    restricted to the requested side, where K_t is the kernel factor and
-    S_l are the side sums.  The weights reproduce any affine function of x
+    restricted to the side, where K_t is the kernel factor and S_l are
+    the side sums.  The weights reproduce any affine function of x
     exactly: they sum to one and are orthogonal to (x - c).
 
-    Returns
-    -------
-    numpy.ndarray
-        Vector of the same length as ``x``; zero off the own side.
-
-    Raises
-    ------
-    InsufficientSupport
-        If fewer than two distinct covariate values carry kernel weight on
-        the requested side, or the design denominator is not above its
-        floor (a NaN denominator included).
+    Returns the weight rows, full length and zero off the side
+    (meaningless where a row fails), and each row's error or None: an
+    InsufficientSupport naming the side when fewer than two distinct
+    covariate values carry kernel weight on it, or when the design
+    denominator is not above its floor (a NaN denominator included).
     """
-    if side not in ("plus", "minus"):
-        raise ConfigError(f"side must be 'plus' or 'minus', got {side!r}")
-    if b <= 0.0:
-        raise ConfigError(f"bandwidth must be positive, got {b}")
-    w, (error,) = _side_rows(np.asarray(x, dtype=float)[None], np.array([c]), np.array([b]),
-                             kernel, side)
-    _raised(error)
-    return w[0]
-
-
-def _side_rows(x, c, b, kernel: KernelSpec, side: str):
-    """``local_weights`` of each row at its own c and b: the weight rows
-    (meaningless where a row fails), and each row's InsufficientSupport or None."""
     c, b = c[:, None], b[:, None]
     d = x - c
     mask = (x >= c) & (x <= c + b) if side == "plus" else (x < c) & (x >= c - b)

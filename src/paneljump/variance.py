@@ -12,11 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientSupport, NumericalError, _raised
+from .errors import InsufficientSupport, NumericalError
 
 __all__ = [
     "SigmaC",
-    "sigma_e_sq_truncated",
     "default_truncation",
     "v_sq",
     "v_tilde_sq",
@@ -41,9 +40,10 @@ class SigmaC:
         return sum(block.shape[0] for block in self.blocks)
 
 
-def sigma_e_sq_truncated(resid, x, c: float, b: float, a_trunc: float) -> float:
-    """Windowed mean of min(a_trunc, residual^2) over the window of width b
-    around c (the kernels module's window rule).
+def _window_rows(resid, x, c, b, a_trunc: float) -> list:
+    """Each row's windowed mean of min(a_trunc, residual^2) over the window
+    of width b around its own c (the kernels module's window rule), or
+    the row's InsufficientSupport when no usable residual is in it.
 
     Capping each squared residual bounds the damage from isolated large
     residuals, e.g. those produced by smoothing across an unremoved jump;
@@ -51,32 +51,16 @@ def sigma_e_sq_truncated(resid, x, c: float, b: float, a_trunc: float) -> float:
     (degenerate smoothing points) are excluded from both the sum and the
     count.
     """
-    if not a_trunc >= 0.0:
-        raise ConfigError(f"truncation level must be nonnegative, got {a_trunc}")
-    if b <= 0.0:
-        raise ConfigError(f"window width must be positive, got {b}")
-    return _raised(_window_rows(np.asarray(resid, dtype=float)[None],
-                                np.asarray(x, dtype=float)[None], np.array([c]), np.array([b]),
-                                a_trunc)[0])
-
-
-def _window_rows(resid, x, c, b, a_trunc: float) -> list:
-    """``sigma_e_sq_truncated`` of each row at its own c and b, or the
-    row's InsufficientSupport."""
     usable = (x >= (c - b)[:, None]) & (x <= (c + b)[:, None]) & np.isfinite(resid)
     return [float(np.mean(np.minimum(a_trunc, v * v))) if v.size else InsufficientSupport(
         f"no usable residuals within {float(bb)} of c={float(cc)}")
         for v, cc, bb in zip(map(np.compress, usable, resid), c, b)]
 
 
-def default_truncation(pooled_resid_sq, n_comparisons: int) -> float:
-    """Default truncation level from pooled squared residuals.
-
-    Scales the pooled median by max(9, sqrt(log n)) for n comparisons,
-    which is 9 for every n below e^81 (about 1.5e35), so in practice the
-    comparison count never moves the level.  A zero median (noiseless
-    data) disables truncation entirely.
-    """
+def default_truncation(pooled_resid_sq) -> float:
+    """Default truncation level: 9 times the median of the pooled squared
+    residuals.  A zero median (noiseless data) disables truncation
+    entirely."""
     pooled = np.asarray(pooled_resid_sq, dtype=float)
     pooled = pooled[np.isfinite(pooled)]
     if pooled.size == 0:
@@ -84,8 +68,7 @@ def default_truncation(pooled_resid_sq, n_comparisons: int) -> float:
     med = float(np.median(pooled))
     if med <= 0.0:
         return np.inf
-    factor = max(9.0, float(np.sqrt(np.log(float(max(n_comparisons, 2))))))
-    return factor * med
+    return 9.0 * med
 
 
 def v_sq(w_diff, sigma_e_sq: float, t_obs: int, b: float) -> float:

@@ -1,0 +1,48 @@
+"""One unit through each per-unit step's row-block function.
+
+Each helper runs its step on a block of one row built from 1-d arrays
+and raises the row's InsufficientSupport, so tests can state a step's
+contract on a single unit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from paneljump.bandwidth import DEFAULT_BOUNDS, _plugin_rows
+from paneljump.errors import _raised
+from paneljump.estimator import _fit_rows, _smooth_rows
+from paneljump.kernels import _side_rows
+from paneljump.variance import _window_rows
+
+
+def _row(values) -> np.ndarray:
+    """A 1-d sequence as a block of one row; a scalar as a one-entry vector."""
+    return np.asarray(values, dtype=float)[None]
+
+
+def plugin(y, x, c, kernel, bounds=DEFAULT_BOUNDS) -> float:
+    """``bandwidth._plugin_rows`` for one unit."""
+    return _raised(_plugin_rows(_row(y), _row(x), _row(c), kernel, bounds)[0])
+
+
+def weights(x, c, b, kernel, side) -> np.ndarray:
+    """``kernels._side_rows`` for one unit."""
+    w, (error,) = _side_rows(_row(x), _row(c), _row(b), kernel, side)
+    _raised(error)
+    return w[0]
+
+
+def jump(y, x, c, b, kernel):
+    """``estimator._fit_rows`` for one unit: its UnitJumpFit."""
+    return _raised(_fit_rows(_row(y), _row(x), _row(c), _row(b), kernel)[0])
+
+
+def residuals(y, x, b, kernel) -> np.ndarray:
+    """``estimator._smooth_rows`` for one unit."""
+    return _raised(_smooth_rows(_row(y), _row(x), _row(b), kernel)[0])
+
+
+def window_mean(resid, x, c, b, a_trunc) -> float:
+    """``variance._window_rows`` for one unit."""
+    return _raised(_window_rows(_row(resid), _row(x), _row(c), _row(b), a_trunc)[0])

@@ -22,14 +22,13 @@ from paneljump.dgp import (
     run_threshold_accuracy,
 )
 from paneljump.errors import InsufficientSupport
-from paneljump.estimator import estimate_jump, smooth_residuals
 from paneljump.inference import critical_values
 from paneljump.inference import TestConfig as Config
 from paneljump.inference import test_existence as run_existence
 from paneljump.inference import test_homogeneity as run_homogeneity
-from paneljump.kernels import KERNEL_KINDS, KernelSpec, local_weights
+from paneljump.kernels import KERNEL_KINDS, KernelSpec
 from paneljump.panel import PanelData, PanelUnit
-from paneljump.variance import sigma_e_sq_truncated
+from one_row import jump, residuals, weights, window_mean
 
 POOLED = Config(bandwidth=BandwidthPolicy.pooled(bounds=(0.2, 0.5)))
 GRID5 = [-0.3, -0.15, 0.0, 0.15, 0.3]
@@ -58,7 +57,7 @@ def test_c01_weight_identities():
         kernel = KernelSpec(KERNEL_KINDS[int(rng.integers(3))])
         side = ("plus", "minus")[int(rng.integers(2))]
         try:
-            w = local_weights(x, c, b, kernel, side)
+            w = weights(x, c, b, kernel, side)
         except InsufficientSupport:
             continue
         worst_sum = max(worst_sum, abs(w.sum() - 1.0))
@@ -88,7 +87,7 @@ def test_c02_exact_jump_recovery():
         y = a0 + a1 * x + (gamma + a2 * (x - c)) * right
         kernel = KernelSpec(KERNEL_KINDS[int(rng.integers(3))])
         try:
-            fit = estimate_jump(y, x, c, b, kernel)
+            fit = jump(y, x, c, b, kernel)
         except InsufficientSupport:
             continue
         worst = max(worst, abs(fit.gamma_hat - gamma))
@@ -207,10 +206,9 @@ def test_c09_variance_consistency():
         for _ in range(50):
             x = rng.uniform(-1.0, 1.0, size=t_obs)
             y = np.cos(x) + sigma * rng.standard_normal(t_obs)
-            fit = estimate_jump(y, x, 0.0, b, kernel)
-            resid = smooth_residuals(y, x, b, kernel,
-                                     jump_removal=(0.0, fit.gamma_hat))
-            est = sigma_e_sq_truncated(resid, x, 0.0, b, np.inf)
+            fit = jump(y, x, 0.0, b, kernel)
+            resid = residuals(y - fit.gamma_hat * (x >= 0.0), x, b, kernel)
+            est = window_mean(resid, x, 0.0, b, np.inf)
             errs.append(abs(est - sigma ** 2) / sigma ** 2)
         max_err[t_obs] = max(errs)
     elapsed = time.perf_counter() - start

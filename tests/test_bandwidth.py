@@ -14,11 +14,11 @@ from paneljump.bandwidth import (
     BandwidthPolicy,
     boundary_constant,
     pilot_bandwidth,
-    plugin_bandwidth,
     pooled_bandwidth,
 )
 from paneljump.errors import ConfigError, InsufficientSupport
 from paneljump.kernels import KernelSpec, eval_kernel
+from one_row import plugin
 
 UNIFORM = KernelSpec("uniform")
 
@@ -86,30 +86,30 @@ def _curved_sample(seed=0, t=400, noise=0.3):
 class TestPluginBandwidth:
     def test_within_bounds(self):
         y, x = _curved_sample()
-        b = plugin_bandwidth(y, x, 0.0, UNIFORM)
+        b = plugin(y, x, 0.0, UNIFORM)
         lo, hi = DEFAULT_BOUNDS
         x_range = x.max() - x.min()
         assert lo * x_range <= b <= hi * x_range
 
     def test_deterministic(self):
         y, x = _curved_sample(seed=5)
-        assert plugin_bandwidth(y, x, 0.0, UNIFORM) == plugin_bandwidth(
+        assert plugin(y, x, 0.0, UNIFORM) == plugin(
             y, x, 0.0, UNIFORM
         )
 
     def test_scale_equivariant_in_x(self):
         y, x = _curved_sample(seed=6)
-        b = plugin_bandwidth(y, x, 0.1, UNIFORM)
+        b = plugin(y, x, 0.1, UNIFORM)
         for s in (3.0, 0.25):
-            bs = plugin_bandwidth(y, s * x, s * 0.1, UNIFORM)
+            bs = plugin(y, s * x, s * 0.1, UNIFORM)
             assert bs == pytest.approx(s * b, rel=1e-6)
 
     def test_y_scale_invariant_with_estimated_curvature(self):
         """Scaling y rescales sigma and the fitted curvature together, so
         the ratio in the rule is 2-homogeneous and b does not move."""
         y, x = _curved_sample(seed=7, noise=1.0)
-        b1 = plugin_bandwidth(y, x, 0.0, UNIFORM, bounds=(0.001, 5.0))
-        b2 = plugin_bandwidth(4.0 * y, x, 0.0, UNIFORM, bounds=(0.001, 5.0))
+        b1 = plugin(y, x, 0.0, UNIFORM, bounds=(0.001, 5.0))
+        b2 = plugin(4.0 * y, x, 0.0, UNIFORM, bounds=(0.001, 5.0))
         assert b2 == pytest.approx(b1, rel=1e-9)
 
     def test_noisier_y_larger_bandwidth(self):
@@ -119,9 +119,9 @@ class TestPluginBandwidth:
         x = rng.uniform(-1.0, 1.0, size=4000)
         signal = np.cos(2.0 * x) + 4.0 * x**2 * (x >= 0.0)
         eps = rng.normal(size=4000)
-        b_quiet = plugin_bandwidth(signal + 0.2 * eps, x, 0.0, UNIFORM,
+        b_quiet = plugin(signal + 0.2 * eps, x, 0.0, UNIFORM,
                                    bounds=(0.001, 5.0))
-        b_loud = plugin_bandwidth(signal + 2.0 * eps, x, 0.0, UNIFORM,
+        b_loud = plugin(signal + 2.0 * eps, x, 0.0, UNIFORM,
                                   bounds=(0.001, 5.0))
         assert b_loud > b_quiet
 
@@ -129,8 +129,8 @@ class TestPluginBandwidth:
         """An added jump at the threshold is soaked up by the side-wise
         fits and must not move the selected bandwidth."""
         y, x = _curved_sample(seed=8)
-        b0 = plugin_bandwidth(y, x, 0.0, UNIFORM)
-        b1 = plugin_bandwidth(y + 5.0 * (x >= 0.0), x, 0.0, UNIFORM)
+        b0 = plugin(y, x, 0.0, UNIFORM)
+        b1 = plugin(y + 5.0 * (x >= 0.0), x, 0.0, UNIFORM)
         assert b1 == pytest.approx(b0, rel=1e-9)
 
     def test_shrinks_with_sample_size(self):
@@ -143,18 +143,18 @@ class TestPluginBandwidth:
                 rng = np.random.default_rng(1000 + seed)
                 x = rng.uniform(-1.0, 1.0, size=t)
                 y = np.sin(3.0 * x) + 8.0 * x**2 * (x >= 0) + rng.normal(size=t)
-                bs.append(plugin_bandwidth(y, x, 0.0, UNIFORM, bounds=(0.001, 5.0)))
+                bs.append(plugin(y, x, 0.0, UNIFORM, bounds=(0.001, 5.0)))
             medians.append(np.median(bs))
         assert medians[0] > medians[1] > medians[2]
 
     def test_too_few_observations(self):
         with pytest.raises(InsufficientSupport, match="at least 20"):
-            plugin_bandwidth(np.zeros(10), np.linspace(-1, 1, 10), 0.0, UNIFORM)
+            plugin(np.zeros(10), np.linspace(-1, 1, 10), 0.0, UNIFORM)
 
     def test_too_few_per_side(self):
         x = np.concatenate([np.full(3, -0.5), np.linspace(0.1, 1.0, 27)])
         with pytest.raises(InsufficientSupport, match="per side"):
-            plugin_bandwidth(np.zeros(30), x, 0.0, UNIFORM)
+            plugin(np.zeros(30), x, 0.0, UNIFORM)
 
     @pytest.mark.parametrize("scale", [1e100, 1e-100])
     def test_extreme_covariate_scale(self, scale):
@@ -162,14 +162,14 @@ class TestPluginBandwidth:
         # overflows at 1e-100, where the bandwidth would clamp to its bound.
         y, x = _curved_sample(seed=6)
         with pytest.raises(InsufficientSupport, match="float range"):
-            plugin_bandwidth(y, scale * x, 0.0, UNIFORM)
+            plugin(y, scale * x, 0.0, UNIFORM)
 
     def test_side_span_rounding_to_zero(self):
         # Every d = x + 1e30 rounds to 1e30, and so does the fit's widened
         # domain [1e30 - 1, 1e30 + 1]; the library fit would hand LAPACK NaN.
         with pytest.raises(InsufficientSupport,
                            match=r"span \[1e\+30, 1e\+30\], which floating point cannot"):
-            plugin_bandwidth(np.zeros(30), np.linspace(-1.0, 1.0, 30), -1e30, UNIFORM)
+            plugin(np.zeros(30), np.linspace(-1.0, 1.0, 30), -1e30, UNIFORM)
 
     @pytest.mark.parametrize("c, domain", [
         (-0.9e308, r"\[.*, inf\]"),  # x - c overflows on the plus side
@@ -182,7 +182,7 @@ class TestPluginBandwidth:
         y = rng.standard_normal(60)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(InsufficientSupport, match=f"span {domain}, which floating point"):
-            plugin_bandwidth(y, x, c, UNIFORM)
+            plugin(y, x, c, UNIFORM)
 
     def test_overflowing_range(self):
         # Each side spans half the float range, but the whole range does not
@@ -192,21 +192,21 @@ class TestPluginBandwidth:
         for y in (np.zeros(60), rng.standard_normal(60)):
             with np.errstate(over="ignore"), pytest.raises(
                     InsufficientSupport, match=r"covariate range -9.*e\+307 to 9.*e\+307 overflows to inf"):
-                plugin_bandwidth(y, x, 0.0, UNIFORM)
+                plugin(y, x, 0.0, UNIFORM)
             with np.errstate(over="ignore"):
                 args = (y, x, 0.0, UNIFORM)
-                assert _outcome(plugin_bandwidth, *args) == _outcome(_reference_plugin_bandwidth, *args)
+                assert _outcome(plugin, *args) == _outcome(_reference_plugin_bandwidth, *args)
 
     def test_degenerate_range(self):
         with pytest.raises(InsufficientSupport, match="range"):
-            plugin_bandwidth(np.zeros(25), np.full(25, 0.7), 0.0, UNIFORM)
+            plugin(np.zeros(25), np.full(25, 0.7), 0.0, UNIFORM)
 
 
 def _reference_plugin_bandwidth(y, x, c, kernel, bounds=DEFAULT_BOUNDS):
     """The plugin rule written with numpy's library calls: ``np.unique``
     for the per-side distinct counts, ``Polynomial.fit`` for the quartic
     fits, ``np.percentile`` for the quartiles and ``np.clip`` for the
-    bounds.  ``plugin_bandwidth`` replays these calls' arithmetic."""
+    bounds.  ``_plugin_rows`` replays these calls' arithmetic."""
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     t_obs = x.size
@@ -295,7 +295,7 @@ def test_plugin_bandwidth_matches_library_reference(seed, t_obs, levels, cluster
     y = np.cos(2.0 * u) + (u >= 0.1) + 0.3 * rng.standard_normal(t_obs)
     c = float(np.quantile(x, at))
     args = (y, x, c, KernelSpec(kind), bounds)
-    new, ref = _outcome(plugin_bandwidth, *args), _outcome(_reference_plugin_bandwidth, *args)
+    new, ref = _outcome(plugin, *args), _outcome(_reference_plugin_bandwidth, *args)
     assert type(new[0]) is type(ref[0])
     assert new == ref
 
@@ -307,7 +307,7 @@ def test_plugin_bandwidth_matches_library_reference_on_collapsed_side():
     x = 1e-14 * np.arange(25.0)
     y = np.cos(np.arange(25.0))
     args = (y, x, -1e3, UNIFORM, DEFAULT_BOUNDS)
-    new = _outcome(plugin_bandwidth, *args)
+    new = _outcome(plugin, *args)
     assert new == _outcome(_reference_plugin_bandwidth, *args)
     assert new[1] == 1
 

@@ -328,3 +328,10 @@ class TestRunThresholdAccuracy:
         with pytest.raises(NumericalError, match=r"every replication failed .* \(2 of 2\)"):
             run_threshold_accuracy(DgpConfig(dgp_id=1, n_units=2, t_obs=2), McConfig(reps=2),
                                    grid=[0.0], config=FIXED)
+
+    def test_grid_required(self):
+        # Without a grid there is no threshold to locate: the known-threshold
+        # test would report each unit at the true threshold, error 0.
+        with pytest.raises(ConfigError, match="needs a grid"):
+            run_threshold_accuracy(DgpConfig(dgp_id=1, n_units=3, t_obs=150), McConfig(reps=2),
+                                   grid=None, config=FIXED)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import fields, replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from paneljump.errors import (
     NumericalError,
 )
 from paneljump.dgp import DgpConfig, GammaScheme, gen_dgp
-from paneljump.estimator import UnitJumpFit, _fitted_general, smooth_residuals
+from paneljump.estimator import UnitJumpFit, _fitted_general
 from paneljump.inference import (
     SkippedUnit,
     critical_values,
@@ -31,9 +32,10 @@ from paneljump.inference import TestConfig as Config
 from paneljump.inference import test_existence as run_existence
 from paneljump.inference import test_homogeneity as run_homogeneity
 from paneljump.io import render_report
-from paneljump.kernels import KERNEL_KINDS, KernelSpec, denominator_floor, eval_kernel, local_weights
+from paneljump.kernels import KERNEL_KINDS, KernelSpec, denominator_floor, eval_kernel
 from paneljump.panel import PanelData, PanelUnit
 from paneljump.variance import SigmaC, sigma_c_matrix
+from one_row import residuals, weights
 from test_bandwidth import _reference_plugin_bandwidth
 
 # A bandwidth of 1 on T = 100 points gives sqrt(T b) = 10.
@@ -594,7 +596,7 @@ class TestSearchThresholds:
         all; a level just above it, inf and the default are accepted."""
         panel = _noise_panel(n_units=2)
         grid = [-0.2, 0.0, 0.2]
-        pilots = [smooth_residuals(u.y, u.x, pilot_bandwidth(u.x, 0.4), FIXED.kernel)
+        pilots = [residuals(u.y, u.x, pilot_bandwidth(u.x, 0.4), FIXED.kernel)
                   for u in panel]
         smallest = min(float(np.nanmin(r * r)) for r in pilots)
         for level in (1e-320, smallest):
@@ -674,8 +676,8 @@ class TestSearchThresholds:
         for unit, u, block in zip(units, result.per_unit, sigma_c.blocks):
             rows = []
             for c in grid[np.isfinite(u.stats)]:
-                dw = (local_weights(unit.x, c, b, cfg.kernel, "plus")
-                      - local_weights(unit.x, c, b, cfg.kernel, "minus"))
+                dw = (weights(unit.x, c, b, cfg.kernel, "plus")
+                      - weights(unit.x, c, b, cfg.kernel, "minus"))
                 rows.append(dw / np.linalg.norm(dw))
             z = np.array(rows)
             np.testing.assert_allclose(block, z @ z.T, rtol=0.0, atol=1e-12)
@@ -951,7 +953,7 @@ def test_dense_search_matches_reference(seed, n_obs, levels, jitter, n_grid, b, 
 
 
 def _reference_local_weights(x, c, b, kernel, side):
-    """``kernels.local_weights`` written directly for one unit's 1-d arrays."""
+    """``kernels._side_rows`` written directly for one unit's 1-d arrays."""
     d = x - c
     mask = (x >= c) & (x <= c + b) if side == "plus" else (x < c) & (x >= c - b)
     kw = np.zeros_like(d)
@@ -970,7 +972,7 @@ def _reference_local_weights(x, c, b, kernel, side):
 
 
 def _reference_jump_fit(y, x, c, b, kernel):
-    """``estimator.estimate_jump`` from the reference one-sided weights."""
+    """``estimator._fit_rows`` from the reference one-sided weights."""
     w_plus = _reference_local_weights(x, c, b, kernel, "plus")
     w_minus = _reference_local_weights(x, c, b, kernel, "minus")
     return UnitJumpFit(float(w_plus @ y) - float(w_minus @ y), w_plus - w_minus,
@@ -978,7 +980,7 @@ def _reference_jump_fit(y, x, c, b, kernel):
 
 
 def _reference_window_mean(resid, x, c, b, a_trunc):
-    """``variance.sigma_e_sq_truncated`` written for one unit's 1-d arrays."""
+    """``variance._window_rows`` written for one unit's 1-d arrays."""
     vals = resid[(x >= c - b) & (x <= c + b) & np.isfinite(resid)]
     if vals.size == 0:
         raise InsufficientSupport(f"no usable residuals within {b} of c={c}")
@@ -1007,13 +1009,8 @@ def _reference_fitted_uniform(eval_points, xs, ys, b):
     return fitted
 
 
-def _reference_analyze_unit(unit, c, b, kernel):
-    """The known-threshold chain for one unit: both one-sided fits, the
-    jump-removed residuals smoothed at every point, their windowed mean
-    square and the report row."""
-    y, x = unit.y, unit.x
-    fit = _reference_jump_fit(y, x, c, b, kernel)
-    y = y - fit.gamma_hat * (x >= c)
+def _reference_residuals(y, x, b, kernel):
+    """One unit's residuals from a local linear smooth at every point."""
     order = np.argsort(x, kind="stable")
     if kernel.kind == "uniform":
         fitted = _reference_fitted_uniform(x, x[order], y[order], b)
@@ -1022,19 +1019,26 @@ def _reference_analyze_unit(unit, c, b, kernel):
     resid = y - fitted
     if not np.any(np.isfinite(resid)):
         raise InsufficientSupport("no sample point admits a local linear fit")
+    return resid
+
+
+def _reference_analyze_unit(unit, c, b, kernel):
+    """The known-threshold chain for one unit: both one-sided fits, the
+    jump-removed residuals smoothed at every point, their windowed mean
+    square and the report row."""
+    y, x = unit.y, unit.x
+    fit = _reference_jump_fit(y, x, c, b, kernel)
+    y = y - fit.gamma_hat * (x >= c)
+    resid = _reference_residuals(y, x, b, kernel)
     sigma_e_sq = _reference_window_mean(resid, x, c, b, np.inf)
     return paneljump.inference._unit_row(unit, c, b, fit, sigma_e_sq,
                                          paneljump.inference._v_floor(unit.y))
 
 
-def _reference_fit_panel(panel, threshold, config):
-    """``inference._fit_panel`` one unit at a time in panel order, with the
-    plugin rule written with numpy's library calls."""
-    if isinstance(threshold, dict):
-        thresholds = {u.unit_id: float(threshold[u.unit_id]) for u in panel}
-    else:
-        thresholds = dict.fromkeys((u.unit_id for u in panel), float(threshold))
-    policy, kernel = config.bandwidth, config.kernel
+def _reference_bandwidths(panel, thresholds, policy, kernel):
+    """Each unit's bandwidth and the bandwidth-selection skips, one unit at
+    a time in panel order, with the plugin rule written with numpy's
+    library calls."""
     skipped = []
     if policy.mode == "fixed":
         bandwidths = {u.unit_id: policy.value for u in panel}
@@ -1053,6 +1057,22 @@ def _reference_fit_panel(panel, threshold, config):
             clamp = (policy.bounds[0] * min(ranges), policy.bounds[1] * max(ranges))
             pooled = pooled_bandwidth(list(bandwidths.values()), clamp=clamp)
             bandwidths, skipped = {u.unit_id: pooled for u in panel}, []
+    return bandwidths, skipped
+
+
+def _no_unit_left(skipped, what):
+    detail = "; ".join(f"{s.unit_id}: {s.reason}" for s in skipped)
+    return NumericalError(f"no unit admits {what} ({detail})")
+
+
+def _reference_fit_panel(panel, threshold, config):
+    """``inference._fit_panel`` one unit at a time in panel order."""
+    if isinstance(threshold, dict):
+        thresholds = {u.unit_id: float(threshold[u.unit_id]) for u in panel}
+    else:
+        thresholds = dict.fromkeys((u.unit_id for u in panel), float(threshold))
+    kernel = config.kernel
+    bandwidths, skipped = _reference_bandwidths(panel, thresholds, config.bandwidth, kernel)
     rows = []
     for u in panel:
         if u.unit_id in bandwidths:
@@ -1062,9 +1082,55 @@ def _reference_fit_panel(panel, threshold, config):
             except InsufficientSupport as exc:
                 skipped.append(SkippedUnit(u.unit_id, str(exc)))
     if not rows:
-        detail = "; ".join(f"{s.unit_id}: {s.reason}" for s in skipped)
-        raise NumericalError(f"no unit admits a jump fit ({detail})")
+        raise _no_unit_left(skipped, "a jump fit")
     return rows, skipped
+
+
+def _reference_search(panel, grid, config):
+    """``search_thresholds``'s pilot stage one unit at a time in panel
+    order: bandwidths at the middle grid point, pilot residuals, the
+    default truncation (9 times the median finite squared residual, inf
+    if there is none or it is 0) and the skips, then each unit's grid
+    stage through ``_search_unit``.  Gives the report rows, the skipped
+    units, the truncation's bytes and the comparison count."""
+    grid = np.asarray(grid, dtype=float)
+    c_mid = float(grid[grid.size // 2])
+    bandwidths, skipped = _reference_bandwidths(
+        panel, {u.unit_id: c_mid for u in panel}, config.bandwidth, config.kernel)
+    residuals = {}
+    for u in panel:
+        if u.unit_id in bandwidths:
+            try:
+                residuals[u.unit_id] = _reference_residuals(
+                    u.y, u.x, pilot_bandwidth(u.x, bandwidths[u.unit_id]), config.kernel)
+            except InsufficientSupport as exc:
+                skipped.append(SkippedUnit(u.unit_id, str(exc)))
+    if not residuals:
+        raise _no_unit_left(skipped, "a grid search")
+    squares = np.concatenate([r[np.isfinite(r)] ** 2 for r in residuals.values()])
+    squares = squares[np.isfinite(squares)]
+    median = float(np.median(squares)) if squares.size else 0.0
+    a_trunc = 9.0 * median if median > 0.0 else np.inf
+    rows = []
+    for u in panel:
+        if u.unit_id in residuals:
+            row, _ = paneljump.inference._search_unit(u, grid, bandwidths[u.unit_id], a_trunc,
+                                                      residuals[u.unit_id], config)
+            if row is None:
+                skipped.append(SkippedUnit(u.unit_id, "no valid grid point"))
+            else:
+                rows.append(row)
+    if not rows:
+        raise _no_unit_left(skipped, "a grid search")
+    return rows, skipped, np.float64(a_trunc).tobytes(), int(
+        sum(np.count_nonzero(np.isfinite(r.stats)) for r in rows))
+
+
+def _search_panel(panel, grid, config):
+    """``search_thresholds`` as ``_reference_search`` reports it."""
+    result = search_thresholds(panel, grid, config)
+    return (result.per_unit, result.skipped, np.float64(result.truncation).tobytes(),
+            result.n_comparisons)
 
 
 # Units built to pass, or to stop at one stage of the fit.
@@ -1078,7 +1144,8 @@ def _stage_unit(uid, stage, c, t_obs, rng, k=0):
     ("plus", "minus", "far": every point far above c), at the singular
     design floor ("floor", two plus points 2e-6 (1 + k 1e-6) apart), in
     smoothing within the variance window ("window") or everywhere
-    ("everywhere"), or at an overflowing scale ("huge")."""
+    ("everywhere", or "flat": every covariate equal), or at an overflowing
+    scale ("huge")."""
     u = rng.uniform(-3.0, 3.0, t_obs)
     if stage == "short":
         u = u[:12]
@@ -1094,6 +1161,8 @@ def _stage_unit(uid, stage, c, t_obs, rng, k=0):
         u = np.concatenate([rng.uniform(-0.2, 0.0, 20), [0.1, 0.1 + 2e-6 * (1.0 + k * 1e-6)]])
     elif stage == "far":
         u = rng.uniform(30.0, 40.0, t_obs)
+    elif stage == "flat":
+        u = np.full(t_obs, 0.25)
     y = np.cos(u) + (u >= 0.0) + 0.1 * rng.standard_normal(u.size)
     if stage == "window":
         y = y + 1e307 * (np.abs(u) <= 0.5)
@@ -1104,14 +1173,16 @@ def _stage_unit(uid, stage, c, t_obs, rng, k=0):
     return PanelUnit(uid, y, c + u)
 
 
-def _outcome(fit_panel, panel, threshold, config):
-    """(rows, skipped) or (error type, message), with the RankWarning
-    count and the set of RuntimeWarning messages raised on the way."""
+def _outcome(fit_panel, panel, place, config):
+    """(rows, skipped, *extras) or (error type, message), with the
+    RankWarning count and the set of RuntimeWarning messages raised on
+    the way."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            rows, skipped = fit_panel(panel, threshold, config)
-            value = ([_row_bytes(r) for r in rows], [(s.unit_id, s.reason) for s in skipped])
+            rows, skipped, *extras = fit_panel(panel, place, config)
+            value = ([_row_bytes(r) for r in rows], [(s.unit_id, s.reason) for s in skipped],
+                     *extras)
         except (InsufficientSupport, NumericalError) as exc:
             value = (type(exc), str(exc))
     ranks = sum(issubclass(w.category, np.exceptions.RankWarning) for w in caught)
@@ -1125,13 +1196,19 @@ def _row_bytes(row):
                  else row.unit_id for f in fields(row))
 
 
-def _assert_block_fit_equals_reference(panel, threshold, config):
-    """Equal outcomes and RankWarning counts, and no new RuntimeWarning.
-    A NumericalError from a report row stops the chain at its unit, where
+_KNOWN = (paneljump.inference._fit_panel, _reference_fit_panel)
+_SEARCH = (_search_panel, _reference_search)
+
+
+def _assert_block_fit_equals_reference(panel, place, config, chains=_KNOWN):
+    """Equal outcomes and RankWarning counts, and no new RuntimeWarning,
+    from the known-threshold fit at ``place`` (``_KNOWN``) or the search
+    over the grid ``place`` (``_SEARCH``) and its per-unit chain.  A
+    NumericalError from a report row stops the chain at its unit, where
     the block has already fitted the units after it, so on that outcome
     their warnings may show too."""
-    new = _outcome(paneljump.inference._fit_panel, panel, threshold, config)
-    ref = _outcome(_reference_fit_panel, panel, threshold, config)
+    new = _outcome(chains[0], panel, place, config)
+    ref = _outcome(chains[1], panel, place, config)
     assert new[:2] == ref[:2]
     stopped = new[0][0] is NumericalError and not new[0][1].startswith("no unit admits")
     assert stopped or new[2] <= ref[2], "new RuntimeWarnings"
@@ -1166,6 +1243,61 @@ def test_block_fit_matches_per_unit_reference(seed, units, mapping, kind, policy
     threshold = {u.unit_id: float(c) for u, c in zip(panel, cs)} if mapping else 0.0
     _assert_block_fit_equals_reference(panel, threshold,
                                        Config(kernel=KernelSpec(kind), bandwidth=policy))
+
+
+_SEARCH_STAGES = ("ok", "ok", "short", "levels", "plus", "far", "flat", "everywhere")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    units=st.lists(st.tuples(st.sampled_from((25, 40, 60)), st.sampled_from(_SEARCH_STAGES)),
+                   min_size=1, max_size=7),
+    n_grid=st.integers(min_value=1, max_value=5),
+    kind=st.sampled_from(KERNEL_KINDS),
+    policy=st.sampled_from(_POLICIES),
+    budget=st.sampled_from((paneljump.inference._BLOCK_BUDGET, 60)),
+)
+def test_block_pilot_matches_per_unit_reference(seed, units, n_grid, kind, policy, budget):
+    """The search's pilot stage, smoothed as row blocks, equals the
+    per-unit chain bit for bit: every report field with ``stats`` and its
+    NaN mask, the truncation level, the comparison count, the skipped
+    units in order with their reasons, the RankWarning count, and no
+    RuntimeWarning the chain does not raise.  Panels are ragged, blocks
+    hold up to seven rows or, at the small budget, one or two, and units
+    fail bandwidth selection ("short", "levels", "far" under the plugin
+    rule), smooth at no pilot point ("flat", "everywhere") or at no grid
+    point ("plus", "far")."""
+    rng = np.random.default_rng(seed)
+    panel = PanelData([_stage_unit(f"u{j}", stage, 0.0, t_obs, rng)
+                       for j, (t_obs, stage) in enumerate(units)])
+    grid = np.unique(rng.uniform(-0.5, 0.5, n_grid))
+    config = Config(kernel=KernelSpec(kind), bandwidth=policy)
+    with patch.object(paneljump.inference, "_BLOCK_BUDGET", budget):
+        _assert_block_fit_equals_reference(panel, grid, config, _SEARCH)
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_block_pilot_skips_in_panel_order(kind):
+    """Units that fail bandwidth selection, smooth at no pilot point or
+    reach no grid point are skipped with the per-unit chain's reasons:
+    each stage's skips in panel order, the earlier stage's first."""
+    rng = np.random.default_rng(44)
+    stages = ["ok", "flat", "short", "ok", "flat"]
+    panel = PanelData([_stage_unit(f"u{j}", s, 0.0, 60 if j < 3 else 40, rng)
+                       for j, s in enumerate(stages)])
+    grid = [-0.2, 0.0, 0.2]
+    config = Config(kernel=KernelSpec(kind), bandwidth=BandwidthPolicy.plugin())
+    value = _assert_block_fit_equals_reference(panel, grid, config, _SEARCH)
+    assert value[1] == [
+        ("u1", "bandwidth selection failed: degenerate covariate range"),
+        ("u2", "bandwidth selection failed: need at least 20 observations, got 12"),
+        ("u4", "bandwidth selection failed: degenerate covariate range")]
+    config = replace(config, bandwidth=BandwidthPolicy.fixed(0.5))
+    value = _assert_block_fit_equals_reference(panel, grid, config, _SEARCH)
+    assert value[1] == [("u1", "no sample point admits a local linear fit"),
+                        ("u4", "no sample point admits a local linear fit"),
+                        ("u2", "no valid grid point")]
 
 
 @pytest.mark.parametrize("kind", KERNEL_KINDS)

@@ -7,16 +7,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
+from paneljump.bandwidth import BandwidthPolicy
 from paneljump.errors import InsufficientSupport
-from paneljump.estimator import smooth_residuals
-from paneljump.kernels import (
-    KERNEL_KINDS,
-    KernelSpec,
-    denominator_floor,
-    eval_kernel,
-    local_weights,
-)
-from paneljump.variance import sigma_e_sq_truncated
+from paneljump.kernels import KERNEL_KINDS, KernelSpec, denominator_floor, eval_kernel
+from one_row import residuals, weights, window_mean
 
 UNIFORM = KernelSpec("uniform")
 
@@ -103,7 +97,7 @@ class TestLocalWeights:
         """With two in-support points the boundary fit is the secant line:
         w = [x2, -x1] / (x2 - x1) regardless of the kernel factors."""
         x = np.array([0.2, 0.4, -0.3, 1.5])
-        w = local_weights(x, 0.0, 1.0, UNIFORM, "plus")
+        w = weights(x, 0.0, 1.0, UNIFORM, "plus")
         np.testing.assert_allclose(w, [2.0, -1.0, 0.0, 0.0], atol=1e-12)
 
     @pytest.mark.parametrize("kind", KERNEL_KINDS)
@@ -111,43 +105,40 @@ class TestLocalWeights:
     def test_reproduces_affine_functions(self, kind, side):
         rng = np.random.default_rng(5)
         x = rng.uniform(-1.0, 1.0, size=60)
-        w = local_weights(x, 0.1, 0.7, KernelSpec(kind), side)
+        w = weights(x, 0.1, 0.7, KernelSpec(kind), side)
         # exactness on affine y means intercept recovery at the threshold
         y = 3.0 - 2.0 * x
         assert w @ y == pytest.approx(3.0 - 2.0 * 0.1, abs=1e-9)
 
     def test_threshold_point_counts_as_plus(self):
         x = np.array([0.0, 0.5, -0.5, -0.25])
-        assert local_weights(x, 0.0, 1.0, UNIFORM, "plus")[0] != 0.0
-        assert local_weights(x, 0.0, 1.0, UNIFORM, "minus")[0] == 0.0
-
-    def test_bad_side_rejected(self):
-        with pytest.raises(ValueError, match="side"):
-            local_weights([0.1, 0.2], 0.0, 1.0, UNIFORM, "left")
+        assert weights(x, 0.0, 1.0, UNIFORM, "plus")[0] != 0.0
+        assert weights(x, 0.0, 1.0, UNIFORM, "minus")[0] == 0.0
 
     def test_nonpositive_bandwidth_rejected(self):
+        # A bandwidth enters through its policy, which rejects it there.
         with pytest.raises(ValueError, match="bandwidth"):
-            local_weights([0.1, 0.2], 0.0, 0.0, UNIFORM, "plus")
+            BandwidthPolicy.fixed(0.0)
 
     def test_zero_off_own_side(self):
         rng = np.random.default_rng(6)
         x = rng.uniform(-1.0, 1.0, size=40)
-        w = local_weights(x, 0.0, 0.8, UNIFORM, "plus")
+        w = weights(x, 0.0, 0.8, UNIFORM, "plus")
         assert np.all(w[x < 0.0] == 0.0)
 
     def test_fewer_than_two_distinct_points(self):
         with pytest.raises(InsufficientSupport, match="plus"):
-            local_weights([0.5, 0.5, -0.2], 0.0, 1.0, UNIFORM, "plus")
+            weights([0.5, 0.5, -0.2], 0.0, 1.0, UNIFORM, "plus")
 
     def test_no_points_at_all(self):
         with pytest.raises(InsufficientSupport, match="minus"):
-            local_weights([0.5, 0.6], 0.0, 1.0, UNIFORM, "minus")
+            weights([0.5, 0.6], 0.0, 1.0, UNIFORM, "minus")
 
     def test_near_singular_design(self):
         # two points 1e-9 apart: distinct, but the design denominator is
         # below the relative floor
         with pytest.raises(InsufficientSupport, match="singular"):
-            local_weights([0.5, 0.5 + 1e-9], 0.0, 1.0, UNIFORM, "plus")
+            weights([0.5, 0.5 + 1e-9], 0.0, 1.0, UNIFORM, "plus")
 
     def test_overflowing_design_is_singular(self):
         # At |x| near 1e152 the side sums overflow and the design
@@ -155,7 +146,7 @@ class TestLocalWeights:
         x = np.random.default_rng(0).uniform(-1.0, 1.0, 300) * 4e152
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(InsufficientSupport, match="singular local design"):
-            local_weights(x, -8e151, 4e152, UNIFORM, "plus")
+            weights(x, -8e151, 4e152, UNIFORM, "plus")
 
 
 # dyadic grids keep the identity checks exact in floating point
@@ -174,7 +165,7 @@ def test_weight_identities_property(xs, c, b, kind, side):
     """Sum to one and orthogonality to (x - c), whenever the fit exists."""
     x = np.array(xs)
     try:
-        w = local_weights(x, c, b, KernelSpec(kind), side)
+        w = weights(x, c, b, KernelSpec(kind), side)
     except InsufficientSupport:
         return
     assert np.sum(w) == pytest.approx(1.0, abs=1e-10)
@@ -192,10 +183,10 @@ def test_weights_translation_invariant(xs, shift, kind):
     shifts make the kernel arguments bit-identical)."""
     x = np.array(xs)
     try:
-        w0 = local_weights(x, 0.0, 0.5, KernelSpec(kind), "plus")
+        w0 = weights(x, 0.0, 0.5, KernelSpec(kind), "plus")
     except InsufficientSupport:
         return
-    w1 = local_weights(x + shift, shift, 0.5, KernelSpec(kind), "plus")
+    w1 = weights(x + shift, shift, 0.5, KernelSpec(kind), "plus")
     np.testing.assert_array_equal(w0, w1)
 
 
@@ -203,9 +194,9 @@ def test_weights_scale_equivariant():
     """Scaling x, c, b by s > 0 leaves w unchanged up to rounding."""
     rng = np.random.default_rng(11)
     x = rng.uniform(-1.0, 1.0, size=50)
-    w0 = local_weights(x, 0.25, 0.5, KernelSpec("triangular"), "minus")
+    w0 = weights(x, 0.25, 0.5, KernelSpec("triangular"), "minus")
     for s in (2.0, 0.125, 37.5):
-        w1 = local_weights(s * x, s * 0.25, s * 0.5, KernelSpec("triangular"), "minus")
+        w1 = weights(s * x, s * 0.25, s * 0.5, KernelSpec("triangular"), "minus")
         np.testing.assert_allclose(w1, w0, atol=1e-10)
 
 
@@ -235,20 +226,20 @@ def test_windows_agree_at_the_edges(c, b, offset):
     inside = (c - b <= x) & (x <= c + b)
     plus = inside & (x >= c)
     minus = inside & (x < c)
-    np.testing.assert_array_equal(local_weights(x, c, b, UNIFORM, "plus") != 0.0, plus)
-    np.testing.assert_array_equal(local_weights(x, c, b, UNIFORM, "minus") != 0.0, minus)
+    np.testing.assert_array_equal(weights(x, c, b, UNIFORM, "plus") != 0.0, plus)
+    np.testing.assert_array_equal(weights(x, c, b, UNIFORM, "minus") != 0.0, minus)
 
     at_c = int(np.flatnonzero(x == c)[0])
     for i in range(x.size):
         resid = np.full(x.size, np.nan)
         resid[i] = 1.0
         try:
-            counted = sigma_e_sq_truncated(resid, x, c, b, np.inf) == 1.0
+            counted = window_mean(resid, x, c, b, np.inf) == 1.0
         except InsufficientSupport as exc:
             assert str(exc).startswith("no usable residuals")
             counted = False
         assert counted == inside[i]
         if i != at_c:
             # y is the indicator of x[i], so the fit at c is x[i]'s weight
-            r = smooth_residuals(np.eye(x.size)[i], x, b, UNIFORM)
+            r = residuals(np.eye(x.size)[i], x, b, UNIFORM)
             assert (r[at_c] != 0.0) == inside[i]

@@ -1,0 +1,53 @@
+"""The package's public names: every module's ``__all__`` entries resolve
+and are its own, and the full set is pinned so that adding, renaming or
+removing a public name is a visible change (the benchmark's tracer looks
+up every ``__all__`` entry of the layer modules by name)."""
+
+from __future__ import annotations
+
+import importlib
+import pkgutil
+
+import pytest
+
+import paneljump
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(paneljump.__path__))
+
+PUBLIC = [
+    "bandwidth.BandwidthPolicy", "bandwidth.boundary_constant", "bandwidth.pilot_bandwidth",
+    "bandwidth.pooled_bandwidth",
+    "cli.cli_main", "cli.main",
+    "dgp.AccuracyTable", "dgp.DgpConfig", "dgp.GammaScheme", "dgp.McConfig", "dgp.RateTable",
+    "dgp.gen_dgp", "dgp.inject_jumps", "dgp.run_size_power", "dgp.run_threshold_accuracy",
+    "errors.ConfigError", "errors.DataError", "errors.InsufficientSupport",
+    "errors.NonFiniteValue", "errors.NumericalError", "errors.PanelJumpError",
+    "estimator.UnitJumpFit",
+    "inference.SkippedUnit", "inference.TestConfig", "inference.TestResult",
+    "inference.ThresholdSearchResult", "inference.UnitResult", "inference.critical_values",
+    "inference.search_thresholds", "inference.simulate_max_gaussian",
+    "inference.test_existence", "inference.test_homogeneity",
+    "io.PanelSchema", "io.read_panel_csv", "io.read_threshold_csv", "io.render_report",
+    "io.write_report",
+    "kernels.KERNEL_KINDS", "kernels.KernelSpec", "kernels.eval_kernel",
+    "panel.PanelData", "panel.PanelUnit",
+    "variance.SigmaC", "variance.default_truncation", "variance.sigma_c_matrix",
+    "variance.v_sq", "variance.v_tilde_sq",
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_entries_are_defined_in_their_module(name):
+    module = importlib.import_module(f"paneljump.{name}")
+    assert len(set(module.__all__)) == len(module.__all__), "repeated entry"
+    for attr in module.__all__:
+        assert attr in vars(module), f"{name}.{attr} does not resolve"
+        owner = getattr(vars(module)[attr], "__module__", module.__name__)
+        assert owner == module.__name__, f"{name}.{attr} is defined in {owner}"
+
+
+def test_public_names_are_pinned():
+    names = sorted(f"{name}.{attr}" for name in MODULES
+                   for attr in importlib.import_module(f"paneljump.{name}").__all__)
+    assert names == sorted(PUBLIC)
+    assert len(names) == 47

@@ -2,26 +2,20 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
 from paneljump.errors import InsufficientSupport, NumericalError
-from paneljump.kernels import KernelSpec, local_weights
-from paneljump.variance import (
-    default_truncation,
-    sigma_c_matrix,
-    sigma_e_sq_truncated,
-    v_sq,
-    v_tilde_sq,
-)
+from paneljump.inference import TestConfig as Config
+from paneljump.kernels import KernelSpec
+from paneljump.variance import default_truncation, sigma_c_matrix, v_sq, v_tilde_sq
+from one_row import weights, window_mean
 
 UNIFORM = KernelSpec("uniform")
 
 
 def _untruncated(resid, x, c, b):
-    return sigma_e_sq_truncated(resid, x, c, b, np.inf)
+    return window_mean(resid, x, c, b, np.inf)
 
 
 class TestSigmaESqKnown:
@@ -51,7 +45,7 @@ class TestSigmaESqKnown:
 class TestSigmaESqTruncated:
     def test_clip_then_average(self):
         resid = np.sqrt([0.5, 3.0, 1.0])
-        out = sigma_e_sq_truncated(resid, [0.0, 0.0, 0.0], 0.0, 1.0, 2.0)
+        out = window_mean(resid, [0.0, 0.0, 0.0], 0.0, 1.0, 2.0)
         assert out == pytest.approx((0.5 + 2.0 + 1.0) / 3.0)
 
     def test_infinite_level_matches_untruncated(self):
@@ -59,44 +53,37 @@ class TestSigmaESqTruncated:
         resid = rng.normal(size=50)
         x = rng.uniform(-1.0, 1.0, size=50)
         window = resid[np.abs(x) <= 0.8]
-        assert sigma_e_sq_truncated(resid, x, 0.0, 0.8, np.inf) == np.mean(window**2)
+        assert window_mean(resid, x, 0.0, 0.8, np.inf) == np.mean(window**2)
 
     def test_no_clipping_when_below_level(self):
         resid = [0.5, -0.5]
-        a = sigma_e_sq_truncated(resid, [0.0, 0.1], 0.0, 1.0, 10.0)
+        a = window_mean(resid, [0.0, 0.1], 0.0, 1.0, 10.0)
         assert a == _untruncated(resid, [0.0, 0.1], 0.0, 1.0)
 
     def test_truncated_never_exceeds_untruncated(self):
         rng = np.random.default_rng(4)
         resid = rng.standard_t(df=2, size=200)
         x = rng.uniform(-1.0, 1.0, size=200)
-        t = sigma_e_sq_truncated(resid, x, 0.0, 1.0, 1.5)
+        t = window_mean(resid, x, 0.0, 1.0, 1.5)
         assert t < _untruncated(resid, x, 0.0, 1.0)
 
     @pytest.mark.parametrize("level", [-1.0, np.nan])
     def test_invalid_level_rejected(self, level):
-        with pytest.raises(ValueError, match="nonnegative"):
-            sigma_e_sq_truncated([1.0], [0.0], 0.0, 1.0, level)
+        # A level enters through the search's config, which rejects it there.
+        with pytest.raises(ValueError, match="truncation must be positive"):
+            Config(truncation=level)
 
 
 class TestDefaultTruncation:
     def test_nine_times_median_for_small_counts(self):
         pooled = np.array([1.0, 2.0, 3.0])
-        assert default_truncation(pooled, 100) == pytest.approx(9.0 * 2.0)
-
-    def test_log_factor_for_huge_counts(self):
-        # sqrt(log n) only wins past n = e^81
-        pooled = np.array([1.0])
-        n = 10**40
-        assert default_truncation(pooled, n) == pytest.approx(
-            np.sqrt(math.log(n)) * 1.0
-        )
+        assert default_truncation(pooled) == pytest.approx(9.0 * 2.0)
 
     def test_zero_median_disables_clipping(self):
-        assert default_truncation(np.zeros(11), 100) == np.inf
+        assert default_truncation(np.zeros(11)) == np.inf
 
     def test_empty_pool_disables_clipping(self):
-        assert default_truncation(np.array([np.nan, np.nan]), 100) == np.inf
+        assert default_truncation(np.array([np.nan, np.nan])) == np.inf
 
 
 class TestVSq:
@@ -135,7 +122,7 @@ class TestVTildeSq:
 
 def _w_diffs(x, grid, b):
     """Weight-difference rows w_plus - w_minus at each grid threshold."""
-    return [local_weights(x, c, b, UNIFORM, "plus") - local_weights(x, c, b, UNIFORM, "minus")
+    return [weights(x, c, b, UNIFORM, "plus") - weights(x, c, b, UNIFORM, "minus")
             for c in grid]
 
 
