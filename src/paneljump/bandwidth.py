@@ -35,7 +35,6 @@ __all__ = [
     "BandwidthPolicy",
     "boundary_constant",
     "pooled_bandwidth",
-    "pilot_bandwidth",
 ]
 
 DEFAULT_BOUNDS = (0.02, 0.5)
@@ -284,28 +283,28 @@ def pooled_bandwidth(bandwidths, clamp: tuple[float, float] | None = None) -> fl
     return pooled
 
 
-def pilot_bandwidth(x, b: float) -> float:
-    """Undersmoothing bandwidth for residual extraction near an unknown jump.
+def _pilot_rows(x, b) -> np.ndarray:
+    """Undersmoothing bandwidth for residual extraction near an unknown
+    jump, for each row of a block of equal-length units.
 
-    Shrinks b by T^(-1/10) so an unremoved jump contaminates a thinner
-    strip of residuals, then floors the result so that every sample point
-    keeps at least 10 (``_PILOT_MIN_POINTS``) neighbours in its window.
+    Shrinks each row's b by T^(-1/10) so an unremoved jump contaminates a
+    thinner strip of residuals, then floors the result so that every
+    sample point keeps at least 10 (``_PILOT_MIN_POINTS``) neighbours in
+    its window.  Half-widths that overflow to inf are left out of the
+    floor; a row where all of them do keeps the shrunken b.
     """
-    x = np.asarray(x, dtype=float)
-    n = x.size
+    n = x.shape[1]
     b_star = b * float(n) ** (-0.1)
     if n <= _PILOT_MIN_POINTS:
-        span = float(x.max() - x.min()) if n > 1 else b
-        return max(b_star, span)
-    xs = np.sort(x)
+        return np.maximum(b_star, x.max(1) - x.min(1) if n > 1 else b)
+    xs = np.sort(x, 1)
     k = _PILOT_MIN_POINTS - 1
     # Minimal half-width placing >= _PILOT_MIN_POINTS sample values in the
     # window of each point, then the worst case over points: point j + m
     # is the m-th of the run xs[j:j + k + 1].
-    half = np.full(n, np.inf)
+    half = np.full(x.shape, np.inf)
     for m in range(k + 1):
         at = slice(m, n - k + m)
-        width = np.maximum(xs[k:] - xs[at], xs[at] - xs[:n - k])
-        np.minimum(half[at], width, out=half[at])
-    needed = float(half[np.isfinite(half)].max())
-    return max(b_star, needed)
+        width = np.maximum(xs[:, k:] - xs[:, at], xs[:, at] - xs[:, :n - k])
+        np.minimum(half[:, at], width, out=half[:, at])
+    return np.maximum(b_star, np.where(np.isfinite(half), half, -np.inf).max(1))

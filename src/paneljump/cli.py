@@ -17,8 +17,9 @@ import sys
 from .bandwidth import BandwidthPolicy
 from .dgp import DgpConfig, GammaScheme, McConfig, run_size_power
 from .errors import ConfigError, DataError, NumericalError
-from .inference import TestConfig, critical_values, search_thresholds, test_existence, test_homogeneity
-from .io import PanelSchema, read_panel_csv, read_threshold_csv, write_report
+from .inference import (CENTERS, CV_METHODS, TestConfig, critical_values, search_thresholds,
+                        test_existence, test_homogeneity)
+from .io import FORMATS, PanelSchema, read_panel_csv, read_threshold_csv, write_report
 from .kernels import KERNEL_KINDS, KernelSpec
 
 __all__ = ["cli_main", "main"]
@@ -103,7 +104,7 @@ def _emit(result, args) -> None:
 
 
 def _add_io_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("csv", "tsv", "markdown"), default="csv")
+    p.add_argument("--format", choices=FORMATS, default="csv")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
@@ -117,7 +118,7 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 def _add_cv_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", action="append", type=float, default=None,
                    help="significance level, repeatable (default 0.10 0.05 0.01)")
-    p.add_argument("--method", choices=("analytic", "simulated"), default="analytic",
+    p.add_argument("--method", choices=CV_METHODS, default="analytic",
                    help="critical value method")
     p.add_argument("--cv-reps", type=int, default=100_000,
                    help="replications for simulated critical values")
@@ -143,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_test_flags(p)
     p.add_argument("--threshold", default="0.0",
                    help="<v> or file:<path> with per-unit (unit,c) rows")
-    p.add_argument("--sided", choices=("two", "upper"), default="two")
+    p.add_argument("--sided", choices=tuple(_SIDED), default="two")
     _add_io_flags(p)
     p.set_defaults(func=_cmd_test, run=test_existence, kinds=("scalar", "file"))
 
@@ -152,7 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_test_flags(p)
     p.add_argument("--threshold", default="0.0",
                    help="<v> or file:<path> with per-unit (unit,c) rows")
-    p.add_argument("--center", choices=("mean", "median"), default="mean")
+    p.add_argument("--center", choices=CENTERS, default="mean")
     _add_io_flags(p)
     p.set_defaults(func=_cmd_test, run=test_homogeneity, kinds=("scalar", "file"))
 
@@ -161,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_test_flags(p)
     p.add_argument("--threshold", required=True,
                    help="grid:<v1,v2,...> candidate thresholds")
-    p.add_argument("--sided", choices=("two", "upper"), default="two")
+    p.add_argument("--sided", choices=tuple(_SIDED), default="two")
     p.add_argument("--truncation", type=float, default=None,
                    help="cap on squared residuals (default: data driven)")
     _add_io_flags(p)
@@ -176,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", choices=("existence", "homogeneity"), default="existence")
     p.add_argument("--threshold", default="0.0",
                    help="<v> known threshold or grid:<v1,...> to search")
-    p.add_argument("--sided", choices=("two", "upper"), default="two")
+    p.add_argument("--sided", choices=tuple(_SIDED), default="two")
     p.add_argument("--fraction", type=float, default=0.0,
                    help="fraction of units given a jump (0 = size run)")
     p.add_argument("--scale", type=float, default=1.0, help="jump scale factor")
@@ -190,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("critical-value", help="print critical values")
     p.add_argument("--n", type=int, required=True, help="number of comparisons")
     _add_cv_flags(p)
-    p.add_argument("--sided", choices=("two", "upper"), default="two")
+    p.add_argument("--sided", choices=tuple(_SIDED), default="two")
     p.set_defaults(func=_cmd_critical_value)
 
     return parser

@@ -96,6 +96,8 @@ class DgpConfig:
             raise ConfigError("need at least 1 unit and 2 observations")
         if not np.isfinite(self.threshold):
             raise ConfigError(f"threshold must be finite, got {self.threshold}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,8 @@ class McConfig:
             raise ConfigError("reps must be positive")
         if self.workers < 1:
             raise ConfigError("workers must be positive")
+        if not (isinstance(self.base_seed, (int, np.integer)) and self.base_seed >= 0):
+            raise ConfigError(f"base_seed must be a nonnegative integer, got {self.base_seed!r}")
 
 
 @dataclass

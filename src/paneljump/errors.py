@@ -12,15 +12,15 @@ own exit code:
 Any other exception is a fault in the program, not in its input.
 
 A failure gets its own subclass only when code tells it apart from the
-rest of its family: either ``src/`` catches it by type, or its constructor
-formats a message that many raise sites share (NonFiniteValue, with its
-``row``).  The one class caught by type is InsufficientSupport, the
+rest of its family: either ``src/`` tests for it by type, or its
+constructor formats a message that many raise sites share (NonFiniteValue,
+with its ``row``).  The one class tested for is InsufficientSupport, the
 per-unit skip: a per-unit step (bandwidth selection, the jump fit, residual
-smoothing, the windowed variance) gives it in place of a unit's result when
-that unit's data cannot support the step, and the panel tests skip the unit
-with its message as the reason (a grid search first skips just the grid
-point).  Every other failure raises its family class with a message that
-names it.
+smoothing, the windowed variance, a unit's grid search) returns it in place
+of the unit's result when its data cannot support the step, and
+``inference._kept`` skips the unit with the message as the reason, in panel
+order, raising any other stored error.  Every other failure raises its
+family class with a message that names it.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 from scipy.special import ndtri
 
-from .bandwidth import BandwidthPolicy, _plugin_rows, pilot_bandwidth, pooled_bandwidth
+from .bandwidth import BandwidthPolicy, _pilot_rows, _plugin_rows, pooled_bandwidth
 from .errors import ConfigError, DataError, InsufficientSupport, NumericalError, _raised
 from .estimator import UnitJumpFit, _fit_rows, _residual_rows, _smooth_rows
 from .kernels import KernelSpec, denominator_floor
@@ -97,6 +97,8 @@ class TestConfig:
             raise ConfigError(f"cv_method must be one of {CV_METHODS}")
         if self.cv_reps < 1:
             raise ConfigError("cv_reps must be positive")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.truncation is not None and not self.truncation > 0.0:
             raise ConfigError(
                 f"truncation must be positive (inf disables it), got {self.truncation}"
@@ -332,24 +334,30 @@ def _blocks(units, rows, *values) -> dict:
     return {u.unit_id: out[u.unit_id] for u in units}
 
 
-def _resolve_bandwidths(panel: PanelData, thresholds: dict[str, float],
-                        policy: BandwidthPolicy, kernel: KernelSpec):
-    """Per-unit bandwidths plus skip reasons for units that defeated selection."""
+def _front_end(panel: PanelData, threshold, config: TestConfig, what: str):
+    """Front end of the panel tests: the empty-panel check, each unit's
+    threshold and bandwidth.  Returns the units that keep a bandwidth,
+    the thresholds and bandwidths by unit id, and the bandwidth skips."""
+    if len(panel) == 0:
+        raise NumericalError("empty panel")
+    thresholds = _resolve_thresholds(panel, threshold)
+    policy, skipped = config.bandwidth, []
     if policy.mode == "fixed":
-        return {u.unit_id: float(policy.value) for u in panel}, {}
-    selected = _blocks(panel, lambda _, y, x, c: _plugin_rows(y, x, c, kernel, policy.bounds),
+        return list(panel), thresholds, dict.fromkeys(thresholds, float(policy.value)), skipped
+    kernel, (lo, hi) = config.kernel, policy.bounds
+    selected = _blocks(panel, lambda _, y, x, c: _plugin_rows(y, x, c, kernel, (lo, hi)),
                        thresholds)
-    failures = {uid: f"bandwidth selection failed: {b}" for uid, b in selected.items()
-                if isinstance(b, InsufficientSupport)}
-    per_unit = {uid: b for uid, b in selected.items() if uid not in failures}
     if policy.mode == "plugin":
-        return per_unit, failures
+        failed = {uid: InsufficientSupport(f"bandwidth selection failed: {b}")
+                  for uid, b in selected.items() if isinstance(b, InsufficientSupport)}
+        bandwidths = _kept(panel, selected | failed, skipped, what)
+        return [u for u in panel if u.unit_id in bandwidths], thresholds, bandwidths, skipped
+    per_unit = [b for b in selected.values() if not isinstance(b, InsufficientSupport)]
     if not per_unit:
         raise NumericalError("no unit supports plugin bandwidth selection")
     ranges = [float(u.x.max() - u.x.min()) for u in panel if u.x.size > 1]
-    clamp = (policy.bounds[0] * min(ranges), policy.bounds[1] * max(ranges))
-    pooled = pooled_bandwidth(list(per_unit.values()), clamp=clamp)
-    return {u.unit_id: pooled for u in panel}, {}
+    pooled = pooled_bandwidth(per_unit, clamp=(lo * min(ranges), hi * max(ranges)))
+    return list(panel), thresholds, dict.fromkeys(thresholds, pooled), skipped
 
 
 def _unit_row(unit: PanelUnit, c: float, b: float, fit: UnitJumpFit,
@@ -399,16 +407,18 @@ def _analyze_rows(block: list[PanelUnit], y, x, c, b, kernel: KernelSpec) -> lis
     return out
 
 
-def _each_unit(units, step, skipped: list[SkippedUnit], what: str) -> dict:
-    """``step(unit)`` for each unit, keyed by unit id.  A unit whose step
-    raises InsufficientSupport is left out and appended to ``skipped``
-    with the message as its reason; a NumericalError if none is left."""
+def _kept(units, results: dict, skipped: list[SkippedUnit], what: str) -> dict:
+    """Each unit's result by unit id, in the order of ``units``.  A unit
+    whose result is InsufficientSupport is left out and appended to
+    ``skipped`` with the message as its reason; any other stored error is
+    raised, and a NumericalError if no unit is left."""
     out = {}
     for unit in units:
-        try:
-            out[unit.unit_id] = step(unit)
-        except InsufficientSupport as exc:
-            skipped.append(SkippedUnit(unit.unit_id, str(exc)))
+        value = results[unit.unit_id]
+        if isinstance(value, InsufficientSupport):
+            skipped.append(SkippedUnit(unit.unit_id, str(value)))
+        else:
+            out[unit.unit_id] = _raised(value)
     if not out:
         detail = "; ".join(f"{s.unit_id}: {s.reason}" for s in skipped)
         raise NumericalError(f"no unit admits {what} ({detail})")
@@ -416,24 +426,16 @@ def _each_unit(units, step, skipped: list[SkippedUnit], what: str) -> dict:
 
 
 def _fit_panel(panel: PanelData, threshold, config: TestConfig):
-    """Shared known-threshold front end: report rows, with per-unit skip reasons."""
+    """Shared known-threshold pipeline: report rows, with per-unit skip reasons."""
     if config.truncation is not None:
         raise ConfigError(
             "TestConfig.truncation applies only to search_thresholds; "
             "known-threshold tests need truncation=None"
         )
-    if len(panel) == 0:
-        raise NumericalError("empty panel")
-    thresholds = _resolve_thresholds(panel, threshold)
-    bandwidths, failures = _resolve_bandwidths(
-        panel, thresholds, config.bandwidth, config.kernel
-    )
-    skipped = [SkippedUnit(uid, reason) for uid, reason in failures.items()]
-    units = [u for u in panel if u.unit_id in bandwidths]
+    units, thresholds, bandwidths, skipped = _front_end(panel, threshold, config, "a jump fit")
     found = _blocks(units, lambda *args: _analyze_rows(*args, config.kernel),
                     thresholds, bandwidths)
-    rows = _each_unit(units, lambda u: _raised(found[u.unit_id]), skipped, "a jump fit")
-    return list(rows.values()), skipped
+    return list(_kept(units, found, skipped, "a jump fit").values()), skipped
 
 
 def _std_error(v: float, n_obs: int, b: float) -> float:
@@ -621,11 +623,12 @@ def _search_unit(unit: PanelUnit, grid: np.ndarray, b: float, a_trunc: float,
                  resid: np.ndarray, config: TestConfig):
     """One unit's report row at its best grid point (the first on exact
     ties), with the statistic at every grid point in ``stats`` (NaN where
-    unusable); None when no grid point is usable.
+    unusable), and its correlation block when critical values are
+    simulated (else None); InsufficientSupport when no grid point is
+    usable.
 
-    Also returns the weight-difference rows of the solved valid grid
-    points, in grid order, from which the unit's correlation block is
-    built; every point is solved when critical values are simulated.
+    Simulated critical values solve every point, and the block is built
+    from the valid points' weight-difference rows in grid order.
     With the uniform kernel and analytic critical values a prefix-sum scan
     ranks the grid first, and only the points that can win, and those the
     scan cannot vouch for, are solved densely; their exact values replace
@@ -659,9 +662,10 @@ def _search_unit(unit: PanelUnit, grid: np.ndarray, b: float, a_trunc: float,
                 stats[k] = rows[-1].t_stat
                 w_diffs.append(fit.w_diff)
     if not rows:
-        return None, w_diffs
+        return InsufficientSupport("no valid grid point")
     best = int(np.argmax(_score(np.array([r.t_stat for r in rows]), config.sidedness)))
-    return replace(rows[best], stats=stats), w_diffs
+    simulated = config.cv_method == "simulated"
+    return replace(rows[best], stats=stats), sigma_c_matrix(w_diffs) if simulated else None
 
 
 def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) -> ThresholdSearchResult:
@@ -700,19 +704,12 @@ def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) 
         raise ConfigError(f"grid values must be finite, got {grid[~np.isfinite(grid)][0]}")
     if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
         raise ConfigError("grid must be strictly increasing")
-    if len(panel) == 0:
-        raise NumericalError("empty panel")
-
-    c_mid = float(grid[grid.size // 2])
-    bandwidths, failures = _resolve_bandwidths(
-        panel, {u.unit_id: c_mid for u in panel}, config.bandwidth, config.kernel
-    )
-    skipped = [SkippedUnit(uid, reason) for uid, reason in failures.items()]
-    units = [u for u in panel if u.unit_id in bandwidths]
-    smoothed = _blocks(units, lambda _, y, x, b: _smooth_rows(y, x, b, config.kernel),
-                       {u.unit_id: pilot_bandwidth(u.x, bandwidths[u.unit_id]) for u in units})
-    residuals = _each_unit(units, lambda u: _raised(smoothed[u.unit_id]), skipped,
-                           "a grid search")
+    units, _, bandwidths, skipped = _front_end(panel, float(grid[grid.size // 2]), config,
+                                               "a grid search")
+    smoothed = _blocks(units, lambda _, y, x, b: _smooth_rows(y, x, _pilot_rows(x, b),
+                                                              config.kernel), bandwidths)
+    residuals = _kept(units, smoothed, skipped, "a grid search")
+    units = [u for u in units if u.unit_id in residuals]
 
     pooled = np.concatenate([r[np.isfinite(r)] ** 2 for r in residuals.values()])
     if config.truncation is None:
@@ -725,23 +722,15 @@ def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) 
                 f"residual (the smallest is {float(pooled.min())!r})"
             )
 
-    simulated = config.cv_method == "simulated"
-
-    def search(unit: PanelUnit):
-        row, w_diffs = _search_unit(unit, grid, bandwidths[unit.unit_id], a_trunc,
-                                    residuals[unit.unit_id], config)
-        if row is None:
-            raise InsufficientSupport("no valid grid point")
-        return row, sigma_c_matrix(w_diffs) if simulated else None
-
-    found = _each_unit([u for u in panel if u.unit_id in residuals], search,
-                       skipped, "a grid search")
+    found = _kept(units, {u.unit_id: _search_unit(u, grid, bandwidths[u.unit_id], a_trunc,
+                                                  residuals[u.unit_id], config) for u in units},
+                  skipped, "a grid search")
     per_unit = [row for row, _ in found.values()]
     statistic = float(np.max(_score(np.array([u.t_stat for u in per_unit]), config.sidedness)))
     n_comparisons = int(sum(np.count_nonzero(np.isfinite(u.stats)) for u in per_unit))
 
     sigma_c = None
-    if simulated:
+    if config.cv_method == "simulated":
         sigma_c = SigmaC(unit_ids=list(found), blocks=[block for _, block in found.values()])
     cvs = critical_values(n_comparisons, config, sigma_c)
 

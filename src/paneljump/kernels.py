@@ -15,7 +15,8 @@ Conventions used throughout:
     block of equal-length units, one row each, by row sums and stacked
     one-row products, so each row is bit-identical to a block of that row
     alone; a row the step cannot serve gets its InsufficientSupport in
-    place of a result.
+    place of a result: ``_plugin_rows``, ``_pilot_rows``, ``_side_rows``,
+    ``_fit_rows``, ``_residual_rows``, ``_smooth_rows``, ``_window_rows``.
 """
 
 from __future__ import annotations

@@ -1,15 +1,15 @@
 """One unit through each per-unit step's row-block function.
 
 Each helper runs its step on a block of one row built from 1-d arrays
-and raises the row's InsufficientSupport, so tests can state a step's
-contract on a single unit.
+and raises the row's InsufficientSupport (the pilot bandwidth has none),
+so tests can state a step's contract on a single unit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from paneljump.bandwidth import DEFAULT_BOUNDS, _plugin_rows
+from paneljump.bandwidth import DEFAULT_BOUNDS, _pilot_rows, _plugin_rows
 from paneljump.errors import _raised
 from paneljump.estimator import _fit_rows, _smooth_rows
 from paneljump.kernels import _side_rows
@@ -24,6 +24,11 @@ def _row(values) -> np.ndarray:
 def plugin(y, x, c, kernel, bounds=DEFAULT_BOUNDS) -> float:
     """``bandwidth._plugin_rows`` for one unit."""
     return _raised(_plugin_rows(_row(y), _row(x), _row(c), kernel, bounds)[0])
+
+
+def pilot(x, b) -> float:
+    """``bandwidth._pilot_rows`` for one unit."""
+    return float(_pilot_rows(_row(x), _row(b))[0])
 
 
 def weights(x, c, b, kernel, side) -> np.ndarray:

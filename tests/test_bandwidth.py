@@ -12,13 +12,13 @@ from scipy import integrate
 from paneljump.bandwidth import (
     DEFAULT_BOUNDS,
     BandwidthPolicy,
+    _pilot_rows,
     boundary_constant,
-    pilot_bandwidth,
     pooled_bandwidth,
 )
 from paneljump.errors import ConfigError, InsufficientSupport
 from paneljump.kernels import KernelSpec, eval_kernel
-from one_row import plugin
+from one_row import pilot, plugin
 
 UNIFORM = KernelSpec("uniform")
 
@@ -337,7 +337,7 @@ class TestPooledBandwidth:
 class TestPilotBandwidth:
     def test_shrinks_by_tenth_root(self):
         x = np.linspace(-1.0, 1.0, 1000)
-        b_star = pilot_bandwidth(x, 0.5)
+        b_star = pilot(x, 0.5)
         assert b_star == pytest.approx(0.5 * 1000 ** (-0.1), abs=1e-12)
 
     def test_floor_keeps_min_points_everywhere(self):
@@ -345,19 +345,26 @@ class TestPilotBandwidth:
         10 neighbours within its window."""
         rng = np.random.default_rng(12)
         x = np.sort(np.concatenate([rng.uniform(-1, 1, 50), [4.0, 4.5, 9.0]]))
-        b_star = pilot_bandwidth(x, 0.1)
+        b_star = pilot(x, 0.1)
         for xi in x:
             assert np.sum(np.abs(x - xi) <= b_star) >= 10
 
     def test_tiny_sample_spans_data(self):
         x = np.array([0.0, 1.0, 2.0])
-        b_star = pilot_bandwidth(x, 0.01)
+        b_star = pilot(x, 0.01)
         assert b_star >= 2.0
+
+    def test_overflowing_half_widths_leave_the_floor(self):
+        """Half-widths past the float range do not set the floor; where all
+        of them overflow, the shrunken b stands."""
+        x = np.array([-1e308] * 6 + [1e308] * 6)
+        with np.errstate(over="ignore"):
+            assert pilot(x, 0.3) == 0.3 * 12.0 ** (-0.1)
 
 
 def _reference_pilot_bandwidth(x, b):
-    """``pilot_bandwidth`` with its windows found by index arithmetic, one
-    fancy-indexed pass per place in the run of neighbours."""
+    """The pilot bandwidth of one unit with its windows found by index
+    arithmetic, one fancy-indexed pass per place in the run of neighbours."""
     x = np.asarray(x, dtype=float)
     n = x.size
     b_star = b * float(n) ** (-0.1)
@@ -391,4 +398,27 @@ def test_pilot_bandwidth_matches_reference(seed, n, levels, scale, b):
     if levels:
         u = np.round(u * levels) / levels
     x = scale * u
-    assert pilot_bandwidth(x, b) == _reference_pilot_bandwidth(x, b)
+    assert pilot(x, b) == _reference_pilot_bandwidth(x, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.sampled_from([1, 2, 10, 11, 200]),
+    rows=st.integers(min_value=1, max_value=5),
+    levels=st.sampled_from([0, 3, 25]),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_pilot_rows_match_reference_per_row(seed, n, rows, levels, scale):
+    """A block of several units gives each row the value of the reference
+    for that row alone, with ties, at several scales and per-row b."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((rows, n))
+    if levels:
+        u = np.round(u * levels) / levels
+    x = scale * u * rng.uniform(0.5, 2.0, (rows, 1))
+    b = rng.choice([1e-4, 0.05, 0.3, 5.0], rows) * scale
+    got = _pilot_rows(x, b)
+    assert got.shape == (rows,)
+    for r in range(rows):
+        assert got[r] == _reference_pilot_bandwidth(x[r], b[r])

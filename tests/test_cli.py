@@ -238,6 +238,15 @@ class TestUsageErrors:
         assert "truncation 1e-320 is at or below every squared pilot residual" in (
             capsys.readouterr().err)
 
+    @pytest.mark.parametrize("argv", [
+        ["critical-value", "--n", "5", "--method", "simulated"],
+        ["jump-test", "--data", str(GOLDEN_PANEL), "--method", "simulated"],
+        ["simulate", "--dgp", "1", "--n", "3", "--t", "50", "--reps", "2"],
+    ], ids=["critical-value", "jump-test", "simulate"])
+    def test_negative_seed_is_usage_error(self, capsys, argv):
+        assert cli_main([*argv, "--seed", "-1"]) == 2
+        assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+
     def test_bad_workers_env_ignored_elsewhere(self, monkeypatch, capsys):
         monkeypatch.setenv("PANELJUMP_THREADS", "two")
         assert cli_main(["critical-value", "--n", "3"]) == 0

@@ -160,6 +160,14 @@ class TestGenDgp:
         with pytest.raises(ValueError, match="threshold must be finite"):
             DgpConfig(dgp_id=1, n_units=3, t_obs=64, threshold=float("nan"))
 
+    @pytest.mark.parametrize("seed", [-1, 1.0, None])
+    def test_seed_must_be_nonnegative_integer(self, seed):
+        with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
+            DgpConfig(dgp_id=1, n_units=3, t_obs=64, seed=seed)
+        with pytest.raises(ConfigError, match="base_seed must be a nonnegative integer"):
+            McConfig(reps=2, base_seed=seed)
+        assert McConfig(reps=2, base_seed=np.int64(3)).base_seed == 3
+
     def test_invalid_scheme(self):
         with pytest.raises(ValueError, match="fraction"):
             GammaScheme(fraction=1.5)

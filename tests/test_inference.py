@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 import paneljump.inference
-from paneljump.bandwidth import BandwidthPolicy, pilot_bandwidth, pooled_bandwidth
+from paneljump.bandwidth import BandwidthPolicy, pooled_bandwidth
 from paneljump.errors import (
     DataError,
     ConfigError,
@@ -35,7 +35,7 @@ from paneljump.io import render_report
 from paneljump.kernels import KERNEL_KINDS, KernelSpec, denominator_floor, eval_kernel
 from paneljump.panel import PanelData, PanelUnit
 from paneljump.variance import SigmaC, sigma_c_matrix
-from one_row import residuals, weights
+from one_row import pilot, residuals, weights
 from test_bandwidth import _reference_plugin_bandwidth
 
 # A bandwidth of 1 on T = 100 points gives sqrt(T b) = 10.
@@ -192,6 +192,11 @@ class TestCriticalValue:
         assert qs == sorted(qs) and len(set(qs)) == 4
         qa = [critical_value(50, a) for a in (0.10, 0.05, 0.01)]
         assert qa == sorted(qa)
+
+    @pytest.mark.parametrize("seed", [-1, 0.5, None])
+    def test_seed_must_be_nonnegative_integer(self, seed):
+        with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
+            Config(cv_method="simulated", seed=seed)
 
     def test_invalid_alpha(self):
         with pytest.raises(ConfigError):
@@ -596,7 +601,7 @@ class TestSearchThresholds:
         all; a level just above it, inf and the default are accepted."""
         panel = _noise_panel(n_units=2)
         grid = [-0.2, 0.0, 0.2]
-        pilots = [residuals(u.y, u.x, pilot_bandwidth(u.x, 0.4), FIXED.kernel)
+        pilots = [residuals(u.y, u.x, pilot(u.x, 0.4), FIXED.kernel)
                   for u in panel]
         smallest = min(float(np.nanmin(r * r)) for r in pilots)
         for level in (1e-320, smallest):
@@ -911,11 +916,12 @@ def test_scan_search_matches_dense_reference(seed, n_obs, levels, jitter, n_grid
                                      pin, nan_frac)
     config = Config(sidedness=sidedness)
 
-    row, _ = paneljump.inference._search_unit(unit, grid, b, a_trunc, resid, config)
+    found = paneljump.inference._search_unit(unit, grid, b, a_trunc, resid, config)
     ref_row, _ = _dense_search_unit(unit, grid, b, a_trunc, resid, config)
     if ref_row is None:  # no usable grid point
-        assert row is None
+        assert isinstance(found, InsufficientSupport) and str(found) == "no valid grid point"
         return
+    row, _ = found
     np.testing.assert_array_equal(np.isnan(row.stats), np.isnan(ref_row.stats))
     assert (np.count_nonzero(np.isfinite(row.stats))
             == np.count_nonzero(np.isfinite(ref_row.stats)))
@@ -933,19 +939,25 @@ def test_dense_search_matches_reference(seed, n_obs, levels, jitter, n_grid, b, 
     kernels, and simulated critical values) solves every grid point as row
     blocks, and equals the reference chain solving each point alone bit for
     bit: the report row field for field, every statistic with its NaN mask,
-    and the correlation block built from the weight rows."""
+    and, with simulated critical values, the correlation block against the
+    one built from the reference's weight rows."""
     unit, grid, resid = _search_case(seed, n_obs, levels, jitter, n_grid, b, shift, y_shift,
                                      pin, nan_frac)
     config = Config(kernel=KernelSpec(path[0]), cv_method=path[1], sidedness=sidedness)
 
-    row, w_diffs = paneljump.inference._search_unit(unit, grid, b, a_trunc, resid, config)
+    found = paneljump.inference._search_unit(unit, grid, b, a_trunc, resid, config)
     ref_row, ref_w_diffs = _dense_search_unit(unit, grid, b, a_trunc, resid, config)
     if ref_row is None:
-        assert row is None and w_diffs == []
+        assert isinstance(found, InsufficientSupport) and str(found) == "no valid grid point"
         return
+    row, block = found
     np.testing.assert_array_equal(row.stats, ref_row.stats)
     assert replace(row, stats=None) == replace(ref_row, stats=None)
-    np.testing.assert_array_equal(sigma_c_matrix(w_diffs), sigma_c_matrix(ref_w_diffs))
+    if path[1] == "simulated":
+        ref_block = sigma_c_matrix(ref_w_diffs)
+        assert block.shape == ref_block.shape and block.tobytes() == ref_block.tobytes()
+    else:
+        assert block is None
 
 
 # ----------------------------------------------------------------------
@@ -1102,7 +1114,7 @@ def _reference_search(panel, grid, config):
         if u.unit_id in bandwidths:
             try:
                 residuals[u.unit_id] = _reference_residuals(
-                    u.y, u.x, pilot_bandwidth(u.x, bandwidths[u.unit_id]), config.kernel)
+                    u.y, u.x, pilot(u.x, bandwidths[u.unit_id]), config.kernel)
             except InsufficientSupport as exc:
                 skipped.append(SkippedUnit(u.unit_id, str(exc)))
     if not residuals:
@@ -1114,12 +1126,12 @@ def _reference_search(panel, grid, config):
     rows = []
     for u in panel:
         if u.unit_id in residuals:
-            row, _ = paneljump.inference._search_unit(u, grid, bandwidths[u.unit_id], a_trunc,
-                                                      residuals[u.unit_id], config)
-            if row is None:
+            found = paneljump.inference._search_unit(u, grid, bandwidths[u.unit_id], a_trunc,
+                                                     residuals[u.unit_id], config)
+            if isinstance(found, InsufficientSupport):
                 skipped.append(SkippedUnit(u.unit_id, "no valid grid point"))
             else:
-                rows.append(row)
+                rows.append(found[0])
     if not rows:
         raise _no_unit_left(skipped, "a grid search")
     return rows, skipped, np.float64(a_trunc).tobytes(), int(

@@ -15,8 +15,7 @@ import paneljump
 MODULES = sorted(m.name for m in pkgutil.iter_modules(paneljump.__path__))
 
 PUBLIC = [
-    "bandwidth.BandwidthPolicy", "bandwidth.boundary_constant", "bandwidth.pilot_bandwidth",
-    "bandwidth.pooled_bandwidth",
+    "bandwidth.BandwidthPolicy", "bandwidth.boundary_constant", "bandwidth.pooled_bandwidth",
     "cli.cli_main", "cli.main",
     "dgp.AccuracyTable", "dgp.DgpConfig", "dgp.GammaScheme", "dgp.McConfig", "dgp.RateTable",
     "dgp.gen_dgp", "dgp.inject_jumps", "dgp.run_size_power", "dgp.run_threshold_accuracy",
@@ -50,4 +49,4 @@ def test_public_names_are_pinned():
     names = sorted(f"{name}.{attr}" for name in MODULES
                    for attr in importlib.import_module(f"paneljump.{name}").__all__)
     assert names == sorted(PUBLIC)
-    assert len(names) == 47
+    assert len(names) == 46
