@@ -295,16 +295,17 @@ def _pilot_rows(x, b) -> np.ndarray:
     """
     n = x.shape[1]
     b_star = b * float(n) ** (-0.1)
-    if n <= _PILOT_MIN_POINTS:
-        return np.maximum(b_star, x.max(1) - x.min(1) if n > 1 else b)
-    xs = np.sort(x, 1)
-    k = _PILOT_MIN_POINTS - 1
-    # Minimal half-width placing >= _PILOT_MIN_POINTS sample values in the
-    # window of each point, then the worst case over points: point j + m
-    # is the m-th of the run xs[j:j + k + 1].
-    half = np.full(x.shape, np.inf)
-    for m in range(k + 1):
-        at = slice(m, n - k + m)
-        width = np.maximum(xs[:, k:] - xs[:, at], xs[:, at] - xs[:, :n - k])
-        np.minimum(half[:, at], width, out=half[:, at])
+    with np.errstate(over="ignore"):  # spans past the float range become inf
+        if n <= _PILOT_MIN_POINTS:
+            return np.maximum(b_star, x.max(1) - x.min(1) if n > 1 else b)
+        xs = np.sort(x, 1)
+        k = _PILOT_MIN_POINTS - 1
+        # Minimal half-width placing >= _PILOT_MIN_POINTS sample values in the
+        # window of each point, then the worst case over points: point j + m
+        # is the m-th of the run xs[j:j + k + 1].
+        half = np.full(x.shape, np.inf)
+        for m in range(k + 1):
+            at = slice(m, n - k + m)
+            width = np.maximum(xs[:, k:] - xs[:, at], xs[:, at] - xs[:, :n - k])
+            np.minimum(half[:, at], width, out=half[:, at])
     return np.maximum(b_star, np.where(np.isfinite(half), half, -np.inf).max(1))

@@ -68,28 +68,30 @@ def _fitted_uniform(x: np.ndarray, at: np.ndarray, xs: np.ndarray, ys: np.ndarra
     cancels from the local linear ratio, so windowed power sums suffice.
     All series are recentred on the row's mean of x to tame cancellation.
     """
-    centre = xs.mean(1)
-    xc = xs - centre[:, None]
-    z = np.zeros((len(xs), 1))
-    p1, p2, q0, q1 = (np.concatenate((z, np.cumsum(v, 1)), 1).ravel()
-                      for v in (xc, xc * xc, ys, xc * ys))
-    points = [row[m] for row, m in zip(x, at)]
-    starts = range(0, p1.size, xs.shape[1] + 1)  # each row's place in the raveled sums
-    lo = np.concatenate([start + np.searchsorted(s, u - h, side="left")
-                         for start, s, u, h in zip(starts, xs, points, b)])
-    hi = np.concatenate([start + np.searchsorted(s, u + h, side="right")
-                         for start, s, u, h in zip(starts, xs, points, b)])
-    n = (hi - lo).astype(float)
-    uc = np.concatenate(points) - np.repeat(centre, [u.size for u in points])
-    m1, m2, r0, r1 = (p[hi] - p[lo] for p in (p1, p2, q0, q1))
-    sd1 = m1 - uc * n
-    sd2 = m2 - 2.0 * uc * m1 + uc * uc * n
-    t1 = r1 - uc * r0
-    den = sd2 * n - sd1 * sd1
-    floor = denominator_floor(n, sd2)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Covariates near the float limit overflow the sums and window bounds;
+    # the floor test below turns what they touch into NaN.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        centre = xs.mean(1)
+        xc = xs - centre[:, None]
+        z = np.zeros((len(xs), 1))
+        p1, p2, q0, q1 = (np.concatenate((z, np.cumsum(v, 1)), 1).ravel()
+                          for v in (xc, xc * xc, ys, xc * ys))
+        points = [row[m] for row, m in zip(x, at)]
+        starts = range(0, p1.size, xs.shape[1] + 1)  # each row's place in the raveled sums
+        lo = np.concatenate([start + np.searchsorted(s, u - h, side="left")
+                             for start, s, u, h in zip(starts, xs, points, b)])
+        hi = np.concatenate([start + np.searchsorted(s, u + h, side="right")
+                             for start, s, u, h in zip(starts, xs, points, b)])
+        n = (hi - lo).astype(float)
+        uc = np.concatenate(points) - np.repeat(centre, [u.size for u in points])
+        m1, m2, r0, r1 = (p[hi] - p[lo] for p in (p1, p2, q0, q1))
+        sd1 = m1 - uc * n
+        sd2 = m2 - 2.0 * uc * m1 + uc * uc * n
+        t1 = r1 - uc * r0
+        den = sd2 * n - sd1 * sd1
+        floor = denominator_floor(n, sd2)
         fitted = (sd2 * r0 - sd1 * t1) / den
-    fitted[~(den > floor)] = np.nan
+        fitted[~(den > floor)] = np.nan
     out = np.full(x.shape, np.nan)
     out[at] = fitted
     return out

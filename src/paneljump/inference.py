@@ -10,11 +10,12 @@ candidate thresholds.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
-from scipy.special import ndtri
 
 from .bandwidth import BandwidthPolicy, _pilot_rows, _plugin_rows, pooled_bandwidth
 from .errors import ConfigError, DataError, InsufficientSupport, NumericalError, _raised
@@ -51,8 +52,12 @@ CV_METHODS = ("analytic", "simulated")
 # large finite statistics instead of dividing by zero.
 _V_FLOOR_REL = 1e-12
 
-# Cap on floats drawn per simulation chunk (about 32 MB).
+# Cap on floats drawn per simulation chunk (about 32 MB).  Together with
+# the seed it fixes the sample: chunk i is drawn from the i-th spawned seed.
 _CHUNK_BUDGET = 4_000_000
+
+# Cap on floats per slice of an independent chunk's draw (about 0.5 MB).
+_SLICE_BUDGET = 2**16
 
 # Cap on floats per row block of units (rows x T): keeps peak memory flat in N.
 _BLOCK_BUDGET = 2**13
@@ -67,6 +72,11 @@ _BLOCK_BUDGET = 2**13
 _SCAN_RTOL = 4e-10
 _TIE_RTOL = 1e-9
 _FLOOR_RTOL = 1e-6
+
+
+def _check_seed(seed) -> None:
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -97,8 +107,7 @@ class TestConfig:
             raise ConfigError(f"cv_method must be one of {CV_METHODS}")
         if self.cv_reps < 1:
             raise ConfigError("cv_reps must be positive")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        _check_seed(self.seed)
         if self.truncation is not None and not self.truncation > 0.0:
             raise ConfigError(
                 f"truncation must be positive (inf disables it), got {self.truncation}"
@@ -216,6 +225,14 @@ def _score(t, sidedness: str):
     return np.abs(t) if sidedness == "two_sided" else t
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: the simulation's thread count, capped
+    at its chunk count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def simulate_max_gaussian(n_comparisons: int, reps: int, seed: int,
                           sigma_c: SigmaC | None = None,
                           sidedness: str = "two_sided") -> np.ndarray:
@@ -223,14 +240,20 @@ def simulate_max_gaussian(n_comparisons: int, reps: int, seed: int,
 
     Draws are independent standard normals unless ``sigma_c`` supplies
     per-unit correlation blocks, in which case draws are correlated within
-    a block and independent across blocks.  Deterministic for a fixed seed
-    and replication count; work proceeds in fixed-size chunks.
+    a block and independent across blocks.  Work proceeds in fixed-size
+    chunks, each drawn from its own child of ``SeedSequence(seed)``, and
+    the chunks run on a thread pool with one thread per usable CPU.  The
+    sample depends only on the arguments, not on the thread count.
 
     Raises
     ------
+    ConfigError
+        If the seed is not a nonnegative integer, or another argument is
+        out of range.
     NumericalError
         If a correlation block has an eigenvalue below -1e-8.
     """
+    _check_seed(seed)
     if sidedness not in SIDEDNESS:
         raise ConfigError(f"sidedness must be one of {SIDEDNESS}")
     if reps < 1:
@@ -253,17 +276,32 @@ def simulate_max_gaussian(n_comparisons: int, reps: int, seed: int,
     n_chunks = -(-reps // chunk)
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     out = np.empty(reps)
-    pos = 0
-    for child in children:
-        m = min(chunk, reps - pos)
-        rng = np.random.default_rng(child)
+
+    def draw(i: int) -> None:
+        best = out[i * chunk:(i + 1) * chunk]
+        m = best.size
+        rng = np.random.default_rng(children[i])
         if factors is None:
-            z = rng.standard_normal((m, n_comparisons))
+            # Row slices drawn in turn equal one (m, n) draw, bit for bit.
+            rows = max(1, _SLICE_BUDGET // n_comparisons)
+            for r in range(0, m, rows):
+                z = rng.standard_normal((min(rows, m - r), n_comparisons))
+                best[r:r + rows] = _score(z, sidedness).max(axis=1)
         else:
-            parts = [rng.standard_normal((m, f.shape[0])) @ f.T for f in factors]
-            z = np.hstack(parts)
-        out[pos:pos + m] = _score(z, sidedness).max(axis=1)
-        pos += m
+            # Units are drawn in order; a running max equals the max over
+            # all columns exactly.
+            best[:] = -np.inf
+            for f in factors:
+                z = rng.standard_normal((m, f.shape[0])) @ f.T
+                np.maximum(best, _score(z, sidedness).max(axis=1), out=best)
+
+    threads = min(_usable_cpus(), n_chunks)
+    if threads == 1:
+        for i in range(n_chunks):
+            draw(i)
+    else:
+        with ThreadPoolExecutor(threads) as pool:
+            list(pool.map(draw, range(n_chunks)))  # re-raises a chunk's error
     return out
 
 
@@ -287,6 +325,9 @@ def critical_values(n_comparisons: int, config: TestConfig,
         return {a: float(np.quantile(sample, 1.0 - a)) for a in config.alphas}
     if n_comparisons < 1:
         raise ConfigError("need at least one comparison")
+    # Imported here: scipy.special is slow to load and only this branch needs it.
+    from scipy.special import ndtri
+
     out = {}
     for a in config.alphas:
         p = (1.0 - a) ** (1.0 / n_comparisons)

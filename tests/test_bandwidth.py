@@ -361,6 +361,15 @@ class TestPilotBandwidth:
         with np.errstate(over="ignore"):
             assert pilot(x, 0.3) == 0.3 * 12.0 ** (-0.1)
 
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_overflowing_spans_warn_nothing(self, n):
+        """Spans past the float range raise no RuntimeWarning, on either the
+        short-sample or the windowed path."""
+        x = np.array([-1e308, 1e308] * (n // 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pilot(x, 0.3)
+
 
 def _reference_pilot_bandwidth(x, b):
     """The pilot bandwidth of one unit with its windows found by index

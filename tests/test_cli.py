@@ -517,8 +517,8 @@ class TestModuleEntry:
     def test_importing_cli_skips_slow_scipy_modules(self):
         # Each of these adds a large share of the CLI's start-up time.
         code = ("import sys, paneljump.cli; "
-                "print(*[m for m in ('scipy.integrate', 'scipy.stats', 'scipy.signal') "
-                "if m in sys.modules])")
+                "print(*[m for m in ('scipy.integrate', 'scipy.stats', 'scipy.signal', "
+                "'scipy.special') if m in sys.modules])")
         proc = _run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == ""

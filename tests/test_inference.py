@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import sys
 import warnings
 from dataclasses import fields, replace
 from unittest.mock import patch
@@ -258,6 +259,99 @@ class TestSimulateMaxGaussian:
         assert np.quantile(dep, 0.95) < np.quantile(indep, 0.95)
 
 
+def _serial_sample(n_comparisons, reps, seed, sigma_c=None, sidedness="two_sided"):
+    """The simulation as one serial loop: each chunk drawn whole, its unit
+    blocks stacked side by side, then the max over every column."""
+    factors = None
+    if sigma_c is not None:
+        n_comparisons = sigma_c.n_comparisons
+        factors = []
+        for block in sigma_c.blocks:
+            vals, vecs = np.linalg.eigh(block)
+            factors.append(vecs * np.sqrt(np.clip(vals, 0.0, None)))
+    chunk = max(1, min(reps, paneljump.inference._CHUNK_BUDGET // n_comparisons))
+    out = np.empty(reps)
+    pos = 0
+    for child in np.random.SeedSequence(seed).spawn(-(-reps // chunk)):
+        m = min(chunk, reps - pos)
+        rng = np.random.default_rng(child)
+        if factors is None:
+            z = rng.standard_normal((m, n_comparisons))
+        else:
+            z = np.hstack([rng.standard_normal((m, f.shape[0])) @ f.T for f in factors])
+        z = np.abs(z) if sidedness == "two_sided" else z
+        out[pos:pos + m] = z.max(axis=1)
+        pos += m
+    return out
+
+
+def _correlation_blocks(n_units, size, seed=5):
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for _ in range(n_units):
+        a = rng.normal(size=(size, size + 3))
+        cov = a @ a.T
+        d = np.sqrt(np.diag(cov))
+        blocks.append(cov / np.outer(d, d))
+    return SigmaC(unit_ids=[f"u{j}" for j in range(n_units)], blocks=blocks)
+
+
+class TestSimulationThreads:
+    """The chunks run on threads; the sample is the serial loop's, bit for bit."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 5])
+    @pytest.mark.parametrize("sidedness", paneljump.inference.SIDEDNESS)
+    @pytest.mark.parametrize("correlated", [False, True], ids=["independent", "sigma_c"])
+    @pytest.mark.parametrize("reps, n_chunks", [(20_001, 3), (7_000, 1)],
+                             ids=["ragged", "one_chunk"])
+    def test_sample_matches_serial_loop(self, monkeypatch, cpus, sidedness, correlated,
+                                        reps, n_chunks):
+        """500 comparisons give 8000-row chunks; threads are capped at the
+        chunk count, and one thread runs without a pool."""
+        pools = []
+
+        class Pool(paneljump.inference.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(paneljump.inference, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(paneljump.inference, "ThreadPoolExecutor", Pool)
+        sigma_c = _correlation_blocks(100, 5) if correlated else None
+        sample = simulate_max_gaussian(500, reps, 13, sigma_c, sidedness)
+        assert np.array_equal(sample, _serial_sample(500, reps, 13, sigma_c, sidedness))
+        threads = min(cpus, n_chunks)
+        assert pools == ([threads] if threads > 1 else [])
+
+    @pytest.mark.parametrize("correlated", [False, True], ids=["independent", "sigma_c"])
+    def test_many_threads_with_fast_switching(self, monkeypatch, correlated):
+        """71 chunks on 8 threads, switching every microsecond: no chunk is
+        lost, drawn twice or written to another chunk's rows."""
+        monkeypatch.setattr(paneljump.inference, "_CHUNK_BUDGET", 71 * 8)
+        monkeypatch.setattr(paneljump.inference, "_usable_cpus", lambda: 8)
+        sigma_c = _correlation_blocks(2, 4) if correlated else None
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sample = simulate_max_gaussian(8, 5_000, 21, sigma_c)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(sample, _serial_sample(8, 5_000, 21, sigma_c))
+
+    def test_independent_slices_match_one_draw(self, monkeypatch):
+        """A chunk drawn in ragged row slices is one C-order draw."""
+        monkeypatch.setattr(paneljump.inference, "_SLICE_BUDGET", 7 * 131)
+        sample = simulate_max_gaussian(7, 1000, 2)
+        assert np.array_equal(sample, _serial_sample(7, 1000, 2))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_is_config_error(self, monkeypatch, seed):
+        monkeypatch.setattr(np.random, "SeedSequence", None)  # no draw may start
+        with pytest.raises(ConfigError, match=re.escape(
+                f"seed must be a nonnegative integer, got {seed!r}")):
+            simulate_max_gaussian(5, 100, seed)
+
+
 def _noise_panel(n_units=4, t_obs=300, seed=0, sd=0.5):
     rng = np.random.default_rng(seed)
     units = []
@@ -463,6 +557,25 @@ def test_search_skips_in_order(cv_method):
         "# skipped,ties,no sample point admits a local linear fit",
         "# skipped,far,no valid grid point",
     ]
+
+
+def test_search_skips_a_unit_at_the_float_limit():
+    """Covariates at +-1e308 overflow the pilot smooth's sums; the unit is
+    skipped with no RuntimeWarning, and its neighbour is unchanged."""
+    rng = np.random.default_rng(3)
+    x = np.concatenate([np.repeat([-1e308, 1e308], 6), rng.uniform(-1.0, 1.0, 30)])
+    huge = PanelUnit(unit_id="huge", y=rng.normal(size=x.size), x=x)
+    normal = _jump_panel([1.0], t_obs=200, sd=0.2).units[0]
+    cfg = Config(bandwidth=BandwidthPolicy.fixed(0.3))
+    grid = [-0.2, 0.0, 0.2]
+    result = search_thresholds(PanelData([huge, normal]), grid, cfg)
+    assert [(s.unit_id, s.reason) for s in result.skipped] == [
+        ("huge", "no sample point admits a local linear fit")]
+    (row,) = result.per_unit
+    (alone,) = search_thresholds(PanelData([normal]), grid, cfg).per_unit
+    assert (row.unit_id, row.threshold, row.t_stat) == (alone.unit_id, alone.threshold,
+                                                         alone.t_stat)
+    assert np.array_equal(row.stats, alone.stats, equal_nan=True)
 
 
 class TestHomogeneityPipeline:
