@@ -32,7 +32,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .inference import TestConfig, _check_two_sided, search_thresholds, test_existence, test_homogeneity
+from .inference import (TestConfig, _check_seed, _check_two_sided, search_thresholds,
+                        test_existence, test_homogeneity)
 from .panel import PanelData, PanelUnit
 
 __all__ = [
@@ -96,8 +97,7 @@ class DgpConfig:
             raise ConfigError("need at least 1 unit and 2 observations")
         if not np.isfinite(self.threshold):
             raise ConfigError(f"threshold must be finite, got {self.threshold}")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,7 @@ class McConfig:
             raise ConfigError("reps must be positive")
         if self.workers < 1:
             raise ConfigError("workers must be positive")
-        if not (isinstance(self.base_seed, (int, np.integer)) and self.base_seed >= 0):
-            raise ConfigError(f"base_seed must be a nonnegative integer, got {self.base_seed!r}")
+        _check_seed(self.base_seed, "base_seed")
 
 
 @dataclass

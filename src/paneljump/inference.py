@@ -74,9 +74,9 @@ _TIE_RTOL = 1e-9
 _FLOOR_RTOL = 1e-6
 
 
-def _check_seed(seed) -> None:
+def _check_seed(seed, name: str = "seed") -> None:
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+        raise ConfigError(f"{name} must be a nonnegative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -295,13 +295,8 @@ def simulate_max_gaussian(n_comparisons: int, reps: int, seed: int,
                 z = rng.standard_normal((m, f.shape[0])) @ f.T
                 np.maximum(best, _score(z, sidedness).max(axis=1), out=best)
 
-    threads = min(_usable_cpus(), n_chunks)
-    if threads == 1:
-        for i in range(n_chunks):
-            draw(i)
-    else:
-        with ThreadPoolExecutor(threads) as pool:
-            list(pool.map(draw, range(n_chunks)))  # re-raises a chunk's error
+    with ThreadPoolExecutor(min(_usable_cpus(), n_chunks)) as pool:
+        list(pool.map(draw, range(n_chunks)))  # re-raises a chunk's error
     return out
 
 

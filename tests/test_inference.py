@@ -307,7 +307,7 @@ class TestSimulationThreads:
     def test_sample_matches_serial_loop(self, monkeypatch, cpus, sidedness, correlated,
                                         reps, n_chunks):
         """500 comparisons give 8000-row chunks; threads are capped at the
-        chunk count, and one thread runs without a pool."""
+        chunk count."""
         pools = []
 
         class Pool(paneljump.inference.ThreadPoolExecutor):
@@ -320,8 +320,7 @@ class TestSimulationThreads:
         sigma_c = _correlation_blocks(100, 5) if correlated else None
         sample = simulate_max_gaussian(500, reps, 13, sigma_c, sidedness)
         assert np.array_equal(sample, _serial_sample(500, reps, 13, sigma_c, sidedness))
-        threads = min(cpus, n_chunks)
-        assert pools == ([threads] if threads > 1 else [])
+        assert pools == [min(cpus, n_chunks)]
 
     @pytest.mark.parametrize("correlated", [False, True], ids=["independent", "sigma_c"])
     def test_many_threads_with_fast_switching(self, monkeypatch, correlated):
@@ -561,7 +560,10 @@ def test_search_skips_in_order(cv_method):
 
 def test_search_skips_a_unit_at_the_float_limit():
     """Covariates at +-1e308 overflow the pilot smooth's sums; the unit is
-    skipped with no RuntimeWarning, and its neighbour is unchanged."""
+    skipped with no RuntimeWarning, and its neighbour is unchanged.  Its
+    30 points in [-1, 1] do give every window support: the skip reason
+    stands in for the overflow, which makes every fitted value NaN, so a
+    later fix that tells the two apart changes this reason on purpose."""
     rng = np.random.default_rng(3)
     x = np.concatenate([np.repeat([-1e308, 1e308], 6), rng.uniform(-1.0, 1.0, 30)])
     huge = PanelUnit(unit_id="huge", y=rng.normal(size=x.size), x=x)
