@@ -97,6 +97,9 @@ def _fitted_uniform(x: np.ndarray, at: np.ndarray, xs: np.ndarray, ys: np.ndarra
     return out
 
 
+# Covariates near the float limit overflow the window bounds, offsets and
+# sums; the floor test turns what they touch into NaN.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _fitted_general(eval_points: np.ndarray, xs: np.ndarray, ys: np.ndarray,
                     b: float, kernel: KernelSpec) -> np.ndarray:
     """Chunked dense path for non-uniform kernels.
@@ -124,8 +127,7 @@ def _fitted_general(eval_points: np.ndarray, xs: np.ndarray, ys: np.ndarray,
         t1 = (k * d) @ yw
         den = s2 * s0 - s1 * s1
         floor = denominator_floor(s0, s2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fit = (s2 * t0 - s1 * t1) / den
+        fit = (s2 * t0 - s1 * t1) / den
         fit[~(den > floor)] = np.nan
         out[idx] = fit
     return out

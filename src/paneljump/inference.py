@@ -124,7 +124,8 @@ class UnitResult:
     uniform-kernel search with analytic critical values ranked the grid by
     its prefix-sum scan, the other entries are scan values within 4e-10
     relative of the dense ones (typically 1e-12); the NaN mask is always
-    exact."""
+    exact.  At the same bandwidth and truncation level, a search row is
+    bit for bit the row the unit gets when it is searched alone."""
 
     unit_id: str
     threshold: float
@@ -353,20 +354,26 @@ def _resolve_thresholds(panel: PanelData, threshold) -> dict[str, float]:
     return out
 
 
-def _blocks(units, rows, *values) -> dict:
-    """``rows(block, y, x, *arrays)`` over row blocks of equal-length units,
-    at most _BLOCK_BUDGET floats each, where ``arrays`` holds the block's
-    entries of each mapping in ``values``; the row results by unit id."""
-    groups: dict[int, list[PanelUnit]] = {}
-    for u in units:
-        groups.setdefault(u.n_obs, []).append(u)
-    out = {}
+def _row_blocks(items, unit=lambda item: item):
+    """``items`` in row blocks of equal-length units ``unit(item)``, at most
+    _BLOCK_BUDGET floats each, in their order within a length."""
+    groups: dict[int, list] = {}
+    for item in items:
+        groups.setdefault(unit(item).n_obs, []).append(item)
     for t_obs, group in groups.items():
         step = max(1, _BLOCK_BUDGET // t_obs)
-        for block in (group[i:i + step] for i in range(0, len(group), step)):
-            arrays = [np.array([v[u.unit_id] for u in block]) for v in values]
-            out.update(zip([u.unit_id for u in block], rows(
-                block, np.array([u.y for u in block]), np.array([u.x for u in block]), *arrays)))
+        yield from (group[i:i + step] for i in range(0, len(group), step))
+
+
+def _blocks(units, rows, *values) -> dict:
+    """``rows(block, y, x, *arrays)`` over the row blocks of ``units``,
+    where ``arrays`` holds the block's entries of each mapping in
+    ``values``; the row results by unit id, in the order of ``units``."""
+    out = {}
+    for block in _row_blocks(units):
+        arrays = [np.array([v[u.unit_id] for u in block]) for v in values]
+        out.update(zip([u.unit_id for u in block], rows(
+            block, np.array([u.y for u in block]), np.array([u.x for u in block]), *arrays)))
     return {u.unit_id: out[u.unit_id] for u in units}
 
 
@@ -546,47 +553,54 @@ def test_homogeneity(panel: PanelData, threshold=0.0,
 # unknown threshold
 
 
-def _scan_uniform(x: np.ndarray, y: np.ndarray, resid: np.ndarray, grid: np.ndarray,
-                  b: float, a_trunc: float, floor: float):
-    """Uniform-kernel statistics at every grid point from prefix sums.
+def _scan_rows(x, y, resid, grid: np.ndarray, b, a_trunc: float, floor):
+    """Uniform-kernel statistics of each row at every grid point from prefix
+    sums, at the row's own bandwidth ``b`` and scale floor ``floor``.
 
     Mirrors ``estimator._fit_rows``, ``variance._window_rows`` and ``_unit_row``
     without forming a weight row: with the kernel constant, each side's
     fit needs only the windowed sums of 1, d, d^2, y and d y (d = x - c),
     and its squared weight norm is S_dd / (n S_dd - S_d^2).  The variance
     window is the union of the two sides' windows.  Sums run in numpy's long
-    double, recentred on the mean of x; where that is plain float64 the
-    error bound below is wider and more points go to the dense solver.
+    double, recentred on the row's mean of x; where that is plain float64 the
+    error bound below is wider and more points go to the dense solver.  The
+    sorts, edges and prefix sums run along each row on its own, so each row
+    is bit-identical to a block of that row alone.
 
-    Returns the statistic per grid point (NaN where the scan finds the
+    Returns each row's statistic per grid point (NaN where the scan finds the
     point unusable, including where the dense solver's float64 sums would
     overflow) and a mask of points to solve densely: those whose validity
     hinges on the singular-design floor or on that overflow, and valid ones whose
     first-order error bound, covering the scan's prefix sums and the
-    dense solver's own rounding, exceeds ``_SCAN_RTOL`` relative.
+    dense solver's own rounding, exceeds ``_SCAN_RTOL`` relative.  Both
+    are (rows, grid points); window quantities run as (windows, rows).
     """
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    n_obs, k = xs.size, grid.size
-    lo_m = np.searchsorted(xs, grid - b, "left")
-    lo_p = np.searchsorted(xs, grid, "left")
-    hi_p = np.searchsorted(xs, grid + b, "right")
+    order = np.argsort(x, axis=1, kind="stable")
+    xs = np.take_along_axis(x, order, 1)
+    (n_rows, n_obs), k, rows = xs.shape, grid.size, np.arange(len(x))
+
+    def edges(at, side):  # one searchsorted per row, as (grid points, rows)
+        return np.array([np.searchsorted(s, a, side) for s, a in zip(xs, at)]).T
+
+    lo_m = edges(grid - b[:, None], "left")
+    lo_p = edges(np.broadcast_to(grid, (n_rows, k)), "left")
+    hi_p = edges(grid + b[:, None], "right")
 
     ld = np.longdouble
-    centre = ld(xs.mean())
-    xc = xs.astype(ld) - centre
-    ys = y[order].astype(ld)
-    rs = resid[order]
+    centre = xs.mean(1).astype(ld)
+    xc = xs.astype(ld) - centre[:, None]
+    ys = np.take_along_axis(y, order, 1).astype(ld)
+    rs = np.take_along_axis(resid, order, 1)
     finite = np.isfinite(rs)
     capped = np.minimum(ld(a_trunc), np.where(finite, rs, 0.0).astype(ld) ** 2)
     terms = (xc, xc * xc, ys, xc * ys, np.abs(xc), np.abs(ys), np.abs(xc * ys), capped, finite)
-    prefix = np.zeros((n_obs + 1, len(terms)), dtype=ld)
-    np.cumsum(np.stack(terms, axis=1), axis=0, out=prefix[1:])
+    prefix = np.zeros((len(terms), n_rows, n_obs + 1), dtype=ld)
+    np.cumsum(np.stack(terms), axis=2, out=prefix[:, :, 1:])
     # Windows: plus sides, minus sides, then variance windows.
     lo = np.concatenate((lo_p, lo_m, lo_m))
     hi = np.concatenate((hi_p, lo_p, hi_p))
-    win = prefix[hi] - prefix[lo]
-    mag = prefix[hi] + prefix[lo]  # bounds the prefix sums' rounding
+    win = prefix[:, rows, hi] - prefix[:, rows, lo]
+    mag = prefix[:, rows, hi] + prefix[:, rows, lo]  # bounds the prefix sums' rounding
 
     # Rounding per unit of magnitude: a sequential cumsum bound for the
     # scan's prefix sums and the few operations after them, and a
@@ -596,10 +610,10 @@ def _scan_uniform(x: np.ndarray, y: np.ndarray, resid: np.ndarray, grid: np.ndar
     sides = slice(0, 2 * k)
     n = (hi[sides] - lo[sides]).astype(ld)
     dense_acc = (np.sqrt(n) + 16) * eps
-    uc = np.tile(grid.astype(ld) - centre, 2)
+    uc = np.tile(grid.astype(ld)[:, None] - centre, (2, 1))
     au = np.abs(uc)
-    m1, m2, r0, r1_raw, _, abs_y = win[sides, :6].T
-    g_m1, g_m2, g_r0, g_r1 = mag[sides, 4], mag[sides, 1], mag[sides, 5], mag[sides, 6]
+    m1, m2, r0, r1_raw, _, abs_y = win[:6, sides]
+    g_m1, g_m2, g_r0, g_r1 = mag[4, sides], mag[1, sides], mag[5, sides], mag[6, sides]
     with np.errstate(divide="ignore", invalid="ignore"):
         s1 = m1 - uc * n
         s2 = m2 - 2 * uc * m1 + uc * uc * n
@@ -619,7 +633,8 @@ def _scan_uniform(x: np.ndarray, y: np.ndarray, resid: np.ndarray, grid: np.ndar
         # is s2/2 and its denominator den/4.
         den_floor = denominator_floor(n / 2, s2 / 2)
         distinct = ((hi[sides] - lo[sides] >= 2)
-                    & (xs[np.minimum(lo[sides], n_obs - 1)] < xs[np.maximum(hi[sides] - 1, 0)]))
+                    & (xs[rows, np.minimum(lo[sides], n_obs - 1)]
+                       < xs[rows, np.maximum(hi[sides] - 1, 0)]))
         # The dense solver's float64 sums overflow where its s0 s2 = n s2 / 4
         # leaves the float range, and its design is then singular; the long
         # double sums here do not overflow, so such points are invalid, and
@@ -632,16 +647,16 @@ def _scan_uniform(x: np.ndarray, y: np.ndarray, resid: np.ndarray, grid: np.ndar
                        <= np.maximum(_FLOOR_RTOL * den_floor, e_den / 4))
                       | ~(overflows | in_range))
 
-        cnt = win[2 * k:, 8]
-        sigma_e_sq = win[2 * k:, 7] / cnt
-        e_sigma = (scan_acc * mag[2 * k:, 7] / win[2 * k:, 7]
+        cnt = win[8, 2 * k:]
+        sigma_e_sq = win[7, 2 * k:] / cnt
+        e_sigma = (scan_acc * mag[7, 2 * k:] / win[7, 2 * k:]
                    + (np.sqrt(cnt) + 16) * eps)
         plus, minus = slice(0, k), slice(k, 2 * k)
         gamma = mu[plus] - mu[minus]
-        tb = ld(n_obs * b)
+        tb = (n_obs * b).astype(ld)
         w_sq = s2 / den
         v = np.maximum(np.sqrt(np.maximum(tb * (w_sq[plus] + w_sq[minus]) * sigma_e_sq, 0)),
-                       ld(floor))
+                       floor.astype(ld))
         t = (np.sqrt(tb) * gamma / v).astype(float)
         # Relative error of t = sqrt(T b) gamma / v: that of gamma plus half
         # that of v^2 (w_sq and sigma_e_sq terms).
@@ -652,56 +667,66 @@ def _scan_uniform(x: np.ndarray, y: np.ndarray, resid: np.ndarray, grid: np.ndar
     valid = solvable[plus] & solvable[minus] & (cnt > 0)
     t[~valid] = np.nan
     unsure = possible & (borderline[plus] | borderline[minus] | (valid & ~(rel <= _SCAN_RTOL)))
-    return t, unsure
+    return t.T, unsure.T
 
 
-def _search_unit(unit: PanelUnit, grid: np.ndarray, b: float, a_trunc: float,
-                 resid: np.ndarray, config: TestConfig):
-    """One unit's report row at its best grid point (the first on exact
-    ties), with the statistic at every grid point in ``stats`` (NaN where
-    unusable), and its correlation block when critical values are
-    simulated (else None); InsufficientSupport when no grid point is
-    usable.
+def _grid_search(units, grid: np.ndarray, bandwidths, residuals, a_trunc: float,
+                 config: TestConfig) -> dict:
+    """Each unit's search by unit id: its report row at its best grid point
+    (the first on exact ties), with the statistic at every grid point in
+    ``stats`` (NaN where unusable), and its correlation block over the
+    valid points in grid order when critical values are simulated (else
+    None); or InsufficientSupport when no grid point is usable.
 
-    Simulated critical values solve every point, and the block is built
-    from the valid points' weight-difference rows in grid order.
-    With the uniform kernel and analytic critical values a prefix-sum scan
-    ranks the grid first, and only the points that can win, and those the
-    scan cannot vouch for, are solved densely; their exact values replace
-    the scan's.  Any other configuration solves every point.  Solved points
-    run as row blocks (the unit's arrays once per point, at most
-    _BLOCK_BUDGET floats), each row bit-identical to its point alone.
+    The uniform kernel with analytic critical values scans every point
+    (``_scan_rows``, as row blocks of units) and solves only those that can
+    win or that the scan cannot vouch for; any other configuration solves
+    every point.  The solved (unit, grid point) rows run as row blocks
+    gathered across the units of one length, each bit-identical to its
+    point alone, and their exact values replace the scan's.
     """
-    y, x = unit.y, unit.x
-    floor = _v_floor(y)
-    if config.kernel.kind == "uniform" and config.cv_method == "analytic":
-        stats, unsure = _scan_uniform(x, y, resid, grid, b, a_trunc, floor)
+    floors = {u.unit_id: _v_floor(u.y) for u in units}
+
+    def solve_sets(_, y, x, resid, b, floor):
+        stats, unsure = _scan_rows(x, y, resid, grid, b, a_trunc, floor)
         sure = np.isfinite(stats) & ~unsure
         score = _score(stats, config.sidedness)
-        top = np.max(score[sure], initial=-np.inf)
-        near = sure & (score >= top - _TIE_RTOL * max(1.0, abs(top)))
-        solve = np.flatnonzero(unsure | near)
+        top = np.max(score, axis=1, keepdims=True, initial=-np.inf, where=sure)
+        near = sure & (score >= top - _TIE_RTOL * np.maximum(1.0, np.abs(top)))
+        return zip(stats, unsure | near)
+
+    if config.kernel.kind == "uniform" and config.cv_method == "analytic":
+        found = _blocks(units, solve_sets, residuals, bandwidths, floors)
     else:
-        stats = np.full(grid.size, np.nan)
-        solve = np.arange(grid.size)
-    rows: list[UnitResult] = []
-    w_diffs = []
-    step = max(1, _BLOCK_BUDGET // unit.n_obs)
-    for block in (solve[i:i + step] for i in range(0, solve.size, step)):
-        c, bs = grid[block], np.full(block.size, b)
-        y_rows, x_rows, resid_rows = (np.repeat(v[None], block.size, 0) for v in (y, x, resid))
-        for k, fit, sigma_e_sq in zip(block, _fit_rows(y_rows, x_rows, c, bs, config.kernel),
-                                      _window_rows(resid_rows, x_rows, c, bs, a_trunc)):
+        found = dict.fromkeys(bandwidths, (np.full(grid.size, np.nan), np.ones(grid.size, bool)))
+    points = [(u, k) for u in units for k in np.flatnonzero(found[u.unit_id][1]).tolist()]
+    solved = {}
+    for block in _row_blocks(points, lambda point: point[0]):
+        ids, c = [u.unit_id for u, _ in block], grid[[k for _, k in block]]
+        y, x = np.array([u.y for u, _ in block]), np.array([u.x for u, _ in block])
+        b, resid = (np.array([v[uid] for uid in ids]) for v in (bandwidths, residuals))
+        solved.update(zip([(uid, k) for uid, (_, k) in zip(ids, block)], zip(
+            _fit_rows(y, x, c, b, config.kernel), _window_rows(resid, x, c, b, a_trunc))))
+
+    out = {}
+    for unit in units:
+        uid, rows, w_diffs = unit.unit_id, [], []
+        stats, solve = np.array(found[uid][0]), found[uid][1]
+        for k in np.flatnonzero(solve).tolist():
+            fit, sigma_e_sq = solved[uid, k]
             stats[k] = np.nan
             if isinstance(fit, UnitJumpFit) and isinstance(sigma_e_sq, float):
-                rows.append(_unit_row(unit, float(grid[k]), b, fit, sigma_e_sq, floor))
+                rows.append(_unit_row(unit, float(grid[k]), bandwidths[uid], fit, sigma_e_sq,
+                                      floors[uid]))
                 stats[k] = rows[-1].t_stat
                 w_diffs.append(fit.w_diff)
-    if not rows:
-        return InsufficientSupport("no valid grid point")
-    best = int(np.argmax(_score(np.array([r.t_stat for r in rows]), config.sidedness)))
-    simulated = config.cv_method == "simulated"
-    return replace(rows[best], stats=stats), sigma_c_matrix(w_diffs) if simulated else None
+        if not rows:
+            out[uid] = InsufficientSupport("no valid grid point")
+            continue
+        best = int(np.argmax(_score(np.array([r.t_stat for r in rows]), config.sidedness)))
+        out[uid] = replace(rows[best], stats=stats), (
+            sigma_c_matrix(w_diffs) if config.cv_method == "simulated" else None)
+    return out
 
 
 def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) -> ThresholdSearchResult:
@@ -724,7 +749,10 @@ def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) 
     near-ties, scan values within 4e-10 relative (typically 1e-12)
     elsewhere, and an exact NaN mask.  Other kernels, and simulated
     critical values, which need every weight row, solve every grid point.
-    Solved points run as row blocks.  Grid values must be finite.
+    The scan runs as row blocks of units, and the solved (unit, grid point)
+    rows as row blocks gathered across the units of one length; at the
+    same bandwidth and truncation level each unit's results are those of
+    the unit searched alone, bit for bit.  Grid values must be finite.
 
     The result's ``spacing_warning`` flag is set when the grid spacing
     drops to 2 bandwidths or less, where statistics at neighbouring grid
@@ -758,8 +786,7 @@ def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) 
                 f"residual (the smallest is {float(pooled.min())!r})"
             )
 
-    found = _kept(units, {u.unit_id: _search_unit(u, grid, bandwidths[u.unit_id], a_trunc,
-                                                  residuals[u.unit_id], config) for u in units},
+    found = _kept(units, _grid_search(units, grid, bandwidths, residuals, a_trunc, config),
                   skipped, "a grid search")
     per_unit = [row for row, _ in found.values()]
     statistic = float(np.max(_score(np.array([u.t_stat for u in per_unit]), config.sidedness)))

@@ -16,7 +16,8 @@ Conventions used throughout:
     one-row products, so each row is bit-identical to a block of that row
     alone; a row the step cannot serve gets its InsufficientSupport in
     place of a result: ``_plugin_rows``, ``_pilot_rows``, ``_side_rows``,
-    ``_fit_rows``, ``_residual_rows``, ``_smooth_rows``, ``_window_rows``.
+    ``_fit_rows``, ``_residual_rows``, ``_smooth_rows``, ``_window_rows``,
+    and the grid search's ``_scan_rows``, which marks unusable points NaN.
 """
 
 from __future__ import annotations
@@ -96,10 +97,9 @@ def _side_rows(x, c, b, kernel: KernelSpec, side: str):
     denominator is not above its floor (a NaN denominator included).
     """
     c, b = c[:, None], b[:, None]
-    d = x - c
     mask = (x >= c) & (x <= c + b) if side == "plus" else (x < c) & (x >= c - b)
-    with np.errstate(over="ignore"):  # d / b may overflow off the window, where it is unused
-        kw = np.where(mask, eval_kernel(kernel, np.clip(d / b, -1.0, 1.0)), 0.0)
+    d = np.where(mask, x - c, 0.0)  # zero off the window, so d * d stays finite there
+    kw = np.where(mask, eval_kernel(kernel, np.clip(d / b, -1.0, 1.0)), 0.0)
     carried = kw > 0.0
     distinct = np.where(carried, x, np.inf).min(1) < np.where(carried, x, -np.inf).max(1)
     s0 = kw.sum(1, keepdims=True)

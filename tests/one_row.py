@@ -1,8 +1,9 @@
 """One unit through each per-unit step's row-block function.
 
 Each helper runs its step on a block of one row built from 1-d arrays
-and raises the row's InsufficientSupport (the pilot bandwidth has none),
-so tests can state a step's contract on a single unit.
+and raises the row's InsufficientSupport (the pilot bandwidth and the
+scan have none; the grid search returns it), so tests can state a step's
+contract on a single unit.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import numpy as np
 from paneljump.bandwidth import DEFAULT_BOUNDS, _pilot_rows, _plugin_rows
 from paneljump.errors import _raised
 from paneljump.estimator import _fit_rows, _smooth_rows
+from paneljump.inference import _grid_search, _scan_rows
 from paneljump.kernels import _side_rows
 from paneljump.variance import _window_rows
 
@@ -51,3 +53,17 @@ def residuals(y, x, b, kernel) -> np.ndarray:
 def window_mean(resid, x, c, b, a_trunc) -> float:
     """``variance._window_rows`` for one unit."""
     return _raised(_window_rows(_row(resid), _row(x), _row(c), _row(b), a_trunc)[0])
+
+
+def scan(x, y, resid, grid, b, a_trunc, floor):
+    """``inference._scan_rows`` for one unit: its statistic at each grid
+    point and its mask of points to solve densely."""
+    t, unsure = _scan_rows(_row(x), _row(y), _row(resid), grid, _row(b), a_trunc, _row(floor))
+    return t[0], unsure[0]
+
+
+def search(unit, grid, b, a_trunc, resid, config):
+    """``inference._grid_search`` for one unit: its (report row, correlation
+    block or None), or its InsufficientSupport."""
+    return _grid_search([unit], grid, {unit.unit_id: b}, {unit.unit_id: resid}, a_trunc,
+                        config)[unit.unit_id]

@@ -36,7 +36,7 @@ from paneljump.io import render_report
 from paneljump.kernels import KERNEL_KINDS, KernelSpec, denominator_floor, eval_kernel
 from paneljump.panel import PanelData, PanelUnit
 from paneljump.variance import SigmaC, sigma_c_matrix
-from one_row import pilot, residuals, weights
+from one_row import pilot, residuals, scan, search, weights
 from test_bandwidth import _reference_plugin_bandwidth
 
 # A bandwidth of 1 on T = 100 points gives sqrt(T b) = 10.
@@ -558,16 +558,21 @@ def test_search_skips_in_order(cv_method):
     ]
 
 
+def _float_limit_units():
+    """A unit with 12 covariates at +-1e308 and 30 in [-1, 1], and a plain one."""
+    rng = np.random.default_rng(3)
+    x = np.concatenate([np.repeat([-1e308, 1e308], 6), rng.uniform(-1.0, 1.0, 30)])
+    huge = PanelUnit(unit_id="huge", y=rng.normal(size=x.size), x=x)
+    return huge, _jump_panel([1.0], t_obs=200, sd=0.2).units[0]
+
+
 def test_search_skips_a_unit_at_the_float_limit():
     """Covariates at +-1e308 overflow the pilot smooth's sums; the unit is
     skipped with no RuntimeWarning, and its neighbour is unchanged.  Its
     30 points in [-1, 1] do give every window support: the skip reason
     stands in for the overflow, which makes every fitted value NaN, so a
     later fix that tells the two apart changes this reason on purpose."""
-    rng = np.random.default_rng(3)
-    x = np.concatenate([np.repeat([-1e308, 1e308], 6), rng.uniform(-1.0, 1.0, 30)])
-    huge = PanelUnit(unit_id="huge", y=rng.normal(size=x.size), x=x)
-    normal = _jump_panel([1.0], t_obs=200, sd=0.2).units[0]
+    huge, normal = _float_limit_units()
     cfg = Config(bandwidth=BandwidthPolicy.fixed(0.3))
     grid = [-0.2, 0.0, 0.2]
     result = search_thresholds(PanelData([huge, normal]), grid, cfg)
@@ -578,6 +583,19 @@ def test_search_skips_a_unit_at_the_float_limit():
     assert (row.unit_id, row.threshold, row.t_stat) == (alone.unit_id, alone.threshold,
                                                          alone.t_stat)
     assert np.array_equal(row.stats, alone.stats, equal_nan=True)
+
+
+@pytest.mark.parametrize("kind", ["triangular", "epanechnikov"])
+def test_general_kernel_search_at_the_float_limit(kind):
+    """The unit above under a non-uniform kernel: its pilot smooth's window
+    bounds, offsets and sums overflow at +-1e308, which leaves NaN there
+    and no RuntimeWarning, and the search ends in a report or a named skip."""
+    huge, normal = _float_limit_units()
+    cfg = Config(kernel=KernelSpec(kind), bandwidth=BandwidthPolicy.fixed(0.3))
+    result = search_thresholds(PanelData([huge, normal]), [-0.2, 0.0, 0.2], cfg)
+    ends = [u.unit_id for u in result.per_unit] + [s.unit_id for s in result.skipped if s.reason]
+    assert sorted(ends) == ["huge", normal.unit_id]
+    assert all(np.isfinite(u.t_stat) for u in result.per_unit)
 
 
 class TestHomogeneityPipeline:
@@ -666,13 +684,13 @@ class TestSearchThresholds:
     def test_scan_error_cannot_break_a_tie(self, monkeypatch):
         """Scan values that differ within the tolerance send both tied
         points to the dense solver, which keeps the first."""
-        scan = paneljump.inference._scan_uniform
+        scan_rows = paneljump.inference._scan_rows
 
         def nudged(*args):
-            t, unsure = scan(*args)
-            return t * (1.0 + 1e-10 * np.arange(t.size)), unsure
+            t, unsure = scan_rows(*args)
+            return t * (1.0 + 1e-10 * np.arange(t.shape[1])), unsure
 
-        monkeypatch.setattr(paneljump.inference, "_scan_uniform", nudged)
+        monkeypatch.setattr(paneljump.inference, "_scan_rows", nudged)
         result = search_thresholds(_mirror_panel(), [-5.0, 5.0],
                                    Config(bandwidth=BandwidthPolicy.fixed(0.25)))
         unit = result.per_unit[0]
@@ -828,9 +846,9 @@ class TestSearchThresholds:
 ], ids=["epanechnikov", "simulated"])
 def test_search_block_cap_leaves_results(config, monkeypatch):
     """With the block cap at one or two rows of T, a search that solves
-    every grid point gives the results of the default cap, which holds all
-    seven points in one block: every report field and statistic, the
-    critical values and the comparison count."""
+    every grid point gives the results of the default cap, which holds the
+    seven points of all four units in one block: every report field and
+    statistic, the critical values and the comparison count."""
     panel, _, _ = gen_dgp(DgpConfig(dgp_id=2, n_units=4, t_obs=200, seed=8,
                                     gamma_scheme=GammaScheme.accuracy()))
     grid = np.linspace(-0.3, 0.3, 7)
@@ -843,7 +861,7 @@ def test_search_block_cap_leaves_results(config, monkeypatch):
                 result.statistic, result.n_comparisons)
 
     expected = outcome()
-    assert solved == [7] * 4
+    assert solved == [28]
     for rows in (1, 2):
         monkeypatch.setattr(paneljump.inference, "_BLOCK_BUDGET", rows * 200)
         assert outcome() == expected
@@ -878,7 +896,7 @@ def test_scan_defers_near_singular_designs():
         x = np.concatenate([x_minus, [0.1, 0.1 + 2e-6 * (1.0 + k * 1e-6)]])
         unit = PanelUnit(unit_id="u", y=rng.normal(size=x.size), x=x)
         resid = rng.normal(size=x.size)
-        row, _ = paneljump.inference._search_unit(unit, grid, 0.2, np.inf, resid, config)
+        row, _ = search(unit, grid, 0.2, np.inf, resid, config)
         ref_row, _ = _dense_search_unit(unit, grid, 0.2, np.inf, resid, config)
         assert tuple(np.isnan(row.stats)) == tuple(np.isnan(ref_row.stats)), k
         masks.add(tuple(np.isnan(ref_row.stats)))
@@ -936,8 +954,8 @@ def test_scan_marks_overflowing_designs_invalid():
     unit, resid = _overflow_unit(4e152)
     grid = np.array([-0.8e152, 0.0, 0.8e152])
     with np.errstate(over="ignore", invalid="ignore"):
-        t, _ = paneljump.inference._scan_uniform(
-            unit.x, unit.y, resid, grid, 4e152, np.inf, paneljump.inference._v_floor(unit.y))
+        t, _ = scan(unit.x, unit.y, resid, grid, 4e152, np.inf,
+                    paneljump.inference._v_floor(unit.y))
         valid = _dense_valid(unit, grid, 4e152)
     assert not valid.any()
     np.testing.assert_array_equal(np.isnan(t), ~valid)
@@ -950,7 +968,7 @@ def test_overflowing_grid_points_leave_the_search():
     unit, resid = _overflow_unit(3e152)
     grid = np.linspace(-0.8, 0.8, 9) * 3e152
     with np.errstate(over="ignore", invalid="ignore"):
-        row, _ = paneljump.inference._search_unit(unit, grid, 3e152, np.inf, resid, Config())
+        row, _ = search(unit, grid, 3e152, np.inf, resid, Config())
         ref_row, _ = _dense_search_unit(unit, grid, 3e152, np.inf, resid, Config())
         valid = _dense_valid(unit, grid, 3e152)
     assert np.count_nonzero(valid) == 7
@@ -960,7 +978,7 @@ def test_overflowing_grid_points_leave_the_search():
 
 
 def _dense_search_unit(unit, grid, b, a_trunc, resid, config):
-    """Reference for ``_search_unit``: every grid point solved alone by the
+    """Reference for ``one_row.search``: every grid point solved alone by the
     test's reference chain; the row at the first best grid point on ties
     (None if no point is usable) and the valid points' weight differences."""
     floor = paneljump.inference._v_floor(unit.y)
@@ -1031,7 +1049,7 @@ def test_scan_search_matches_dense_reference(seed, n_obs, levels, jitter, n_grid
                                      pin, nan_frac)
     config = Config(sidedness=sidedness)
 
-    found = paneljump.inference._search_unit(unit, grid, b, a_trunc, resid, config)
+    found = search(unit, grid, b, a_trunc, resid, config)
     ref_row, _ = _dense_search_unit(unit, grid, b, a_trunc, resid, config)
     if ref_row is None:  # no usable grid point
         assert isinstance(found, InsufficientSupport) and str(found) == "no valid grid point"
@@ -1060,7 +1078,7 @@ def test_dense_search_matches_reference(seed, n_obs, levels, jitter, n_grid, b, 
                                      pin, nan_frac)
     config = Config(kernel=KernelSpec(path[0]), cv_method=path[1], sidedness=sidedness)
 
-    found = paneljump.inference._search_unit(unit, grid, b, a_trunc, resid, config)
+    found = search(unit, grid, b, a_trunc, resid, config)
     ref_row, ref_w_diffs = _dense_search_unit(unit, grid, b, a_trunc, resid, config)
     if ref_row is None:
         assert isinstance(found, InsufficientSupport) and str(found) == "no valid grid point"
@@ -1073,6 +1091,42 @@ def test_dense_search_matches_reference(seed, n_obs, levels, jitter, n_grid, b, 
         assert block.shape == ref_block.shape and block.tobytes() == ref_block.tobytes()
     else:
         assert block is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_obs=st.integers(min_value=2, max_value=60),
+    rows=st.integers(min_value=2, max_value=5),
+    levels=st.sampled_from([0, 3]),
+    n_grid=st.integers(min_value=1, max_value=6),
+    shift=st.sampled_from([0.0, 1e4]),
+    nan_frac=st.sampled_from([0.0, 0.3]),
+    a_trunc=st.sampled_from([np.inf, 0.05]),
+)
+def test_scan_rows_match_rows_alone(seed, n_obs, rows, levels, n_grid, shift, nan_frac,
+                                    a_trunc):
+    """A block of units scanned at once gives each row the statistics and
+    the mask of points to solve of that row scanned alone, bit for bit:
+    rows with their own centres, bandwidths, outcome scales and floors,
+    tied x and NaN residuals."""
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(-1.0, 1.0, (rows, n_obs))
+    if levels:
+        x0 = np.round(x0 * levels) / levels
+    x = x0 + shift + rng.uniform(-0.5, 0.5, (rows, 1))
+    y = rng.uniform(0.1, 10.0, (rows, 1)) * (0.5 * x0 + (x0 >= 0.1) + 0.3 * rng.normal(
+        size=x0.shape))
+    resid = np.where(rng.uniform(size=x0.shape) < nan_frac, np.nan, 0.3 * rng.normal(
+        size=x0.shape))
+    grid = np.unique(rng.uniform(-1.2, 1.2, n_grid)) + shift
+    b = rng.choice([0.05, 0.2, 0.45], rows)
+    floor = np.array([paneljump.inference._v_floor(row) for row in y])
+    t, unsure = paneljump.inference._scan_rows(x, y, resid, grid, b, a_trunc, floor)
+    for r in range(rows):
+        t_alone, unsure_alone = scan(x[r], y[r], resid[r], grid, b[r], a_trunc, floor[r])
+        assert t[r].tobytes() == t_alone.tobytes()
+        assert unsure[r].tolist() == unsure_alone.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -1218,7 +1272,7 @@ def _reference_search(panel, grid, config):
     order: bandwidths at the middle grid point, pilot residuals, the
     default truncation (9 times the median finite squared residual, inf
     if there is none or it is 0) and the skips, then each unit's grid
-    stage through ``_search_unit``.  Gives the report rows, the skipped
+    stage through ``one_row.search``.  Gives the report rows, the skipped
     units, the truncation's bytes and the comparison count."""
     grid = np.asarray(grid, dtype=float)
     c_mid = float(grid[grid.size // 2])
@@ -1241,8 +1295,8 @@ def _reference_search(panel, grid, config):
     rows = []
     for u in panel:
         if u.unit_id in residuals:
-            found = paneljump.inference._search_unit(u, grid, bandwidths[u.unit_id], a_trunc,
-                                                     residuals[u.unit_id], config)
+            found = search(u, grid, bandwidths[u.unit_id], a_trunc, residuals[u.unit_id],
+                           config)
             if isinstance(found, InsufficientSupport):
                 skipped.append(SkippedUnit(u.unit_id, "no valid grid point"))
             else:
@@ -1425,6 +1479,80 @@ def test_block_pilot_skips_in_panel_order(kind):
     assert value[1] == [("u1", "no sample point admits a local linear fit"),
                         ("u4", "no sample point admits a local linear fit"),
                         ("u2", "no valid grid point")]
+
+
+def _search_by_unit(panel, grid, config):
+    """``search_thresholds`` by unit id: each unit's report row (every
+    field's bytes) with its correlation block (shape and bytes; None for
+    analytic critical values), or its skip reason, also when every unit
+    is skipped; or the (type, message) of the error that stopped the
+    search.  Critical values are not computed."""
+    blocks = {}
+
+    def capture(n_comparisons, config, sigma_c=None):
+        if sigma_c is not None:
+            blocks.update((uid, (b.shape, b.tobytes()))
+                          for uid, b in zip(sigma_c.unit_ids, sigma_c.blocks))
+        return dict.fromkeys(config.alphas, 0.0)
+
+    with patch.object(paneljump.inference, "critical_values", capture):
+        try:
+            result = search_thresholds(panel, grid, config)
+        except NumericalError as exc:
+            head = "no unit admits a grid search ("
+            if not str(exc).startswith(head):
+                return type(exc), str(exc)
+            return dict(s.split(": ", 1) for s in str(exc)[len(head):-1].split("; "))
+    out = {s.unit_id: s.reason for s in result.skipped}
+    out.update((r.unit_id, (_row_bytes(r), blocks.get(r.unit_id))) for r in result.per_unit)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    units=st.lists(st.tuples(st.sampled_from((25, 40, 60)),
+                             st.sampled_from(("ok",) + _SEARCH_STAGES + ("huge",))),
+                   min_size=2, max_size=7),
+    n_grid=st.integers(min_value=1, max_value=6),
+    kind=st.sampled_from(("uniform",) + KERNEL_KINDS),  # the scan runs on a quarter
+    cv_method=st.sampled_from(paneljump.inference.CV_METHODS),
+    sidedness=st.sampled_from(paneljump.inference.SIDEDNESS),
+    policy=st.sampled_from(_POLICIES[:3]),
+    a_trunc=st.sampled_from((np.inf, 0.05)),
+    budget=st.sampled_from((paneljump.inference._BLOCK_BUDGET, 60, 100, 250)),
+)
+def test_panel_search_matches_units_searched_alone(seed, units, n_grid, kind, cv_method,
+                                                   sidedness, policy, a_trunc, budget):
+    """A panel's search equals its units searched one unit per panel, bit
+    for bit: each unit's report row with ``stats``, its skip reason and
+    its correlation block, and the panel stops at the error of the first
+    unit in panel order that raises one.  Panels are ragged, units sit
+    around their own centres, bandwidths are per unit (the plugin rule) or
+    shared, the truncation level is fixed, and at the small budgets a
+    length's solved rows straddle blocks of one to ten rows while the
+    units alone run at the default budget."""
+    rng = np.random.default_rng(seed)
+    panel = PanelData([_stage_unit(f"u{j}", stage, c, t_obs, rng) for j, ((t_obs, stage), c)
+                       in enumerate(zip(units, rng.uniform(-0.3, 0.3, len(units))))])
+    grid = np.unique(rng.uniform(-0.5, 0.5, n_grid))
+    config = Config(kernel=KernelSpec(kind), bandwidth=policy, cv_method=cv_method,
+                    sidedness=sidedness)
+    with warnings.catch_warnings(record=True) as caught, \
+            patch.object(paneljump.inference, "default_truncation", lambda _: a_trunc):
+        warnings.simplefilter("always")
+        expected = {}
+        for u in panel:
+            alone = _search_by_unit(PanelData([u]), grid, config)
+            if not isinstance(alone, dict):
+                expected = alone
+                break
+            expected.update(alone)
+        seen = {str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)}
+        caught.clear()
+        with patch.object(paneljump.inference, "_BLOCK_BUDGET", budget):
+            assert _search_by_unit(panel, grid, config) == expected
+    assert {str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)} <= seen
 
 
 @pytest.mark.parametrize("kind", KERNEL_KINDS)

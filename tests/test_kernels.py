@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from paneljump.bandwidth import BandwidthPolicy
 from paneljump.errors import InsufficientSupport
 from paneljump.kernels import KERNEL_KINDS, KernelSpec, denominator_floor, eval_kernel
-from one_row import residuals, weights, window_mean
+from one_row import jump, residuals, weights, window_mean
 
 UNIFORM = KernelSpec("uniform")
 
@@ -147,6 +147,20 @@ class TestLocalWeights:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(InsufficientSupport, match="singular local design"):
             weights(x, -8e151, 4e152, UNIFORM, "plus")
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_point_at_the_float_limit_leaves_the_fit(self, kind):
+        """One more point at 1e308, far off both windows, gets weight zero
+        and leaves the jump fit bit for bit, with no RuntimeWarning: its
+        offset is zeroed before it is squared."""
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-1.0, 1.0, 30)
+        y = 0.5 * x + (x >= 0.0) + 0.1 * rng.standard_normal(30)
+        kernel = KernelSpec(kind)
+        fit = jump(y, x, 0.0, 0.3, kernel)
+        far = jump(np.append(y, 0.0), np.append(x, 1e308), 0.0, 0.3, kernel)
+        assert (far.gamma_hat, far.eff_obs) == (fit.gamma_hat, fit.eff_obs)
+        assert far.w_diff[:-1].tobytes() == fit.w_diff.tobytes() and far.w_diff[-1] == 0.0
 
 
 # dyadic grids keep the identity checks exact in floating point
