@@ -119,9 +119,10 @@ def _add_cv_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", action="append", type=float, default=None,
                    help="significance level, repeatable (default 0.10 0.05 0.01)")
     p.add_argument("--method", choices=CV_METHODS, default="analytic",
-                   help="critical value method")
+                   help="critical value method: simulated draws a grid search's "
+                        "correlated maximum; everywhere else both give the closed form")
     p.add_argument("--cv-reps", type=int, default=100_000,
-                   help="replications for simulated critical values")
+                   help="draws for simulated critical values of a grid search")
     p.add_argument("--seed", type=int, default=0)
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .inference import (TestConfig, _check_seed, _check_two_sided, search_thresholds,
+from .inference import (TestConfig, _check_int, _check_two_sided, search_thresholds,
                         test_existence, test_homogeneity)
 from .panel import PanelData, PanelUnit
 
@@ -93,11 +93,13 @@ class DgpConfig:
     def __post_init__(self) -> None:
         if self.dgp_id not in (1, 2, 3, 4, 5, 6):
             raise ConfigError(f"dgp_id must be 1..6, got {self.dgp_id}")
+        _check_int(self.n_units, "n_units")
+        _check_int(self.t_obs, "t_obs")
         if self.n_units < 1 or self.t_obs < 2:
             raise ConfigError("need at least 1 unit and 2 observations")
         if not np.isfinite(self.threshold):
             raise ConfigError(f"threshold must be finite, got {self.threshold}")
-        _check_seed(self.seed)
+        _check_int(self.seed, "seed")
 
 
 @dataclass(frozen=True)
@@ -107,11 +109,9 @@ class McConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.reps < 1:
-            raise ConfigError("reps must be positive")
-        if self.workers < 1:
-            raise ConfigError("workers must be positive")
-        _check_seed(self.base_seed, "base_seed")
+        _check_int(self.reps, "reps", 1)
+        _check_int(self.workers, "workers", 1)
+        _check_int(self.base_seed, "base_seed")
 
 
 @dataclass

@@ -2,10 +2,12 @@
 
 Per unit, the jump estimate at its threshold is standardised by a local
 variance estimate; the panel-level statistic is the maximum over units (and
-over candidate thresholds when the location is unknown).  Critical values
-come from the maximum of independent standard normals, either in closed
-form or simulated, optionally with a per-unit correlation structure across
-candidate thresholds.
+over candidate thresholds when the location is unknown).  Where the
+comparisons are independent, the critical values are the closed-form
+quantiles of the maximum of independent standard normals.  Only a threshold
+search with simulated critical values has a correlation structure to
+simulate: its statistics are correlated across a unit's grid points, so it
+draws the maximum with those per-unit correlation blocks.
 """
 
 from __future__ import annotations
@@ -56,9 +58,6 @@ _V_FLOOR_REL = 1e-12
 # the seed it fixes the sample: chunk i is drawn from the i-th spawned seed.
 _CHUNK_BUDGET = 4_000_000
 
-# Cap on floats per slice of an independent chunk's draw (about 0.5 MB).
-_SLICE_BUDGET = 2**16
-
 # Cap on floats per row block of units (rows x T): keeps peak memory flat in N.
 _BLOCK_BUDGET = 2**13
 
@@ -74,9 +73,12 @@ _TIE_RTOL = 1e-9
 _FLOOR_RTOL = 1e-6
 
 
-def _check_seed(seed, name: str = "seed") -> None:
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ConfigError(f"{name} must be a nonnegative integer, got {seed!r}")
+def _check_int(value, name: str, low: int = 0) -> None:
+    """The one rule for seeds and counts: a Python or numpy integer of at
+    least ``low`` (0 or 1), else a ConfigError naming ``name``."""
+    if not (isinstance(value, (int, np.integer)) and value >= low):
+        need = "a nonnegative integer" if low == 0 else "positive and an integer"
+        raise ConfigError(f"{name} must be {need}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -105,9 +107,8 @@ class TestConfig:
             raise ConfigError(f"center must be one of {CENTERS}")
         if self.cv_method not in CV_METHODS:
             raise ConfigError(f"cv_method must be one of {CV_METHODS}")
-        if self.cv_reps < 1:
-            raise ConfigError("cv_reps must be positive")
-        _check_seed(self.seed)
+        _check_int(self.cv_reps, "cv_reps", 1)
+        _check_int(self.seed, "seed")
         if self.truncation is not None and not self.truncation > 0.0:
             raise ConfigError(
                 f"truncation must be positive (inf disables it), got {self.truncation}"
@@ -234,17 +235,17 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def simulate_max_gaussian(n_comparisons: int, reps: int, seed: int,
-                          sigma_c: SigmaC | None = None,
+def simulate_max_gaussian(sigma_c: SigmaC, reps: int, seed: int,
                           sidedness: str = "two_sided") -> np.ndarray:
-    """Sample of max statistics under the Gaussian reference distribution.
+    """Sample of ``reps`` max statistics over the ``sigma_c.n_comparisons``
+    Gaussian comparisons of a threshold search: correlated within each unit
+    block of ``sigma_c`` and independent across blocks.
 
-    Draws are independent standard normals unless ``sigma_c`` supplies
-    per-unit correlation blocks, in which case draws are correlated within
-    a block and independent across blocks.  Work proceeds in fixed-size
-    chunks, each drawn from its own child of ``SeedSequence(seed)``, and
-    the chunks run on a thread pool with one thread per usable CPU.  The
-    sample depends only on the arguments, not on the thread count.
+    Work proceeds in fixed-size chunks, each drawn from its own child of
+    ``SeedSequence(seed)``, and the chunks run on a thread pool with one
+    thread per usable CPU.  The sample depends only on the arguments, not
+    on the thread count.  Independent comparisons need no draw:
+    ``critical_values`` gives their quantiles in closed form.
 
     Raises
     ------
@@ -254,22 +255,19 @@ def simulate_max_gaussian(n_comparisons: int, reps: int, seed: int,
     NumericalError
         If a correlation block has an eigenvalue below -1e-8.
     """
-    _check_seed(seed)
+    _check_int(seed, "seed")
     if sidedness not in SIDEDNESS:
         raise ConfigError(f"sidedness must be one of {SIDEDNESS}")
-    if reps < 1:
-        raise ConfigError("reps must be positive")
-    factors = None
-    if sigma_c is not None:
-        n_comparisons = sigma_c.n_comparisons
-        factors = []
-        for uid, block in zip(sigma_c.unit_ids, sigma_c.blocks):
-            vals, vecs = np.linalg.eigh(block)
-            if vals.min() < -1e-8:
-                raise NumericalError(
-                    f"correlation block for unit {uid!r} has eigenvalue {vals.min():.3e}"
-                )
-            factors.append(vecs * np.sqrt(np.clip(vals, 0.0, None)))
+    _check_int(reps, "reps", 1)
+    factors = []
+    for uid, block in zip(sigma_c.unit_ids, sigma_c.blocks):
+        vals, vecs = np.linalg.eigh(block)
+        if vals.min() < -1e-8:
+            raise NumericalError(
+                f"correlation block for unit {uid!r} has eigenvalue {vals.min():.3e}"
+            )
+        factors.append(vecs * np.sqrt(np.clip(vals, 0.0, None)))
+    n_comparisons = sigma_c.n_comparisons
     if n_comparisons < 1:
         raise ConfigError("need at least one comparison")
 
@@ -279,22 +277,14 @@ def simulate_max_gaussian(n_comparisons: int, reps: int, seed: int,
     out = np.empty(reps)
 
     def draw(i: int) -> None:
+        # Units are drawn in order; a running max equals the max over all
+        # columns exactly.
         best = out[i * chunk:(i + 1) * chunk]
-        m = best.size
         rng = np.random.default_rng(children[i])
-        if factors is None:
-            # Row slices drawn in turn equal one (m, n) draw, bit for bit.
-            rows = max(1, _SLICE_BUDGET // n_comparisons)
-            for r in range(0, m, rows):
-                z = rng.standard_normal((min(rows, m - r), n_comparisons))
-                best[r:r + rows] = _score(z, sidedness).max(axis=1)
-        else:
-            # Units are drawn in order; a running max equals the max over
-            # all columns exactly.
-            best[:] = -np.inf
-            for f in factors:
-                z = rng.standard_normal((m, f.shape[0])) @ f.T
-                np.maximum(best, _score(z, sidedness).max(axis=1), out=best)
+        best[:] = -np.inf
+        for f in factors:
+            z = rng.standard_normal((best.size, f.shape[0])) @ f.T
+            np.maximum(best, _score(z, sidedness).max(axis=1), out=best)
 
     with ThreadPoolExecutor(min(_usable_cpus(), n_chunks)) as pool:
         list(pool.map(draw, range(n_chunks)))  # re-raises a chunk's error
@@ -306,21 +296,23 @@ def critical_values(n_comparisons: int, config: TestConfig,
     """Critical value at each of ``config.alphas`` for the maximum of
     ``n_comparisons`` Gaussian comparisons, with ``config.sidedness``.
 
-    Analytic values are in closed form for independent comparisons:
+    Without ``sigma_c`` the comparisons are independent, and the values are
+    the exact quantiles of their maximum, in closed form whatever
+    ``config.cv_method`` says:
 
         two-sided    q = Phi^-1( (1 + (1 - alpha)^(1/n)) / 2 )
         one-sided    q = Phi^-1( (1 - alpha)^(1/n) )
 
-    Simulated values are the empirical (1 - alpha) quantiles of one
-    ``simulate_max_gaussian`` sample of ``config.cv_reps`` draws, correlated
-    within the blocks of ``sigma_c`` when it is given.
+    ``sigma_c`` is a threshold search's correlation structure, which the
+    search passes exactly when ``config.cv_method`` is "simulated".  The
+    values are then the empirical (1 - alpha) quantiles of one
+    ``simulate_max_gaussian`` sample of ``config.cv_reps`` draws from
+    ``config.seed``, and ``n_comparisons`` is ``sigma_c``'s own count.
     """
-    if config.cv_method == "simulated":
-        sample = simulate_max_gaussian(n_comparisons, config.cv_reps, config.seed,
-                                       sigma_c, config.sidedness)
+    if sigma_c is not None:
+        sample = simulate_max_gaussian(sigma_c, config.cv_reps, config.seed, config.sidedness)
         return {a: float(np.quantile(sample, 1.0 - a)) for a in config.alphas}
-    if n_comparisons < 1:
-        raise ConfigError("need at least one comparison")
+    _check_int(n_comparisons, "n_comparisons", 1)
     # Imported here: scipy.special is slow to load and only this branch needs it.
     from scipy.special import ndtri
 

@@ -86,21 +86,6 @@ class TestCriticalValueCommand:
         assert cli_main(["critical-value", "--n", "10", "--cv-reps", "0"]) == 2
         assert "cv_reps" in capsys.readouterr().err
 
-    def test_simulated_levels_share_one_sample(self, monkeypatch, capsys):
-        calls = []
-
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return simulate_max_gaussian(*args, **kwargs)
-
-        monkeypatch.setattr(paneljump.inference, "simulate_max_gaussian", spy)
-        code = cli_main(["critical-value", "--n", "5", "--method", "simulated",
-                         "--cv-reps", "2000", "--alpha", "0.1", "--alpha", "0.05",
-                         "--alpha", "0.01"])
-        assert code == 0
-        assert len(calls) == 1
-        assert len(capsys.readouterr().out.splitlines()) == 3
-
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
@@ -457,6 +442,51 @@ class TestSearchCommand:
                          "--threshold", "grid:-0.5,0.0,0.5"])
         assert code == 0
         assert "# truncation,inf" in capsys.readouterr().out
+
+
+    def test_simulated_levels_share_one_sample(self, monkeypatch, capsys):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return simulate_max_gaussian(*args, **kwargs)
+
+        monkeypatch.setattr(paneljump.inference, "simulate_max_gaussian", spy)
+        code = cli_main(["threshold-search", "--data", str(GOLDEN_PANEL),
+                         "--threshold", "grid:-0.2,0,0.2", "--method", "simulated",
+                         "--cv-reps", "2000", "--alpha", "0.1", "--alpha", "0.05",
+                         "--alpha", "0.01"])
+        assert code == 0
+        assert len(calls) == 1
+        out = capsys.readouterr().out
+        assert len([line for line in out.splitlines()
+                    if line.startswith("# critical_value,")]) == 3
+
+
+class TestNoDrawWithoutCorrelation:
+    """Known-threshold commands compare independent statistics, so
+    ``--method simulated`` gives the closed form and draws nothing, and
+    ``--cv-reps`` changes nothing.  ``simulate`` keeps its ``--seed``, the
+    Monte Carlo base seed."""
+
+    @pytest.mark.parametrize("argv", [
+        ["jump-test", "--data", str(GOLDEN_PANEL)],
+        ["homogeneity-test", "--data", str(GOLDEN_PANEL)],
+        ["critical-value", "--n", "13", "--sided", "upper"],
+        ["simulate", "--dgp", "1", "--n", "3", "--t", "80", "--reps", "2",
+         "--bandwidth", "fixed:0.3", "--seed", "7"],
+    ], ids=["jump-test", "homogeneity-test", "critical-value", "simulate"])
+    def test_simulated_method_is_closed_form(self, monkeypatch, capsys, argv):
+        monkeypatch.setenv("PANELJUMP_THREADS", "1")  # simulate runs in this process
+        assert cli_main([*argv, "--method", "analytic"]) == 0
+        analytic = capsys.readouterr().out
+
+        def fail(*args, **kwargs):
+            raise AssertionError("simulate_max_gaussian was called")
+
+        monkeypatch.setattr(paneljump.inference, "simulate_max_gaussian", fail)
+        assert cli_main([*argv, "--method", "simulated", "--cv-reps", "2000"]) == 0
+        assert capsys.readouterr().out == analytic
 
 
 class TestSimulateCommand:

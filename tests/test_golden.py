@@ -10,13 +10,15 @@ The expected reports next to them were written by the code, so a change
 that moves any reported number fails here even when reruns still agree
 with each other.
 
-After a deliberate change of the numbers, rewrite the expected files with
+After a deliberate change of the numbers, rewrite the expected files of
+the runs it moves, by name (no name rewrites all of them):
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py critical-value-simulated
 """
 
 from __future__ import annotations
 
+import sys
 from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -73,5 +75,9 @@ def test_report_bytes_match_golden(name, tmp_path):
 
 
 if __name__ == "__main__":
-    for run_name in RUNS:
+    names = sys.argv[1:] or list(RUNS)
+    unknown = [n for n in names if n not in RUNS]
+    if unknown:
+        sys.exit(f"unknown golden run {', '.join(unknown)}; runs: {', '.join(RUNS)}")
+    for run_name in names:
         _report(run_name, _expected_path(run_name))

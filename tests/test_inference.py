@@ -21,7 +21,7 @@ from paneljump.errors import (
     InsufficientSupport,
     NumericalError,
 )
-from paneljump.dgp import DgpConfig, GammaScheme, gen_dgp
+from paneljump.dgp import DgpConfig, GammaScheme, McConfig, gen_dgp
 from paneljump.estimator import UnitJumpFit, _fitted_general
 from paneljump.inference import (
     SkippedUnit,
@@ -220,65 +220,110 @@ class TestCriticalValue:
         monkeypatch.setattr(paneljump.inference, "simulate_max_gaussian", spy)
         cfg = Config(alphas=(0.10, 0.05, 0.01), sidedness="one_sided_upper",
                      cv_method="simulated", cv_reps=5_000, seed=4)
-        qs = critical_values(7, cfg)
-        assert calls == [(7, 5_000, 4, None, "one_sided_upper")]
-        sample = simulate_max_gaussian(7, 5_000, 4, sidedness="one_sided_upper")
+        sigma_c = _identity_blocks(4, 3)
+        qs = critical_values(7, cfg, sigma_c)
+        assert calls == [(sigma_c, 5_000, 4, "one_sided_upper")]
+        sample = simulate_max_gaussian(sigma_c, 5_000, 4, sidedness="one_sided_upper")
         assert qs == {a: float(np.quantile(sample, 1.0 - a)) for a in cfg.alphas}
 
+    @pytest.mark.parametrize("sidedness", paneljump.inference.SIDEDNESS)
+    def test_simulated_without_sigma_c_draws_nothing(self, no_draw, sidedness):
+        """Independent comparisons get the closed form whatever the method."""
+        knobs = dict(alphas=(0.10, 0.05, 0.01), sidedness=sidedness)
+        simulated = Config(cv_method="simulated", cv_reps=5_000, seed=4, **knobs)
+        assert critical_values(7, simulated) == critical_values(7, Config(**knobs))
+
     def test_simulated_matches_analytic(self):
-        q_sim = critical_value(100, 0.05, cv_method="simulated", cv_reps=200_000, seed=3)
+        """Calibration of the simulator: identity blocks are independent
+        comparisons, whose quantile is the closed form."""
+        cfg = Config(alphas=(0.05,), cv_method="simulated", cv_reps=200_000, seed=3)
+        q_sim = critical_values(100, cfg, _identity_blocks(100))[0.05]
         q_ana = critical_value(100, 0.05)
         assert q_sim == pytest.approx(q_ana, abs=0.02)
 
 
+@pytest.fixture
+def no_draw(monkeypatch):
+    """Fails the test if anything draws a simulated sample."""
+    def fail(*args, **kwargs):
+        raise AssertionError("simulate_max_gaussian was called")
+    monkeypatch.setattr(paneljump.inference, "simulate_max_gaussian", fail)
+
+
+def _identity_blocks(*sizes):
+    """A correlation structure of independent comparisons, one identity
+    block per entry of ``sizes``."""
+    return SigmaC(unit_ids=[f"u{j}" for j in range(len(sizes))],
+                  blocks=[np.eye(k) for k in sizes])
+
+
+# Every seed and count a caller sets, each as a function of its value.
+_COUNTS = {
+    "cv_reps": lambda v: Config(cv_method="simulated", cv_reps=v),
+    "seed": lambda v: Config(seed=v),
+    "reps": lambda v: McConfig(reps=v),
+    "workers": lambda v: McConfig(reps=2, workers=v),
+    "base_seed": lambda v: McConfig(reps=2, base_seed=v),
+    "n_units": lambda v: DgpConfig(dgp_id=1, n_units=v, t_obs=64),
+    "t_obs": lambda v: DgpConfig(dgp_id=1, n_units=3, t_obs=v),
+    "n_comparisons": lambda v: critical_values(v, Config()),
+    "simulated reps": lambda v: simulate_max_gaussian(_identity_blocks(2), v, 0),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 50.5, 3.0, None, "100"])
+@pytest.mark.parametrize("field", sorted(_COUNTS))
+def test_counts_follow_one_integer_rule(field, value):
+    """A non-integer seed or count is a ConfigError naming the field, not
+    a TypeError from later arithmetic; numpy integers pass."""
+    name = field.split()[-1]
+    with pytest.raises(ConfigError, match=f"^{name} must be .*, got {re.escape(repr(value))}$"):
+        _COUNTS[field](value)
+    _COUNTS[field](np.int64(100))
+
+
 class TestSimulateMaxGaussian:
     def test_deterministic_given_seed(self):
-        a = simulate_max_gaussian(5, 1000, seed=11)
-        b = simulate_max_gaussian(5, 1000, seed=11)
+        a = simulate_max_gaussian(_identity_blocks(3, 2), 1000, seed=11)
+        b = simulate_max_gaussian(_identity_blocks(3, 2), 1000, seed=11)
         np.testing.assert_array_equal(a, b)
 
     def test_single_comparison_distribution(self):
-        """n = 1 draws follow |N(0,1)|: KS distance below 0.01."""
-        sample = simulate_max_gaussian(1, 100_000, seed=2)
+        """One 1x1 block draws |N(0,1)|: KS distance below 0.01."""
+        sample = simulate_max_gaussian(_identity_blocks(1), 100_000, seed=2)
         ks = sps.kstest(sample, lambda z: 2.0 * sps.norm.cdf(z) - 1.0)
         assert ks.statistic < 0.01
 
-    def test_identity_blocks_match_independent_path(self):
-        sigma_c = SigmaC(unit_ids=["a", "b"], blocks=[np.eye(3), np.eye(2)])
-        dep = simulate_max_gaussian(5, 2000, seed=7, sigma_c=sigma_c)
-        indep = simulate_max_gaussian(5, 2000, seed=7)
-        np.testing.assert_allclose(np.quantile(dep, [0.5, 0.9, 0.95]),
-                                   np.quantile(indep, [0.5, 0.9, 0.95]),
+    def test_identity_blocks_match_closed_form(self):
+        """Identity blocks are 5 independent comparisons: the max's quantiles
+        q_p solve (2 Phi(q) - 1)^5 = p."""
+        sample = simulate_max_gaussian(_identity_blocks(3, 2), 2000, seed=7)
+        probs = np.array([0.5, 0.9, 0.95])
+        np.testing.assert_allclose(np.quantile(sample, probs),
+                                   sps.norm.ppf(0.5 * (1.0 + probs ** (1 / 5))),
                                    atol=0.08)
 
     def test_perfect_correlation_reduces_max(self):
-        block = np.full((4, 4), 1.0)
-        sigma_c = SigmaC(unit_ids=["a"], blocks=[block])
-        dep = simulate_max_gaussian(4, 4000, seed=9, sigma_c=sigma_c)
-        indep = simulate_max_gaussian(4, 4000, seed=9)
+        sigma_c = SigmaC(unit_ids=["a"], blocks=[np.full((4, 4), 1.0)])
+        dep = simulate_max_gaussian(sigma_c, 4000, seed=9)
+        indep = simulate_max_gaussian(_identity_blocks(4), 4000, seed=9)
         assert np.quantile(dep, 0.95) < np.quantile(indep, 0.95)
 
 
-def _serial_sample(n_comparisons, reps, seed, sigma_c=None, sidedness="two_sided"):
+def _serial_sample(sigma_c, reps, seed, sidedness="two_sided"):
     """The simulation as one serial loop: each chunk drawn whole, its unit
     blocks stacked side by side, then the max over every column."""
-    factors = None
-    if sigma_c is not None:
-        n_comparisons = sigma_c.n_comparisons
-        factors = []
-        for block in sigma_c.blocks:
-            vals, vecs = np.linalg.eigh(block)
-            factors.append(vecs * np.sqrt(np.clip(vals, 0.0, None)))
-    chunk = max(1, min(reps, paneljump.inference._CHUNK_BUDGET // n_comparisons))
+    factors = []
+    for block in sigma_c.blocks:
+        vals, vecs = np.linalg.eigh(block)
+        factors.append(vecs * np.sqrt(np.clip(vals, 0.0, None)))
+    chunk = max(1, min(reps, paneljump.inference._CHUNK_BUDGET // sigma_c.n_comparisons))
     out = np.empty(reps)
     pos = 0
     for child in np.random.SeedSequence(seed).spawn(-(-reps // chunk)):
         m = min(chunk, reps - pos)
         rng = np.random.default_rng(child)
-        if factors is None:
-            z = rng.standard_normal((m, n_comparisons))
-        else:
-            z = np.hstack([rng.standard_normal((m, f.shape[0])) @ f.T for f in factors])
+        z = np.hstack([rng.standard_normal((m, f.shape[0])) @ f.T for f in factors])
         z = np.abs(z) if sidedness == "two_sided" else z
         out[pos:pos + m] = z.max(axis=1)
         pos += m
@@ -301,11 +346,9 @@ class TestSimulationThreads:
 
     @pytest.mark.parametrize("cpus", [1, 2, 5])
     @pytest.mark.parametrize("sidedness", paneljump.inference.SIDEDNESS)
-    @pytest.mark.parametrize("correlated", [False, True], ids=["independent", "sigma_c"])
     @pytest.mark.parametrize("reps, n_chunks", [(20_001, 3), (7_000, 1)],
                              ids=["ragged", "one_chunk"])
-    def test_sample_matches_serial_loop(self, monkeypatch, cpus, sidedness, correlated,
-                                        reps, n_chunks):
+    def test_sample_matches_serial_loop(self, monkeypatch, cpus, sidedness, reps, n_chunks):
         """500 comparisons give 8000-row chunks; threads are capped at the
         chunk count."""
         pools = []
@@ -317,38 +360,31 @@ class TestSimulationThreads:
 
         monkeypatch.setattr(paneljump.inference, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(paneljump.inference, "ThreadPoolExecutor", Pool)
-        sigma_c = _correlation_blocks(100, 5) if correlated else None
-        sample = simulate_max_gaussian(500, reps, 13, sigma_c, sidedness)
-        assert np.array_equal(sample, _serial_sample(500, reps, 13, sigma_c, sidedness))
+        sigma_c = _correlation_blocks(100, 5)
+        sample = simulate_max_gaussian(sigma_c, reps, 13, sidedness)
+        assert np.array_equal(sample, _serial_sample(sigma_c, reps, 13, sidedness))
         assert pools == [min(cpus, n_chunks)]
 
-    @pytest.mark.parametrize("correlated", [False, True], ids=["independent", "sigma_c"])
-    def test_many_threads_with_fast_switching(self, monkeypatch, correlated):
+    def test_many_threads_with_fast_switching(self, monkeypatch):
         """71 chunks on 8 threads, switching every microsecond: no chunk is
         lost, drawn twice or written to another chunk's rows."""
         monkeypatch.setattr(paneljump.inference, "_CHUNK_BUDGET", 71 * 8)
         monkeypatch.setattr(paneljump.inference, "_usable_cpus", lambda: 8)
-        sigma_c = _correlation_blocks(2, 4) if correlated else None
+        sigma_c = _correlation_blocks(2, 4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            sample = simulate_max_gaussian(8, 5_000, 21, sigma_c)
+            sample = simulate_max_gaussian(sigma_c, 5_000, 21)
         finally:
             sys.setswitchinterval(interval)
-        assert np.array_equal(sample, _serial_sample(8, 5_000, 21, sigma_c))
-
-    def test_independent_slices_match_one_draw(self, monkeypatch):
-        """A chunk drawn in ragged row slices is one C-order draw."""
-        monkeypatch.setattr(paneljump.inference, "_SLICE_BUDGET", 7 * 131)
-        sample = simulate_max_gaussian(7, 1000, 2)
-        assert np.array_equal(sample, _serial_sample(7, 1000, 2))
+        assert np.array_equal(sample, _serial_sample(sigma_c, 5_000, 21))
 
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_bad_seed_is_config_error(self, monkeypatch, seed):
         monkeypatch.setattr(np.random, "SeedSequence", None)  # no draw may start
         with pytest.raises(ConfigError, match=re.escape(
                 f"seed must be a nonnegative integer, got {seed!r}")):
-            simulate_max_gaussian(5, 100, seed)
+            simulate_max_gaussian(_identity_blocks(5), 100, seed)
 
 
 def _noise_panel(n_units=4, t_obs=300, seed=0, sd=0.5):
@@ -800,9 +836,9 @@ class TestSearchThresholds:
                      cv_reps=2_000, seed=5)
         seen = []
 
-        def capture(n_comparisons, reps, seed, sigma_c=None, sidedness="two_sided"):
+        def capture(sigma_c, reps, seed, sidedness="two_sided"):
             seen.append(sigma_c)
-            return simulate_max_gaussian(n_comparisons, reps, seed, sigma_c, sidedness)
+            return simulate_max_gaussian(sigma_c, reps, seed, sidedness)
 
         monkeypatch.setattr(paneljump.inference, "simulate_max_gaussian", capture)
         result = search_thresholds(PanelData(units), grid, cfg)
