@@ -2,10 +2,9 @@
 
 The jump estimate at a threshold c is the difference between two boundary
 local linear fits, one from each side.  Residual smoothing runs a plain
-two-sided local linear regression at every sample point, or for the
-uniform kernel at those asked for (a known-threshold fit's variance window);
-it backs the variance estimators and must stay cheap, so the uniform
-kernel gets a prefix-sum path that avoids per-point Python work.
+two-sided local linear regression at every sample point; it backs the
+variance estimators and must stay cheap, so the uniform kernel gets a
+prefix-sum path that avoids per-point Python work.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientSupport
-from .kernels import KernelSpec, _side_rows, denominator_floor, eval_kernel
+from .kernels import KernelSpec, _edges, _recentred, _side_rows, denominator_floor, eval_kernel
 
 __all__ = ["UnitJumpFit"]
 
@@ -59,94 +58,78 @@ def _fit_rows(y, x, c, b, kernel: KernelSpec) -> list:
     return out
 
 
-def _fitted_uniform(x: np.ndarray, at: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                    b: np.ndarray) -> np.ndarray:
+def _fitted_uniform(xs: np.ndarray, ys: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Local linear fitted values with the uniform kernel via prefix sums,
-    at the points ``at`` marks in each row of ``x`` (NaN elsewhere).
+    at every point of each row of ``xs`` (the rows sorted by x, ``ys`` in step).
 
-    ``xs``/``ys`` are the rows sorted by x.  The constant kernel factor
-    cancels from the local linear ratio, so windowed power sums suffice.
-    All series are recentred on the row's mean of x to tame cancellation.
+    The constant kernel factor cancels from the local linear ratio, so
+    windowed power sums suffice.  All series are recentred on the row's
+    mean of x to tame cancellation.
     """
     # Covariates near the float limit overflow the sums and window bounds;
-    # the floor test below turns what they touch into NaN.
+    # the floor test turns what they touch into NaN.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        centre = xs.mean(1)
-        xc = xs - centre[:, None]
+        xc = xs - xs.mean(1)[:, None]
         z = np.zeros((len(xs), 1))
-        p1, p2, q0, q1 = (np.concatenate((z, np.cumsum(v, 1)), 1).ravel()
+        p1, p2, q0, q1 = (np.concatenate((z, np.cumsum(v, 1)), 1)
                           for v in (xc, xc * xc, ys, xc * ys))
-        points = [row[m] for row, m in zip(x, at)]
-        starts = range(0, p1.size, xs.shape[1] + 1)  # each row's place in the raveled sums
-        lo = np.concatenate([start + np.searchsorted(s, u - h, side="left")
-                             for start, s, u, h in zip(starts, xs, points, b)])
-        hi = np.concatenate([start + np.searchsorted(s, u + h, side="right")
-                             for start, s, u, h in zip(starts, xs, points, b)])
+        rows = np.arange(len(xs))[:, None]
+        lo, hi = _edges(xs, xs - b[:, None], "left"), _edges(xs, xs + b[:, None], "right")
         n = (hi - lo).astype(float)
-        uc = np.concatenate(points) - np.repeat(centre, [u.size for u in points])
-        m1, m2, r0, r1 = (p[hi] - p[lo] for p in (p1, p2, q0, q1))
-        sd1 = m1 - uc * n
-        sd2 = m2 - 2.0 * uc * m1 + uc * uc * n
-        t1 = r1 - uc * r0
-        den = sd2 * n - sd1 * sd1
-        floor = denominator_floor(n, sd2)
-        fitted = (sd2 * r0 - sd1 * t1) / den
-        fitted[~(den > floor)] = np.nan
-    out = np.full(x.shape, np.nan)
-    out[at] = fitted
-    return out
+        m1, m2, r0, r1 = (p[rows, hi] - p[rows, lo] for p in (p1, p2, q0, q1))
+        s1, s2, t1 = _recentred(xc, n, m1, m2, r0, r1)  # u = each point itself
+        return _local_linear(n, s1, s2, r0, t1)
 
 
 # Covariates near the float limit overflow the window bounds, offsets and
 # sums; the floor test turns what they touch into NaN.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _fitted_general(eval_points: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                    b: float, kernel: KernelSpec) -> np.ndarray:
-    """Chunked dense path for non-uniform kernels.
+def _fitted_general(xs: np.ndarray, ys: np.ndarray, b: float,
+                    kernel: KernelSpec) -> np.ndarray:
+    """Chunked dense path for non-uniform kernels, at every point of the
+    sorted sample ``xs`` (``ys`` in step).
 
-    Evaluation points are processed in sorted blocks so each block touches a
-    contiguous slice of the sorted sample.
+    Evaluation points run in contiguous blocks, so each block touches a
+    contiguous slice of the sample.
     """
-    order = np.argsort(eval_points, kind="stable")
-    out = np.full(eval_points.size, np.nan)
-    for start in range(0, order.size, _CHUNK):
-        idx = order[start:start + _CHUNK]
-        u = eval_points[idx]
-        w0 = int(np.searchsorted(xs, u.min() - b, side="left"))
-        w1 = int(np.searchsorted(xs, u.max() + b, side="right"))
-        if w1 <= w0:
-            continue
-        xw = xs[w0:w1]
-        yw = ys[w0:w1]
-        d = xw[None, :] - u[:, None]
+    out = np.full(xs.size, np.nan)
+    for start in range(0, xs.size, _CHUNK):
+        u = xs[start:start + _CHUNK]
+        w0 = int(np.searchsorted(xs, u[0] - b, side="left"))
+        w1 = int(np.searchsorted(xs, u[-1] + b, side="right"))
+        d = xs[w0:w1][None, :] - u[:, None]
         k = eval_kernel(kernel, d / b)
-        s0 = k.sum(axis=1)
-        s1 = (k * d).sum(axis=1)
-        s2 = (k * d * d).sum(axis=1)
-        t0 = k @ yw
-        t1 = (k * d) @ yw
-        den = s2 * s0 - s1 * s1
-        floor = denominator_floor(s0, s2)
-        fit = (s2 * t0 - s1 * t1) / den
-        fit[~(den > floor)] = np.nan
-        out[idx] = fit
+        out[start:start + _CHUNK] = _local_linear(
+            k.sum(axis=1), (k * d).sum(axis=1), (k * d * d).sum(axis=1),
+            k @ ys[w0:w1], (k * d) @ ys[w0:w1])
     return out
+
+
+def _local_linear(s0, s1, s2, t0, t1) -> np.ndarray:
+    """The intercept of a local linear fit from its window sums of k, k d,
+    k d^2, k y and k d y (kernel factor k, offset d from the evaluation
+    point); NaN where the design denominator is not above its floor."""
+    den = s2 * s0 - s1 * s1
+    fit = (s2 * t0 - s1 * t1) / den
+    fit[~(den > denominator_floor(s0, s2))] = np.nan
+    return fit
 
 
 def _smooth_rows(y, x, b, kernel: KernelSpec) -> list:
     """Each row's residuals from a two-sided local linear smooth at every
-    sample point (NaN where the local design is degenerate), or its
-    InsufficientSupport when no point admits a fit."""
-    return [r if np.isfinite(r).any() else InsufficientSupport(
-        "no sample point admits a local linear fit")
-        for r in _residual_rows(y, x, b, kernel, np.ones(x.shape, dtype=bool))]
+    sample point, at the row's own bandwidth (NaN where the local design
+    is degenerate), or its InsufficientSupport when no point admits a fit.
 
-
-def _residual_rows(y, x, b, kernel: KernelSpec, at) -> np.ndarray:
-    """Each row's residuals at its own bandwidth; the uniform kernel smooths
-    only the points ``at`` marks, leaving NaN elsewhere."""
+    Each row is sorted once and smoothed at its sorted points; each
+    point's fitted value depends only on its own window.
+    """
     order = np.argsort(x, axis=1, kind="stable")
     xs, ys = np.take_along_axis(x, order, 1), np.take_along_axis(y, order, 1)
     if kernel.kind == "uniform":
-        return y - _fitted_uniform(x, at, xs, ys, b)
-    return y - np.array([_fitted_general(*row, kernel) for row in zip(x, xs, ys, b)])
+        fitted = _fitted_uniform(xs, ys, b)
+    else:
+        fitted = np.array([_fitted_general(*row, kernel) for row in zip(xs, ys, b)])
+    resid = np.empty(x.shape)
+    np.put_along_axis(resid, order, ys - fitted, 1)
+    return [r if np.isfinite(r).any() else InsufficientSupport(
+        "no sample point admits a local linear fit") for r in resid]

@@ -21,8 +21,8 @@ import numpy as np
 
 from .bandwidth import BandwidthPolicy, _pilot_rows, _plugin_rows, pooled_bandwidth
 from .errors import ConfigError, DataError, InsufficientSupport, NumericalError, _raised
-from .estimator import UnitJumpFit, _fit_rows, _residual_rows, _smooth_rows
-from .kernels import KernelSpec, denominator_floor
+from .estimator import UnitJumpFit, _fit_rows, _smooth_rows
+from .kernels import KernelSpec, _edges, _recentred, denominator_floor
 from .panel import PanelData, PanelUnit
 from .variance import (
     SigmaC,
@@ -423,18 +423,21 @@ def _unit_row(unit: PanelUnit, c: float, b: float, fit: UnitJumpFit,
 
 def _analyze_rows(block: list[PanelUnit], y, x, c, b, kernel: KernelSpec) -> list:
     """Each unit's report row at its threshold, or the error that skips it or
-    stops the test.  Where no variance-window point smooths, the others decide why."""
+    stops the test.  A unit whose smooth fits at no point is skipped for
+    that, not for the variance window it leaves empty."""
     out = _fit_rows(y, x, c, b, kernel)
     keep = np.flatnonzero([isinstance(fit, UnitJumpFit) for fit in out])
     if not keep.size:
         return out
     y, x, c, b = y[keep], x[keep], c[keep], b[keep]
     y = y - np.array([out[i].gamma_hat for i in keep])[:, None] * (x >= c[:, None])
-    resid = _residual_rows(y, x, b, kernel, (x >= (c - b)[:, None]) & (x <= (c + b)[:, None]))
+    smoothed = _smooth_rows(y, x, b, kernel)
+    resid = np.array([np.full(x.shape[1], np.nan) if isinstance(r, InsufficientSupport) else r
+                      for r in smoothed])
     for r, (i, sigma_sq) in enumerate(zip(keep, _window_rows(resid, x, c, b, np.inf))):
+        if isinstance(smoothed[r], InsufficientSupport):
+            sigma_sq = smoothed[r]
         try:
-            if isinstance(sigma_sq, InsufficientSupport):
-                _raised(_smooth_rows(y[r:r + 1], x[r:r + 1], b[r:r + 1], kernel)[0])
             out[i] = _unit_row(block[i], float(c[r]), float(b[r]), out[i], _raised(sigma_sq),
                                _v_floor(block[i].y))
         except NumericalError as exc:
@@ -570,13 +573,9 @@ def _scan_rows(x, y, resid, grid: np.ndarray, b, a_trunc: float, floor):
     order = np.argsort(x, axis=1, kind="stable")
     xs = np.take_along_axis(x, order, 1)
     (n_rows, n_obs), k, rows = xs.shape, grid.size, np.arange(len(x))
-
-    def edges(at, side):  # one searchsorted per row, as (grid points, rows)
-        return np.array([np.searchsorted(s, a, side) for s, a in zip(xs, at)]).T
-
-    lo_m = edges(grid - b[:, None], "left")
-    lo_p = edges(np.broadcast_to(grid, (n_rows, k)), "left")
-    hi_p = edges(grid + b[:, None], "right")
+    lo_m = _edges(xs, grid - b[:, None], "left").T
+    lo_p = _edges(xs, np.broadcast_to(grid, (n_rows, k)), "left").T
+    hi_p = _edges(xs, grid + b[:, None], "right").T
 
     ld = np.longdouble
     centre = xs.mean(1).astype(ld)
@@ -607,9 +606,7 @@ def _scan_rows(x, y, resid, grid: np.ndarray, b, a_trunc: float, floor):
     m1, m2, r0, r1_raw, _, abs_y = win[:6, sides]
     g_m1, g_m2, g_r0, g_r1 = mag[4, sides], mag[1, sides], mag[5, sides], mag[6, sides]
     with np.errstate(divide="ignore", invalid="ignore"):
-        s1 = m1 - uc * n
-        s2 = m2 - 2 * uc * m1 + uc * uc * n
-        r1 = r1_raw - uc * r0
+        s1, s2, r1 = _recentred(uc, n, m1, m2, r0, r1_raw)
         # Error magnitudes of s1, s2, r0 and r1: prefix terms for the scan,
         # window terms (|d| <= b) for the dense solver.
         e_s1 = scan_acc * (g_m1 + au * n) + dense_acc * b * n

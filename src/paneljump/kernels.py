@@ -5,7 +5,7 @@ Conventions used throughout:
     c when fl(c - b) <= x <= fl(c + b), the bounds rounded once; every
     windowed computation (one-sided weights, windowed variance, residual
     smoothing and the grid-search scan) tests these same bounds, so a
-    ``searchsorted`` on them finds exactly the dense windows;
+    ``searchsorted`` on them (``_edges``) finds exactly the dense windows;
   * the plus side is x >= c and the minus side is x < c, which puts a
     point sitting exactly on the threshold on the plus side;
   * kernels live on [-1, 1] with the endpoints included, and inside the
@@ -16,8 +16,10 @@ Conventions used throughout:
     one-row products, so each row is bit-identical to a block of that row
     alone; a row the step cannot serve gets its InsufficientSupport in
     place of a result: ``_plugin_rows``, ``_pilot_rows``, ``_side_rows``,
-    ``_fit_rows``, ``_residual_rows``, ``_smooth_rows``, ``_window_rows``,
-    and the grid search's ``_scan_rows``, which marks unusable points NaN.
+    ``_fit_rows``, ``_smooth_rows``, ``_window_rows``, ``_analyze_rows``
+    (a known-threshold report row), and the grid search's ``_scan_rows``,
+    which marks unusable points NaN; the simulator's ``_ma_rows`` draws
+    noise rows and is no step.
 """
 
 from __future__ import annotations
@@ -76,6 +78,20 @@ def denominator_floor(s0, s2):
     Works elementwise on arrays, so the smoothing paths share it.
     """
     return 1e-12 * np.maximum(1.0, s0 * s2)
+
+
+def _edges(xs, at, side: str) -> np.ndarray:
+    """Each row's ``searchsorted`` of its points ``at`` in its sorted ``xs``,
+    as (rows, points): ``left`` for a window's first point at a lower
+    bound, ``right`` for the end past its last at an upper bound."""
+    return np.array([np.searchsorted(s, a, side) for s, a in zip(xs, at)])
+
+
+def _recentred(u, n, m1, m2, r0, r1):
+    """A window's sums of d, d^2 and d y about the evaluation point u
+    (d = x - u), from its count n and its sums of x, x^2, y and x y, with
+    x and u taken about one common centre."""
+    return m1 - u * n, m2 - 2 * u * m1 + u * u * n, r1 - u * r0
 
 
 def _side_rows(x, c, b, kernel: KernelSpec, side: str):

@@ -6,10 +6,11 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paneljump.errors import InsufficientSupport
-from paneljump.estimator import UnitJumpFit
-from paneljump.kernels import KernelSpec
+from paneljump.estimator import UnitJumpFit, _smooth_rows
+from paneljump.kernels import KERNEL_KINDS, KernelSpec, denominator_floor, eval_kernel
 from one_row import jump, residuals, weights
 
 UNIFORM = KernelSpec("uniform")
@@ -119,3 +120,71 @@ class TestSmoothResiduals:
         x = np.full(6, 1.25)
         with pytest.raises(InsufficientSupport, match="no sample point admits a local linear fit"):
             residuals(np.ones(6), x, 0.1, UNIFORM)
+
+
+def _dense_fitted(y, x, b, kernel):
+    """Local linear fitted values of one row at each of its points, by a
+    kernel-weighted least-squares fit per point on its window
+    (fl(u - b) <= x <= fl(u + b)) in centred form, with the kernel factor
+    1 for the uniform kernel as on its prefix-sum path; and each point's
+    design denominator s0 s2 - s1^2 and its singular-design floor."""
+    d = x[None, :] - x[:, None]
+    inside = (x[None, :] >= (x - b)[:, None]) & (x[None, :] <= (x + b)[:, None])
+    k = np.where(inside, 1.0 if kernel.kind == "uniform"
+                 else eval_kernel(kernel, np.clip(d / b, -1.0, 1.0)), 0.0)
+    s0 = k.sum(1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_bar, y_bar = (k @ x) / s0 - x, (k @ y) / s0
+        dc, yc = d - d_bar[:, None], y[None, :] - y_bar[:, None]
+        sdd = (k * dc * dc).sum(1)
+        slope = (k * dc * yc).sum(1) / sdd
+        return y_bar - slope * d_bar, s0 * sdd, denominator_floor(s0, (k * d * d).sum(1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    blocks=st.lists(st.tuples(st.integers(min_value=2, max_value=600),
+                              st.integers(min_value=1, max_value=4)), min_size=1, max_size=3),
+    kind=st.sampled_from(KERNEL_KINDS),
+)
+def test_smooth_rows_match_rows_alone_and_a_dense_fit(seed, blocks, kind):
+    """Each row of a block of ``_smooth_rows``, at its own bandwidth, is the
+    row smoothed alone, bit for bit, and a kernel-weighted least-squares
+    fit at each point within 1e-9 relative, with its NaN mask wherever
+    the design denominator is not within a factor 2 of its floor.  Blocks
+    are ragged; x lies on a grid of 0.01 in [-1, 1], so rows have ties
+    and, at bandwidths below 0.01, windows of one distinct value."""
+    rng = np.random.default_rng(seed)
+    kernel = KernelSpec(kind)
+    for t_obs, n_rows in blocks:
+        x = rng.integers(-100, 101, (n_rows, t_obs)) / 100
+        y = np.sin(3.0 * x) + (x >= 0.0) + rng.normal(size=x.shape)
+        b = rng.uniform(0.005, 0.5, n_rows)
+        for r, row in enumerate(_smooth_rows(y, x, b, kernel)):
+            alone = _smooth_rows(y[r:r + 1], x[r:r + 1], b[r:r + 1], kernel)[0]
+            fitted, den, floor = _dense_fitted(y[r], x[r], b[r], kernel)
+            clear = (den > 2.0 * floor) | (den < 0.5 * floor)
+            if isinstance(row, InsufficientSupport):
+                assert str(alone) == str(row)
+                assert not (den > floor)[clear].any()
+                continue
+            assert row.tobytes() == alone.tobytes()
+            np.testing.assert_array_equal(np.isnan(row)[clear], ~(den > floor)[clear])
+            ok = clear & (den > floor)
+            np.testing.assert_allclose(y[r][ok] - row[ok], fitted[ok], rtol=1e-9,
+                                       atol=1e-9 * np.abs(y[r]).max())
+
+
+@pytest.mark.xfail(strict=True, reason="the uniform smoother centres on the row mean and "
+                   "takes prefix sums over the whole row, so a point far outside every "
+                   "window costs the others precision")
+@pytest.mark.parametrize("far", [1e8, -1e10])
+def test_far_point_leaves_uniform_residuals_alone(far):
+    """A point (far, 0) whose window holds only itself does not change the
+    uniform smoother's residuals at the other points."""
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-1.0, 1.0, 200)
+    y = np.sin(3.0 * x) + (x >= 0.0) + 0.1 * rng.normal(size=200)
+    with_far = residuals(np.append(y, 0.0), np.append(x, far), 0.3, UNIFORM)[:200]
+    np.testing.assert_allclose(with_far, residuals(y, x, 0.3, UNIFORM), rtol=1e-9)

@@ -1,12 +1,15 @@
 """The package's public names: every module's ``__all__`` entries resolve
 and are its own, and the full set is pinned so that adding, renaming or
 removing a public name is a visible change (the benchmark's tracer looks
-up every ``__all__`` entry of the layer modules by name)."""
+up every ``__all__`` entry of the layer modules by name); and the
+``kernels`` docstring names every private ``*_rows`` function."""
 
 from __future__ import annotations
 
 import importlib
+import inspect
 import pkgutil
+import re
 
 import pytest
 
@@ -50,3 +53,13 @@ def test_public_names_are_pinned():
                    for attr in importlib.import_module(f"paneljump.{name}").__all__)
     assert names == sorted(PUBLIC)
     assert len(names) == 46
+
+
+def test_kernels_docstring_lists_every_rows_function():
+    doc = importlib.import_module("paneljump.kernels").__doc__
+    listed = set(re.findall(r"``(_\w+_rows)``", doc))
+    defined = {attr for name in MODULES
+               for attr, value in vars(importlib.import_module(f"paneljump.{name}")).items()
+               if re.fullmatch(r"_\w+_rows", attr) and inspect.isfunction(value)
+               and value.__module__ == f"paneljump.{name}"}
+    assert listed == defined
