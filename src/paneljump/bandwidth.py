@@ -10,7 +10,6 @@ optimality per se.
 
 The plugin rule runs for a block of units at once, and avoids numpy's
 convenience wrappers where their per-call overhead would be paid per unit:
-one sort gives each unit's range and per-side distinct-value counts, and
 the quartic fits are done with plain array operations and one ``lstsq``
 call per side and unit.  Each step replays the floating-point operations
 of the library call it replaces (``np.unique``,
@@ -178,9 +177,9 @@ def _quartic_side(y: np.ndarray, d: np.ndarray):
     return float(resid @ resid), float(curv)
 
 
-def _plugin_rows(y, x, c, kernel: KernelSpec, bounds: tuple[float, float]) -> list:
-    """Rule-of-thumb bandwidth for the jump estimate at each row's own c,
-    or the row's InsufficientSupport.
+def _plugin_rows(y, x, order, c, kernel: KernelSpec, bounds: tuple[float, float]) -> list:
+    """Rule-of-thumb bandwidth for the jump estimate at each row's own c
+    (stable x-order ``order``), or the row's InsufficientSupport.
 
         b = C(K) [ sigma^2 / (f(c) curv^2) ]^(1/5) T^(-1/5)
 
@@ -207,7 +206,7 @@ def _plugin_rows(y, x, c, kernel: KernelSpec, bounds: tuple[float, float]) -> li
     if t_obs < _MIN_OBS:
         return [InsufficientSupport(f"need at least {_MIN_OBS} observations, got {t_obs}")
                 for _ in x]
-    xs = np.sort(x, 1)
+    xs = np.take_along_axis(x, order, 1)
     first = np.ones(x.shape, dtype=bool)  # each value's first place, so also the split
     np.not_equal(xs[:, 1:], xs[:, :-1], out=first[:, 1:])
     with np.errstate(all="ignore"):  # it also covers rows that fail a check first
@@ -283,9 +282,9 @@ def pooled_bandwidth(bandwidths, clamp: tuple[float, float] | None = None) -> fl
     return pooled
 
 
-def _pilot_rows(x, b) -> np.ndarray:
+def _pilot_rows(x, order, b) -> np.ndarray:
     """Undersmoothing bandwidth for residual extraction near an unknown
-    jump, for each row of a block of equal-length units.
+    jump, for each row (stable x-order ``order``) of a block of equal-length units.
 
     Shrinks each row's b by T^(-1/10) so an unremoved jump contaminates a
     thinner strip of residuals, then floors the result so that every
@@ -298,7 +297,7 @@ def _pilot_rows(x, b) -> np.ndarray:
     with np.errstate(over="ignore"):  # spans past the float range become inf
         if n <= _PILOT_MIN_POINTS:
             return np.maximum(b_star, x.max(1) - x.min(1) if n > 1 else b)
-        xs = np.sort(x, 1)
+        xs = np.take_along_axis(x, order, 1)
         k = _PILOT_MIN_POINTS - 1
         # Minimal half-width placing >= _PILOT_MIN_POINTS sample values in the
         # window of each point, then the worst case over points: point j + m

@@ -115,15 +115,14 @@ def _local_linear(s0, s1, s2, t0, t1) -> np.ndarray:
     return fit
 
 
-def _smooth_rows(y, x, b, kernel: KernelSpec) -> list:
+def _smooth_rows(y, x, order, b, kernel: KernelSpec) -> list:
     """Each row's residuals from a two-sided local linear smooth at every
     sample point, at the row's own bandwidth (NaN where the local design
     is degenerate), or its InsufficientSupport when no point admits a fit.
 
-    Each row is sorted once and smoothed at its sorted points; each
-    point's fitted value depends only on its own window.
+    Each row is smoothed at its points taken in its stable x-order
+    ``order``; each point's fitted value depends only on its own window.
     """
-    order = np.argsort(x, axis=1, kind="stable")
     xs, ys = np.take_along_axis(x, order, 1), np.take_along_axis(y, order, 1)
     if kernel.kind == "uniform":
         fitted = _fitted_uniform(xs, ys, b)

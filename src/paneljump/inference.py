@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from numbers import Real
 from typing import Mapping
 
 import numpy as np
@@ -74,9 +75,9 @@ _FLOOR_RTOL = 1e-6
 
 
 def _check_int(value, name: str, low: int = 0) -> None:
-    """The one rule for seeds and counts: a Python or numpy integer of at
-    least ``low`` (0 or 1), else a ConfigError naming ``name``."""
-    if not (isinstance(value, (int, np.integer)) and value >= low):
+    """The one rule for seeds and counts: a Python or numpy integer, not a
+    bool, of at least ``low`` (0 or 1), else a ConfigError naming ``name``."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= low):
         need = "a nonnegative integer" if low == 0 else "positive and an integer"
         raise ConfigError(f"{name} must be {need}, got {value!r}")
 
@@ -96,6 +97,9 @@ class TestConfig:
     truncation: float | None = None
 
     def __post_init__(self) -> None:
+        if not (np.iterable(self.alphas) and all(isinstance(a, Real) for a in self.alphas)):
+            raise ConfigError(f"alphas must be a sequence of real numbers, got {self.alphas!r}")
+        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         if not self.alphas:
             raise ConfigError("alphas needs at least one significance level")
         for a in self.alphas:
@@ -371,28 +375,31 @@ def _blocks(units, rows, *values) -> dict:
 
 def _front_end(panel: PanelData, threshold, config: TestConfig, what: str):
     """Front end of the panel tests: the empty-panel check, each unit's
-    threshold and bandwidth.  Returns the units that keep a bandwidth,
-    the thresholds and bandwidths by unit id, and the bandwidth skips."""
+    stable x-order (its one sort), threshold and bandwidth.  Returns the
+    units that keep a bandwidth, the bandwidth skips, and the orders,
+    thresholds and bandwidths by unit id, as the row functions take them."""
     if len(panel) == 0:
         raise NumericalError("empty panel")
     thresholds = _resolve_thresholds(panel, threshold)
-    policy, skipped = config.bandwidth, []
+    orders = _blocks(panel, lambda _, y, x: np.argsort(x, axis=1, kind="stable"))
+    policy, units, skipped = config.bandwidth, list(panel), []
     if policy.mode == "fixed":
-        return list(panel), thresholds, dict.fromkeys(thresholds, float(policy.value)), skipped
+        return units, skipped, orders, thresholds, dict.fromkeys(thresholds, float(policy.value))
     kernel, (lo, hi) = config.kernel, policy.bounds
-    selected = _blocks(panel, lambda _, y, x, c: _plugin_rows(y, x, c, kernel, (lo, hi)),
-                       thresholds)
+    selected = _blocks(panel, lambda _, y, x, o, c: _plugin_rows(y, x, o, c, kernel, (lo, hi)),
+                       orders, thresholds)
     if policy.mode == "plugin":
         failed = {uid: InsufficientSupport(f"bandwidth selection failed: {b}")
                   for uid, b in selected.items() if isinstance(b, InsufficientSupport)}
         bandwidths = _kept(panel, selected | failed, skipped, what)
-        return [u for u in panel if u.unit_id in bandwidths], thresholds, bandwidths, skipped
+        units = [u for u in panel if u.unit_id in bandwidths]
+        return units, skipped, orders, thresholds, bandwidths
     per_unit = [b for b in selected.values() if not isinstance(b, InsufficientSupport)]
     if not per_unit:
         raise NumericalError("no unit supports plugin bandwidth selection")
     ranges = [float(u.x.max() - u.x.min()) for u in panel if u.x.size > 1]
     pooled = pooled_bandwidth(per_unit, clamp=(lo * min(ranges), hi * max(ranges)))
-    return list(panel), thresholds, dict.fromkeys(thresholds, pooled), skipped
+    return units, skipped, orders, thresholds, dict.fromkeys(thresholds, pooled)
 
 
 def _unit_row(unit: PanelUnit, c: float, b: float, fit: UnitJumpFit,
@@ -421,7 +428,7 @@ def _unit_row(unit: PanelUnit, c: float, b: float, fit: UnitJumpFit,
     )
 
 
-def _analyze_rows(block: list[PanelUnit], y, x, c, b, kernel: KernelSpec) -> list:
+def _analyze_rows(block: list[PanelUnit], y, x, order, c, b, kernel: KernelSpec) -> list:
     """Each unit's report row at its threshold, or the error that skips it or
     stops the test.  A unit whose smooth fits at no point is skipped for
     that, not for the variance window it leaves empty."""
@@ -431,7 +438,7 @@ def _analyze_rows(block: list[PanelUnit], y, x, c, b, kernel: KernelSpec) -> lis
         return out
     y, x, c, b = y[keep], x[keep], c[keep], b[keep]
     y = y - np.array([out[i].gamma_hat for i in keep])[:, None] * (x >= c[:, None])
-    smoothed = _smooth_rows(y, x, b, kernel)
+    smoothed = _smooth_rows(y, x, order[keep], b, kernel)
     resid = np.array([np.full(x.shape[1], np.nan) if isinstance(r, InsufficientSupport) else r
                       for r in smoothed])
     for r, (i, sigma_sq) in enumerate(zip(keep, _window_rows(resid, x, c, b, np.inf))):
@@ -470,9 +477,8 @@ def _fit_panel(panel: PanelData, threshold, config: TestConfig):
             "TestConfig.truncation applies only to search_thresholds; "
             "known-threshold tests need truncation=None"
         )
-    units, thresholds, bandwidths, skipped = _front_end(panel, threshold, config, "a jump fit")
-    found = _blocks(units, lambda *args: _analyze_rows(*args, config.kernel),
-                    thresholds, bandwidths)
+    units, skipped, *values = _front_end(panel, threshold, config, "a jump fit")
+    found = _blocks(units, lambda *args: _analyze_rows(*args, config.kernel), *values)
     return list(_kept(units, found, skipped, "a jump fit").values()), skipped
 
 
@@ -548,9 +554,10 @@ def test_homogeneity(panel: PanelData, threshold=0.0,
 # unknown threshold
 
 
-def _scan_rows(x, y, resid, grid: np.ndarray, b, a_trunc: float, floor):
+def _scan_rows(y, x, order, resid, grid: np.ndarray, b, a_trunc: float, floor):
     """Uniform-kernel statistics of each row at every grid point from prefix
-    sums, at the row's own bandwidth ``b`` and scale floor ``floor``.
+    sums along its stable x-order ``order``, at its own bandwidth ``b`` and
+    scale floor ``floor``.
 
     Mirrors ``estimator._fit_rows``, ``variance._window_rows`` and ``_unit_row``
     without forming a weight row: with the kernel constant, each side's
@@ -559,8 +566,8 @@ def _scan_rows(x, y, resid, grid: np.ndarray, b, a_trunc: float, floor):
     window is the union of the two sides' windows.  Sums run in numpy's long
     double, recentred on the row's mean of x; where that is plain float64 the
     error bound below is wider and more points go to the dense solver.  The
-    sorts, edges and prefix sums run along each row on its own, so each row
-    is bit-identical to a block of that row alone.
+    edges and prefix sums run along each row on its own, so each row is
+    bit-identical to a block of that row alone.
 
     Returns each row's statistic per grid point (NaN where the scan finds the
     point unusable, including where the dense solver's float64 sums would
@@ -570,7 +577,6 @@ def _scan_rows(x, y, resid, grid: np.ndarray, b, a_trunc: float, floor):
     dense solver's own rounding, exceeds ``_SCAN_RTOL`` relative.  Both
     are (rows, grid points); window quantities run as (windows, rows).
     """
-    order = np.argsort(x, axis=1, kind="stable")
     xs = np.take_along_axis(x, order, 1)
     (n_rows, n_obs), k, rows = xs.shape, grid.size, np.arange(len(x))
     lo_m = _edges(xs, grid - b[:, None], "left").T
@@ -659,25 +665,25 @@ def _scan_rows(x, y, resid, grid: np.ndarray, b, a_trunc: float, floor):
     return t.T, unsure.T
 
 
-def _grid_search(units, grid: np.ndarray, bandwidths, residuals, a_trunc: float,
+def _grid_search(units, grid: np.ndarray, orders, bandwidths, residuals, a_trunc: float,
                  config: TestConfig) -> dict:
     """Each unit's search by unit id: its report row at its best grid point
-    (the first on exact ties), with the statistic at every grid point in
-    ``stats`` (NaN where unusable), and its correlation block over the
-    valid points in grid order when critical values are simulated (else
-    None); or InsufficientSupport when no grid point is usable.
+    (the first on exact ties), with ``stats`` as ``UnitResult`` says, and
+    its correlation block over the valid points in grid order when
+    critical values are simulated (else None); or InsufficientSupport
+    when no grid point is usable.
 
     The uniform kernel with analytic critical values scans every point
     (``_scan_rows``, as row blocks of units) and solves only those that can
     win or that the scan cannot vouch for; any other configuration solves
     every point.  The solved (unit, grid point) rows run as row blocks
     gathered across the units of one length, each bit-identical to its
-    point alone, and their exact values replace the scan's.
+    point alone.
     """
     floors = {u.unit_id: _v_floor(u.y) for u in units}
 
-    def solve_sets(_, y, x, resid, b, floor):
-        stats, unsure = _scan_rows(x, y, resid, grid, b, a_trunc, floor)
+    def solve_sets(_, y, x, order, resid, b, floor):
+        stats, unsure = _scan_rows(y, x, order, resid, grid, b, a_trunc, floor)
         sure = np.isfinite(stats) & ~unsure
         score = _score(stats, config.sidedness)
         top = np.max(score, axis=1, keepdims=True, initial=-np.inf, where=sure)
@@ -685,7 +691,7 @@ def _grid_search(units, grid: np.ndarray, bandwidths, residuals, a_trunc: float,
         return zip(stats, unsure | near)
 
     if config.kernel.kind == "uniform" and config.cv_method == "analytic":
-        found = _blocks(units, solve_sets, residuals, bandwidths, floors)
+        found = _blocks(units, solve_sets, orders, residuals, bandwidths, floors)
     else:
         found = dict.fromkeys(bandwidths, (np.full(grid.size, np.nan), np.ones(grid.size, bool)))
     points = [(u, k) for u in units for k in np.flatnonzero(found[u.unit_id][1]).tolist()]
@@ -733,15 +739,14 @@ def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) 
 
     With the uniform kernel and analytic critical values, a prefix-sum
     scan ranks every grid point and only the points that can be a unit's
-    best (or that the scan cannot vouch for) are solved densely, so each
-    row's ``stats`` holds exact values at the reported point and any
-    near-ties, scan values within 4e-10 relative (typically 1e-12)
-    elsewhere, and an exact NaN mask.  Other kernels, and simulated
-    critical values, which need every weight row, solve every grid point.
-    The scan runs as row blocks of units, and the solved (unit, grid point)
-    rows as row blocks gathered across the units of one length; at the
-    same bandwidth and truncation level each unit's results are those of
-    the unit searched alone, bit for bit.  Grid values must be finite.
+    best (or that the scan cannot vouch for) are solved densely; each
+    row's ``stats`` then holds what ``UnitResult`` says.  Other kernels,
+    and simulated critical values, which need every weight row, solve
+    every grid point.  The scan runs as row blocks of units, and the solved
+    (unit, grid point) rows as row blocks gathered across the units of one
+    length; at the same bandwidth and truncation level each unit's results
+    are those of the unit searched alone, bit for bit.  Grid values must be
+    finite.
 
     The result's ``spacing_warning`` flag is set when the grid spacing
     drops to 2 bandwidths or less, where statistics at neighbouring grid
@@ -757,10 +762,10 @@ def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) 
         raise ConfigError(f"grid values must be finite, got {grid[~np.isfinite(grid)][0]}")
     if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
         raise ConfigError("grid must be strictly increasing")
-    units, _, bandwidths, skipped = _front_end(panel, float(grid[grid.size // 2]), config,
-                                               "a grid search")
-    smoothed = _blocks(units, lambda _, y, x, b: _smooth_rows(y, x, _pilot_rows(x, b),
-                                                              config.kernel), bandwidths)
+    units, skipped, orders, _, bandwidths = _front_end(panel, float(grid[grid.size // 2]),
+                                                       config, "a grid search")
+    smoothed = _blocks(units, lambda _, y, x, order, b: _smooth_rows(
+        y, x, order, _pilot_rows(x, order, b), config.kernel), orders, bandwidths)
     residuals = _kept(units, smoothed, skipped, "a grid search")
     units = [u for u in units if u.unit_id in residuals]
 
@@ -775,15 +780,14 @@ def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) 
                 f"residual (the smallest is {float(pooled.min())!r})"
             )
 
-    found = _kept(units, _grid_search(units, grid, bandwidths, residuals, a_trunc, config),
-                  skipped, "a grid search")
+    found = _kept(units, _grid_search(units, grid, orders, bandwidths, residuals, a_trunc,
+                                      config), skipped, "a grid search")
     per_unit = [row for row, _ in found.values()]
     statistic = float(np.max(_score(np.array([u.t_stat for u in per_unit]), config.sidedness)))
     n_comparisons = int(sum(np.count_nonzero(np.isfinite(u.stats)) for u in per_unit))
 
-    sigma_c = None
-    if config.cv_method == "simulated":
-        sigma_c = SigmaC(unit_ids=list(found), blocks=[block for _, block in found.values()])
+    sigma_c = (SigmaC(unit_ids=list(found), blocks=[block for _, block in found.values()])
+               if config.cv_method == "simulated" else None)
     cvs = critical_values(n_comparisons, config, sigma_c)
 
     spacing_warning = bool(grid.size > 1 and np.min(np.diff(grid))

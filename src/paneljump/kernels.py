@@ -19,7 +19,9 @@ Conventions used throughout:
     ``_fit_rows``, ``_smooth_rows``, ``_window_rows``, ``_analyze_rows``
     (a known-threshold report row), and the grid search's ``_scan_rows``,
     which marks unusable points NaN; the simulator's ``_ma_rows`` draws
-    noise rows and is no step.
+    noise rows and is no step.  A step that needs sorted covariates takes
+    the block's stable x-order, worked out once per panel test by
+    ``inference._front_end``, and none of them sorts.
 """
 
 from __future__ import annotations

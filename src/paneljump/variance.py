@@ -63,12 +63,8 @@ def default_truncation(pooled_resid_sq) -> float:
     entirely."""
     pooled = np.asarray(pooled_resid_sq, dtype=float)
     pooled = pooled[np.isfinite(pooled)]
-    if pooled.size == 0:
-        return np.inf
-    med = float(np.median(pooled))
-    if med <= 0.0:
-        return np.inf
-    return 9.0 * med
+    med = float(np.median(pooled)) if pooled.size else 0.0
+    return 9.0 * med if med > 0.0 else np.inf
 
 
 def v_sq(w_diff, sigma_e_sq: float, t_obs: int, b: float) -> float:

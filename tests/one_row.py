@@ -23,14 +23,20 @@ def _row(values) -> np.ndarray:
     return np.asarray(values, dtype=float)[None]
 
 
+def _order(x) -> np.ndarray:
+    """The stable x-order of the block of one row built from ``x``, as the
+    panel front end works it out."""
+    return np.argsort(_row(x), axis=1, kind="stable")
+
+
 def plugin(y, x, c, kernel, bounds=DEFAULT_BOUNDS) -> float:
     """``bandwidth._plugin_rows`` for one unit."""
-    return _raised(_plugin_rows(_row(y), _row(x), _row(c), kernel, bounds)[0])
+    return _raised(_plugin_rows(_row(y), _row(x), _order(x), _row(c), kernel, bounds)[0])
 
 
 def pilot(x, b) -> float:
     """``bandwidth._pilot_rows`` for one unit."""
-    return float(_pilot_rows(_row(x), _row(b))[0])
+    return float(_pilot_rows(_row(x), _order(x), _row(b))[0])
 
 
 def weights(x, c, b, kernel, side) -> np.ndarray:
@@ -47,7 +53,7 @@ def jump(y, x, c, b, kernel):
 
 def residuals(y, x, b, kernel) -> np.ndarray:
     """``estimator._smooth_rows`` for one unit."""
-    return _raised(_smooth_rows(_row(y), _row(x), _row(b), kernel)[0])
+    return _raised(_smooth_rows(_row(y), _row(x), _order(x), _row(b), kernel)[0])
 
 
 def window_mean(resid, x, c, b, a_trunc) -> float:
@@ -58,12 +64,14 @@ def window_mean(resid, x, c, b, a_trunc) -> float:
 def scan(x, y, resid, grid, b, a_trunc, floor):
     """``inference._scan_rows`` for one unit: its statistic at each grid
     point and its mask of points to solve densely."""
-    t, unsure = _scan_rows(_row(x), _row(y), _row(resid), grid, _row(b), a_trunc, _row(floor))
+    t, unsure = _scan_rows(_row(y), _row(x), _order(x), _row(resid), grid, _row(b), a_trunc,
+                           _row(floor))
     return t[0], unsure[0]
 
 
 def search(unit, grid, b, a_trunc, resid, config):
     """``inference._grid_search`` for one unit: its (report row, correlation
     block or None), or its InsufficientSupport."""
-    return _grid_search([unit], grid, {unit.unit_id: b}, {unit.unit_id: resid}, a_trunc,
-                        config)[unit.unit_id]
+    uid = unit.unit_id
+    return _grid_search([unit], grid, {uid: _order(unit.x)[0]}, {uid: b}, {uid: resid}, a_trunc,
+                        config)[uid]

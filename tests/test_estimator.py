@@ -161,8 +161,9 @@ def test_smooth_rows_match_rows_alone_and_a_dense_fit(seed, blocks, kind):
         x = rng.integers(-100, 101, (n_rows, t_obs)) / 100
         y = np.sin(3.0 * x) + (x >= 0.0) + rng.normal(size=x.shape)
         b = rng.uniform(0.005, 0.5, n_rows)
-        for r, row in enumerate(_smooth_rows(y, x, b, kernel)):
-            alone = _smooth_rows(y[r:r + 1], x[r:r + 1], b[r:r + 1], kernel)[0]
+        order = np.argsort(x, axis=1, kind="stable")
+        for r, row in enumerate(_smooth_rows(y, x, order, b, kernel)):
+            alone = _smooth_rows(y[r:r + 1], x[r:r + 1], order[r:r + 1], b[r:r + 1], kernel)[0]
             fitted, den, floor = _dense_fitted(y[r], x[r], b[r], kernel)
             clear = (den > 2.0 * floor) | (den < 0.5 * floor)
             if isinstance(row, InsufficientSupport):

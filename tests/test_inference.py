@@ -209,6 +209,23 @@ class TestCriticalValue:
         with pytest.raises(ConfigError, match="at least one"):
             Config(alphas=())
 
+    @pytest.mark.parametrize("alphas", [(0.1, "0.05"), "0.05", 0.05, (0.1, None),
+                                        np.array([[0.1, 0.05]])])
+    def test_levels_must_be_real_numbers(self, alphas):
+        """Anything but a sequence of real numbers is a ConfigError, not a
+        TypeError or an ambiguous-truth ValueError."""
+        with pytest.raises(ConfigError, match="^alphas must be a sequence of real numbers"):
+            Config(alphas=alphas)
+
+    def test_levels_are_stored_as_a_tuple_of_floats(self):
+        """An array or list of levels is kept as a tuple of Python floats,
+        with the same critical values as the tuple."""
+        cfg = Config(alphas=np.array([0.1, 0.05]))
+        assert cfg.alphas == (0.1, 0.05)
+        assert all(type(a) is float for a in cfg.alphas)
+        assert Config(alphas=[0.1, 0.05]) == Config(alphas=(0.1, 0.05))
+        assert critical_values(7, cfg) == critical_values(7, Config(alphas=(0.1, 0.05)))
+
     def test_levels_share_one_simulated_sample(self, monkeypatch):
         """All levels are quantiles of one sample, with the config's knobs."""
         calls = []
@@ -271,11 +288,12 @@ _COUNTS = {
 }
 
 
-@pytest.mark.parametrize("value", [2.5, 50.5, 3.0, None, "100"])
+@pytest.mark.parametrize("value", [2.5, 50.5, 3.0, None, "100", True, False, np.True_])
 @pytest.mark.parametrize("field", sorted(_COUNTS))
 def test_counts_follow_one_integer_rule(field, value):
     """A non-integer seed or count is a ConfigError naming the field, not
-    a TypeError from later arithmetic; numpy integers pass."""
+    a TypeError from later arithmetic; a bool is no count, and numpy
+    integers pass."""
     name = field.split()[-1]
     with pytest.raises(ConfigError, match=f"^{name} must be .*, got {re.escape(repr(value))}$"):
         _COUNTS[field](value)
@@ -1158,7 +1176,8 @@ def test_scan_rows_match_rows_alone(seed, n_obs, rows, levels, n_grid, shift, na
     grid = np.unique(rng.uniform(-1.2, 1.2, n_grid)) + shift
     b = rng.choice([0.05, 0.2, 0.45], rows)
     floor = np.array([paneljump.inference._v_floor(row) for row in y])
-    t, unsure = paneljump.inference._scan_rows(x, y, resid, grid, b, a_trunc, floor)
+    order = np.argsort(x, axis=1, kind="stable")
+    t, unsure = paneljump.inference._scan_rows(y, x, order, resid, grid, b, a_trunc, floor)
     for r in range(rows):
         t_alone, unsure_alone = scan(x[r], y[r], resid[r], grid, b[r], a_trunc, floor[r])
         assert t[r].tobytes() == t_alone.tobytes()
