@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientSupport
+from .errors import ConfigError, InsufficientSupport, _check_real
 from .kernels import KernelSpec
 
 __all__ = [
@@ -62,6 +62,8 @@ class BandwidthPolicy:
     bounds
         (lower, upper) as fractions of each unit's covariate range;
         selections are clamped into this interval.
+
+    ``value`` and ``bounds`` are real numbers (not bools), kept as floats.
     """
 
     mode: str = "plugin"
@@ -72,16 +74,22 @@ class BandwidthPolicy:
         if self.mode not in ("fixed", "plugin", "pooled_plugin"):
             raise ConfigError(f"unknown bandwidth mode {self.mode!r}")
         if self.mode == "fixed":
-            if self.value is None or not 0.0 < self.value < np.inf:
+            object.__setattr__(self, "value", _check_real(self.value, "fixed bandwidth"))
+            if not 0.0 < self.value < np.inf:
                 raise ConfigError(
                     f"fixed bandwidth needs a finite positive value, got {self.value}")
-        lo, hi = self.bounds
+        try:
+            lo, hi = (_check_real(v, "bound") for v in self.bounds)
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"bandwidth bounds must be a pair of real numbers, got {self.bounds!r}") from None
         if not (0.0 < lo < hi):
             raise ConfigError(f"invalid bandwidth bounds {self.bounds}")
+        object.__setattr__(self, "bounds", (lo, hi))
 
     @classmethod
     def fixed(cls, value: float) -> "BandwidthPolicy":
-        return cls(mode="fixed", value=float(value))
+        return cls(mode="fixed", value=value)
 
     @classmethod
     def plugin(cls, bounds: tuple[float, float] = DEFAULT_BOUNDS) -> "BandwidthPolicy":

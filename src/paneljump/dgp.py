@@ -31,9 +31,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
-from .inference import (TestConfig, _check_int, _check_two_sided, search_thresholds,
-                        test_existence, test_homogeneity)
+from .errors import ConfigError, NumericalError, _check_int, _check_real
+from .inference import (TestConfig, _check_two_sided, search_thresholds, test_existence,
+                        test_homogeneity)
 from .panel import PanelData, PanelUnit
 
 __all__ = [
@@ -63,9 +63,9 @@ class GammaScheme:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.fraction <= 1.0:
+        if not 0.0 <= _check_real(self.fraction, "fraction") <= 1.0:
             raise ConfigError("fraction must lie in [0, 1]")
-        if self.fraction > 0.0 and not 0.0 < self.scale < np.inf:
+        if self.fraction > 0.0 and not 0.0 < _check_real(self.scale, "scale") < np.inf:
             raise ConfigError(f"scale must be positive and finite, got {self.scale}")
 
     @classmethod
@@ -97,7 +97,7 @@ class DgpConfig:
         _check_int(self.t_obs, "t_obs")
         if self.n_units < 1 or self.t_obs < 2:
             raise ConfigError("need at least 1 unit and 2 observations")
-        if not np.isfinite(self.threshold):
+        if not np.isfinite(_check_real(self.threshold, "threshold")):
             raise ConfigError(f"threshold must be finite, got {self.threshold}")
         _check_int(self.seed, "seed")
 

@@ -9,6 +9,10 @@ own exit code:
   * NumericalError (exit 4): a computation could not be carried out on
     otherwise valid input.
 
+Settings pass one of two type rules before any range check, so a wrong
+type is a ConfigError and never a TypeError from later arithmetic:
+``_check_int`` for seeds and counts, ``_check_real`` for real numbers.
+
 Any other exception is a fault in the program, not in its input.
 
 A failure gets its own subclass only when code tells it apart from the
@@ -24,6 +28,8 @@ family class with a message that names it.
 """
 
 from __future__ import annotations
+
+from numbers import Integral, Real
 
 __all__ = [
     "PanelJumpError",
@@ -73,3 +79,20 @@ def _raised(value):
     if isinstance(value, PanelJumpError):
         raise value
     return value
+
+
+def _check_int(value, name: str, low: int = 0) -> None:
+    """The one rule for seeds and counts: a Python or numpy integer, not a
+    bool, of at least ``low`` (0 or 1), else a ConfigError naming ``name``."""
+    if isinstance(value, bool) or not (isinstance(value, Integral) and value >= low):
+        need = "a nonnegative integer" if low == 0 else "positive and an integer"
+        raise ConfigError(f"{name} must be {need}, got {value!r}")
+
+
+def _check_real(value, name: str) -> float:
+    """The one rule for real-valued settings: a Python or numpy real number,
+    not a bool, else a ConfigError naming ``name``.  Returns it as a float;
+    range checks are the caller's."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    return float(value)

@@ -15,13 +15,13 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from numbers import Real
 from typing import Mapping
 
 import numpy as np
 
 from .bandwidth import BandwidthPolicy, _pilot_rows, _plugin_rows, pooled_bandwidth
-from .errors import ConfigError, DataError, InsufficientSupport, NumericalError, _raised
+from .errors import (ConfigError, DataError, InsufficientSupport, NumericalError, _check_int,
+                     _check_real, _raised)
 from .estimator import UnitJumpFit, _fit_rows, _smooth_rows
 from .kernels import KernelSpec, _edges, _recentred, denominator_floor
 from .panel import PanelData, PanelUnit
@@ -74,14 +74,6 @@ _TIE_RTOL = 1e-9
 _FLOOR_RTOL = 1e-6
 
 
-def _check_int(value, name: str, low: int = 0) -> None:
-    """The one rule for seeds and counts: a Python or numpy integer, not a
-    bool, of at least ``low`` (0 or 1), else a ConfigError naming ``name``."""
-    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= low):
-        need = "a nonnegative integer" if low == 0 else "positive and an integer"
-        raise ConfigError(f"{name} must be {need}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class TestConfig:
     """Statistical knobs shared by the panel-level tests."""
@@ -97,9 +89,12 @@ class TestConfig:
     truncation: float | None = None
 
     def __post_init__(self) -> None:
-        if not (np.iterable(self.alphas) and all(isinstance(a, Real) for a in self.alphas)):
-            raise ConfigError(f"alphas must be a sequence of real numbers, got {self.alphas!r}")
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
+        try:
+            alphas = tuple(_check_real(a, "alpha") for a in self.alphas)
+        except (TypeError, ConfigError):
+            raise ConfigError(
+                f"alphas must be a sequence of real numbers, got {self.alphas!r}") from None
+        object.__setattr__(self, "alphas", alphas)
         if not self.alphas:
             raise ConfigError("alphas needs at least one significance level")
         for a in self.alphas:
@@ -113,10 +108,11 @@ class TestConfig:
             raise ConfigError(f"cv_method must be one of {CV_METHODS}")
         _check_int(self.cv_reps, "cv_reps", 1)
         _check_int(self.seed, "seed")
-        if self.truncation is not None and not self.truncation > 0.0:
-            raise ConfigError(
-                f"truncation must be positive (inf disables it), got {self.truncation}"
-            )
+        if self.truncation is not None:
+            object.__setattr__(self, "truncation", _check_real(self.truncation, "truncation"))
+            if not self.truncation > 0.0:
+                raise ConfigError(
+                    f"truncation must be positive (inf disables it), got {self.truncation}")
 
 
 @dataclass
@@ -226,9 +222,10 @@ def _skipped_lines(skipped: list[SkippedUnit]) -> list[list]:
 # critical values
 
 
-def _score(t, sidedness: str):
-    """What the max runs over: |t| for a two-sided test, t for an upper one."""
-    return np.abs(t) if sidedness == "two_sided" else t
+def _score(t, sidedness: str, order: str = "K"):
+    """What the max runs over: |t| for a two-sided test, t for an upper one,
+    laid out in numpy ``order`` ("C" gives a C-ordered copy of t)."""
+    return np.abs(t, order=order) if sidedness == "two_sided" else np.asarray(t, order=order)
 
 
 def _usable_cpus() -> int:
@@ -248,8 +245,10 @@ def simulate_max_gaussian(sigma_c: SigmaC, reps: int, seed: int,
     Work proceeds in fixed-size chunks, each drawn from its own child of
     ``SeedSequence(seed)``, and the chunks run on a thread pool with one
     thread per usable CPU.  The sample depends only on the arguments, not
-    on the thread count.  Independent comparisons need no draw:
-    ``critical_values`` gives their quantiles in closed form.
+    on the thread count.  A unit block's maximum is exact in any order, so
+    the layout it is taken in cannot change the sample.  Independent
+    comparisons need no draw: ``critical_values`` gives their quantiles in
+    closed form.
 
     Raises
     ------
@@ -282,13 +281,15 @@ def simulate_max_gaussian(sigma_c: SigmaC, reps: int, seed: int,
 
     def draw(i: int) -> None:
         # Units are drawn in order; a running max equals the max over all
-        # columns exactly.
+        # columns exactly.  Each block is scored into a (points, rows) copy
+        # whose max runs down its columns, one elementwise pass per point
+        # instead of one short reduction per row.
         best = out[i * chunk:(i + 1) * chunk]
         rng = np.random.default_rng(children[i])
         best[:] = -np.inf
         for f in factors:
             z = rng.standard_normal((best.size, f.shape[0])) @ f.T
-            np.maximum(best, _score(z, sidedness).max(axis=1), out=best)
+            np.maximum(best, _score(z.T, sidedness, "C").max(axis=0), out=best)
 
     with ThreadPoolExecutor(min(_usable_cpus(), n_chunks)) as pool:
         list(pool.map(draw, range(n_chunks)))  # re-raises a chunk's error
@@ -384,7 +385,7 @@ def _front_end(panel: PanelData, threshold, config: TestConfig, what: str):
     orders = _blocks(panel, lambda _, y, x: np.argsort(x, axis=1, kind="stable"))
     policy, units, skipped = config.bandwidth, list(panel), []
     if policy.mode == "fixed":
-        return units, skipped, orders, thresholds, dict.fromkeys(thresholds, float(policy.value))
+        return units, skipped, orders, thresholds, dict.fromkeys(thresholds, policy.value)
     kernel, (lo, hi) = config.kernel, policy.bounds
     selected = _blocks(panel, lambda _, y, x, o, c: _plugin_rows(y, x, o, c, kernel, (lo, hi)),
                        orders, thresholds)
@@ -773,7 +774,7 @@ def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) 
     if config.truncation is None:
         a_trunc = default_truncation(pooled)
     else:
-        a_trunc = float(config.truncation)
+        a_trunc = config.truncation
         if a_trunc <= pooled.min():
             raise ConfigError(
                 f"truncation {a_trunc!r} is at or below every squared pilot "

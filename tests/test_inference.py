@@ -210,10 +210,10 @@ class TestCriticalValue:
             Config(alphas=())
 
     @pytest.mark.parametrize("alphas", [(0.1, "0.05"), "0.05", 0.05, (0.1, None),
-                                        np.array([[0.1, 0.05]])])
+                                        np.array([[0.1, 0.05]]), (0.05, True)])
     def test_levels_must_be_real_numbers(self, alphas):
         """Anything but a sequence of real numbers is a ConfigError, not a
-        TypeError or an ambiguous-truth ValueError."""
+        TypeError or an ambiguous-truth ValueError; a bool is no level."""
         with pytest.raises(ConfigError, match="^alphas must be a sequence of real numbers"):
             Config(alphas=alphas)
 
@@ -300,6 +300,55 @@ def test_counts_follow_one_integer_rule(field, value):
     _COUNTS[field](np.int64(100))
 
 
+# Every real-valued setting a caller sets, each as a function of its value
+# that returns the value as stored (or checked).
+_REALS = {
+    "truncation": lambda v: Config(truncation=v).truncation,
+    "fixed bandwidth": lambda v: BandwidthPolicy(mode="fixed", value=v).value,
+    "BandwidthPolicy.fixed: fixed bandwidth": lambda v: BandwidthPolicy.fixed(v).value,
+    "fraction": lambda v: GammaScheme.sparse_power(v).fraction,
+    "scale": lambda v: GammaScheme.sparse_power(0.5, v).scale,
+    "threshold": lambda v: DgpConfig(dgp_id=1, n_units=3, t_obs=64, threshold=v).threshold,
+}
+
+
+@pytest.mark.parametrize("value", ["0.3", 0.3j, True, False, np.True_])
+@pytest.mark.parametrize("field", sorted(_REALS))
+def test_real_settings_follow_one_rule(field, value):
+    """A real-valued setting that is no real number, or is a bool, is a
+    ConfigError naming it, not a TypeError from a comparison or a bool
+    taken as 1.0; numpy reals pass."""
+    name = field.split(": ")[-1]
+    with pytest.raises(ConfigError, match=f"^{name} must be a real number, got {re.escape(repr(value))}$"):
+        _REALS[field](value)
+    assert _REALS[field](np.float32(0.5)) == 0.5
+
+
+@pytest.mark.parametrize("field", ["truncation", "fixed bandwidth",
+                                   "BandwidthPolicy.fixed: fixed bandwidth"])
+def test_real_settings_are_stored_as_floats(field):
+    stored = _REALS[field](np.float32(0.5))
+    assert type(stored) is float and stored == 0.5
+    assert type(_REALS[field](2)) is float
+
+
+@pytest.mark.parametrize("bounds", [(0.1,), (0.1, 0.3, 0.5), (True, 2), (0.1, "0.5"),
+                                    0.5, None, np.array([[0.1, 0.5]])])
+@pytest.mark.parametrize("make", [BandwidthPolicy.plugin, BandwidthPolicy.pooled])
+def test_bandwidth_bounds_must_be_a_pair_of_reals(make, bounds):
+    with pytest.raises(ConfigError, match="^bandwidth bounds must be a pair of real numbers"):
+        make(bounds=bounds)
+
+
+def test_bandwidth_bounds_are_stored_as_a_tuple_of_floats():
+    """An array of bounds is kept as a tuple of Python floats, so the
+    config stays hashable and equal to the tuple's."""
+    policy = BandwidthPolicy.pooled(bounds=np.array([0.2, 0.5]))
+    assert policy.bounds == (0.2, 0.5) and all(type(b) is float for b in policy.bounds)
+    same = BandwidthPolicy.pooled(bounds=(0.2, 0.5))
+    assert policy == same and hash(Config(bandwidth=policy)) == hash(Config(bandwidth=same))
+
+
 class TestSimulateMaxGaussian:
     def test_deterministic_given_seed(self):
         a = simulate_max_gaussian(_identity_blocks(3, 2), 1000, seed=11)
@@ -382,6 +431,19 @@ class TestSimulationThreads:
         sample = simulate_max_gaussian(sigma_c, reps, 13, sidedness)
         assert np.array_equal(sample, _serial_sample(sigma_c, reps, 13, sidedness))
         assert pools == [min(cpus, n_chunks)]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("sidedness", paneljump.inference.SIDEDNESS)
+    def test_ragged_block_widths_match_serial_loop(self, monkeypatch, cpus, sidedness):
+        """Blocks of 1, 2, 5, 13 and 61 points (82 comparisons) in 1000-row
+        chunks; 2500 reps leave a 500-row last chunk."""
+        monkeypatch.setattr(paneljump.inference, "_CHUNK_BUDGET", 82 * 1000)
+        monkeypatch.setattr(paneljump.inference, "_usable_cpus", lambda: cpus)
+        widths = [1, 2, 5, 13, 61]
+        sigma_c = SigmaC(unit_ids=[f"w{w}" for w in widths],
+                         blocks=[_correlation_blocks(1, w, seed=w).blocks[0] for w in widths])
+        sample = simulate_max_gaussian(sigma_c, 2_500, 17, sidedness)
+        assert np.array_equal(sample, _serial_sample(sigma_c, 2_500, 17, sidedness))
 
     def test_many_threads_with_fast_switching(self, monkeypatch):
         """71 chunks on 8 threads, switching every microsecond: no chunk is
