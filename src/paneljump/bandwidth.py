@@ -262,7 +262,7 @@ def _plugin_row(y, d, xs, n_plus, n_minus, dens, kernel: KernelSpec,
     if sigma_sq <= 0.0:
         return lo * x_range
     curv = abs(curvs[0] - curvs[1])
-    curv = max(curv, _CURV_FLOOR * np.sqrt(sigma_sq) / x_range**2)
+    curv = max(curv, _CURV_FLOOR * np.sqrt(sigma_sq) / (x_range * x_range))
     dens_curv_sq = float(dens) * curv * curv
     if not 0.0 < dens_curv_sq < np.inf:
         raise InsufficientSupport(

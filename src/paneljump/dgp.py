@@ -26,7 +26,6 @@ tables are reproducible bit for bit and independent of execution order.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -315,6 +314,10 @@ def _run_reps(dgp_cfg: DgpConfig, mc: McConfig, test: str, grid,
     workers = min(mc.workers, n)
     if workers <= 1:
         return list(map(_one_rep, *columns))
+    # Imported here: the process pool loads multiprocessing, which only a
+    # run with workers needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_one_rep, *columns,
                              chunksize=max(1, n // (8 * workers))))

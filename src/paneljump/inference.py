@@ -12,6 +12,7 @@ draws the maximum with those per-unit correlation blocks.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -296,6 +297,63 @@ def simulate_max_gaussian(sigma_c: SigmaC, reps: int, seed: int,
     return out
 
 
+# Cephes ndtri (Cephes Math Library, S. L. Moshier): Phi^-1 by rational
+# approximations on three ranges of y.  Each denominator's leading
+# coefficient is 1, so Horner's first step is 1 * z + c, exactly as Cephes'
+# p1evl forms z + c.
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_SQRT_2PI = 2.50662827463100050242
+_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+             1.39312609387279679503E1, -1.23916583867381258016E0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0,
+             8.63602421390890590575E1, -2.25462687854119370527E2, 2.00260212380060660359E2,
+             -8.20372256168333339912E1, 1.59056225126211695515E1, -1.18331621121330003142E0)
+_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+             4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+             -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+             -8.57456785154685413611E-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1,
+             4.13172038254672030440E1, 1.50425385692907503408E1, 2.50464946208309415979E0,
+             -1.42182922854787788574E-1, -3.80806407691578277194E-2,
+             -9.33259480895457427372E-4)
+_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+             1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+             3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_NDTRI_Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0,
+             1.37702099489081330271E0, 2.16236993594496635890E-1, 1.34204006088543189037E-2,
+             3.28014464682127739104E-4, 2.89247864745380683936E-6, 6.79019408009981274425E-9)
+
+
+def _horner(z: float, coef: tuple[float, ...]) -> float:
+    out = coef[0]
+    for c in coef[1:]:
+        out = out * z + c
+    return out
+
+
+def _ndtri(y: float) -> float:
+    """Standard normal quantile Phi^-1(y): a port of Cephes ``ndtri``, the
+    algorithm behind ``scipy.special.ndtri``, with its operations in its
+    order, so the two agree bit for bit on [0, 1].  y <= 0 gives -inf and
+    y >= 1 gives inf."""
+    if y <= 0.0:
+        return -math.inf
+    if y >= 1.0:
+        return math.inf
+    upper = y > 1.0 - _EXP_M2
+    if upper:
+        y = 1.0 - y
+    if y > _EXP_M2:  # central range, where upper is False
+        y -= 0.5
+        y2 = y * y
+        return (y + y * (y2 * _horner(y2, _NDTRI_P0) / _horner(y2, _NDTRI_Q0))) * _SQRT_2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    p, q = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
+    x = x - math.log(x) / x - z * _horner(z, p) / _horner(z, q)
+    return x if upper else -x
+
+
 def critical_values(n_comparisons: int, config: TestConfig,
                     sigma_c: SigmaC | None = None) -> dict[float, float]:
     """Critical value at each of ``config.alphas`` for the maximum of
@@ -308,6 +366,10 @@ def critical_values(n_comparisons: int, config: TestConfig,
         two-sided    q = Phi^-1( (1 + (1 - alpha)^(1/n)) / 2 )
         one-sided    q = Phi^-1( (1 - alpha)^(1/n) )
 
+    Phi^-1 is ``_ndtri``, an in-repo port of Cephes ``ndtri`` that equals
+    ``scipy.special.ndtri`` bit for bit, so no scipy module is loaded.  A
+    level too small to move (1 - alpha)^(1/n) off 1 gives inf.
+
     ``sigma_c`` is a threshold search's correlation structure, which the
     search passes exactly when ``config.cv_method`` is "simulated".  The
     values are then the empirical (1 - alpha) quantiles of one
@@ -318,13 +380,10 @@ def critical_values(n_comparisons: int, config: TestConfig,
         sample = simulate_max_gaussian(sigma_c, config.cv_reps, config.seed, config.sidedness)
         return {a: float(np.quantile(sample, 1.0 - a)) for a in config.alphas}
     _check_int(n_comparisons, "n_comparisons", 1)
-    # Imported here: scipy.special is slow to load and only this branch needs it.
-    from scipy.special import ndtri
-
     out = {}
     for a in config.alphas:
         p = (1.0 - a) ** (1.0 / n_comparisons)
-        out[a] = float(ndtri(0.5 * (1.0 + p) if config.sidedness == "two_sided" else p))
+        out[a] = float(_ndtri(0.5 * (1.0 + p) if config.sidedness == "two_sided" else p))
     return out
 
 

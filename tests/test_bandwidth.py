@@ -238,7 +238,7 @@ def _reference_plugin_bandwidth(y, x, c, kernel, bounds=DEFAULT_BOUNDS):
     width = min(spread, iqr_scale) if iqr_scale > 0.0 else spread
     h_dens = 0.9 * width * t_obs ** (-0.2)
     dens = float(np.mean(np.exp(-0.5 * (d / h_dens) ** 2)) / (h_dens * np.sqrt(2.0 * np.pi)))
-    curv = max(abs(curvs[0] - curvs[1]), 0.1 * np.sqrt(sigma_sq) / x_range**2)
+    curv = max(abs(curvs[0] - curvs[1]), 0.1 * np.sqrt(sigma_sq) / (x_range * x_range))
     dens_curv_sq = dens * curv * curv
     if not 0.0 < dens_curv_sq < np.inf:
         raise InsufficientSupport(

@@ -544,14 +544,22 @@ class TestModuleEntry:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == ""
 
-    def test_importing_cli_skips_slow_scipy_modules(self):
-        # Each of these adds a large share of the CLI's start-up time.
-        code = ("import sys, paneljump.cli; "
-                "print(*[m for m in ('scipy.integrate', 'scipy.stats', 'scipy.signal', "
-                "'scipy.special') if m in sys.modules])")
+    def test_importing_cli_skips_slow_scipy_modules(self, tmp_path):
+        # scipy and the process pool each add a large share of the CLI's
+        # start-up time; only the simulator and a run with workers load them.
+        panel = ["--data", str(GOLDEN_PANEL)]
+        runs = [["jump-test", *panel, "--out", str(tmp_path / "jump.csv")],
+                ["homogeneity-test", *panel, "--out", str(tmp_path / "homogeneity.csv")],
+                ["threshold-search", *panel, "--threshold", "grid:-0.1,0,0.1",
+                 "--method", "analytic", "--out", str(tmp_path / "search.csv")],
+                ["critical-value", "--n", "29"]]
+        code = ("import sys; from paneljump.cli import cli_main; "
+                f"codes = [cli_main(args) for args in {runs!r}]; "
+                "print(codes, *[m for m in sys.modules "
+                "if m.split('.')[0] in ('scipy', 'multiprocessing')])")
         proc = _run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == ""
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0]"
 
     def test_bad_settings_raise_config_error(self):
         # One exception for an invalid argument or setting: no bare

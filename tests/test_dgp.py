@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 from dataclasses import replace
 
 import numpy as np
@@ -261,7 +262,7 @@ class TestRunSizePower:
             def map(self, fn, *columns, chunksize=1):
                 return map(fn, *columns)
 
-        monkeypatch.setattr(paneljump.dgp, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         cfg = DgpConfig(dgp_id=1, n_units=3, t_obs=80)
         pooled = run_size_power(cfg, McConfig(reps=3, base_seed=9, workers=32), config=FIXED)
         assert sizes == [3]

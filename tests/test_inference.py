@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats as sps
+from scipy.special import ndtri
 
 import paneljump.inference
 from paneljump.bandwidth import BandwidthPolicy, pooled_bandwidth
@@ -188,6 +189,11 @@ class TestCriticalValue:
                 assert critical_value(n, alpha) == sps.norm.ppf(0.5 * (1.0 + p))
                 assert critical_value(n, alpha, "one_sided_upper") == sps.norm.ppf(p)
 
+    @pytest.mark.parametrize("sidedness", paneljump.inference.SIDEDNESS)
+    def test_level_too_small_to_move_the_quantile_gives_inf(self, sidedness):
+        """(1 - 1e-17)^(1/5) rounds to 1, whose quantile is inf, as in scipy."""
+        assert critical_values(5, Config(alphas=(1e-17,), sidedness=sidedness)) == {1e-17: np.inf}
+
     def test_monotone_in_comparisons_and_alpha(self):
         qs = [critical_value(n, 0.05) for n in (1, 10, 100, 1000)]
         assert qs == sorted(qs) and len(set(qs)) == 4
@@ -257,6 +263,32 @@ class TestCriticalValue:
         q_sim = critical_values(100, cfg, _identity_blocks(100))[0.05]
         q_ana = critical_value(100, 0.05)
         assert q_sim == pytest.approx(q_ana, abs=0.02)
+
+
+def _assert_ndtri_matches_scipy(ys):
+    """``_ndtri`` equals ``scipy.special.ndtri`` bit for bit at every y."""
+    ys = np.array(ys, dtype=float)
+    ours = np.array([paneljump.inference._ndtri(y) for y in ys.tolist()])
+    assert ys[ours.view(np.int64) != ndtri(ys).view(np.int64)].tolist() == []
+
+
+class TestNdtri:
+    def test_closed_form_inputs(self):
+        """Every Phi^-1 argument of the closed form for up to 2000
+        comparisons at the default levels, both sidednesses."""
+        ps = [(1.0 - a) ** (1.0 / n) for n in range(1, 2001) for a in (0.10, 0.05, 0.01)]
+        _assert_ndtri_matches_scipy(ps + [0.5 * (1.0 + p) for p in ps])
+
+    def test_tails_and_edges(self):
+        """Both tails down to 1e-300 and the subnormal 5e-324, the range
+        edges 0 and 1, and the central range just above 0.5."""
+        tails = [10.0 ** -k for k in range(301)]
+        _assert_ndtri_matches_scipy(
+            tails + [1.0 - t for t in tails] + [0.0, 1.0, 5e-324, np.nextafter(0.5, 1.0)])
+
+    @given(st.floats(min_value=0.0, max_value=1.0))
+    def test_unit_interval(self, y):
+        _assert_ndtri_matches_scipy([y])
 
 
 @pytest.fixture
@@ -1040,6 +1072,44 @@ def test_overflowing_scale_is_numerical_error(run, place):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             NumericalError, match="variance for unit 'u1' at c=0.0 overflows"):
         run(scaled(1e160), place, cfg)
+
+
+def _panel_with_a_scaled_unit(scale):
+    """Units a and c of 200 points with x ~ U(-1, 1), and unit b like them
+    with its x multiplied by ``scale``."""
+    rng = np.random.default_rng(0)
+    units = []
+    for uid in "abc":
+        x = rng.uniform(-1.0, 1.0, 200)
+        y = np.sin(3.0 * x) + (x >= 0.0) + 0.1 * rng.standard_normal(200)
+        units.append(PanelUnit(uid, y, x * (scale if uid == "b" else 1.0)))
+    return PanelData(units)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+@pytest.mark.parametrize("policy", [BandwidthPolicy.plugin(), BandwidthPolicy.pooled()],
+                         ids=["plugin", "pooled"])
+@pytest.mark.parametrize("run, place", [
+    (run_existence, 0.0),
+    (run_homogeneity, 0.0),
+    (search_thresholds, [-0.1, 0.0, 0.1]),
+])
+def test_covariate_range_whose_square_overflows_skips_the_unit(run, place, policy, scale):
+    """The plugin rule squares the covariate range, which passes the float
+    range above about 1.3e154; a Python float power raised OverflowError
+    there.  The unit is skipped instead, with the plugin rule's reason at
+    1e150, and the other units report as if it were not in the panel."""
+    cfg = Config(bandwidth=policy)
+    panel = _panel_with_a_scaled_unit(scale)
+    result = run(panel, place, cfg)
+    alone = run(PanelData([u for u in panel if u.unit_id != "b"]), place, cfg)
+    assert [s.unit_id for s in result.skipped] == ["b"]
+    if policy.mode == "plugin":
+        assert result.skipped[0].reason == (
+            "bandwidth selection failed: density x curvature^2 = 0.0 leaves float range "
+            "at this covariate scale")
+    assert (result.statistic, result.critical_values) == (alone.statistic, alone.critical_values)
+    assert [_row_bytes(u) for u in result.per_unit] == [_row_bytes(u) for u in alone.per_unit]
 
 
 def _overflow_unit(scale):
