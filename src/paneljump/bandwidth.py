@@ -30,11 +30,7 @@ import numpy as np
 from .errors import ConfigError, InsufficientSupport, _check_real
 from .kernels import KernelSpec
 
-__all__ = [
-    "BandwidthPolicy",
-    "boundary_constant",
-    "pooled_bandwidth",
-]
+__all__ = ["BandwidthPolicy"]
 
 DEFAULT_BOUNDS = (0.02, 0.5)
 
@@ -49,6 +45,10 @@ _CURV_FLOOR = 0.1
 _PILOT_MIN_POINTS = 10
 
 _EPS = np.finfo(float).eps
+
+# 2 / span is finite exactly when span exceeds this, 2^-1023: the quartic
+# fit's domain scale, checked without dividing by a span.
+_MAP_MIN_SPAN = 2.0 / np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -100,32 +100,25 @@ class BandwidthPolicy:
         return cls(mode="pooled_plugin", bounds=bounds)
 
 
-# (2 V / B^2)^(1/5) per kernel; see boundary_constant.
+# MSE-optimal rate constant (2 V / B^2)^(1/5) of the boundary local linear
+# difference, per kernel.  With one-sided moments K_l = int_0^1 u^l K(u) du
+# and the boundary equivalent kernel K*(u) = K(u)(K_2 - K_1 u) / (K_0 K_2 -
+# K_1^2) on [0, 1], the jump estimate has leading bias
+# (1/2) b^2 B (m''_+ - m''_-) and variance 2 sigma^2 V / (f T b), where
+# B = int u^2 K* and V = int K*^2.  Minimising the sum gives
+# b = (2 V / B^2)^(1/5) [.]^(1/5) T^(-1/5).
+#
+# The integrands are polynomials, so 2 V / B^2 is exact: 288 (uniform), 960
+# (triangular) and 568320/847 (Epanechnikov).  The stored values are those
+# adaptive quadrature gives.  They equal the correctly rounded fifth roots
+# for the uniform and triangular kernels; the Epanechnikov value sits 5 ULP
+# above its root and is kept as it is, because every reported Epanechnikov
+# bandwidth depends on it.
 _BOUNDARY_CONSTANTS = {
     "uniform": 3.103691147830719,
     "triangular": 3.9487009716696395,
     "epanechnikov": 3.6757156372762494,
 }
-
-
-def boundary_constant(kind: str) -> float:
-    """MSE-optimal rate constant for the boundary local linear difference.
-
-    With one-sided moments K_l = int_0^1 u^l K(u) du and the boundary
-    equivalent kernel K*(u) = K(u)(K_2 - K_1 u) / (K_0 K_2 - K_1^2) on
-    [0, 1], the jump estimate has leading bias  (1/2) b^2 B (m''_+ - m''_-)
-    and variance  2 sigma^2 V / (f T b), where B = int u^2 K* and
-    V = int K*^2.  Minimising the sum gives
-    b = (2 V / B^2)^(1/5) [.]^(1/5) T^(-1/5).
-
-    The integrands are polynomials, so 2 V / B^2 is exact: 288 (uniform),
-    960 (triangular) and 568320/847 (Epanechnikov).  The stored values are
-    those adaptive quadrature gives.  They equal the correctly rounded
-    fifth roots for the uniform and triangular kernels; the Epanechnikov
-    value sits 5 ULP above its root and is kept as it is, because every
-    reported Epanechnikov bandwidth depends on it.
-    """
-    return _BOUNDARY_CONSTANTS[KernelSpec(kind).kind]
 
 
 def _quartic_side(y: np.ndarray, d: np.ndarray):
@@ -147,13 +140,14 @@ def _quartic_side(y: np.ndarray, d: np.ndarray):
     it without its wrappers' per-call overhead.  Where the library would
     hand LAPACK NaN abscissae and fail, this raises InsufficientSupport:
     when the span rounds to 0 (the widening by 1 lost below the
-    covariates' last place) or overflows, or when hi + lo overflows.
+    covariates' last place), is so small that the scale 2 / span
+    overflows, or overflows itself, or when hi + lo overflows.
     """
     lo, hi = d.min(), d.max()
     if lo == hi:
         lo, hi = lo - 1.0, hi + 1.0
     span = hi - lo
-    if not (0.0 < span < np.inf and abs(hi + lo) < np.inf):  # else lstsq gets NaN
+    if not (_MAP_MIN_SPAN < span < np.inf and abs(hi + lo) < np.inf):  # else lstsq gets NaN
         raise InsufficientSupport(
             f"one side's centred covariates span [{lo}, {hi}], which floating point "
             "cannot map onto [-1, 1]"
@@ -207,8 +201,8 @@ def _plugin_rows(y, x, order, c, kernel: KernelSpec, bounds: tuple[float, float]
     overall, fewer than 5 distinct covariate values on either side of c,
     a degenerate covariate range or one that overflows to inf, a side
     whose centred covariates floating point cannot map onto the quartic
-    fit's [-1, 1], or a covariate scale so extreme that f(c) curv^2
-    underflows to 0 or overflows.
+    fit's [-1, 1], or a covariate or outcome scale so extreme that
+    f(c) curv^2 underflows to 0 or overflows.
     """
     t_obs = x.shape[1]
     if t_obs < _MIN_OBS:
@@ -228,11 +222,14 @@ def _plugin_rows(y, x, order, c, kernel: KernelSpec, bounds: tuple[float, float]
         dens = np.mean(np.exp(-0.5 * (d / h_dens[:, None]) ** 2), 1) / (h_dens * np.sqrt(2.0 * np.pi))
     n_minus = np.count_nonzero(first & (xs < c[:, None]), 1)  # minus side x < c, then plus side
     out = []
-    for row in zip(y, d, xs, np.count_nonzero(first, 1) - n_minus, n_minus, dens):
-        try:
-            out.append(_plugin_row(*row, kernel, bounds))
-        except InsufficientSupport as exc:
-            out.append(exc)
+    # Outcomes or covariates near the float limit overflow the fits' sums
+    # and products; the rule's range check names what leaves float range.
+    with np.errstate(over="ignore"):
+        for row in zip(y, d, xs, np.count_nonzero(first, 1) - n_minus, n_minus, dens):
+            try:
+                out.append(_plugin_row(*row, kernel, bounds))
+            except InsufficientSupport as exc:
+                out.append(exc)
     return out
 
 
@@ -266,28 +263,25 @@ def _plugin_row(y, d, xs, n_plus, n_minus, dens, kernel: KernelSpec,
     dens_curv_sq = float(dens) * curv * curv
     if not 0.0 < dens_curv_sq < np.inf:
         raise InsufficientSupport(
-            f"density x curvature^2 = {dens_curv_sq} leaves float range at this covariate scale"
+            f"density x curvature^2 = {dens_curv_sq} leaves float range "
+            "at this covariate or outcome scale"
         )
-    raw = boundary_constant(kernel.kind) * (sigma_sq / dens_curv_sq) ** 0.2 * t_obs ** (-0.2)
+    raw = _BOUNDARY_CONSTANTS[kernel.kind] * (sigma_sq / dens_curv_sq) ** 0.2 * t_obs ** (-0.2)
     return float(min(max(raw, lo * x_range), hi * x_range))
 
 
-def pooled_bandwidth(bandwidths, clamp: tuple[float, float] | None = None) -> float:
-    """Geometric mean of per-unit bandwidths, optionally clamped.
+def _pooled_bandwidth(bandwidths, clamp: tuple[float, float]) -> float:
+    """Geometric mean of per-unit bandwidths, clamped into ``clamp``.
 
     A single common bandwidth removes per-unit selection noise in short
     panels; the geometric mean respects the multiplicative structure of the
     plugin rule.
     """
     bs = np.asarray(bandwidths, dtype=float)
-    if bs.size == 0:
-        raise ConfigError("no bandwidths to pool")
     if np.any(bs <= 0.0):
         raise ConfigError("bandwidths must be positive")
     pooled = float(np.exp(np.mean(np.log(bs))))
-    if clamp is not None:
-        pooled = float(min(max(pooled, clamp[0]), clamp[1]))
-    return pooled
+    return float(min(max(pooled, clamp[0]), clamp[1]))
 
 
 def _pilot_rows(x, order, b) -> np.ndarray:

@@ -42,7 +42,6 @@ __all__ = [
     "RateTable",
     "AccuracyTable",
     "gen_dgp",
-    "inject_jumps",
     "run_size_power",
     "run_threshold_accuracy",
 ]
@@ -183,8 +182,8 @@ def _ma_rows(n_series: int, t_obs: int, beta: float, lag: int,
     return fftconvolve(eta, a[None, :], mode="valid", axes=1)
 
 
-def inject_jumps(n_units: int, t_obs: int, fraction: float, scale: float,
-                 rng: np.random.Generator) -> np.ndarray:
+def _inject_jumps(n_units: int, t_obs: int, fraction: float, scale: float,
+                  rng: np.random.Generator) -> np.ndarray:
     """Assign boundary-scaled jumps to a random subset of units.
 
     The subset size is fraction * n_units rounded half up.  Jump sizes are
@@ -254,8 +253,8 @@ def gen_dgp(cfg: DgpConfig) -> tuple[PanelData, np.ndarray, np.ndarray]:
     sigma = _sigma_hetero(x, u) if hetero else 1.0
 
     scheme = cfg.gamma_scheme
-    gammas = inject_jumps(n, t, scheme.fraction, scheme.scale,
-                          np.random.default_rng(s_gamma))
+    gammas = _inject_jumps(n, t, scheme.fraction, scheme.scale,
+                           np.random.default_rng(s_gamma))
     y = (np.cos(x) + np.sin(u)
          + gammas[:, None] * (x >= cfg.threshold)
          + sigma * eps)

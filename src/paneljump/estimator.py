@@ -14,16 +14,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientSupport
-from .kernels import KernelSpec, _edges, _recentred, _side_rows, denominator_floor, eval_kernel
+from .kernels import KernelSpec, _edges, _eval_kernel, _recentred, _side_rows, denominator_floor
 
-__all__ = ["UnitJumpFit"]
+__all__: list[str] = []
 
 # Evaluation points per block on the dense (non-uniform kernel) path.
 _CHUNK = 256
 
 
 @dataclass
-class UnitJumpFit:
+class _UnitJumpFit:
     """Result of a two-boundary local linear fit at one threshold.
 
     ``gamma_hat`` is the difference of the two one-sided boundary fits.
@@ -43,7 +43,7 @@ def _fit_rows(y, x, c, b, kernel: KernelSpec) -> list:
     The estimate is ``mu_plus - mu_minus``, equivalently the weighted sum
     ``sum_t (w_t_plus - w_t_minus) y_t`` with the local linear boundary
     weights from each side (``kernels._side_rows``).  Gives each row's
-    UnitJumpFit, or the InsufficientSupport of the side that failed, the
+    _UnitJumpFit, or the InsufficientSupport of the side that failed, the
     plus side first.
     """
     w_plus, plus_errors = _side_rows(x, c, b, kernel, "plus")
@@ -54,7 +54,7 @@ def _fit_rows(y, x, c, b, kernel: KernelSpec) -> list:
     gamma = (w_plus[:, None] @ y_cols)[:, 0, 0] - (w_minus[:, None] @ y_cols)[:, 0, 0]
     eff = (w_plus != 0.0).sum(1) + (w_minus != 0.0).sum(1)
     for i, g, w, e in zip(keep, gamma, w_plus - w_minus, eff):
-        out[i] = UnitJumpFit(float(g), w, int(e))
+        out[i] = _UnitJumpFit(float(g), w, int(e))
     return out
 
 
@@ -98,7 +98,7 @@ def _fitted_general(xs: np.ndarray, ys: np.ndarray, b: float,
         w0 = int(np.searchsorted(xs, u[0] - b, side="left"))
         w1 = int(np.searchsorted(xs, u[-1] + b, side="right"))
         d = xs[w0:w1][None, :] - u[:, None]
-        k = eval_kernel(kernel, d / b)
+        k = _eval_kernel(kernel, d / b)
         out[start:start + _CHUNK] = _local_linear(
             k.sum(axis=1), (k * d).sum(axis=1), (k * d * d).sum(axis=1),
             k @ ys[w0:w1], (k * d) @ ys[w0:w1])

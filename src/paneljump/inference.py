@@ -20,20 +20,14 @@ from typing import Mapping
 
 import numpy as np
 
-from .bandwidth import BandwidthPolicy, _pilot_rows, _plugin_rows, pooled_bandwidth
+from .bandwidth import BandwidthPolicy, _pilot_rows, _plugin_rows, _pooled_bandwidth
 from .errors import (ConfigError, DataError, InsufficientSupport, NumericalError, _check_int,
                      _check_real, _raised)
-from .estimator import UnitJumpFit, _fit_rows, _smooth_rows
+from .estimator import _UnitJumpFit, _fit_rows, _smooth_rows
 from .kernels import KernelSpec, _edges, _recentred, denominator_floor
 from .panel import PanelData, PanelUnit
-from .variance import (
-    SigmaC,
-    _window_rows,
-    default_truncation,
-    sigma_c_matrix,
-    v_sq,
-    v_tilde_sq,
-)
+from .variance import (SigmaC, _default_truncation, _v_sq, _v_tilde_sq, _window_rows,
+                       sigma_c_matrix)
 
 __all__ = [
     "TestConfig",
@@ -458,17 +452,17 @@ def _front_end(panel: PanelData, threshold, config: TestConfig, what: str):
     if not per_unit:
         raise NumericalError("no unit supports plugin bandwidth selection")
     ranges = [float(u.x.max() - u.x.min()) for u in panel if u.x.size > 1]
-    pooled = pooled_bandwidth(per_unit, clamp=(lo * min(ranges), hi * max(ranges)))
+    pooled = _pooled_bandwidth(per_unit, clamp=(lo * min(ranges), hi * max(ranges)))
     return units, skipped, orders, thresholds, dict.fromkeys(thresholds, pooled)
 
 
-def _unit_row(unit: PanelUnit, c: float, b: float, fit: UnitJumpFit,
+def _unit_row(unit: PanelUnit, c: float, b: float, fit: _UnitJumpFit,
               sigma_e_sq: float, floor: float) -> UnitResult:
     """Standardise the jump fit at c into a report row: scale v, its
     standard error and t = sqrt(T b) gamma_hat / v.  A scale that is not
     a positive finite number is a NumericalError naming the unit: an
     infinite one would report t = 0 however large the jump."""
-    v = max(float(np.sqrt(max(v_sq(fit.w_diff, sigma_e_sq, unit.n_obs, b), 0.0))), floor)
+    v = max(float(np.sqrt(max(_v_sq(fit.w_diff, sigma_e_sq, unit.n_obs, b), 0.0))), floor)
     if not v > 0.0:
         raise NumericalError(f"nonpositive variance for unit {unit.unit_id!r}")
     if v == np.inf:
@@ -493,7 +487,7 @@ def _analyze_rows(block: list[PanelUnit], y, x, order, c, b, kernel: KernelSpec)
     stops the test.  A unit whose smooth fits at no point is skipped for
     that, not for the variance window it leaves empty."""
     out = _fit_rows(y, x, c, b, kernel)
-    keep = np.flatnonzero([isinstance(fit, UnitJumpFit) for fit in out])
+    keep = np.flatnonzero([isinstance(fit, _UnitJumpFit) for fit in out])
     if not keep.size:
         return out
     y, x, c, b = y[keep], x[keep], c[keep], b[keep]
@@ -587,7 +581,7 @@ def test_homogeneity(panel: PanelData, threshold=0.0,
         raise NumericalError("homogeneity comparison needs at least two units")
     gammas = np.array([r.gamma_hat for r in rows])
     center_value = float(np.mean(gammas) if config.center == "mean" else np.median(gammas))
-    v_tildes = np.sqrt(v_tilde_sq(np.array([r.v_hat**2 for r in rows])))
+    v_tildes = np.sqrt(_v_tilde_sq(np.array([r.v_hat**2 for r in rows])))
     ts = np.sqrt([r.n_obs * r.bandwidth for r in rows]) * (gammas - center_value) / v_tildes
     stat = float(np.max(np.abs(ts)))
     cvs = critical_values(len(rows), config)
@@ -770,7 +764,7 @@ def _grid_search(units, grid: np.ndarray, orders, bandwidths, residuals, a_trunc
         for k in np.flatnonzero(solve).tolist():
             fit, sigma_e_sq = solved[uid, k]
             stats[k] = np.nan
-            if isinstance(fit, UnitJumpFit) and isinstance(sigma_e_sq, float):
+            if isinstance(fit, _UnitJumpFit) and isinstance(sigma_e_sq, float):
                 rows.append(_unit_row(unit, float(grid[k]), bandwidths[uid], fit, sigma_e_sq,
                                       floors[uid]))
                 stats[k] = rows[-1].t_stat
@@ -829,9 +823,10 @@ def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) 
     residuals = _kept(units, smoothed, skipped, "a grid search")
     units = [u for u in units if u.unit_id in residuals]
 
-    pooled = np.concatenate([r[np.isfinite(r)] ** 2 for r in residuals.values()])
+    with np.errstate(over="ignore"):  # squares past the float range are inf
+        pooled = np.concatenate([r[np.isfinite(r)] ** 2 for r in residuals.values()])
     if config.truncation is None:
-        a_trunc = default_truncation(pooled)
+        a_trunc = _default_truncation(pooled)
     else:
         a_trunc = config.truncation
         if a_trunc <= pooled.min():

@@ -32,11 +32,7 @@ import numpy as np
 
 from .errors import ConfigError, InsufficientSupport
 
-__all__ = [
-    "KERNEL_KINDS",
-    "KernelSpec",
-    "eval_kernel",
-]
+__all__ = ["KERNEL_KINDS", "KernelSpec"]
 
 KERNEL_KINDS = ("uniform", "triangular", "epanechnikov")
 
@@ -60,7 +56,7 @@ class KernelSpec:
             )
 
 
-def eval_kernel(kernel: KernelSpec, u) -> np.ndarray:
+def _eval_kernel(kernel: KernelSpec, u) -> np.ndarray:
     """Evaluate the kernel elementwise at ``u``, zero outside [-1, 1].
 
     The support is closed: ``|u| == 1`` is inside.
@@ -117,7 +113,7 @@ def _side_rows(x, c, b, kernel: KernelSpec, side: str):
     c, b = c[:, None], b[:, None]
     mask = (x >= c) & (x <= c + b) if side == "plus" else (x < c) & (x >= c - b)
     d = np.where(mask, x - c, 0.0)  # zero off the window, so d * d stays finite there
-    kw = np.where(mask, eval_kernel(kernel, np.clip(d / b, -1.0, 1.0)), 0.0)
+    kw = np.where(mask, _eval_kernel(kernel, np.clip(d / b, -1.0, 1.0)), 0.0)
     carried = kw > 0.0
     distinct = np.where(carried, x, np.inf).min(1) < np.where(carried, x, -np.inf).max(1)
     s0 = kw.sum(1, keepdims=True)

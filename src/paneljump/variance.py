@@ -12,15 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientSupport, NumericalError
+from .errors import InsufficientSupport
 
-__all__ = [
-    "SigmaC",
-    "default_truncation",
-    "v_sq",
-    "v_tilde_sq",
-    "sigma_c_matrix",
-]
+__all__ = ["SigmaC", "sigma_c_matrix"]
 
 
 @dataclass
@@ -52,12 +46,13 @@ def _window_rows(resid, x, c, b, a_trunc: float) -> list:
     count.
     """
     usable = (x >= (c - b)[:, None]) & (x <= (c + b)[:, None]) & np.isfinite(resid)
-    return [float(np.mean(np.minimum(a_trunc, v * v))) if v.size else InsufficientSupport(
-        f"no usable residuals within {float(bb)} of c={float(cc)}")
-        for v, cc, bb in zip(map(np.compress, usable, resid), c, b)]
+    with np.errstate(over="ignore"):  # squares past the float range are inf
+        return [float(np.mean(np.minimum(a_trunc, v * v))) if v.size else InsufficientSupport(
+            f"no usable residuals within {float(bb)} of c={float(cc)}")
+            for v, cc, bb in zip(map(np.compress, usable, resid), c, b)]
 
 
-def default_truncation(pooled_resid_sq) -> float:
+def _default_truncation(pooled_resid_sq) -> float:
     """Default truncation level: 9 times the median of the pooled squared
     residuals.  A zero median (noiseless data) disables truncation
     entirely."""
@@ -67,7 +62,7 @@ def default_truncation(pooled_resid_sq) -> float:
     return 9.0 * med if med > 0.0 else np.inf
 
 
-def v_sq(w_diff, sigma_e_sq: float, t_obs: int, b: float) -> float:
+def _v_sq(w_diff, sigma_e_sq: float, t_obs: int, b: float) -> float:
     """Squared standardising scale T b sum_t w_diff_t^2 sigma^2.
 
     ``w_diff`` is the weight difference w_plus - w_minus of a jump fit.
@@ -76,7 +71,7 @@ def v_sq(w_diff, sigma_e_sq: float, t_obs: int, b: float) -> float:
     return float(t_obs * b * (w_diff @ w_diff) * sigma_e_sq)
 
 
-def v_tilde_sq(v_sqs) -> np.ndarray:
+def _v_tilde_sq(v_sqs) -> np.ndarray:
     """Scales for the centred (cross-unit comparison) statistics of all units.
 
     With N units, subtracting the cross-unit mean changes the variance of
@@ -84,8 +79,6 @@ def v_tilde_sq(v_sqs) -> np.ndarray:
     """
     v = np.asarray(v_sqs, dtype=float)
     n = v.size
-    if n < 2:
-        raise NumericalError("centred scale needs at least two units")
     others = v.sum() - v
     return (1.0 - 1.0 / n) ** 2 * v + others / n**2
 

@@ -47,7 +47,7 @@ def weights(x, c, b, kernel, side) -> np.ndarray:
 
 
 def jump(y, x, c, b, kernel):
-    """``estimator._fit_rows`` for one unit: its UnitJumpFit."""
+    """``estimator._fit_rows`` for one unit: its _UnitJumpFit."""
     return _raised(_fit_rows(_row(y), _row(x), _row(c), _row(b), kernel)[0])
 
 

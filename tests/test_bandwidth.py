@@ -10,14 +10,14 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from paneljump.bandwidth import (
+    _BOUNDARY_CONSTANTS,
     DEFAULT_BOUNDS,
     BandwidthPolicy,
     _pilot_rows,
-    boundary_constant,
-    pooled_bandwidth,
+    _pooled_bandwidth,
 )
 from paneljump.errors import ConfigError, InsufficientSupport
-from paneljump.kernels import KernelSpec, eval_kernel
+from paneljump.kernels import KernelSpec, _eval_kernel
 from one_row import pilot, plugin
 
 UNIFORM = KernelSpec("uniform")
@@ -59,7 +59,7 @@ class TestBoundaryConstant:
     def test_uniform_value_frozen(self):
         # independently derived: B = 1/6, V = 4 for the uniform boundary
         # equivalent kernel, so C = (2*4/(1/6)^2)^(1/5) = 288^(1/5)
-        assert boundary_constant("uniform") == pytest.approx(288.0**0.2, abs=1e-9)
+        assert _BOUNDARY_CONSTANTS["uniform"] == pytest.approx(288.0**0.2, abs=1e-9)
 
     @pytest.mark.parametrize("kind", ["uniform", "triangular", "epanechnikov"])
     def test_matches_direct_quadrature(self, kind):
@@ -67,13 +67,13 @@ class TestBoundaryConstant:
         # every reported bandwidth depends on.
         kernel = KernelSpec(kind)
         k0, k1, k2 = PLUS_MOMENTS[kind]
-        k3 = integrate.quad(lambda u: u**3 * eval_kernel(kernel, u), 0, 1)[0]
+        k3 = integrate.quad(lambda u: u**3 * _eval_kernel(kernel, u), 0, 1)[0]
         den = k0 * k2 - k1 * k1
         bias = (k2 * k2 - k1 * k3) / den
         var = integrate.quad(
-            lambda u: (eval_kernel(kernel, u) * (k2 - k1 * u) / den) ** 2, 0, 1
+            lambda u: (_eval_kernel(kernel, u) * (k2 - k1 * u) / den) ** 2, 0, 1
         )[0]
-        assert boundary_constant(kind) == (2 * var / bias**2) ** 0.2
+        assert _BOUNDARY_CONSTANTS[kind] == (2 * var / bias**2) ** 0.2
 
 
 def _curved_sample(seed=0, t=400, noise=0.3):
@@ -164,6 +164,25 @@ class TestPluginBandwidth:
         with pytest.raises(InsufficientSupport, match="float range"):
             plugin(y, scale * x, 0.0, UNIFORM)
 
+    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e307])
+    def test_extreme_outcome_scale(self, scale):
+        # The residual sums and the curvature overflow to inf past about
+        # 1e154, and so does f(c) curv^2; no overflow warning leaks.
+        y, x = _curved_sample(seed=6)
+        with pytest.raises(InsufficientSupport,
+                           match="= inf leaves float range at this covariate or outcome scale"):
+            plugin(scale * y, x, 0.0, UNIFORM)
+
+    @pytest.mark.parametrize("scale", [1e-308, 1e-310, 1e-320])
+    def test_side_span_too_small_to_map(self, scale):
+        # Each side spans less than 2^-1023, so the fit's domain scale
+        # 2 / span overflows; the library fit would hand LAPACK inf and fail
+        # with LinAlgError.
+        x = scale * np.random.default_rng(5).uniform(-1.0, 1.0, 60)
+        with pytest.raises(InsufficientSupport,
+                           match=r"span \[.*\], which floating point cannot map onto \[-1, 1\]"):
+            plugin(np.cos(np.arange(60.0)), x, 0.0, UNIFORM)
+
     def test_side_span_rounding_to_zero(self):
         # Every d = x + 1e30 rounds to 1e30, and so does the fit's widened
         # domain [1e30 - 1, 1e30 + 1]; the library fit would hand LAPACK NaN.
@@ -242,9 +261,10 @@ def _reference_plugin_bandwidth(y, x, c, kernel, bounds=DEFAULT_BOUNDS):
     dens_curv_sq = dens * curv * curv
     if not 0.0 < dens_curv_sq < np.inf:
         raise InsufficientSupport(
-            f"density x curvature^2 = {dens_curv_sq} leaves float range at this covariate scale"
+            f"density x curvature^2 = {dens_curv_sq} leaves float range "
+            "at this covariate or outcome scale"
         )
-    raw = boundary_constant(kernel.kind) * (sigma_sq / dens_curv_sq) ** 0.2 * t_obs ** (-0.2)
+    raw = _BOUNDARY_CONSTANTS[kernel.kind] * (sigma_sq / dens_curv_sq) ** 0.2 * t_obs ** (-0.2)
     return float(np.clip(raw, lo * x_range, hi * x_range))
 
 
@@ -312,26 +332,25 @@ def test_plugin_bandwidth_matches_library_reference_on_collapsed_side():
     assert new[1] == 1
 
 
+NO_CLAMP = (0.0, np.inf)
+
+
 class TestPooledBandwidth:
     def test_all_equal(self):
-        assert pooled_bandwidth([1.0, 1.0, 1.0]) == pytest.approx(1.0)
+        assert _pooled_bandwidth([1.0, 1.0, 1.0], NO_CLAMP) == pytest.approx(1.0)
 
     def test_geometric_mean(self):
-        assert pooled_bandwidth([0.5, 2.0]) == pytest.approx(1.0)
+        assert _pooled_bandwidth([0.5, 2.0], NO_CLAMP) == pytest.approx(1.0)
 
     def test_single_unit_passthrough(self):
-        assert pooled_bandwidth([0.37]) == pytest.approx(0.37)
+        assert _pooled_bandwidth([0.37], NO_CLAMP) == pytest.approx(0.37)
 
     def test_clamp_applied(self):
-        assert pooled_bandwidth([0.5, 2.0], clamp=(1.5, 3.0)) == 1.5
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="no bandwidths"):
-            pooled_bandwidth([])
+        assert _pooled_bandwidth([0.5, 2.0], clamp=(1.5, 3.0)) == 1.5
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            pooled_bandwidth([0.5, -0.1])
+            _pooled_bandwidth([0.5, -0.1], NO_CLAMP)
 
 
 class TestPilotBandwidth:

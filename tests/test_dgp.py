@@ -19,9 +19,9 @@ from paneljump.dgp import (
     GammaScheme,
     McConfig,
     RateTable,
+    _inject_jumps,
     _ma_rows,
     gen_dgp,
-    inject_jumps,
     run_size_power,
     run_threshold_accuracy,
 )
@@ -54,21 +54,21 @@ class TestMaGenerator:
 
 class TestInjectJumps:
     def test_null_fraction(self):
-        g = inject_jumps(20, 400, 0.0, 1.0, np.random.default_rng(0))
+        g = _inject_jumps(20, 400, 0.0, 1.0, np.random.default_rng(0))
         np.testing.assert_array_equal(g, np.zeros(20))
 
     def test_ten_percent_of_hundred(self):
-        g = inject_jumps(100, 400, 0.1, 1.0, np.random.default_rng(1))
+        g = _inject_jumps(100, 400, 0.1, 1.0, np.random.default_rng(1))
         assert np.count_nonzero(g) == 10
 
     def test_rounds_half_up(self):
         # fraction 0.25 of 10 units -> 2.5 -> 3 jumps
-        g = inject_jumps(10, 400, 0.25, 1.0, np.random.default_rng(2))
+        g = _inject_jumps(10, 400, 0.25, 1.0, np.random.default_rng(2))
         assert np.count_nonzero(g) == 3
 
     def test_sizes_on_detection_boundary(self):
         """Nonzero jumps equal scale * T^(-2/5) sqrt(log N) B with B in [2, 10]."""
-        g = inject_jumps(50, 400, 1.0, 2.0, np.random.default_rng(3))
+        g = _inject_jumps(50, 400, 1.0, 2.0, np.random.default_rng(3))
         unit = 2.0 * 400.0 ** (-0.4) * np.sqrt(np.log(50.0))
         b = g / unit
         assert np.all((b >= 2.0) & (b <= 10.0))
@@ -76,7 +76,7 @@ class TestInjectJumps:
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 60), fraction=st.floats(0.0, 1.0))
     def test_count_matches_rounded_fraction(self, n, fraction):
-        g = inject_jumps(n, 200, fraction, 1.0, np.random.default_rng(9))
+        g = _inject_jumps(n, 200, fraction, 1.0, np.random.default_rng(9))
         assert np.count_nonzero(g) == int(np.floor(fraction * n + 0.5))
 
 

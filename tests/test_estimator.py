@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paneljump.errors import InsufficientSupport
-from paneljump.estimator import UnitJumpFit, _smooth_rows
-from paneljump.kernels import KERNEL_KINDS, KernelSpec, denominator_floor, eval_kernel
+from paneljump.estimator import _smooth_rows, _UnitJumpFit
+from paneljump.kernels import KERNEL_KINDS, KernelSpec, _eval_kernel, denominator_floor
 from one_row import jump, residuals, weights
 
 UNIFORM = KernelSpec("uniform")
@@ -52,7 +52,7 @@ class TestEstimateJump:
         x = np.array([-0.4, -0.2, 0.1, 0.3, 2.5])
         y = np.zeros(5)
         fit = jump(y, x, 0.0, 1.0, UNIFORM)
-        assert isinstance(fit, UnitJumpFit)
+        assert isinstance(fit, _UnitJumpFit)
         assert [f.name for f in fields(fit)] == ["gamma_hat", "w_diff", "eff_obs"]
         assert fit.eff_obs == 4  # 2.5 is outside the window
         assert fit.w_diff.shape == (5,)
@@ -131,7 +131,7 @@ def _dense_fitted(y, x, b, kernel):
     d = x[None, :] - x[:, None]
     inside = (x[None, :] >= (x - b)[:, None]) & (x[None, :] <= (x + b)[:, None])
     k = np.where(inside, 1.0 if kernel.kind == "uniform"
-                 else eval_kernel(kernel, np.clip(d / b, -1.0, 1.0)), 0.0)
+                 else _eval_kernel(kernel, np.clip(d / b, -1.0, 1.0)), 0.0)
     s0 = k.sum(1)
     with np.errstate(divide="ignore", invalid="ignore"):
         d_bar, y_bar = (k @ x) / s0 - x, (k @ y) / s0

@@ -15,7 +15,7 @@ from scipy import stats as sps
 from scipy.special import ndtri
 
 import paneljump.inference
-from paneljump.bandwidth import BandwidthPolicy, pooled_bandwidth
+from paneljump.bandwidth import BandwidthPolicy, _pooled_bandwidth
 from paneljump.errors import (
     DataError,
     ConfigError,
@@ -23,7 +23,7 @@ from paneljump.errors import (
     NumericalError,
 )
 from paneljump.dgp import DgpConfig, GammaScheme, McConfig, gen_dgp
-from paneljump.estimator import UnitJumpFit, _fitted_general
+from paneljump.estimator import _fitted_general, _UnitJumpFit
 from paneljump.inference import (
     SkippedUnit,
     critical_values,
@@ -34,7 +34,7 @@ from paneljump.inference import TestConfig as Config
 from paneljump.inference import test_existence as run_existence
 from paneljump.inference import test_homogeneity as run_homogeneity
 from paneljump.io import render_report
-from paneljump.kernels import KERNEL_KINDS, KernelSpec, denominator_floor, eval_kernel
+from paneljump.kernels import KERNEL_KINDS, KernelSpec, _eval_kernel, denominator_floor
 from paneljump.panel import PanelData, PanelUnit
 from paneljump.variance import SigmaC, sigma_c_matrix
 from one_row import pilot, residuals, scan, search, weights
@@ -56,7 +56,7 @@ def pin_scale(monkeypatch):
     """Pins every unit's standardising scale v_j to the given value, so
     t_j = sqrt(T b) gamma_j / v_j; v = 10 on a step panel makes t_j = gamma_j."""
     def pin(v):
-        monkeypatch.setattr(paneljump.inference, "v_sq", lambda *args: v * v)
+        monkeypatch.setattr(paneljump.inference, "_v_sq", lambda *args: v * v)
     return pin
 
 
@@ -1086,7 +1086,15 @@ def _panel_with_a_scaled_unit(scale):
     return PanelData(units)
 
 
-@pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+_SQUARE_OVERFLOWS = ("density x curvature^2 = 0.0 leaves float range "
+                     "at this covariate or outcome scale")
+_SPAN_UNMAPPABLE = "which floating point cannot map onto [-1, 1]"
+
+
+@pytest.mark.parametrize("scale, reason", [
+    (1e160, _SQUARE_OVERFLOWS), (1e200, _SQUARE_OVERFLOWS), (1e300, _SQUARE_OVERFLOWS),
+    (1e-308, _SPAN_UNMAPPABLE), (1e-310, _SPAN_UNMAPPABLE), (1e-320, _SPAN_UNMAPPABLE),
+])
 @pytest.mark.parametrize("policy", [BandwidthPolicy.plugin(), BandwidthPolicy.pooled()],
                          ids=["plugin", "pooled"])
 @pytest.mark.parametrize("run, place", [
@@ -1094,22 +1102,63 @@ def _panel_with_a_scaled_unit(scale):
     (run_homogeneity, 0.0),
     (search_thresholds, [-0.1, 0.0, 0.1]),
 ])
-def test_covariate_range_whose_square_overflows_skips_the_unit(run, place, policy, scale):
+def test_covariate_scale_past_the_float_range_skips_the_unit(run, place, policy, scale, reason):
     """The plugin rule squares the covariate range, which passes the float
     range above about 1.3e154; a Python float power raised OverflowError
-    there.  The unit is skipped instead, with the plugin rule's reason at
-    1e150, and the other units report as if it were not in the panel."""
+    there.  Below 1e-308 each side spans less than 2^-1023, so the quartic
+    fit's domain scale 2 / span overflows; LAPACK was handed inf and the run
+    ended in LinAlgError.  The unit is skipped instead, with the plugin
+    rule's reason (a pooled bandwidth leaves the unit to the later steps,
+    which skip it), and the other units report as if it were not in the
+    panel."""
     cfg = Config(bandwidth=policy)
     panel = _panel_with_a_scaled_unit(scale)
     result = run(panel, place, cfg)
     alone = run(PanelData([u for u in panel if u.unit_id != "b"]), place, cfg)
     assert [s.unit_id for s in result.skipped] == ["b"]
     if policy.mode == "plugin":
-        assert result.skipped[0].reason == (
-            "bandwidth selection failed: density x curvature^2 = 0.0 leaves float range "
-            "at this covariate scale")
+        assert result.skipped[0].reason.startswith("bandwidth selection failed: ")
+        assert result.skipped[0].reason.endswith(reason)
     assert (result.statistic, result.critical_values) == (alone.statistic, alone.critical_values)
     assert [_row_bytes(u) for u in result.per_unit] == [_row_bytes(u) for u in alone.per_unit]
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e307])
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+@pytest.mark.parametrize("policy", [BandwidthPolicy.plugin(), BandwidthPolicy.pooled(),
+                                    BandwidthPolicy.fixed(0.3)],
+                         ids=["plugin", "pooled", "fixed"])
+@pytest.mark.parametrize("run, place", [
+    (run_existence, 0.0),
+    (run_homogeneity, 0.0),
+    (search_thresholds, [-0.1, 0.0, 0.1]),
+])
+def test_outcome_scale_whose_square_overflows_warns_nothing(run, place, policy, kind, scale):
+    """Squares of a unit's outcomes overflow past about 1e154: in the plugin
+    rule's quartic fits, the windowed variance and the search's pooled
+    squared residuals.  Each leaked an overflow RuntimeWarning.  Now the
+    plugin rule skips the unit, naming the scale.  With a fixed or pooled
+    bandwidth a known-threshold test raises the NumericalError that names
+    the overflowing variance, or skips the unit where the smoother's sums
+    overflow first; the search reports or skips the unit (its statistic is
+    not pinned: the truncation level pooled across units lets the unit's
+    huge jump through)."""
+    units = _panel_with_a_scaled_unit(1.0)
+    panel = PanelData([PanelUnit(u.unit_id, u.y * (scale if u.unit_id == "b" else 1.0), u.x)
+                       for u in units])
+    cfg = Config(kernel=KernelSpec(kind), bandwidth=policy)
+    try:
+        result = run(panel, place, cfg)
+    except NumericalError as exc:
+        assert policy.mode != "plugin" and run is not search_thresholds
+        assert str(exc) == "variance for unit 'b' at c=0.0 overflows at this outcome scale"
+        return
+    if policy.mode == "plugin":
+        assert [(s.unit_id, s.reason) for s in result.skipped] == [(
+            "b", "bandwidth selection failed: density x curvature^2 = inf leaves float range "
+            "at this covariate or outcome scale")]
+    else:
+        assert [s.unit_id for s in result.skipped] in ([], ["b"])
 
 
 def _overflow_unit(scale):
@@ -1325,7 +1374,7 @@ def _reference_local_weights(x, c, b, kernel, side):
     d = x - c
     mask = (x >= c) & (x <= c + b) if side == "plus" else (x < c) & (x >= c - b)
     kw = np.zeros_like(d)
-    kw[mask] = eval_kernel(kernel, np.clip(d[mask] / b, -1.0, 1.0))
+    kw[mask] = _eval_kernel(kernel, np.clip(d[mask] / b, -1.0, 1.0))
     support = x[kw > 0.0]
     if support.size == 0 or support.min() == support.max():
         raise InsufficientSupport(
@@ -1343,8 +1392,8 @@ def _reference_jump_fit(y, x, c, b, kernel):
     """``estimator._fit_rows`` from the reference one-sided weights."""
     w_plus = _reference_local_weights(x, c, b, kernel, "plus")
     w_minus = _reference_local_weights(x, c, b, kernel, "minus")
-    return UnitJumpFit(float(w_plus @ y) - float(w_minus @ y), w_plus - w_minus,
-                       int(np.count_nonzero(w_plus)) + int(np.count_nonzero(w_minus)))
+    return _UnitJumpFit(float(w_plus @ y) - float(w_minus @ y), w_plus - w_minus,
+                        int(np.count_nonzero(w_plus)) + int(np.count_nonzero(w_minus)))
 
 
 def _reference_window_mean(resid, x, c, b, a_trunc):
@@ -1424,7 +1473,7 @@ def _reference_bandwidths(panel, thresholds, policy, kernel):
                 raise NumericalError("no unit supports plugin bandwidth selection")
             ranges = [float(u.x.max() - u.x.min()) for u in panel if u.x.size > 1]
             clamp = (policy.bounds[0] * min(ranges), policy.bounds[1] * max(ranges))
-            pooled = pooled_bandwidth(list(bandwidths.values()), clamp=clamp)
+            pooled = _pooled_bandwidth(list(bandwidths.values()), clamp=clamp)
             bandwidths, skipped = {u.unit_id: pooled for u in panel}, []
     return bandwidths, skipped
 
@@ -1733,7 +1782,7 @@ def test_panel_search_matches_units_searched_alone(seed, units, n_grid, kind, cv
     config = Config(kernel=KernelSpec(kind), bandwidth=policy, cv_method=cv_method,
                     sidedness=sidedness)
     with warnings.catch_warnings(record=True) as caught, \
-            patch.object(paneljump.inference, "default_truncation", lambda _: a_trunc):
+            patch.object(paneljump.inference, "_default_truncation", lambda _: a_trunc):
         warnings.simplefilter("always")
         alone = [_search_by_unit(PanelData([u]), grid, config) for u in panel]
         errors = [a for a in alone if not isinstance(a, dict)]

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from paneljump.bandwidth import BandwidthPolicy
 from paneljump.errors import InsufficientSupport
-from paneljump.kernels import KERNEL_KINDS, KernelSpec, denominator_floor, eval_kernel
+from paneljump.kernels import KERNEL_KINDS, KernelSpec, _eval_kernel, denominator_floor
 from one_row import jump, residuals, weights, window_mean
 
 UNIFORM = KernelSpec("uniform")
@@ -24,35 +24,35 @@ PLUS_MOMENTS = {
 
 def _moment(kind, ell, lo, hi):
     kernel = KernelSpec(kind)
-    return quad(lambda u: u**ell * eval_kernel(kernel, u), lo, hi)[0]
+    return quad(lambda u: u**ell * _eval_kernel(kernel, u), lo, hi)[0]
 
 
 class TestEvalKernel:
     def test_uniform_constant_inside(self):
         u = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-        np.testing.assert_array_equal(eval_kernel(UNIFORM, u), 0.5)
+        np.testing.assert_array_equal(_eval_kernel(UNIFORM, u), 0.5)
 
     def test_closed_support_endpoints(self):
         """|u| == 1 is inside the support for every kernel."""
-        assert eval_kernel(UNIFORM, 1.0) == 0.5
-        assert eval_kernel(UNIFORM, -1.0) == 0.5
-        assert eval_kernel(KernelSpec("triangular"), 1.0) == 0.0
-        assert eval_kernel(KernelSpec("epanechnikov"), -1.0) == 0.0
+        assert _eval_kernel(UNIFORM, 1.0) == 0.5
+        assert _eval_kernel(UNIFORM, -1.0) == 0.5
+        assert _eval_kernel(KernelSpec("triangular"), 1.0) == 0.0
+        assert _eval_kernel(KernelSpec("epanechnikov"), -1.0) == 0.0
 
     def test_zero_outside_support(self):
         u = np.array([-1.0000001, 1.0000001, 5.0, -17.0])
         for kind in KERNEL_KINDS:
-            np.testing.assert_array_equal(eval_kernel(KernelSpec(kind), u), 0.0)
+            np.testing.assert_array_equal(_eval_kernel(KernelSpec(kind), u), 0.0)
 
     def test_triangular_shape(self):
         np.testing.assert_allclose(
-            eval_kernel(KernelSpec("triangular"), np.array([-0.25, 0.0, 0.75])),
+            _eval_kernel(KernelSpec("triangular"), np.array([-0.25, 0.0, 0.75])),
             [0.75, 1.0, 0.25],
         )
 
     def test_epanechnikov_shape(self):
         np.testing.assert_allclose(
-            eval_kernel(KernelSpec("epanechnikov"), np.array([0.0, 0.5])),
+            _eval_kernel(KernelSpec("epanechnikov"), np.array([0.0, 0.5])),
             [0.75, 0.5625],
         )
 
@@ -62,11 +62,11 @@ class TestEvalKernel:
 
 
 class TestKernelMoments:
-    """One-sided moments of eval_kernel by quadrature."""
+    """One-sided moments of _eval_kernel by quadrature."""
 
     @pytest.mark.parametrize("kind", KERNEL_KINDS)
     def test_matches_numeric_integration(self, kind):
-        """Quadrature of eval_kernel agrees with the closed-form moments."""
+        """Quadrature of _eval_kernel agrees with the closed-form moments."""
         for ell in range(3):
             assert _moment(kind, ell, 0.0, 1.0) == pytest.approx(
                 PLUS_MOMENTS[kind][ell], abs=1e-12)

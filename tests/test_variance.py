@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from paneljump.errors import InsufficientSupport, NumericalError
+from paneljump.errors import InsufficientSupport
 from paneljump.inference import TestConfig as Config
 from paneljump.kernels import KernelSpec
-from paneljump.variance import default_truncation, sigma_c_matrix, v_sq, v_tilde_sq
+from paneljump.variance import _default_truncation, _v_sq, _v_tilde_sq, sigma_c_matrix
 from one_row import weights, window_mean
 
 UNIFORM = KernelSpec("uniform")
@@ -77,47 +77,44 @@ class TestSigmaESqTruncated:
 class TestDefaultTruncation:
     def test_nine_times_median_for_small_counts(self):
         pooled = np.array([1.0, 2.0, 3.0])
-        assert default_truncation(pooled) == pytest.approx(9.0 * 2.0)
+        assert _default_truncation(pooled) == pytest.approx(9.0 * 2.0)
 
     def test_zero_median_disables_clipping(self):
-        assert default_truncation(np.zeros(11)) == np.inf
+        assert _default_truncation(np.zeros(11)) == np.inf
 
     def test_empty_pool_disables_clipping(self):
-        assert default_truncation(np.array([np.nan, np.nan])) == np.inf
+        assert _default_truncation(np.array([np.nan, np.nan])) == np.inf
 
 
 class TestVSq:
     def test_arithmetic(self):
         # sum of squared differences 0.01 by construction
         w_diff = np.array([0.1, 0.0])
-        assert v_sq(w_diff, 2.0, 100, 0.5) == pytest.approx(1.0)
+        assert _v_sq(w_diff, 2.0, 100, 0.5) == pytest.approx(1.0)
 
     def test_zero_sigma(self):
-        assert v_sq(np.ones(3), 0.0, 50, 0.3) == 0.0
+        assert _v_sq(np.ones(3), 0.0, 50, 0.3) == 0.0
 
     def test_scales_with_sigma(self):
         w_diff = np.array([0.4, 0.6, -1.0])
-        base = v_sq(w_diff, 1.0, 200, 0.25)
-        assert v_sq(w_diff, 9.0, 200, 0.25) == pytest.approx(9.0 * base)
+        base = _v_sq(w_diff, 1.0, 200, 0.25)
+        assert _v_sq(w_diff, 9.0, 200, 0.25) == pytest.approx(9.0 * base)
 
 
 class TestVTildeSq:
     def test_two_equal_units(self):
-        np.testing.assert_allclose(v_tilde_sq([1.0, 1.0]), [0.5, 0.5])
+        np.testing.assert_allclose(_v_tilde_sq([1.0, 1.0]), [0.5, 0.5])
 
     def test_three_unit_arithmetic(self):
         # (2/3)^2 v_j + (sum of the others) / 9 for each unit j
-        np.testing.assert_allclose(v_tilde_sq([1.0, 4.0, 9.0]),
+        np.testing.assert_allclose(_v_tilde_sq([1.0, 4.0, 9.0]),
                                    [17.0 / 9.0, 26.0 / 9.0, 41.0 / 9.0])
 
     def test_large_n_limit(self):
         v = np.ones(10**6)
         v[17] = 2.0
-        assert v_tilde_sq(v)[17] == pytest.approx(2.0, abs=1e-4)
+        assert _v_tilde_sq(v)[17] == pytest.approx(2.0, abs=1e-4)
 
-    def test_single_unit_rejected(self):
-        with pytest.raises(NumericalError, match="centred scale needs at least two units"):
-            v_tilde_sq([1.0])
 
 
 def _w_diffs(x, grid, b):
