@@ -8,16 +8,15 @@ constant ties them together.  The selector is deliberately simple; it is
 judged by the size and power it delivers downstream, not by bandwidth
 optimality per se.
 
-The plugin rule runs for a block of units at once, and avoids numpy's
-convenience wrappers where their per-call overhead would be paid per unit:
-the quartic fits are done with plain array operations and one ``lstsq``
-call per side and unit.  Each step replays the floating-point operations
-of the library call it replaces (``np.unique``,
-``np.polynomial.Polynomial.fit`` with its evaluation and second
-derivative, ``np.clip``) on the same operands in the same order, so the
-bandwidths, errors and rank warnings are bit-identical to the rule written
-with those calls; ``tests/test_bandwidth.py`` holds that reference and
-checks it under hypothesis.
+The plugin rule runs as one array program for a block of units, without
+numpy's convenience wrappers and their per-call overhead: the quartic fits
+of the block's sides of one length share one batched LAPACK least-squares
+call.  Each step replays the floating-point operations of the library call
+it replaces (``np.unique``, ``np.polynomial.Polynomial.fit`` with its
+evaluation and second derivative, ``np.clip``) on the same operands in the
+same order, so the bandwidths, errors and rank warnings are bit-identical to
+the rule written with those calls; ``tests/test_bandwidth.py`` holds that
+reference and checks it under hypothesis.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import ConfigError, InsufficientSupport, _check_real
 from .kernels import KernelSpec
@@ -121,62 +121,57 @@ _BOUNDARY_CONSTANTS = {
 }
 
 
-def _quartic_side(y: np.ndarray, d: np.ndarray):
-    """Quartic fit in the centred covariate; returns (rss, curvature at 0).
+def _lstsq_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
-    The steps are those of ``np.polynomial.Polynomial.fit(d, y, 4)``, of
-    evaluating the fit at ``d`` and of ``.deriv(2)(0.0)``, replayed in
-    numpy 2's order: the domain [min d, max d] (widened by 1 each way when
-    the two are equal) is mapped onto [-1, 1] as ``mapparms`` does, in
-    numpy scalars, so a span that rounds to 0 divides as numpy does; the
-    Vandermonde rows are built by successive multiplication as in
-    ``polyvander``; the columns are scaled to unit norm (a zero norm stays
-    1) and solved by ``lstsq`` with ``rcond = len(d) * eps``, warning
-    ``RankWarning`` on a rank below 5; the fit is evaluated by
-    ``polyval``'s Horner recursion and differentiated by
-    ``polyder(c, 2, scl)``'s two scale-and-multiply passes before being
-    evaluated at the mapped 0.  Every floating-point operation, operand
-    and order matches the library's, so the results are bit-identical to
-    it without its wrappers' per-call overhead.  Where the library would
-    hand LAPACK NaN abscissae and fail, this raises InsufficientSupport:
-    when the span rounds to 0 (the widening by 1 lost below the
-    covariates' last place), is so small that the scale 2 / span
-    overflows, or overflows itself, or when hi + lo overflows.
+
+def _quartic_sides(Y: np.ndarray, D: np.ndarray, m: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Quartic fits in the centred covariate of sides stacked in order of
+    length: side s has its m[s] outcomes ``Y[s, :m[s]]`` and centred
+    covariates ``D[s, :m[s]]`` in its unit's order, and a domain [lo[s],
+    hi[s]] that maps onto [-1, 1].  Returns each side's rss and curvature at 0.
+
+    Each side replays ``np.polynomial.Polynomial.fit(d, y, 4)``, its
+    evaluation at ``d`` and ``.deriv(2)(0.0)`` in numpy 2's order
+    (``mapparms``, ``polyvander``, unit-norm columns, ``lstsq`` with
+    ``rcond = m * eps`` and a ``RankWarning`` below rank 5, ``polyval``'s
+    Horner recursion, ``polyder``), so the results are bit-identical to the
+    library's.  The elementwise steps run on the whole stack; the norms, the
+    solve (the LAPACK gufunc ``np.linalg.lstsq`` calls, in its error state)
+    and the rss (one BLAS dot per side) run once per length, on the sides of
+    exactly that length: zero-padding changes the pairwise sums and LAPACK's
+    reductions, and so the last bits.
     """
-    lo, hi = d.min(), d.max()
-    if lo == hi:
-        lo, hi = lo - 1.0, hi + 1.0
     span = hi - lo
-    if not (_MAP_MIN_SPAN < span < np.inf and abs(hi + lo) < np.inf):  # else lstsq gets NaN
-        raise InsufficientSupport(
-            f"one side's centred covariates span [{lo}, {hi}], which floating point "
-            "cannot map onto [-1, 1]"
-        )
-    off = (-hi - lo) / span
-    scl = 2.0 / span
-    u = off + scl * d
-    x = u + 0.0  # the fit's copy of its abscissae: -0.0 becomes 0.0
-    van = np.empty((5, d.size))
-    van[0] = x * 0 + 1
-    van[1] = x
+    off, scl = ((-hi - lo) / span)[:, None], (2.0 / span)[:, None]
+    u = off + scl * D
+    van = np.empty((len(D), 5, D.shape[1]))
+    van[:, 1] = u + 0.0  # the fit's copy of its abscissae: -0.0 becomes 0.0
+    van[:, 0] = van[:, 1] * 0 + 1
     for k in range(2, 5):
-        np.multiply(van[k - 1], x, out=van[k])
-    norms = np.sqrt(np.square(van).sum(1))
-    norms[norms == 0] = 1
-    coef, _, rank, _ = np.linalg.lstsq(van.T / norms, y + 0.0, d.size * _EPS)
-    coef = coef / norms
-    if rank != 5:
-        warnings.warn("The fit may be poorly conditioned", np.exceptions.RankWarning,
-                      stacklevel=2)
-    fit = coef[4] + u * 0  # polyval starts from c[-1] + x * 0
+        np.multiply(van[:, k - 1], van[:, 1], out=van[:, k])
+    n_all, starts = np.unique(m, return_index=True)
+    lengths = list(zip(n_all, map(slice, starts, [*starts[1:], len(m)])))
+    coef = np.empty((len(D), 5))
+    for n, at in lengths:
+        norms = np.sqrt(np.square(van[at, :, :n]).sum(2))
+        norms[norms == 0] = 1
+        a, b = van[at, :, :n].transpose(0, 2, 1) / norms[:, None], Y[at, :n, None] + 0.0
+        with np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore",
+                         under="ignore"):
+            sol, _, rank, _ = _umath_linalg.lstsq(a, b, n * _EPS, signature="ddd->ddid")
+        coef[at] = sol[..., 0] / norms
+        for _ in range(np.count_nonzero(rank != 5)):
+            warnings.warn("The fit may be poorly conditioned", np.exceptions.RankWarning, 2)
+    fit = coef[:, 4:] + u * 0  # polyval starts from c[-1] + x * 0
     for k in (3, 2, 1, 0):
-        fit = coef[k] + fit * u
-    resid = y - fit
-    c = coef * scl
-    d2 = (2 * c[2] * scl, 2 * (3 * c[3] * scl), 3 * (4 * c[4] * scl))
-    z = off + scl * 0.0
-    curv = d2[0] + (d2[1] + (d2[2] + z * 0) * z) * z
-    return float(resid @ resid), float(curv)
+        fit = coef[:, k:k + 1] + fit * u
+    resid, rss = Y - fit, np.empty(len(D))
+    for n, at in lengths:
+        rss[at] = (resid[at, None, :n] @ resid[at, :n, None])[:, 0, 0]
+    c, z, scl = coef * scl, (off + scl * 0.0)[:, 0], scl[:, 0]
+    d2 = (2 * c[:, 2] * scl, 2 * (3 * c[:, 3] * scl), 3 * (4 * c[:, 4] * scl))
+    return rss, d2[0] + (d2[1] + (d2[2] + z * 0) * z) * z
 
 
 def _plugin_rows(y, x, order, c, kernel: KernelSpec, bounds: tuple[float, float]) -> list:
@@ -193,16 +188,17 @@ def _plugin_rows(y, x, order, c, kernel: KernelSpec, bounds: tuple[float, float]
     up; the result is then clamped into ``bounds`` times the covariate
     range.  Deterministic in its inputs.
 
-    The bandwidth is bit-identical to the same rule computed with
-    ``np.unique``, ``np.percentile``, ``np.polynomial.Polynomial.fit`` and
-    ``np.clip`` (see ``_quartic_side``).
+    The checks run as arrays in the per-row order, and exactly the sides a
+    per-row rule fits are fitted.  The bandwidth is bit-identical to the rule
+    computed per row with ``np.unique``, ``np.percentile``,
+    ``np.polynomial.Polynomial.fit`` and ``np.clip`` (see ``_quartic_sides``).
 
-    A row's InsufficientSupport says why: fewer than 20 observations
-    overall, fewer than 5 distinct covariate values on either side of c,
-    a degenerate covariate range or one that overflows to inf, a side
-    whose centred covariates floating point cannot map onto the quartic
-    fit's [-1, 1], or a covariate or outcome scale so extreme that
-    f(c) curv^2 underflows to 0 or overflows.
+    A row's InsufficientSupport names its first failure: fewer than 20
+    observations, a degenerate covariate range, fewer than 5 distinct
+    covariate values on the plus side or a plus side whose centred
+    covariates cannot map onto the fit's [-1, 1], the same for the minus
+    side, a covariate range that overflows to inf, or a scale so extreme
+    that f(c) curv^2 underflows to 0, overflows or is NaN.
     """
     t_obs = x.shape[1]
     if t_obs < _MIN_OBS:
@@ -211,63 +207,70 @@ def _plugin_rows(y, x, order, c, kernel: KernelSpec, bounds: tuple[float, float]
     xs = np.take_along_axis(x, order, 1)
     first = np.ones(x.shape, dtype=bool)  # each value's first place, so also the split
     np.not_equal(xs[:, 1:], xs[:, :-1], out=first[:, 1:])
-    with np.errstate(all="ignore"):  # it also covers rows that fail a check first
-        d = x - c[:, None]
-        # Silverman rule-of-thumb density estimate at the threshold.
+    n_minus = np.count_nonzero(first & (xs < c[:, None]), 1)  # minus side x < c, then plus side
+    out, alive = [None] * len(x), np.ones(len(x), dtype=bool)
+
+    def stop(done, why) -> None:  # the rows' value, or a message for their error
+        for r in np.flatnonzero(alive & done):
+            out[r] = InsufficientSupport(v) if isinstance(v := why(r), str) else v
+        alive[done] = False
+
+    def domain(lo, hi):  # a quartic fit's, widened where lo == hi as Polynomial.fit does
+        return np.where(lo == hi, lo - 1.0, lo), np.where(lo == hi, hi + 1.0, hi)
+
+    # Outcomes or covariates near the float limit overflow the rule's sums,
+    # products and quotients; its checks name what leaves float range.
+    with np.errstate(all="ignore"):
+        d, ds = x - c[:, None], xs - c[:, None]  # ds: d in x-order, so sorted too
+        # Silverman density estimate at c, with np.percentile's quartiles read from ds.
         spread = np.std(d, 1)
-        q75, q25 = np.percentile(d, [75.0, 25.0], axis=1)
+        place = (t_obs - 1) * np.array([0.75, 0.25])
+        below, above = (ds[:, np.floor(place).astype(int) + j].T for j in (0, 1))
+        step, gap = (place - np.floor(place))[:, None], above - below
+        q75, q25 = np.where(step >= 0.5, above - gap * (1 - step), below + gap * step)
         iqr_scale = (q75 - q25) / 1.34
         width = np.where(iqr_scale > 0.0, np.minimum(spread, iqr_scale), spread)
         h_dens = 0.9 * width * t_obs ** (-0.2)
         dens = np.mean(np.exp(-0.5 * (d / h_dens[:, None]) ** 2), 1) / (h_dens * np.sqrt(2.0 * np.pi))
-    n_minus = np.count_nonzero(first & (xs < c[:, None]), 1)  # minus side x < c, then plus side
-    out = []
-    # Outcomes or covariates near the float limit overflow the fits' sums
-    # and products; the rule's range check names what leaves float range.
-    with np.errstate(over="ignore"):
-        for row in zip(y, d, xs, np.count_nonzero(first, 1) - n_minus, n_minus, dens):
-            try:
-                out.append(_plugin_row(*row, kernel, bounds))
-            except InsufficientSupport as exc:
-                out.append(exc)
+        plus, rows, x_range = d >= 0.0, np.arange(len(x)), xs[:, -1] - xs[:, 0]
+        k = t_obs - np.count_nonzero(plus, 1)  # the plus side's first place in x-order
+        lo, hi = domain(np.stack((ds[rows, np.minimum(k, t_obs - 1)], ds[:, 0])),
+                        np.stack((ds[:, -1], ds[rows, np.maximum(k - 1, 0)])))
+        mappable = (_MAP_MIN_SPAN < hi - lo) & (hi - lo < np.inf) & (abs(hi + lo) < np.inf)
+        stop(x_range <= 0.0, lambda r: "degenerate covariate range")
+        fitted = []
+        for side, count in enumerate((np.count_nonzero(first, 1) - n_minus, n_minus)):
+            stop(count < _MIN_SIDE, lambda r: (
+                f"need at least {_MIN_SIDE} distinct covariate values per side"))
+            stop(~mappable[side], lambda r: "one side's centred covariates span [{}, {}], which "
+                 "floating point cannot map onto [-1, 1]".format(*map(float, domain(
+                     *(f(d[r][plus[r] != side]) for f in (np.min, np.max))))))
+            fitted.append(alive.copy())
+        stop(x_range == np.inf, lambda r: f"covariate range {xs[r, 0]} to {xs[r, -1]} overflows to inf")
+        # The fitted sides by length (plus sides first within a length), each
+        # with its own points first, in its unit's order.
+        side, m = np.flatnonzero(np.array(fitted)), np.concatenate((t_obs - k, k))
+        side = side[np.argsort(m[side], kind="stable")]
+        row, is_plus, m = side % len(x), side < len(x), m[side]
+        at = np.argsort(plus[row] != is_plus[:, None], axis=1, kind="stable")[:, :m.max(initial=0)]
+        rss, curvs = np.zeros((2, 2, len(x)))
+        rss.reshape(-1)[side], curvs.reshape(-1)[side] = _quartic_sides(
+            y[row[:, None], at], d[row[:, None], at], m, lo.ravel()[side], hi.ravel()[side])
+        sigma_sq = (rss[0] + rss[1]) / max(t_obs - 10, 1)
+        lo, hi = bounds
+        stop(sigma_sq <= 0.0, lambda r: lo * float(x_range[r]))
+        curv = abs(curvs[0] - curvs[1])
+        floor = _CURV_FLOOR * np.sqrt(sigma_sq) / (x_range * x_range)
+        curv = np.where(floor > curv, floor, curv)  # max(curv, floor), NaN as Python's
+        dens_curv_sq = dens * curv * curv
+        stop(~((0.0 < dens_curv_sq) & (dens_curv_sq < np.inf)), lambda r: (
+            f"density x curvature^2 = {dens_curv_sq[r]} leaves float range "
+            "at this covariate or outcome scale"))
+    for r in np.flatnonzero(alive):
+        ratio = float(sigma_sq[r]) / float(dens_curv_sq[r])
+        raw = _BOUNDARY_CONSTANTS[kernel.kind] * ratio ** 0.2 * t_obs ** (-0.2)
+        out[r] = float(min(max(raw, lo * float(x_range[r])), hi * float(x_range[r])))
     return out
-
-
-def _plugin_row(y, d, xs, n_plus, n_minus, dens, kernel: KernelSpec,
-                bounds: tuple[float, float]) -> float:
-    """One row's checks, quartic fits and rule, after the block's front end."""
-    t_obs = d.size
-    x_range = float(xs[-1] - xs[0])
-    if x_range <= 0.0:
-        raise InsufficientSupport("degenerate covariate range")
-    plus = d >= 0.0
-    rss = 0.0
-    curvs = []
-    for side_mask, count in ((plus, n_plus), (~plus, n_minus)):
-        if count < _MIN_SIDE:
-            raise InsufficientSupport(
-                f"need at least {_MIN_SIDE} distinct covariate values per side"
-            )
-        rss_side, curv = _quartic_side(y[side_mask], d[side_mask])
-        rss += rss_side
-        curvs.append(curv)
-    if x_range == np.inf:
-        raise InsufficientSupport(f"covariate range {xs[0]} to {xs[-1]} overflows to inf")
-    df = max(t_obs - 10, 1)
-    sigma_sq = rss / df
-    lo, hi = bounds
-    if sigma_sq <= 0.0:
-        return lo * x_range
-    curv = abs(curvs[0] - curvs[1])
-    curv = max(curv, _CURV_FLOOR * np.sqrt(sigma_sq) / (x_range * x_range))
-    dens_curv_sq = float(dens) * curv * curv
-    if not 0.0 < dens_curv_sq < np.inf:
-        raise InsufficientSupport(
-            f"density x curvature^2 = {dens_curv_sq} leaves float range "
-            "at this covariate or outcome scale"
-        )
-    raw = _BOUNDARY_CONSTANTS[kernel.kind] * (sigma_sq / dens_curv_sq) ** 0.2 * t_obs ** (-0.2)
-    return float(min(max(raw, lo * x_range), hi * x_range))
 
 
 def _pooled_bandwidth(bandwidths, clamp: tuple[float, float]) -> float:

@@ -64,11 +64,14 @@ def _fitted_uniform(xs: np.ndarray, ys: np.ndarray, b: np.ndarray) -> np.ndarray
 
     The constant kernel factor cancels from the local linear ratio, so
     windowed power sums suffice.  All series are recentred on the row's
-    mean of x to tame cancellation.
+    mean of x to tame cancellation.  Outcomes past 2^512 are divided by a
+    power of two, exactly, so that a row's sums of y and x y cannot overflow.
     """
     # Covariates near the float limit overflow the sums and window bounds;
     # the floor test turns what they touch into NaN.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        scale = np.ldexp(1.0, np.maximum(np.frexp(np.abs(ys).max(1))[1] - 512, 0))[:, None]
+        ys = ys / scale
         xc = xs - xs.mean(1)[:, None]
         z = np.zeros((len(xs), 1))
         p1, p2, q0, q1 = (np.concatenate((z, np.cumsum(v, 1)), 1)
@@ -78,7 +81,7 @@ def _fitted_uniform(xs: np.ndarray, ys: np.ndarray, b: np.ndarray) -> np.ndarray
         n = (hi - lo).astype(float)
         m1, m2, r0, r1 = (p[rows, hi] - p[rows, lo] for p in (p1, p2, q0, q1))
         s1, s2, t1 = _recentred(xc, n, m1, m2, r0, r1)  # u = each point itself
-        return _local_linear(n, s1, s2, r0, t1)
+        return _local_linear(n, s1, s2, r0, t1) * scale
 
 
 # Covariates near the float limit overflow the window bounds, offsets and

@@ -451,7 +451,9 @@ def _front_end(panel: PanelData, threshold, config: TestConfig, what: str):
     per_unit = [b for b in selected.values() if not isinstance(b, InsufficientSupport)]
     if not per_unit:
         raise NumericalError("no unit supports plugin bandwidth selection")
-    ranges = [float(u.x.max() - u.x.min()) for u in panel if u.x.size > 1]
+    ends = _blocks(panel, lambda _, y, x, o: np.diff(np.take_along_axis(x, o[:, [0, -1]], 1))[:, 0],
+                   orders)  # each unit's covariate range, its last sorted x minus its first
+    ranges = [r for u, r in zip(panel, ends.values()) if u.x.size > 1]
     pooled = _pooled_bandwidth(per_unit, clamp=(lo * min(ranges), hi * max(ranges)))
     return units, skipped, orders, thresholds, dict.fromkeys(thresholds, pooled)
 

@@ -14,7 +14,9 @@ from paneljump.bandwidth import (
     DEFAULT_BOUNDS,
     BandwidthPolicy,
     _pilot_rows,
+    _plugin_rows,
     _pooled_bandwidth,
+    _quartic_sides,
 )
 from paneljump.errors import ConfigError, InsufficientSupport
 from paneljump.kernels import KernelSpec, _eval_kernel
@@ -220,6 +222,17 @@ class TestPluginBandwidth:
         with pytest.raises(InsufficientSupport, match="range"):
             plugin(np.zeros(25), np.full(25, 0.7), 0.0, UNIFORM)
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-250, 1e-307])
+    def test_tiny_covariate_scale_warns_nothing(self, scale):
+        # Each side still maps onto [-1, 1], but the fits' curvature
+        # overflows to inf - inf and the floor divides by a range^2 that
+        # underflows to 0; both leaked a RuntimeWarning.  The rule's range
+        # check names the scale instead.
+        y, x = _curved_sample(seed=6)
+        with pytest.raises(InsufficientSupport,
+                           match="= nan leaves float range at this covariate or outcome scale"):
+            plugin(y, scale * x, 0.0, UNIFORM)
+
 
 def _reference_plugin_bandwidth(y, x, c, kernel, bounds=DEFAULT_BOUNDS):
     """The plugin rule written with numpy's library calls: ``np.unique``
@@ -330,6 +343,126 @@ def test_plugin_bandwidth_matches_library_reference_on_collapsed_side():
     new = _outcome(plugin, *args)
     assert new == _outcome(_reference_plugin_bandwidth, *args)
     assert new[1] == 1
+
+
+_LSTSQ_FALLBACK = ("numpy moved or changed its batched least-squares kernel; the fallback is "
+                   "np.linalg.lstsq per side inside the same length-grouped program")
+
+
+@pytest.mark.parametrize("m", [5, 6, 9, 37, 130, 901])
+@pytest.mark.parametrize("cluster", [False, True])
+def test_batched_lstsq_kernel_matches_np_linalg_lstsq(m, cluster):
+    """``_quartic_sides`` solves all sides of one length with one call of
+    ``numpy.linalg._umath_linalg.lstsq``, the private LAPACK gufunc that
+    ``np.linalg.lstsq`` calls one matrix at a time.  Stacked, it gives
+    each side's solution and rank bit for bit as ``np.linalg.lstsq`` on
+    that side alone, on unit-norm quartic Vandermonde stacks, including
+    rank-deficient ones with most covariates in a cluster 1e-13 wide.  If
+    numpy moves or changes the kernel, this fails and names the fallback."""
+    from numpy.linalg import _umath_linalg
+
+    assert "ddd->ddid" in getattr(getattr(_umath_linalg, "lstsq", None), "types", ()), \
+        _LSTSQ_FALLBACK
+    rng = np.random.default_rng(m)
+    u = rng.uniform(-1.0, 1.0, (7, m))
+    if cluster:  # two points, and the rest where a quartic cannot tell them apart
+        u[:, : m - 2] = 0.5 + 1e-13 * np.arange(m - 2)
+    van = np.polynomial.polynomial.polyvander(u, 4)
+    a = van / np.sqrt(np.square(van).sum(1))[:, None]
+    b = rng.standard_normal((7, m, 1))
+    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+        coef, _, rank, _ = _umath_linalg.lstsq(a, b, m * np.finfo(float).eps,
+                                               signature="ddd->ddid")
+    for i in range(len(u)):
+        ref, _, ref_rank, _ = np.linalg.lstsq(a[i], b[i, :, 0], m * np.finfo(float).eps)
+        assert coef[i, :, 0].tobytes() == ref.tobytes() and rank[i] == ref_rank, _LSTSQ_FALLBACK
+    assert ((rank < 5) == cluster).all()
+
+
+def test_failed_stacked_solve_raises_the_lstsq_error():
+    """A side LAPACK cannot solve (here a NaN covariate) raises the
+    LinAlgError ``np.linalg.lstsq`` raises, through the same error state,
+    though the other side of its length solves."""
+    d = np.tile(np.linspace(-1.0, 1.0, 8), (2, 1))
+    d[1, 3] = np.nan
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="^SVD did not converge in Linear Least Squares$"):
+        _quartic_sides(np.ones((2, 8)), d, np.array([8, 8]), np.array([-1.0, -1.0]),
+                       np.array([1.0, 1.0]))
+
+
+_ROW_STAGES = ("ok", "ok", "ok", "ok", "few", "collapsed", "tiny", "cluster", "degenerate",
+               "wide", "y1e155", "y1e307")
+
+
+def _lattice_row(stage, t_obs, n_plus, levels, rng):
+    """(y, x, c) of one unit on a coarse lattice with ``n_plus`` covariates
+    at or above c = 0, so that the sides of a block share lengths, or one
+    that ``stage`` makes fail a check of the plugin rule."""
+    grid = np.arange(levels + 1) / levels
+    plus = rng.choice(grid[:: levels // 2] if stage == "few" else grid, n_plus)
+    u = rng.permutation(np.concatenate((plus, -rng.choice(grid[1:], t_obs - n_plus))))
+    if stage == "cluster":
+        u[: t_obs // 3] = 0.5 + 1e-13 * np.arange(t_obs // 3)
+    elif stage == "degenerate":
+        u[:] = 0.7
+    y = np.cos(2.0 * u) + (u >= 0.1) + 0.3 * rng.standard_normal(t_obs)
+    if stage == "collapsed":  # 1e-14 apart, all centred to d = 1000
+        return y, 1e-14 * np.arange(float(t_obs)), -1e3
+    if stage == "tiny":
+        u = 1e-310 * u
+    elif stage == "wide":
+        u = np.where(u >= 0.0, 0.5e308 + 0.5e308 * u, -0.5e308 + 0.5e308 * u)
+    elif stage.startswith("y"):
+        y = y * float(stage[1:])
+    return y, u, 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    stages=st.lists(st.sampled_from(_ROW_STAGES), min_size=2, max_size=40),
+    t_obs=st.sampled_from([12, 20, 35, 60, 120]),
+    levels=st.sampled_from([4, 8, 16]),
+    kind=st.sampled_from(["uniform", "triangular", "epanechnikov"]),
+    bounds=st.sampled_from([DEFAULT_BOUNDS, (0.2, 0.5)]),
+)
+def test_plugin_rows_in_a_block_match_library_reference(seed, stages, t_obs, levels, kind,
+                                                         bounds):
+    """Each row of a block of 2-40 units gives the library reference's
+    outcome for that row alone, and the block warns RankWarning as often
+    as the rows alone do, with no other RuntimeWarning.  The covariates sit
+    on coarse lattices with a few plus-side counts per block, so many sides
+    share a length and one stacked solve fits several.  Rows fail each
+    check: too few distinct values per side, a collapsed side, a side span
+    below 2^-1023 (where the library fit hands LAPACK what it cannot map
+    and fails with LinAlgError, the row carries the named skip), 1e-13
+    clusters that leave a fit rank-deficient, a degenerate or overflowing
+    range, and outcomes at 1e155 and 1e307."""
+    rng = np.random.default_rng(seed)
+    counts = rng.choice([t_obs // 2, t_obs // 2 + 1, t_obs // 3], len(stages))
+    y, x, c = map(np.array, zip(*(_lattice_row(s, t_obs, n, levels, rng)
+                                  for s, n in zip(stages, counts))))
+    kernel = KernelSpec(kind)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _plugin_rows(y, x, np.argsort(x, axis=1, kind="stable"), c, kernel, bounds)
+    rank_warning = np.exceptions.RankWarning
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)
+                and not issubclass(w.category, rank_warning)]
+    ranks = 0
+    for r, value in enumerate(got):
+        ref, n_ranks = _outcome(_reference_plugin_bandwidth, y[r], x[r], c[r], kernel, bounds)
+        ranks += n_ranks
+        if isinstance(value, Exception):
+            value = (type(value), str(value))
+        if ref == (np.linalg.LinAlgError, "SVD did not converge in Linear Least Squares"):
+            assert value[0] is InsufficientSupport
+            assert value[1].endswith("which floating point cannot map onto [-1, 1]")
+        else:
+            assert type(value) is type(ref)
+            assert value == ref
+    assert sum(issubclass(w.category, rank_warning) for w in caught) == ranks
 
 
 NO_CLAMP = (0.0, np.inf)

@@ -583,8 +583,8 @@ class TestModuleEntry:
 
     def test_each_leaf_error_is_caught_or_formats_its_message(self):
         # The rule in the errors docstring: below the three families, a
-        # class exists only if src/ catches it by type or its constructor
-        # formats the message.
+        # class exists only if src/ tests for it by type (an except clause
+        # or an isinstance call) or its constructor formats the message.
         caught = set()
         for info in pkgutil.iter_modules(paneljump.__path__):
             module = importlib.import_module(f"paneljump.{info.name}")
@@ -592,6 +592,8 @@ class TestModuleEntry:
                 if isinstance(node, ast.ExceptHandler) and node.type is not None:
                     types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
                     caught |= {getattr(t, "id", getattr(t, "attr", None)) for t in types}
+                elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                    caught.add(getattr(node.args[1], "id", None))
         families = {"PanelJumpError", "ConfigError", "DataError", "NumericalError"}
         leaves = [name for name in paneljump.errors.__all__ if name not in families]
         assert leaves

@@ -1139,26 +1139,27 @@ def test_outcome_scale_whose_square_overflows_warns_nothing(run, place, policy, 
     squared residuals.  Each leaked an overflow RuntimeWarning.  Now the
     plugin rule skips the unit, naming the scale.  With a fixed or pooled
     bandwidth a known-threshold test raises the NumericalError that names
-    the overflowing variance, or skips the unit where the smoother's sums
-    overflow first; the search reports or skips the unit (its statistic is
-    not pinned: the truncation level pooled across units lets the unit's
-    huge jump through)."""
+    the overflowing variance, with every kernel: the uniform smoother
+    divides such outcomes by a power of two, so its sums no longer overflow
+    into a skip for no residual.  The search reports the unit (its
+    statistic is not pinned: the truncation level pooled across units lets
+    the unit's huge jump through)."""
     units = _panel_with_a_scaled_unit(1.0)
     panel = PanelData([PanelUnit(u.unit_id, u.y * (scale if u.unit_id == "b" else 1.0), u.x)
                        for u in units])
     cfg = Config(kernel=KernelSpec(kind), bandwidth=policy)
-    try:
-        result = run(panel, place, cfg)
-    except NumericalError as exc:
-        assert policy.mode != "plugin" and run is not search_thresholds
-        assert str(exc) == "variance for unit 'b' at c=0.0 overflows at this outcome scale"
+    if policy.mode != "plugin" and run is not search_thresholds:
+        with pytest.raises(NumericalError) as exc:
+            run(panel, place, cfg)
+        assert str(exc.value) == "variance for unit 'b' at c=0.0 overflows at this outcome scale"
         return
+    result = run(panel, place, cfg)
     if policy.mode == "plugin":
         assert [(s.unit_id, s.reason) for s in result.skipped] == [(
             "b", "bandwidth selection failed: density x curvature^2 = inf leaves float range "
             "at this covariate or outcome scale")]
     else:
-        assert [s.unit_id for s in result.skipped] in ([], ["b"])
+        assert result.skipped == []
 
 
 def _overflow_unit(scale):
@@ -1406,7 +1407,10 @@ def _reference_window_mean(resid, x, c, b, a_trunc):
 
 def _reference_fitted_uniform(xs, ys, b):
     """``estimator._fitted_uniform`` at every point of one unit sorted by x,
-    written on 1-d arrays."""
+    written on 1-d arrays: outcomes past 2^512 smoothed divided by a power
+    of two."""
+    scale = 2.0 ** max(int(np.frexp(np.abs(ys).max())[1]) - 512, 0)
+    ys = ys / scale
     xc = xs - float(xs.mean())
     z = np.zeros(1)
     p1, p2, q0, q1 = (np.concatenate((z, np.cumsum(v))) for v in (xc, xc * xc, ys, xc * ys))
@@ -1422,7 +1426,7 @@ def _reference_fitted_uniform(xs, ys, b):
     with np.errstate(divide="ignore", invalid="ignore"):
         fitted = (sd2 * r0 - sd1 * t1) / den
     fitted[~(den > floor)] = np.nan
-    return fitted
+    return fitted * scale
 
 
 def _reference_residuals(y, x, b, kernel):
@@ -1798,14 +1802,13 @@ def test_panel_search_matches_units_searched_alone(seed, units, n_grid, kind, cv
 def test_block_fit_reaches_every_stage(kind, monkeypatch):
     """A ragged panel whose units stop at each stage, in several blocks
     (a unit alone in its length, then a cap of two rows a block), gives
-    the per-unit chain's rows and skip reasons, including the smoothing
-    precedence: no window point smooths ("no usable residuals") against
-    no point at all ("no sample point admits")."""
+    the per-unit chain's rows and skip reasons.  Outcomes at 1e307 in the
+    variance window or everywhere are smoothed by every kernel (the
+    uniform kernel's sums scaled by a power of two) into a variance that
+    overflows: the NumericalError naming the outcome scale, not a skip for
+    no residual."""
     rng = np.random.default_rng(41)
-    # The non-uniform kernels smooth these huge values into an overflowing
-    # scale, a NumericalError, rather than into no residual.
-    window, everywhere = ("window", "everywhere") if kind == "uniform" else ("ok", "ok")
-    stages = ["ok", "plus", window, "ok", "minus", everywhere, "far", "ok", "ok"]
+    stages = ["ok", "plus", "ok", "ok", "minus", "ok", "far", "ok", "ok"]
     panel = PanelData([_stage_unit(f"u{j}", s, 0.0, 300 if j == 3 else 200, rng)
                        for j, s in enumerate(stages)])
     config = Config(kernel=KernelSpec(kind), bandwidth=BandwidthPolicy.fixed(0.5))
@@ -1814,11 +1817,14 @@ def test_block_fit_reaches_every_stage(kind, monkeypatch):
     assert reasons["u1"].startswith("insufficient support on plus side")
     assert reasons["u4"].startswith("insufficient support on minus side")
     assert reasons["u6"].startswith("insufficient support on plus side")
-    if kind == "uniform":
-        assert reasons["u2"] == "no usable residuals within 0.5 of c=0.0"
-        assert reasons["u5"] == "no sample point admits a local linear fit"
     monkeypatch.setattr(paneljump.inference, "_BLOCK_BUDGET", 400)
     assert _assert_block_fit_equals_reference(panel, 0.0, config) == value
+    for j, stage in ((2, "window"), (5, "everywhere")):
+        rng = np.random.default_rng(41)
+        huge = PanelData([_stage_unit(f"u{i}", stage if i == j else s, 0.0,
+                                      300 if i == 3 else 200, rng) for i, s in enumerate(stages)])
+        assert _assert_block_fit_equals_reference(huge, 0.0, config) == (
+            NumericalError, f"variance for unit 'u{j}' at c=0.0 overflows at this outcome scale")
 
 
 def test_block_fit_first_numerical_error_in_panel_order():
