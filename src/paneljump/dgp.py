@@ -170,16 +170,28 @@ def _ma_coefficients(beta: float, lag: int) -> np.ndarray:
     return a / np.sqrt(a @ a)
 
 
+def _fft_len(n: int) -> int:
+    """Smallest 2^i 3^j 5^k at least n (scipy.fft.next_fast_len(n, real=True))."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def _ma_rows(n_series: int, t_obs: int, beta: float, lag: int,
              rng: np.random.Generator) -> np.ndarray:
     """n_series independent MA(lag) rows of length t_obs, with coefficients
-    (k+1)^-(beta+1) normalised to unit variance and the warm-up discarded."""
-    # Imported here: scipy.signal is slow to load and only the simulator needs it.
-    from scipy.signal import fftconvolve
-
+    (k+1)^-(beta+1) normalised to unit variance and the warm-up discarded.
+    The FFT length is scipy.signal.fftconvolve's, so rows equal its bit for bit."""
     a = _ma_coefficients(beta, lag)
     eta = rng.standard_normal((n_series, t_obs + lag))
-    return fftconvolve(eta, a[None, :], mode="valid", axes=1)
+    n = _fft_len(t_obs + 2 * lag)
+    full = np.fft.irfft(np.fft.rfft(eta, n, axis=1) * np.fft.rfft(a, n), n, axis=1)
+    return full[:, lag:t_obs + lag]
 
 
 def _inject_jumps(n_units: int, t_obs: int, fraction: float, scale: float,

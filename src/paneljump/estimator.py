@@ -64,14 +64,10 @@ def _fitted_uniform(xs: np.ndarray, ys: np.ndarray, b: np.ndarray) -> np.ndarray
 
     The constant kernel factor cancels from the local linear ratio, so
     windowed power sums suffice.  All series are recentred on the row's
-    mean of x to tame cancellation.  Outcomes past 2^512 are divided by a
-    power of two, exactly, so that a row's sums of y and x y cannot overflow.
-    """
+    mean of x to tame cancellation."""
     # Covariates near the float limit overflow the sums and window bounds;
     # the floor test turns what they touch into NaN.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        scale = np.ldexp(1.0, np.maximum(np.frexp(np.abs(ys).max(1))[1] - 512, 0))[:, None]
-        ys = ys / scale
         xc = xs - xs.mean(1)[:, None]
         z = np.zeros((len(xs), 1))
         p1, p2, q0, q1 = (np.concatenate((z, np.cumsum(v, 1)), 1)
@@ -81,7 +77,7 @@ def _fitted_uniform(xs: np.ndarray, ys: np.ndarray, b: np.ndarray) -> np.ndarray
         n = (hi - lo).astype(float)
         m1, m2, r0, r1 = (p[rows, hi] - p[rows, lo] for p in (p1, p2, q0, q1))
         s1, s2, t1 = _recentred(xc, n, m1, m2, r0, r1)  # u = each point itself
-        return _local_linear(n, s1, s2, r0, t1) * scale
+        return _local_linear(n, s1, s2, r0, t1)
 
 
 # Covariates near the float limit overflow the window bounds, offsets and
@@ -127,11 +123,14 @@ def _smooth_rows(y, x, order, b, kernel: KernelSpec) -> list:
     ``order``; each point's fitted value depends only on its own window.
     """
     xs, ys = np.take_along_axis(x, order, 1), np.take_along_axis(y, order, 1)
+    # Outcomes past 2^512 are divided by an exact power of two: sums of y, x y stay finite.
+    scale = np.ldexp(1.0, np.maximum(np.frexp(np.abs(ys).max(1))[1] - 512, 0))[:, None]
     if kernel.kind == "uniform":
-        fitted = _fitted_uniform(xs, ys, b)
+        fitted = _fitted_uniform(xs, ys / scale, b)
     else:
-        fitted = np.array([_fitted_general(*row, kernel) for row in zip(xs, ys, b)])
+        fitted = np.array([_fitted_general(*row, kernel) for row in zip(xs, ys / scale, b)])
     resid = np.empty(x.shape)
-    np.put_along_axis(resid, order, ys - fitted, 1)
+    with np.errstate(over="ignore"):
+        np.put_along_axis(resid, order, ys - fitted * scale, 1)
     return [r if np.isfinite(r).any() else InsufficientSupport(
         "no sample point admits a local linear fit") for r in resid]

@@ -462,8 +462,8 @@ def _unit_row(unit: PanelUnit, c: float, b: float, fit: _UnitJumpFit,
               sigma_e_sq: float, floor: float) -> UnitResult:
     """Standardise the jump fit at c into a report row: scale v, its
     standard error and t = sqrt(T b) gamma_hat / v.  A scale that is not
-    a positive finite number is a NumericalError naming the unit: an
-    infinite one would report t = 0 however large the jump."""
+    a positive finite number, or a t that is not finite, is a NumericalError
+    naming the unit: an infinite scale would report t = 0 for any jump."""
     v = max(float(np.sqrt(max(_v_sq(fit.w_diff, sigma_e_sq, unit.n_obs, b), 0.0))), floor)
     if not v > 0.0:
         raise NumericalError(f"nonpositive variance for unit {unit.unit_id!r}")
@@ -471,6 +471,10 @@ def _unit_row(unit: PanelUnit, c: float, b: float, fit: _UnitJumpFit,
         raise NumericalError(
             f"variance for unit {unit.unit_id!r} at c={c} overflows at this outcome scale"
         )
+    t_stat = float(np.sqrt(unit.n_obs * b) * fit.gamma_hat / v)
+    if not np.isfinite(t_stat):
+        raise NumericalError(f"jump statistic for unit {unit.unit_id!r} at c={c} "
+                             "overflows at this outcome scale")
     return UnitResult(
         unit_id=unit.unit_id,
         threshold=c,
@@ -478,7 +482,7 @@ def _unit_row(unit: PanelUnit, c: float, b: float, fit: _UnitJumpFit,
         gamma_hat=fit.gamma_hat,
         v_hat=v,
         std_error=_std_error(v, unit.n_obs, b),
-        t_stat=float(np.sqrt(unit.n_obs * b) * fit.gamma_hat / v),
+        t_stat=t_stat,
         n_obs=unit.n_obs,
         eff_obs=fit.eff_obs,
     )

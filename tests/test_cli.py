@@ -546,20 +546,38 @@ class TestModuleEntry:
 
     def test_importing_cli_skips_slow_scipy_modules(self, tmp_path):
         # scipy and the process pool each add a large share of the CLI's
-        # start-up time; only the simulator and a run with workers load them.
+        # start-up time. No command loads scipy, the simulator's MA filter
+        # included, and only a run with workers loads the pool.
         panel = ["--data", str(GOLDEN_PANEL)]
         runs = [["jump-test", *panel, "--out", str(tmp_path / "jump.csv")],
                 ["homogeneity-test", *panel, "--out", str(tmp_path / "homogeneity.csv")],
                 ["threshold-search", *panel, "--threshold", "grid:-0.1,0,0.1",
                  "--method", "analytic", "--out", str(tmp_path / "search.csv")],
-                ["critical-value", "--n", "29"]]
+                ["critical-value", "--n", "29"],
+                ["simulate", "--dgp", "2", "--n", "3", "--t", "80", "--reps", "1",
+                 "--workers", "1", "--out", str(tmp_path / "simulate.csv")]]
         code = ("import sys; from paneljump.cli import cli_main; "
                 f"codes = [cli_main(args) for args in {runs!r}]; "
                 "print(codes, *[m for m in sys.modules "
                 "if m.split('.')[0] in ('scipy', 'multiprocessing')])")
         proc = _run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0]"
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0]"
+
+    def test_no_source_file_imports_scipy(self):
+        # numpy is the only runtime dependency; scipy is a test-time reference.
+        files = sorted((SRC / "paneljump").rglob("*.py"))
+        assert files
+        for path in files:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert all(name.split(".")[0] != "scipy" for name in names), \
+                    f"{path.name}:{node.lineno} imports scipy"
 
     def test_bad_settings_raise_config_error(self):
         # One exception for an invalid argument or setting: no bare

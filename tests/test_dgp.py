@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
+from scipy.signal import fftconvolve
 
 import paneljump.dgp
 from paneljump.bandwidth import BandwidthPolicy
@@ -19,7 +21,9 @@ from paneljump.dgp import (
     GammaScheme,
     McConfig,
     RateTable,
+    _fft_len,
     _inject_jumps,
+    _ma_coefficients,
     _ma_rows,
     gen_dgp,
     run_size_power,
@@ -50,6 +54,30 @@ class TestMaGenerator:
         a = _ma_rows(1, 100, 1.5, 50, np.random.default_rng(7))[0]
         b = _ma_rows(1, 100, 1.5, 50, np.random.default_rng(7))[0]
         np.testing.assert_array_equal(a, b)
+
+    # Lag 0 is left out: scipy multiplies a one-tap filter directly instead of
+    # transforming it, and no design uses it (every design filters at lag 100).
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(1, 5), t_obs=st.integers(2, 2000), lag=st.integers(1, 120),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_scipy_fftconvolve_bit_for_bit(self, rows, t_obs, lag, seed):
+        rng = np.random.default_rng(seed)
+        eta = rng.standard_normal((rows, t_obs + lag))
+        want = fftconvolve(eta, _ma_coefficients(1.5, lag)[None, :], mode="valid", axes=1)
+        got = _ma_rows(rows, t_obs, 1.5, lag, np.random.default_rng(seed))
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+    def test_fft_len_matches_scipy_next_fast_len(self):
+        """Every n up to 10,000, then each 5-smooth s up to 100,000 and s + 1.
+
+        The call at s + 1 tests every integer up to the next 5-smooth number,
+        so the wider range is covered without calling once per n.
+        """
+        smooth = {2**i * 3**j * 5**k for i in range(17) for j in range(11) for k in range(8)}
+        smooth = {s for s in smooth if s <= 100_000}
+        for n in sorted(set(range(1, 10_001)) | smooth | {s + 1 for s in smooth}):
+            assert _fft_len(n) == next_fast_len(n, real=True), n
 
 
 class TestInjectJumps:

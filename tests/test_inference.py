@@ -1086,6 +1086,18 @@ def _panel_with_a_scaled_unit(scale):
     return PanelData(units)
 
 
+def _panel_with_positive_outcomes():
+    """Units a, b and c of 200 points with x ~ U(-1, 1) and y = cos x plus
+    noise: outcomes of one sign, whose window sums at a huge scale overflow
+    where sign changes (sin 3x) keep them in range."""
+    rng = np.random.default_rng(3)
+    units = []
+    for uid in "abc":
+        x = rng.uniform(-1.0, 1.0, 200)
+        units.append(PanelUnit(uid, np.cos(x) + 0.3 * rng.standard_normal(200), x))
+    return PanelData(units)
+
+
 _SQUARE_OVERFLOWS = ("density x curvature^2 = 0.0 leaves float range "
                      "at this covariate or outcome scale")
 _SPAN_UNMAPPABLE = "which floating point cannot map onto [-1, 1]"
@@ -1123,6 +1135,7 @@ def test_covariate_scale_past_the_float_range_skips_the_unit(run, place, policy,
     assert [_row_bytes(u) for u in result.per_unit] == [_row_bytes(u) for u in alone.per_unit]
 
 
+@pytest.mark.parametrize("outcomes", ["signed", "positive"])
 @pytest.mark.parametrize("scale", [1e155, 1e307])
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
 @pytest.mark.parametrize("policy", [BandwidthPolicy.plugin(), BandwidthPolicy.pooled(),
@@ -1133,18 +1146,20 @@ def test_covariate_scale_past_the_float_range_skips_the_unit(run, place, policy,
     (run_homogeneity, 0.0),
     (search_thresholds, [-0.1, 0.0, 0.1]),
 ])
-def test_outcome_scale_whose_square_overflows_warns_nothing(run, place, policy, kind, scale):
+def test_outcome_scale_whose_square_overflows_warns_nothing(run, place, policy, kind, scale,
+                                                            outcomes):
     """Squares of a unit's outcomes overflow past about 1e154: in the plugin
     rule's quartic fits, the windowed variance and the search's pooled
     squared residuals.  Each leaked an overflow RuntimeWarning.  Now the
     plugin rule skips the unit, naming the scale.  With a fixed or pooled
     bandwidth a known-threshold test raises the NumericalError that names
-    the overflowing variance, with every kernel: the uniform smoother
-    divides such outcomes by a power of two, so its sums no longer overflow
-    into a skip for no residual.  The search reports the unit (its
-    statistic is not pinned: the truncation level pooled across units lets
-    the unit's huge jump through)."""
-    units = _panel_with_a_scaled_unit(1.0)
+    the overflowing variance, with every kernel: each smoother divides such
+    outcomes by a power of two, so its sums no longer overflow into a skip
+    for no residual (or, in the search, for no valid grid point).  The
+    search reports the unit (its statistic is not pinned: the truncation
+    level pooled across units lets the unit's huge jump through)."""
+    units = (_panel_with_a_scaled_unit(1.0) if outcomes == "signed"
+             else _panel_with_positive_outcomes())
     panel = PanelData([PanelUnit(u.unit_id, u.y * (scale if u.unit_id == "b" else 1.0), u.x)
                        for u in units])
     cfg = Config(kernel=KernelSpec(kind), bandwidth=policy)
@@ -1407,10 +1422,7 @@ def _reference_window_mean(resid, x, c, b, a_trunc):
 
 def _reference_fitted_uniform(xs, ys, b):
     """``estimator._fitted_uniform`` at every point of one unit sorted by x,
-    written on 1-d arrays: outcomes past 2^512 smoothed divided by a power
-    of two."""
-    scale = 2.0 ** max(int(np.frexp(np.abs(ys).max())[1]) - 512, 0)
-    ys = ys / scale
+    written on 1-d arrays."""
     xc = xs - float(xs.mean())
     z = np.zeros(1)
     p1, p2, q0, q1 = (np.concatenate((z, np.cumsum(v))) for v in (xc, xc * xc, ys, xc * ys))
@@ -1426,19 +1438,21 @@ def _reference_fitted_uniform(xs, ys, b):
     with np.errstate(divide="ignore", invalid="ignore"):
         fitted = (sd2 * r0 - sd1 * t1) / den
     fitted[~(den > floor)] = np.nan
-    return fitted * scale
+    return fitted
 
 
 def _reference_residuals(y, x, b, kernel):
-    """One unit's residuals from a local linear smooth at every point."""
+    """One unit's residuals from a local linear smooth at every point,
+    outcomes past 2^512 smoothed divided by a power of two."""
     order = np.argsort(x, kind="stable")
     xs, ys = x[order], y[order]
+    scale = 2.0 ** max(int(np.frexp(np.abs(ys).max())[1]) - 512, 0)
     if kernel.kind == "uniform":
-        fitted = _reference_fitted_uniform(xs, ys, b)
+        fitted = _reference_fitted_uniform(xs, ys / scale, b)
     else:
-        fitted = _fitted_general(xs, ys, b, kernel)
+        fitted = _fitted_general(xs, ys / scale, b, kernel)
     resid = np.empty_like(y)
-    resid[order] = ys - fitted
+    resid[order] = ys - fitted * scale
     if not np.any(np.isfinite(resid)):
         raise InsufficientSupport("no sample point admits a local linear fit")
     return resid
@@ -1565,9 +1579,10 @@ def _stage_unit(uid, stage, c, t_obs, rng, k=0):
     bandwidth selection ("short", "levels"), at one side's support
     ("plus", "minus", "far": every point far above c), at the singular
     design floor ("floor", two plus points 2e-6 (1 + k 1e-6) apart), in
-    smoothing within the variance window ("window") or everywhere
-    ("everywhere", or "flat": every covariate equal), or at an overflowing
-    scale ("huge")."""
+    smoothing everywhere ("flat": every covariate equal), or at an
+    overflowing scale ("huge", and "window" and "everywhere": outcomes
+    near 1e307 within the variance window or everywhere, which every
+    smoother divides by a power of two and so fits)."""
     u = rng.uniform(-3.0, 3.0, t_obs)
     if stage == "short":
         u = u[:12]
@@ -1688,8 +1703,9 @@ def test_block_pilot_matches_per_unit_reference(seed, units, n_grid, kind, polic
     RuntimeWarning the chain does not raise.  Panels are ragged, blocks
     hold up to seven rows or, at the small budget, one or two, and units
     fail bandwidth selection ("short", "levels", "far" under the plugin
-    rule), smooth at no pilot point ("flat", "everywhere") or at no grid
-    point ("plus", "far")."""
+    rule), smooth at no pilot point ("flat") or reach no valid grid point
+    ("plus", "far", and "everywhere", whose outcomes near 1e307 every
+    smoother divides by a power of two)."""
     rng = np.random.default_rng(seed)
     panel = PanelData([_stage_unit(f"u{j}", stage, 0.0, t_obs, rng)
                        for j, (t_obs, stage) in enumerate(units)])
@@ -1839,6 +1855,24 @@ def test_block_fit_first_numerical_error_in_panel_order():
         value = _assert_block_fit_equals_reference(panel, 0.0, config)
     assert value == (NumericalError,
                      "variance for unit 'b' at c=0.0 overflows at this outcome scale")
+
+
+@pytest.mark.parametrize("seed, first, t_obs", [(5, "short", 40), (12, "ok", 200),
+                                                 (59, "ok", 200)])
+def test_search_names_a_jump_fit_that_overflows(seed, first, t_obs):
+    """Unit b's outcomes near 1e307 overflow its one-sided fits, so its jump
+    is inf - inf or inf.  Its row had a NaN or infinite t: the search then
+    counted no comparison and raised a ConfigError for n_comparisons = 0
+    (seed 5), or reported the panel statistic as NaN, rejecting nothing
+    beside unit a's t of 9 (seed 12), or as inf (seed 59).  Each is now the
+    named NumericalError."""
+    rng = np.random.default_rng(seed)
+    panel = PanelData([_stage_unit("a", first, 0.0, t_obs, rng),
+                       _stage_unit("b", "everywhere", 0.0, 40, rng)])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError) as exc:
+        search_thresholds(panel, [0.0], Config(bandwidth=BandwidthPolicy.fixed(0.5)))
+    assert str(exc.value) == ("jump statistic for unit 'b' at c=0.0 overflows at this "
+                              "outcome scale")
 
 
 def test_block_fit_singular_floor_matches_reference():
