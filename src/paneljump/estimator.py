@@ -51,7 +51,9 @@ def _fit_rows(y, x, c, b, kernel: KernelSpec) -> list:
     out: list = [p or m for p, m in zip(plus_errors, minus_errors)]
     keep = np.flatnonzero([error is None for error in out])  # a failed side stops its row
     w_plus, w_minus, y_cols = w_plus[keep], w_minus[keep], y[keep, :, None]
-    gamma = (w_plus[:, None] @ y_cols)[:, 0, 0] - (w_minus[:, None] @ y_cols)[:, 0, 0]
+    # Outcomes near the float limit overflow a side's sum; _unit_row names the jump.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = (w_plus[:, None] @ y_cols)[:, 0, 0] - (w_minus[:, None] @ y_cols)[:, 0, 0]
     eff = (w_plus != 0.0).sum(1) + (w_minus != 0.0).sum(1)
     for i, g, w, e in zip(keep, gamma, w_plus - w_minus, eff):
         out[i] = _UnitJumpFit(float(g), w, int(e))

@@ -12,7 +12,8 @@ import csv
 import math
 import re
 from dataclasses import dataclass
-from io import StringIO
+from io import BytesIO, StringIO, TextIOWrapper
+from itertools import chain
 
 import numpy as np
 
@@ -28,6 +29,7 @@ __all__ = [
 ]
 
 FORMATS = ("csv", "tsv", "markdown")
+_CHUNK = 1 << 20  # bytes per parsed piece of a panel file: small pieces bound ingest memory
 _ROW = np.dtype([("unit", object), ("time", float), ("y", float), ("x", float)])
 
 
@@ -86,41 +88,86 @@ def _records(path: str, delimiter: str):
         raise DataError(f"{path} line {line}: {exc}") from None
 
 
-def _columnar(path: str, delimiter: str, cols: list[int]) -> PanelData | None:
-    """The panel from one ``np.loadtxt`` pass, or None for a file this read
-    cannot certify: every line after the header must be one record whose
-    cells the scanner would parse to the same finite numbers and stripped id."""
+def _pieces(fh):
+    """The rest of the binary file ``fh`` in pieces of whole lines, about
+    ``_CHUNK`` bytes each; a last line without a newline is given one."""
+    while piece := fh.read(_CHUNK) + fh.readline():
+        yield piece if piece.endswith(b"\n") else piece + b"\n"
+
+
+def _increasing(code: np.ndarray, time: np.ndarray) -> bool:
+    """Whether (code, time) strictly increases down the rows."""
+    same = code[1:] == code[:-1]
+    return bool(((code[1:] > code[:-1]) | same & (time[1:] > time[:-1])).all())
+
+
+def _columnar(path: str, delimiter: str, cols: list[int], width: int) -> PanelData | None:
+    """The panel from ``np.loadtxt`` over the file in pieces, or None for a
+    file this read cannot certify: every line after the header must be one
+    record whose cells the scanner would parse to the same finite numbers and
+    stripped id.  A file wider than the four columns must hold no quote and at
+    least ``width - 1`` delimiters a line, the scanner's short-row rule."""
+    wide = width > 4
+    if wide and not delimiter.isascii():
+        return None
     try:
         with open(path, "rb") as fh:
             if b"\r" in fh.readline()[:-2]:
                 return None  # csv ends the header at a lone CR; loadtxt skips the whole line
-            lines = np.fromiter(map(len, fh), np.intp)  # bytes per data line bound its cells
-        if lines.size == 0 or lines.min() < 3 or lines.max() > csv.field_size_limit():
-            return None  # header only, a blank line, or room for an oversized cell
-        with open(path, newline="") as fh:
-            rows = np.loadtxt(fh, dtype=_ROW, delimiter=delimiter, quotechar='"',
-                              comments=None, skiprows=1, usecols=cols, ndmin=1)
+            start, n, shortest, longest = fh.tell(), 0, math.inf, 0
+            for piece in _pieces(fh):  # bytes per data line bound its cells
+                buf = np.frombuffer(piece, np.uint8)
+                ends = np.flatnonzero(buf == ord("\n"))
+                sizes = np.diff(ends, prepend=-1)
+                n += ends.size
+                shortest, longest = min(shortest, sizes.min()), max(longest, sizes.max())
+                if wide:  # with no quote, a line's cells are its delimiters plus one
+                    delims = np.diff(np.searchsorted(np.flatnonzero(buf == ord(delimiter)), ends),
+                                     prepend=0)
+                    if b'"' in piece or delims.min() < width - 1:
+                        return None
+            if n == 0 or shortest < 3 or longest > csv.field_size_limit():
+                return None  # header only, a blank line, or room for an oversized cell
+            time, y, x = np.empty(n), np.empty(n), np.empty(n)
+            code, codes, filled = np.empty(n, np.intp), {}, 0
+            # One more record after each piece: an open quote at the piece's end swallows it.
+            sentinel = [delimiter.join(["0"] * width) + "\n"]
+            fh.seek(start)
+            for piece in _pieces(fh):
+                text = TextIOWrapper(BytesIO(piece), newline="")  # decoded as open() would
+                rows = np.loadtxt(chain(text, sentinel), dtype=_ROW, delimiter=delimiter,
+                                  quotechar='"', comments=None, usecols=cols, ndmin=1)
+                if rows.size != piece.count(b"\n") + 1 or rows["unit"][-1] != "0":
+                    return None  # a record spans lines, or the piece ends inside a quoted cell
+                ids, k = rows["unit"][:-1], rows.size - 1
+                heads = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+                span = slice(filled, filled + k)
+                code[span] = np.repeat([codes.setdefault(unit, len(codes)) for unit in ids[heads]],
+                                       np.diff(heads, append=k))
+                for column, name in ((time, "time"), (y, "y"), (x, "x")):
+                    column[span] = rows[name][:-1]
+                filled += k
+                del piece, text, rows, ids  # freed before the next piece is read
     except (OSError, ValueError, TypeError):  # unreadable, undecodable, short row, bad cell
         return None
-    num = np.stack([rows["time"], rows["y"], rows["x"]])
-    if rows.size != lines.size or not np.isfinite(num).all():
-        return None  # a record spans lines, or a value is nan or inf
-    ids = rows["unit"]
-    heads = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
-    unit_ids, head_code = np.unique(ids[heads], return_inverse=True)  # code-point order
+    if filled != n or not all(np.isfinite(column).all() for column in (time, y, x)):
+        return None  # the file changed between the passes, or a value is nan or inf
+    unit_ids = sorted(codes)  # code-point order
     if any(u != u.strip() for u in unit_ids):
         return None
-    del rows, ids  # frees the id strings before the sort's copies
-    code = np.repeat(head_code, np.diff(heads, append=num.shape[1]))
-    order = np.lexsort((num[0], code))
-    code, (time, y, x) = code[order], num.take(order, axis=1)
-    same_unit = code[1:] == code[:-1]
-    if (same_unit & (time[1:] == time[:-1])).any():
-        return None  # the scanner names the duplicate
-    cuts = np.flatnonzero(~same_unit) + 1
-    # Each unit owns its arrays, as the scanner's do, and the sorted block is freed.
+    if unit_ids != list(codes):  # units not first met in id order
+        code = np.argsort([codes[u] for u in unit_ids])[code]
+    if not _increasing(code, time):
+        order = np.lexsort((time, code))
+        for column in (code, time, y, x):
+            column[:] = column[order]
+        if not _increasing(code, time):
+            return None  # the scanner names the duplicate
+    cuts = np.flatnonzero(code[1:] != code[:-1]) + 1
+    del code, time
+    # Each unit owns its arrays, as the scanner's do.
     return PanelData(units=[PanelUnit(unit_id, uy.copy(), ux.copy()) for unit_id, uy, ux
-                            in zip(unit_ids.tolist(), np.split(y, cuts), np.split(x, cuts))])
+                            in zip(unit_ids, np.split(y, cuts), np.split(x, cuts))])
 
 
 def read_panel_csv(path: str, schema: PanelSchema | None = None) -> PanelData:
@@ -133,14 +180,17 @@ def read_panel_csv(path: str, schema: PanelSchema | None = None) -> PanelData:
     non-finite number (nan, inf) is rejected.  The header is the first
     non-blank record; a UTF-8 byte-order mark before it is dropped.
 
-    A file whose header is line 1 and has exactly the four schema columns
-    is read column by column with ``np.loadtxt``, which is several times
-    faster than the row scanner.  That read is kept only when every later
-    line is one record holding the four columns, the times, y and x are
+    A file whose header is line 1 is read column by column with
+    ``np.loadtxt``, which is several times faster than the row scanner.  It
+    is parsed in pieces of whole lines into preallocated columns, so its
+    peak memory is about twice the panel's arrays, and rows already in unit
+    and time order are not sorted.  That read is kept only when every later
+    line is one record holding the schema columns, the times, y and x are
     finite numbers, ids have no surrounding whitespace, no line is longer
-    than ``csv.field_size_limit()`` and no (unit, time) pair repeats.  Any
-    other file is read row by row, so the result and every error are the
-    scanner's on every input.
+    than ``csv.field_size_limit()`` and no (unit, time) pair repeats; a file
+    with columns beyond the four must also hold no quote character and no
+    short row.  Any other file is read row by row, so the result and every
+    error are the scanner's on every input.
 
     Raises
     ------
@@ -162,8 +212,8 @@ def read_panel_csv(path: str, schema: PanelSchema | None = None) -> PanelData:
         if col not in header:
             raise DataError(f"column {col!r} not found in {path} (has {header})")
     cols = [header.index(col) for col in names]
-    if first[0] == 1 and len(header) == 4 and not any("\n" in h or "\r" in h for h in first[1]):
-        panel = _columnar(path, schema.delimiter, cols)  # needs the header to be line 1 alone
+    if first[0] == 1 and not any("\n" in h or "\r" in h for h in first[1]):  # line 1 alone
+        panel = _columnar(path, schema.delimiter, cols, len(header))
         if panel is not None:
             return panel
 

@@ -1869,7 +1869,7 @@ def test_search_names_a_jump_fit_that_overflows(seed, first, t_obs):
     rng = np.random.default_rng(seed)
     panel = PanelData([_stage_unit("a", first, 0.0, t_obs, rng),
                        _stage_unit("b", "everywhere", 0.0, 40, rng)])
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError) as exc:
+    with pytest.raises(NumericalError) as exc:
         search_thresholds(panel, [0.0], Config(bandwidth=BandwidthPolicy.fixed(0.5)))
     assert str(exc.value) == ("jump statistic for unit 'b' at c=0.0 overflows at this "
                               "outcome scale")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import re
 import tempfile
+import tracemalloc
 from io import StringIO
 from pathlib import Path
 
@@ -245,6 +246,17 @@ def _outcome(path, schema=None, scanner_only=False):
     return [(u.unit_id, u.y.tobytes(), u.x.tobytes()) for u in panel]
 
 
+def _columnar_outcome(path, schema=None, chunk=paneljump.io._CHUNK):
+    """``_outcome`` with the file parsed in pieces of about ``chunk`` bytes,
+    and whether the columnar read was taken."""
+    columnar, taken = paneljump.io._columnar, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(paneljump.io, "_CHUNK", chunk)
+        mp.setattr(paneljump.io, "_columnar", lambda *args: taken.append(columnar(*args)) or taken[-1])
+        outcome = _outcome(path, schema)
+    return outcome, any(panel is not None for panel in taken)
+
+
 _IDS = ["a", "b", "u1", "u10", "U1", 'q"t', "d{delim}e", "é", "日本", "z\x00", "\x00", "",
         "a b", "#c", "l\nm", "cr\rlf"]
 _BAD = ["nan", "inf", "-inf", "1_0", "", " ", "abc", "1e999", "\uff11", "0x1", '"', "1\n"]
@@ -312,12 +324,20 @@ def test_columnar_read_matches_scanner(case):
     string times, quoted ids holding the delimiter, a quote, a newline or a
     carriage return, padded ids, non-ASCII and NUL ids, CRLF endings, a
     byte-order mark, extra columns and cells, short rows, blank lines,
-    non-finite and malformed numbers, and duplicate (unit, time) pairs."""
+    non-finite and malformed numbers, and duplicate (unit, time) pairs.  It
+    does so at the default piece size and in pieces of 1, 7 and 64 bytes,
+    where records, CRLF pairs, multi-byte ids, quoted cells that span lines
+    and units straddle piece edges, and the edges never change whether the
+    columnar read is taken."""
     text, schema = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "p.csv"
         path.write_bytes(text.encode())
-        assert _outcome(path, schema) == _outcome(path, schema, scanner_only=True)
+        expected = _outcome(path, schema, scanner_only=True)
+        reads = [_columnar_outcome(path, schema, chunk)
+                 for chunk in (paneljump.io._CHUNK, 1, 7, 64)]
+    assert [outcome for outcome, _ in reads] == [expected] * len(reads)
+    assert len({taken for _, taken in reads}) == 1
 
 
 @pytest.mark.parametrize("text, delimiter, fast", [
@@ -328,7 +348,10 @@ def test_columnar_read_matches_scanner(case):
     ('unit,time,y,x\n"l\nm",1,2,3\n', ",", False),  # a record spans two lines
     ('unit,time,y,x\ra,0,5,6\n"l\nm",1,2,3\n', ",", False),  # a lone CR ends the header
     ("unit,time,y,x\na,1,2,3\na,1,4,5\n", ",", False),  # a duplicate
+    ("unit,time,y,x,note\nb,2,1.5,0.3,n\na,1,0.5,-0.2,\n", ",", True),  # an extra column
+    ("note\tx\tunit\ttime\ty\n\t0.5\tz\t2\t1\n", "\t", True),
     ("unit,time,y,x,note\na,1,2,3\n", ",", False),  # a short row under five columns
+    ('unit,time,y,x,note\na,1,2,3,"n"\n', ",", False),  # a quote in a wide file
     ("unit,time,y,x\na,1,2," + "0" * 200_000 + "1\n", ",", False),  # oversized, finite
     ('unit"time"y"x\na"2"0.7"0.3\na"1"0.5"0.2\n', '"', False),
 ])
@@ -336,12 +359,38 @@ def test_columnar_read_is_taken_only_where_certified(tmp_path, text, delimiter, 
     path = tmp_path / "p.csv"
     path.write_bytes(text.encode())
     schema = PanelSchema(delimiter=delimiter)
-    columnar, taken = paneljump.io._columnar, []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(paneljump.io, "_columnar", lambda *args: taken.append(columnar(*args)) or taken[-1])
-        outcome = _outcome(path, schema)
-    assert any(panel is not None for panel in taken) == fast
-    assert outcome == _outcome(path, schema, scanner_only=True)
+    assert _columnar_outcome(path, schema) == (_outcome(path, schema, scanner_only=True), fast)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_piece_edge_inside_a_quoted_cell_is_not_certified(tmp_path, chunk):
+    """The quoted x cell holds a newline and the rest of the line, so the
+    scanner reads one record with x = '3\\nb'.  Cut at that newline, each
+    piece alone parses as whole records."""
+    path = tmp_path / "p.csv"
+    path.write_bytes(b'unit,time,y,x\na,1,2,"3\nb",5,6,7\n')
+    assert _columnar_outcome(path, chunk=chunk) == (_outcome(path, scanner_only=True), False)
+
+
+@pytest.mark.parametrize("time_major", [False, True])
+def test_columnar_read_memory_is_bounded(tmp_path, time_major):
+    """Ingest's peak allocation stays under four times the panel's own array
+    bytes on a 200,000-row file, in unit order and in time order (which
+    needs the sort)."""
+    y, x = np.random.default_rng(0).normal(size=(2, 250, 800)).tolist()
+    keys = [(i, t) for i in range(250) for t in range(800)]
+    if time_major:
+        keys.sort(key=lambda key: key[::-1])
+    path = tmp_path / "p.csv"
+    path.write_text("unit,time,y,x\n" + "".join(f"u{i:03d},{t},{y[i][t]!r},{x[i][t]!r}\n"
+                                                 for i, t in keys))
+    tracemalloc.start()
+    try:
+        panel = read_panel_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * sum(u.y.nbytes + u.x.nbytes for u in panel)
 
 
 def test_oversized_finite_number_names_its_line(tmp_path):
