@@ -95,43 +95,27 @@ def _pieces(fh):
         yield piece if piece.endswith(b"\n") else piece + b"\n"
 
 
-def _increasing(code: np.ndarray, time: np.ndarray) -> bool:
-    """Whether (code, time) strictly increases down the rows."""
-    same = code[1:] == code[:-1]
-    return bool(((code[1:] > code[:-1]) | same & (time[1:] > time[:-1])).all())
-
-
-def _columnar(path: str, delimiter: str, cols: list[int], width: int) -> PanelData | None:
+def _columnar(path: str, delimiter: str, cols: list[int]) -> PanelData | None:
     """The panel from ``np.loadtxt`` over the file in pieces, or None for a
     file this read cannot certify: every line after the header must be one
     record whose cells the scanner would parse to the same finite numbers and
-    stripped id.  A file wider than the four columns must hold no quote and at
-    least ``width - 1`` delimiters a line, the scanner's short-row rule."""
-    wide = width > 4
-    if wide and not delimiter.isascii():
-        return None
+    stripped id."""
     try:
         with open(path, "rb") as fh:
             if b"\r" in fh.readline()[:-2]:
                 return None  # csv ends the header at a lone CR; loadtxt skips the whole line
             start, n, shortest, longest = fh.tell(), 0, math.inf, 0
             for piece in _pieces(fh):  # bytes per data line bound its cells
-                buf = np.frombuffer(piece, np.uint8)
-                ends = np.flatnonzero(buf == ord("\n"))
+                ends = np.flatnonzero(np.frombuffer(piece, np.uint8) == ord("\n"))
                 sizes = np.diff(ends, prepend=-1)
                 n += ends.size
                 shortest, longest = min(shortest, sizes.min()), max(longest, sizes.max())
-                if wide:  # with no quote, a line's cells are its delimiters plus one
-                    delims = np.diff(np.searchsorted(np.flatnonzero(buf == ord(delimiter)), ends),
-                                     prepend=0)
-                    if b'"' in piece or delims.min() < width - 1:
-                        return None
             if n == 0 or shortest < 3 or longest > csv.field_size_limit():
                 return None  # header only, a blank line, or room for an oversized cell
             time, y, x = np.empty(n), np.empty(n), np.empty(n)
             code, codes, filled = np.empty(n, np.intp), {}, 0
             # One more record after each piece: an open quote at the piece's end swallows it.
-            sentinel = [delimiter.join(["0"] * width) + "\n"]
+            sentinel = [delimiter.join("0000") + "\n"]
             fh.seek(start)
             for piece in _pieces(fh):
                 text = TextIOWrapper(BytesIO(piece), newline="")  # decoded as open() would
@@ -155,16 +139,16 @@ def _columnar(path: str, delimiter: str, cols: list[int], width: int) -> PanelDa
     unit_ids = sorted(codes)  # code-point order
     if any(u != u.strip() for u in unit_ids):
         return None
-    if unit_ids != list(codes):  # units not first met in id order
-        code = np.argsort([codes[u] for u in unit_ids])[code]
-    if not _increasing(code, time):
-        order = np.lexsort((time, code))
-        for column in (code, time, y, x):
-            column[:] = column[order]
-        if not _increasing(code, time):
-            return None  # the scanner names the duplicate
-    cuts = np.flatnonzero(code[1:] != code[:-1]) + 1
-    del code, time
+    code = np.argsort([codes[u] for u in unit_ids])[code]  # first-met code -> id rank
+    order = np.lexsort((time, code))
+    for column in (code, time, y, x):  # one column copy at a time
+        column[:] = column[order]
+    del order
+    same_unit = code[1:] == code[:-1]
+    if (same_unit & (time[1:] == time[:-1])).any():
+        return None  # the scanner names the duplicate
+    cuts = np.flatnonzero(~same_unit) + 1
+    del code, time, same_unit
     # Each unit owns its arrays, as the scanner's do.
     return PanelData(units=[PanelUnit(unit_id, uy.copy(), ux.copy()) for unit_id, uy, ux
                             in zip(unit_ids, np.split(y, cuts), np.split(x, cuts))])
@@ -180,17 +164,17 @@ def read_panel_csv(path: str, schema: PanelSchema | None = None) -> PanelData:
     non-finite number (nan, inf) is rejected.  The header is the first
     non-blank record; a UTF-8 byte-order mark before it is dropped.
 
-    A file whose header is line 1 is read column by column with
-    ``np.loadtxt``, which is several times faster than the row scanner.  It
-    is parsed in pieces of whole lines into preallocated columns, so its
-    peak memory is about twice the panel's arrays, and rows already in unit
-    and time order are not sorted.  That read is kept only when every later
-    line is one record holding the schema columns, the times, y and x are
-    finite numbers, ids have no surrounding whitespace, no line is longer
-    than ``csv.field_size_limit()`` and no (unit, time) pair repeats; a file
-    with columns beyond the four must also hold no quote character and no
-    short row.  Any other file is read row by row, so the result and every
-    error are the scanner's on every input.
+    A file whose header is line 1 and has exactly the four schema columns
+    is read column by column with ``np.loadtxt``, which is several times
+    faster than the row scanner.  It is parsed in pieces of whole lines
+    (about 1 MiB) into preallocated columns, so its peak memory is the
+    larger of about three times the panel's arrays (the sort) and twice
+    them plus a few MB for the piece being parsed.  That read is kept only
+    when every later line is one record holding the four columns, the
+    times, y and x are finite numbers, ids have no surrounding whitespace,
+    no line is longer than ``csv.field_size_limit()`` and no (unit, time)
+    pair repeats.  Any other file is read row by row, so the result and
+    every error are the scanner's on every input.
 
     Raises
     ------
@@ -212,8 +196,8 @@ def read_panel_csv(path: str, schema: PanelSchema | None = None) -> PanelData:
         if col not in header:
             raise DataError(f"column {col!r} not found in {path} (has {header})")
     cols = [header.index(col) for col in names]
-    if first[0] == 1 and not any("\n" in h or "\r" in h for h in first[1]):  # line 1 alone
-        panel = _columnar(path, schema.delimiter, cols, len(header))
+    if first[0] == 1 and len(header) == 4 and not any("\n" in h or "\r" in h for h in first[1]):
+        panel = _columnar(path, schema.delimiter, cols)  # needs the header to be line 1 alone
         if panel is not None:
             return panel
 

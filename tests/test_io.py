@@ -348,10 +348,7 @@ def test_columnar_read_matches_scanner(case):
     ('unit,time,y,x\n"l\nm",1,2,3\n', ",", False),  # a record spans two lines
     ('unit,time,y,x\ra,0,5,6\n"l\nm",1,2,3\n', ",", False),  # a lone CR ends the header
     ("unit,time,y,x\na,1,2,3\na,1,4,5\n", ",", False),  # a duplicate
-    ("unit,time,y,x,note\nb,2,1.5,0.3,n\na,1,0.5,-0.2,\n", ",", True),  # an extra column
-    ("note\tx\tunit\ttime\ty\n\t0.5\tz\t2\t1\n", "\t", True),
     ("unit,time,y,x,note\na,1,2,3\n", ",", False),  # a short row under five columns
-    ('unit,time,y,x,note\na,1,2,3,"n"\n', ",", False),  # a quote in a wide file
     ("unit,time,y,x\na,1,2," + "0" * 200_000 + "1\n", ",", False),  # oversized, finite
     ('unit"time"y"x\na"2"0.7"0.3\na"1"0.5"0.2\n', '"', False),
 ])
@@ -363,20 +360,28 @@ def test_columnar_read_is_taken_only_where_certified(tmp_path, text, delimiter, 
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
-def test_piece_edge_inside_a_quoted_cell_is_not_certified(tmp_path, chunk):
-    """The quoted x cell holds a newline and the rest of the line, so the
-    scanner reads one record with x = '3\\nb'.  Cut at that newline, each
-    piece alone parses as whole records."""
+@pytest.mark.parametrize("text", [b'unit,time,y,x\na,1,2,"3\nb",5,6,7\n',
+                                  b'unit,time,y,x\na,1,2,3\rb,2,2,3,"n\nc,1,2,3\n'],
+                         ids=["quoted-x", "lone-cr"])
+def test_piece_edge_inside_a_quoted_cell_is_not_certified(tmp_path, text, chunk):
+    """A piece cut inside a quoted cell must not parse.  In the first file
+    the quoted x cell holds a newline and the rest of the line, so the
+    scanner reads one record with x = '3\\nb'; cut at that newline, each
+    piece alone parses as whole records.  In the second, the lone CR ends
+    a's record, so the piece cut inside b's quoted extra cell still gives one
+    record more than its newlines, as a whole piece and its sentinel do:
+    only the last record's unit tells that the quote swallowed the
+    sentinel."""
     path = tmp_path / "p.csv"
-    path.write_bytes(b'unit,time,y,x\na,1,2,"3\nb",5,6,7\n')
+    path.write_bytes(text)
     assert _columnar_outcome(path, chunk=chunk) == (_outcome(path, scanner_only=True), False)
 
 
 @pytest.mark.parametrize("time_major", [False, True])
 def test_columnar_read_memory_is_bounded(tmp_path, time_major):
     """Ingest's peak allocation stays under four times the panel's own array
-    bytes on a 200,000-row file, in unit order and in time order (which
-    needs the sort)."""
+    bytes on a 200,000-row file, in unit order and in time order.  At this
+    size the sort and the piece being parsed cost about the same."""
     y, x = np.random.default_rng(0).normal(size=(2, 250, 800)).tolist()
     keys = [(i, t) for i in range(250) for t in range(800)]
     if time_major:
