@@ -31,8 +31,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, NumericalError, _check_int, _check_real
-from .inference import (TestConfig, _check_two_sided, search_thresholds, test_existence,
-                        test_homogeneity)
+from .inference import (_BLOCK_BUDGET, TestConfig, _check_two_sided, search_thresholds,
+                        test_existence, test_homogeneity)
 from .panel import PanelData, PanelUnit
 
 __all__ = [
@@ -186,12 +186,22 @@ def _ma_rows(n_series: int, t_obs: int, beta: float, lag: int,
              rng: np.random.Generator) -> np.ndarray:
     """n_series independent MA(lag) rows of length t_obs, with coefficients
     (k+1)^-(beta+1) normalised to unit variance and the warm-up discarded.
-    The FFT length is scipy.signal.fftconvolve's, so rows equal its bit for bit."""
-    a = _ma_coefficients(beta, lag)
-    eta = rng.standard_normal((n_series, t_obs + lag))
+    The FFT length is scipy.signal.fftconvolve's, so rows equal its bit for bit.
+
+    Rows are drawn and filtered in blocks of at most _BLOCK_BUDGET floats of
+    transform length, in order from ``rng``, which fills C order from one
+    stream: the rows equal those of one whole (n_series, t_obs + lag) draw,
+    and only the result is held at full size.
+    """
     n = _fft_len(t_obs + 2 * lag)
-    full = np.fft.irfft(np.fft.rfft(eta, n, axis=1) * np.fft.rfft(a, n), n, axis=1)
-    return full[:, lag:t_obs + lag]
+    a_hat = np.fft.rfft(_ma_coefficients(beta, lag), n)
+    out = np.empty((n_series, t_obs))
+    step = max(1, _BLOCK_BUDGET // n)
+    for i in range(0, n_series, step):
+        eta = rng.standard_normal((min(step, n_series - i), t_obs + lag))
+        out[i:i + step] = np.fft.irfft(np.fft.rfft(eta, n, axis=1) * a_hat, n,
+                                       axis=1)[:, lag:t_obs + lag]
+    return out
 
 
 def _inject_jumps(n_units: int, t_obs: int, fraction: float, scale: float,
@@ -228,15 +238,21 @@ def gen_dgp(cfg: DgpConfig) -> tuple[PanelData, np.ndarray, np.ndarray]:
 
     Returns (panel, gammas, thresholds) where gammas holds the true jump
     size per unit and thresholds the (common) true location.
+
+    The panel's (n_units, t_obs) y and x arrays are the only full-size
+    arrays: the covariate and noise draws are made into them, and the factor
+    transform and the outcome equation run in place over row blocks of at
+    most _BLOCK_BUDGET (2^13) floats.  Generating a panel so costs about the
+    panel's own memory, and every draw is the one a whole-panel build makes.
     """
     n, t = cfg.n_units, cfg.t_obs
     ss = np.random.SeedSequence(cfg.seed)
     s_load, s_fac, s_idio, s_x, s_eps, s_u, s_nu, s_gamma = ss.spawn(8)
 
+    factor = nu = None
     if cfg.dgp_id == 1:
         x = np.random.default_rng(s_x).uniform(-1.0, 1.0, size=(n, t))
-        eps = np.random.default_rng(s_eps).standard_normal((n, t))
-        hetero = True
+        y = np.random.default_rng(s_eps).standard_normal((n, t))
     else:
         rng_load = np.random.default_rng(s_load)
         lam_eps = rng_load.standard_normal(n)
@@ -244,32 +260,42 @@ def gen_dgp(cfg: DgpConfig) -> tuple[PanelData, np.ndarray, np.ndarray]:
         rng_fac = np.random.default_rng(s_fac)
         f_eps = _ma_rows(1, t, _BETA_DECAY, _MA_LAG, rng_fac)[0]
         f_x = _ma_rows(1, t, _BETA_DECAY, _MA_LAG, rng_fac)[0]
+        # y holds the idiosyncratic noise of eps and x that of the covariate
+        # until the block loop transforms them.
         rng_idio = np.random.default_rng(s_idio)
-        u_eps = _ma_rows(n, t, _BETA_DECAY, _MA_LAG, rng_idio)
-        u_x = _ma_rows(n, t, _BETA_DECAY, _MA_LAG, rng_idio)
+        y = _ma_rows(n, t, _BETA_DECAY, _MA_LAG, rng_idio)
+        x = _ma_rows(n, t, _BETA_DECAY, _MA_LAG, rng_idio)
         if cfg.dgp_id in (2, 3):
-            eps = lam_eps[:, None] * f_eps + u_eps
-            x = 0.25 * (lam_x[:, None] * f_x + u_x)
+            def factor(lam, f, idio):
+                return lam * f + idio
         elif cfg.dgp_id == 4:
-            eps = (lam_eps[:, None] + 2.0) * f_eps + u_eps / 8.0
-            x = 0.25 * ((lam_x[:, None] + 2.0) * f_x + u_x / 8.0)
+            def factor(lam, f, idio):
+                return (lam + 2.0) * f + idio / 8.0
         else:  # 5 and 6
-            eps = (lam_eps[:, None] + 2.0) * f_eps + u_eps / 4.0
-            x = 0.25 * ((lam_x[:, None] + 2.0) * f_x + u_x / 4.0)
+            def factor(lam, f, idio):
+                return (lam + 2.0) * f + idio / 4.0
         if cfg.dgp_id == 6:
-            eps = eps + np.random.default_rng(s_nu).normal(0.0, 0.5, size=t)[None, :]
-        hetero = cfg.dgp_id != 2
-
-    u_tilde = np.random.default_rng(s_u).uniform(-1.0, 1.0, size=(n, t))
-    u = u_tilde * x
-    sigma = _sigma_hetero(x, u) if hetero else 1.0
+            nu = np.random.default_rng(s_nu).normal(0.0, 0.5, size=t)
+    hetero = cfg.dgp_id != 2
 
     scheme = cfg.gamma_scheme
     gammas = _inject_jumps(n, t, scheme.fraction, scheme.scale,
                            np.random.default_rng(s_gamma))
-    y = (np.cos(x) + np.sin(u)
-         + gammas[:, None] * (x >= cfg.threshold)
-         + sigma * eps)
+    rng_u = np.random.default_rng(s_u)
+    step = max(1, _BLOCK_BUDGET // t)
+    for i in range(0, n, step):
+        rows = slice(i, i + step)
+        if factor is not None:
+            y[rows] = factor(lam_eps[rows, None], f_eps, y[rows])
+            if nu is not None:
+                y[rows] += nu
+            x[rows] = 0.25 * factor(lam_x[rows, None], f_x, x[rows])
+        xb, eps = x[rows], y[rows]
+        u = rng_u.uniform(-1.0, 1.0, size=xb.shape) * xb
+        sigma = _sigma_hetero(xb, u) if hetero else 1.0
+        y[rows] = (np.cos(xb) + np.sin(u)
+                   + gammas[rows, None] * (xb >= cfg.threshold)
+                   + sigma * eps)
 
     width = len(str(n))
     units = [

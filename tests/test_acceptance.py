@@ -7,6 +7,7 @@ bands below allow for the reduced desk-scale replication counts.
 
 from __future__ import annotations
 
+import os
 import time
 
 import numpy as np
@@ -33,6 +34,10 @@ from one_row import jump, residuals, weights, window_mean
 POOLED = Config(bandwidth=BandwidthPolicy.pooled(bounds=(0.2, 0.5)))
 GRID5 = [-0.3, -0.15, 0.0, 0.15, 0.3]
 GRID61 = [round(g, 10) for g in np.arange(-0.30, 0.301, 0.01)]
+# C4-C8 run their replications on every core this process may use.  Each
+# replication's seed depends only on (base seed, r), so the tables are the
+# same at any worker count (the workers tests in test_dgp.py).
+WORKERS = len(os.sched_getaffinity(0))
 
 
 def _check(label: str, ok: bool, detail: str) -> None:
@@ -119,7 +124,7 @@ def test_c04_size_existence():
     """Null rejection rate of the existence test on the iid design."""
     start = time.perf_counter()
     tab = run_size_power(DgpConfig(dgp_id=1, n_units=100, t_obs=200),
-                         McConfig(reps=500, base_seed=23), config=POOLED)
+                         McConfig(reps=500, base_seed=23, workers=WORKERS), config=POOLED)
     rate = tab.rates[0.05]
     elapsed = time.perf_counter() - start
     ok = 0.02 <= rate <= 0.08 and tab.failed == 0
@@ -134,7 +139,7 @@ def test_c05_power_existence():
     tab = run_size_power(
         DgpConfig(dgp_id=2, n_units=100, t_obs=400,
                   gamma_scheme=GammaScheme.sparse_power(0.1)),
-        McConfig(reps=500, base_seed=7), config=POOLED)
+        McConfig(reps=500, base_seed=7, workers=WORKERS), config=POOLED)
     rate = tab.rates[0.05]
     elapsed = time.perf_counter() - start
     ok = rate >= 0.90 and tab.failed == 0
@@ -145,7 +150,7 @@ def test_c05_power_existence():
 def test_c06_size_homogeneity():
     start = time.perf_counter()
     tab = run_size_power(DgpConfig(dgp_id=1, n_units=100, t_obs=800),
-                         McConfig(reps=300, base_seed=7), test="homogeneity",
+                         McConfig(reps=300, base_seed=7, workers=WORKERS), test="homogeneity",
                          config=POOLED)
     rate = tab.rates[0.05]
     elapsed = time.perf_counter() - start
@@ -164,7 +169,7 @@ def test_c07_size_unknown_threshold():
     start = time.perf_counter()
     tab = run_size_power(
         DgpConfig(dgp_id=2, n_units=100, t_obs=400),
-        McConfig(reps=300, base_seed=23), grid=GRID5,
+        McConfig(reps=300, base_seed=23, workers=WORKERS), grid=GRID5,
         config=Config(bandwidth=BandwidthPolicy.pooled(bounds=(0.2, 0.5)),
                       truncation=np.inf))
     rate = tab.rates[0.05]
@@ -183,7 +188,7 @@ def test_c08_threshold_accuracy():
         acc = run_threshold_accuracy(
             DgpConfig(dgp_id=2, n_units=10, t_obs=t_obs,
                       gamma_scheme=GammaScheme.accuracy()),
-            McConfig(reps=200, base_seed=11), GRID61, config=Config())
+            McConfig(reps=200, base_seed=11, workers=WORKERS), GRID61, config=Config())
         means[t_obs] = acc.mean_abs_error
     elapsed = time.perf_counter() - start
     ok = (means[800] <= 0.008

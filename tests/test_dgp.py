@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,14 +22,18 @@ from paneljump.dgp import (
     GammaScheme,
     McConfig,
     RateTable,
+    _BETA_DECAY,
+    _MA_LAG,
     _fft_len,
     _inject_jumps,
     _ma_coefficients,
     _ma_rows,
+    _sigma_hetero,
     gen_dgp,
     run_size_power,
     run_threshold_accuracy,
 )
+from paneljump.inference import _BLOCK_BUDGET
 from paneljump.inference import TestConfig as Config
 
 FIXED = Config(bandwidth=BandwidthPolicy.fixed(0.3))
@@ -68,6 +73,19 @@ class TestMaGenerator:
         assert got.shape == want.shape
         np.testing.assert_array_equal(got, want)
 
+    # Rows are filtered in blocks of _BLOCK_BUDGET // _fft_len(t_obs + 2 lag)
+    # rows (8 at T = 800 and lag 100, 1 at T = 7000), so these cross seams.
+    @pytest.mark.parametrize("rows, t_obs, lag", [(20, 800, 100), (25, 800, 100),
+                                                  (17, 800, 100), (9, 7000, 50)])
+    def test_row_blocks_match_scipy_fftconvolve_bit_for_bit(self, rows, t_obs, lag):
+        assert rows > 2 * max(1, _BLOCK_BUDGET // _fft_len(t_obs + 2 * lag))
+        rng = np.random.default_rng(rows)
+        eta = rng.standard_normal((rows, t_obs + lag))
+        want = fftconvolve(eta, _ma_coefficients(1.5, lag)[None, :], mode="valid", axes=1)
+        got = _ma_rows(rows, t_obs, 1.5, lag, np.random.default_rng(rows))
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_fft_len_matches_scipy_next_fast_len(self):
         """Every n up to 10,000, then each 5-smooth s up to 100,000 and s + 1.
 
@@ -78,6 +96,85 @@ class TestMaGenerator:
         smooth = {s for s in smooth if s <= 100_000}
         for n in sorted(set(range(1, 10_001)) | smooth | {s + 1 for s in smooth}):
             assert _fft_len(n) == next_fast_len(n, real=True), n
+
+
+def _whole_panel(cfg: DgpConfig):
+    """gen_dgp's construction with every array at full panel size: the
+    reference its row-block build must equal bit for bit."""
+    def ma_rows(n_series, t_obs, rng):
+        a = _ma_coefficients(_BETA_DECAY, _MA_LAG)
+        eta = rng.standard_normal((n_series, t_obs + _MA_LAG))
+        n = _fft_len(t_obs + 2 * _MA_LAG)
+        full = np.fft.irfft(np.fft.rfft(eta, n, axis=1) * np.fft.rfft(a, n), n, axis=1)
+        return full[:, _MA_LAG:t_obs + _MA_LAG]
+
+    n, t = cfg.n_units, cfg.t_obs
+    s_load, s_fac, s_idio, s_x, s_eps, s_u, s_nu, s_gamma = (
+        np.random.SeedSequence(cfg.seed).spawn(8))
+    if cfg.dgp_id == 1:
+        x = np.random.default_rng(s_x).uniform(-1.0, 1.0, size=(n, t))
+        eps = np.random.default_rng(s_eps).standard_normal((n, t))
+    else:
+        rng_load = np.random.default_rng(s_load)
+        lam_eps = rng_load.standard_normal(n)
+        lam_x = rng_load.standard_normal(n)
+        rng_fac = np.random.default_rng(s_fac)
+        f_eps = ma_rows(1, t, rng_fac)[0]
+        f_x = ma_rows(1, t, rng_fac)[0]
+        rng_idio = np.random.default_rng(s_idio)
+        u_eps = ma_rows(n, t, rng_idio)
+        u_x = ma_rows(n, t, rng_idio)
+        if cfg.dgp_id in (2, 3):
+            eps = lam_eps[:, None] * f_eps + u_eps
+            x = 0.25 * (lam_x[:, None] * f_x + u_x)
+        elif cfg.dgp_id == 4:
+            eps = (lam_eps[:, None] + 2.0) * f_eps + u_eps / 8.0
+            x = 0.25 * ((lam_x[:, None] + 2.0) * f_x + u_x / 8.0)
+        else:
+            eps = (lam_eps[:, None] + 2.0) * f_eps + u_eps / 4.0
+            x = 0.25 * ((lam_x[:, None] + 2.0) * f_x + u_x / 4.0)
+        if cfg.dgp_id == 6:
+            eps = eps + np.random.default_rng(s_nu).normal(0.0, 0.5, size=t)[None, :]
+    u = np.random.default_rng(s_u).uniform(-1.0, 1.0, size=(n, t)) * x
+    sigma = _sigma_hetero(x, u) if cfg.dgp_id != 2 else 1.0
+    gammas = _inject_jumps(n, t, cfg.gamma_scheme.fraction, cfg.gamma_scheme.scale,
+                           np.random.default_rng(s_gamma))
+    y = np.cos(x) + np.sin(u) + gammas[:, None] * (x >= cfg.threshold) + sigma * eps
+    return y, x, gammas
+
+
+# gen_dgp's outcome blocks hold _BLOCK_BUDGET // 800 = 10 rows at T = 800 and
+# its MA filter's 8, so these panel sizes put units on both sides of seams.
+_BLOCK_ROWS = _BLOCK_BUDGET // 800
+
+
+@pytest.mark.parametrize("dgp_id", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n_units", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                     3 * _BLOCK_ROWS + 1])
+def test_gen_dgp_equals_whole_panel_build(dgp_id, n_units):
+    cfg = DgpConfig(dgp_id=dgp_id, n_units=n_units, t_obs=800, seed=2, threshold=0.1,
+                    gamma_scheme=GammaScheme.sparse_power(0.3))
+    panel, gammas, thresholds = gen_dgp(cfg)
+    y, x, want_gammas = _whole_panel(cfg)
+    assert [u.unit_id for u in panel] == [f"u{j + 1:0{len(str(n_units))}d}"
+                                          for j in range(n_units)]
+    assert b"".join(u.y.tobytes() for u in panel) == y.tobytes()
+    assert b"".join(u.x.tobytes() for u in panel) == x.tobytes()
+    assert gammas.tobytes() == want_gammas.tobytes()
+    np.testing.assert_array_equal(thresholds, np.full(n_units, 0.1))
+
+
+def test_gen_dgp_memory_is_the_panels_own():
+    """A 1000 x 800 DGP 2 panel is generated within 1.5 times its y and x
+    bytes: the MA noise is drawn into the panel's arrays and everything else
+    is a row block (a whole-panel build peaks at about 4.3 times)."""
+    tracemalloc.start()
+    try:
+        panel, _, _ = gen_dgp(DgpConfig(dgp_id=2, n_units=1000, t_obs=800))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * sum(u.y.nbytes + u.x.nbytes for u in panel)
 
 
 class TestInjectJumps:
@@ -360,6 +457,16 @@ class TestRunThresholdAccuracy:
         b = run_threshold_accuracy(cfg, mc, grid, config=FIXED)
         assert a.mean_abs_error == b.mean_abs_error
         assert a.max_abs_error == b.max_abs_error
+
+    def test_workers_match_serial(self):
+        cfg = DgpConfig(dgp_id=2, n_units=3, t_obs=150,
+                        gamma_scheme=GammaScheme.accuracy(scale=10.0))
+        grid = [-0.3, 0.0, 0.3]
+        serial = run_threshold_accuracy(cfg, McConfig(reps=4, base_seed=12), grid,
+                                        config=FIXED)
+        pooled = run_threshold_accuracy(cfg, McConfig(reps=4, base_seed=12, workers=2), grid,
+                                        config=FIXED)
+        assert serial == pooled
 
     def test_every_replication_failing_raises(self):
         with pytest.raises(NumericalError, match=r"every replication failed .* \(2 of 2\)"):
