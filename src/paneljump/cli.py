@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from .bandwidth import BandwidthPolicy
@@ -83,16 +82,17 @@ def _parse_threshold(args, kinds: tuple[str, ...], delimiter: str = ","):
 
 def _test_config(args) -> TestConfig:
     """The TestConfig the command's flags set; a flag the command lacks
-    takes its default (critical-value has no kernel or bandwidth)."""
+    takes its default (critical-value has no kernel or bandwidth, and only
+    threshold-search and simulate have the draw flags)."""
     return TestConfig(
         alphas=tuple(args.alpha) if args.alpha else TestConfig.alphas,
         kernel=KernelSpec(getattr(args, "kernel", "uniform")),
         bandwidth=_parse_bandwidth(getattr(args, "bandwidth", "auto")),
         sidedness=_SIDED[getattr(args, "sided", "two")],
         center=getattr(args, "center", "mean"),
-        cv_method=args.method,
-        cv_reps=args.cv_reps,
-        seed=args.seed,
+        cv_method=getattr(args, "method", TestConfig.cv_method),
+        cv_reps=getattr(args, "cv_reps", TestConfig.cv_reps),
+        seed=getattr(args, "seed", TestConfig.seed),
         truncation=getattr(args, "truncation", None),
     )
 
@@ -115,19 +115,22 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delimiter", default=",")
 
 
-def _add_cv_flags(p: argparse.ArgumentParser) -> None:
+def _add_alpha_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", action="append", type=float, default=None,
                    help="significance level, repeatable (default 0.10 0.05 0.01)")
+
+
+def _add_draw_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", choices=CV_METHODS, default="analytic",
                    help="critical value method: simulated draws a grid search's "
-                        "correlated maximum; everywhere else both give the closed form")
+                        "correlated maximum")
     p.add_argument("--cv-reps", type=int, default=100_000,
                    help="draws for simulated critical values of a grid search")
     p.add_argument("--seed", type=int, default=0)
 
 
 def _add_test_flags(p: argparse.ArgumentParser) -> None:
-    _add_cv_flags(p)
+    _add_alpha_flag(p)
     p.add_argument("--kernel", choices=KERNEL_KINDS, default="uniform")
     p.add_argument("--bandwidth", default="auto",
                    help="auto | pooled | fixed:<v> (default auto)")
@@ -161,6 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("threshold-search", help="grid search for unknown thresholds")
     _add_data_flags(p)
     _add_test_flags(p)
+    _add_draw_flags(p)
     p.add_argument("--threshold", required=True,
                    help="grid:<v1,v2,...> candidate thresholds")
     p.add_argument("--sided", choices=tuple(_SIDED), default="two")
@@ -175,6 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True, help="observations per unit")
     p.add_argument("--reps", type=int, required=True)
     _add_test_flags(p)
+    _add_draw_flags(p)
     p.add_argument("--test", choices=("existence", "homogeneity"), default="existence")
     p.add_argument("--threshold", default="0.0",
                    help="<v> known threshold or grid:<v1,...> to search")
@@ -182,16 +187,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fraction", type=float, default=0.0,
                    help="fraction of units given a jump (0 = size run)")
     p.add_argument("--scale", type=float, default=1.0, help="jump scale factor")
-    # argparse converts a string default with ``type`` only when this
-    # subcommand runs, so a bad PANELJUMP_THREADS is a usage error here.
-    p.add_argument("--workers", type=int,
-                   default=os.environ.get("PANELJUMP_THREADS", "1"))
+    p.add_argument("--workers", type=int, default=1)
     _add_io_flags(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("critical-value", help="print critical values")
     p.add_argument("--n", type=int, required=True, help="number of comparisons")
-    _add_cv_flags(p)
+    _add_alpha_flag(p)
     p.add_argument("--sided", choices=tuple(_SIDED), default="two")
     p.set_defaults(func=_cmd_critical_value)
 

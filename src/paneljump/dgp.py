@@ -343,7 +343,7 @@ def _run_reps(dgp_cfg: DgpConfig, mc: McConfig, test: str, grid,
               config: TestConfig) -> list:
     """Outcomes of ``_one_rep`` for replications 0..reps-1, in order."""
     n = mc.reps
-    grid_t = None if grid is None else tuple(float(g) for g in grid)
+    grid_t = None if grid is None else tuple(_check_real(g, "grid value") for g in grid)
     columns = ([dgp_cfg] * n, [_rep_seed(mc.base_seed, r) for r in range(n)],
                [test] * n, [grid_t] * n, [config] * n)
     # No more processes than replications: a fork pool starts all of its

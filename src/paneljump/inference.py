@@ -348,14 +348,11 @@ def _ndtri(y: float) -> float:
     return x if upper else -x
 
 
-def critical_values(n_comparisons: int, config: TestConfig,
-                    sigma_c: SigmaC | None = None) -> dict[float, float]:
+def critical_values(n_comparisons: int, config: TestConfig) -> dict[float, float]:
     """Critical value at each of ``config.alphas`` for the maximum of
-    ``n_comparisons`` Gaussian comparisons, with ``config.sidedness``.
-
-    Without ``sigma_c`` the comparisons are independent, and the values are
-    the exact quantiles of their maximum, in closed form whatever
-    ``config.cv_method`` says:
+    ``n_comparisons`` independent Gaussian comparisons, with
+    ``config.sidedness``: the exact quantiles of their maximum, in closed
+    form whatever ``config.cv_method`` says:
 
         two-sided    q = Phi^-1( (1 + (1 - alpha)^(1/n)) / 2 )
         one-sided    q = Phi^-1( (1 - alpha)^(1/n) )
@@ -363,16 +360,7 @@ def critical_values(n_comparisons: int, config: TestConfig,
     Phi^-1 is ``_ndtri``, an in-repo port of Cephes ``ndtri`` that equals
     ``scipy.special.ndtri`` bit for bit, so no scipy module is loaded.  A
     level too small to move (1 - alpha)^(1/n) off 1 gives inf.
-
-    ``sigma_c`` is a threshold search's correlation structure, which the
-    search passes exactly when ``config.cv_method`` is "simulated".  The
-    values are then the empirical (1 - alpha) quantiles of one
-    ``simulate_max_gaussian`` sample of ``config.cv_reps`` draws from
-    ``config.seed``, and ``n_comparisons`` is ``sigma_c``'s own count.
     """
-    if sigma_c is not None:
-        sample = simulate_max_gaussian(sigma_c, config.cv_reps, config.seed, config.sidedness)
-        return {a: float(np.quantile(sample, 1.0 - a)) for a in config.alphas}
     _check_int(n_comparisons, "n_comparisons", 1)
     out = {}
     for a in config.alphas:
@@ -395,9 +383,10 @@ def _resolve_thresholds(panel: PanelData, threshold) -> dict[str, float]:
         missing = [u.unit_id for u in panel if u.unit_id not in threshold]
         if missing:
             raise DataError(f"no threshold given for units: {', '.join(missing)}")
-        out = {u.unit_id: float(threshold[u.unit_id]) for u in panel}
+        out = {u.unit_id: _check_real(threshold[u.unit_id], f"threshold of unit {u.unit_id!r}")
+               for u in panel}
     else:
-        out = dict.fromkeys((u.unit_id for u in panel), float(threshold))
+        out = dict.fromkeys((u.unit_id for u in panel), _check_real(threshold, "threshold"))
     bad = [f"{uid}={c}" for uid, c in out.items() if not np.isfinite(c)]
     if bad:
         raise ConfigError(f"thresholds must be finite, got {', '.join(bad[:3])}")
@@ -451,9 +440,7 @@ def _front_end(panel: PanelData, threshold, config: TestConfig, what: str):
     per_unit = [b for b in selected.values() if not isinstance(b, InsufficientSupport)]
     if not per_unit:
         raise NumericalError("no unit supports plugin bandwidth selection")
-    ends = _blocks(panel, lambda _, y, x, o: np.diff(np.take_along_axis(x, o[:, [0, -1]], 1))[:, 0],
-                   orders)  # each unit's covariate range, its last sorted x minus its first
-    ranges = [r for u, r in zip(panel, ends.values()) if u.x.size > 1]
+    ranges = [u.x[o[-1]] - u.x[o[0]] for u, o in zip(panel, orders.values()) if u.x.size > 1]
     pooled = _pooled_bandwidth(per_unit, clamp=(lo * min(ranges), hi * max(ranges)))
     return units, skipped, orders, thresholds, dict.fromkeys(thresholds, pooled)
 
@@ -550,8 +537,8 @@ def test_existence(panel: PanelData, threshold=0.0,
                    config: TestConfig | None = None) -> TestResult:
     """Simultaneous test for the existence of a jump in any unit.
 
-    ``threshold`` is a scalar applied to every unit or a mapping from unit
-    id to its own threshold.  Units without a valid fit are skipped and
+    ``threshold`` is a real number applied to every unit or a mapping from
+    unit id to its own threshold.  Units without a valid fit are skipped and
     excluded both from the maximum and from the comparison count used for
     critical values.
     """
@@ -806,7 +793,7 @@ def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) 
     (unit, grid point) rows as row blocks gathered across the units of one
     length; at the same bandwidth and truncation level each unit's results
     are those of the unit searched alone, bit for bit.  Grid values must be
-    finite.
+    finite real numbers, and a bool or a string is none.
 
     The result's ``spacing_warning`` flag is set when the grid spacing
     drops to 2 bandwidths or less, where statistics at neighbouring grid
@@ -815,9 +802,10 @@ def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) 
     is issued.
     """
     config = config or TestConfig()
-    grid = np.asarray(grid, dtype=float)
+    grid = np.asarray(grid, dtype=object)  # keeps each value's type for _check_real
     if grid.ndim != 1 or grid.size == 0:
         raise ConfigError("grid must be a nonempty 1-d sequence")
+    grid = np.array([_check_real(v, "grid value") for v in grid])
     if not np.all(np.isfinite(grid)):
         raise ConfigError(f"grid values must be finite, got {grid[~np.isfinite(grid)][0]}")
     if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
@@ -847,9 +835,12 @@ def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) 
     statistic = float(np.max(_score(np.array([u.t_stat for u in per_unit]), config.sidedness)))
     n_comparisons = int(sum(np.count_nonzero(np.isfinite(u.stats)) for u in per_unit))
 
-    sigma_c = (SigmaC(unit_ids=list(found), blocks=[block for _, block in found.values()])
-               if config.cv_method == "simulated" else None)
-    cvs = critical_values(n_comparisons, config, sigma_c)
+    if config.cv_method == "simulated":
+        sigma_c = SigmaC(unit_ids=list(found), blocks=[block for _, block in found.values()])
+        sample = simulate_max_gaussian(sigma_c, config.cv_reps, config.seed, config.sidedness)
+        cvs = {a: float(np.quantile(sample, 1.0 - a)) for a in config.alphas}
+    else:
+        cvs = critical_values(n_comparisons, config)
 
     spacing_warning = bool(grid.size > 1 and np.min(np.diff(grid))
                            <= 2.0 * max(u.bandwidth for u in per_unit))

@@ -47,10 +47,13 @@ class PanelSchema:
         names = (self.unit_col, self.time_col, self.y_col, self.x_col)
         if len(set(names)) != 4:
             raise ConfigError(f"schema column names must be distinct, got {names}")
-        if len(self.delimiter) != 1:
-            raise ConfigError(
-                f"delimiter must be a single character, got {self.delimiter!r}"
-            )
+        _check_delimiter(self.delimiter)
+
+
+def _check_delimiter(delimiter) -> None:
+    """The one rule for delimiters: a one-character string, else a ConfigError."""
+    if not (isinstance(delimiter, str) and len(delimiter) == 1):
+        raise ConfigError(f"delimiter must be a single character, got {delimiter!r}")
 
 
 def _parse_number(text: str, row: int, what: str) -> float:
@@ -245,6 +248,7 @@ def read_threshold_csv(path: str, delimiter: str = ",") -> dict[str, float]:
     does not parse as a number.  Row numbers in errors refer to physical
     file rows, blank ones included.
     """
+    _check_delimiter(delimiter)
     rows = list(_records(path, delimiter))
     if not rows:
         raise DataError(f"{path} is empty")

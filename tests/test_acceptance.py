@@ -284,12 +284,11 @@ def test_c11_deterministic_reports(tmp_path):
         search_out = tmp_path / f"search{run}.csv"
         sim_out = tmp_path / f"sim{run}.csv"
         assert cli_main(["jump-test", "--data", str(data),
-                         "--bandwidth", "fixed:0.4",
-                         "--method", "simulated", "--cv-reps", "20000",
-                         "--seed", "3", "--out", str(jump_out)]) == 0
+                         "--bandwidth", "fixed:0.4", "--out", str(jump_out)]) == 0
         assert cli_main(["threshold-search", "--data", str(data),
                          "--bandwidth", "fixed:0.2",
                          "--threshold", "grid:-0.5,0.0,0.5",
+                         "--method", "simulated", "--cv-reps", "20000",
                          "--seed", "3", "--out", str(search_out)]) == 0
         assert cli_main(["simulate", "--dgp", "1", "--n", "4", "--t", "100",
                          "--reps", "3", "--bandwidth", "fixed:0.3",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import importlib
 import os
@@ -81,10 +82,6 @@ class TestCriticalValueCommand:
     def test_invalid_alpha_is_usage_error(self, capsys):
         assert cli_main(["critical-value", "--n", "10", "--alpha", "0"]) == 2
         assert "error" in capsys.readouterr().err
-
-    def test_zero_cv_reps_is_usage_error(self, capsys):
-        assert cli_main(["critical-value", "--n", "10", "--cv-reps", "0"]) == 2
-        assert "cv_reps" in capsys.readouterr().err
 
 
 class TestUsageErrors:
@@ -200,21 +197,24 @@ class TestUsageErrors:
         assert code == 2
         assert "truncation must be positive" in capsys.readouterr().err
 
-    def test_bad_workers_env_is_usage_error_on_simulate(self, monkeypatch, capsys):
-        monkeypatch.setenv("PANELJUMP_THREADS", "two")
-        code = cli_main(["simulate", "--dgp", "1", "--n", "3", "--t", "80",
-                         "--reps", "1", "--bandwidth", "fixed:0.3"])
-        assert code == 2
-        assert "--workers" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flags, env", [(["--workers", "0"], "1"), (["--workers", "-1"], "1"),
-                                            ([], "0")], ids=["zero", "negative", "env-zero"])
-    def test_nonpositive_workers_is_usage_error(self, monkeypatch, capsys, flags, env):
-        monkeypatch.setenv("PANELJUMP_THREADS", env)
+    @pytest.mark.parametrize("workers", ["0", "-1"], ids=["zero", "negative"])
+    def test_nonpositive_workers_is_usage_error(self, capsys, workers):
         code = cli_main(["simulate", "--dgp", "1", "--n", "2", "--t", "30", "--reps", "1",
-                         "--bandwidth", "fixed:0.3", *flags])
+                         "--bandwidth", "fixed:0.3", "--workers", workers])
         assert code == 2
         assert "workers must be positive" in capsys.readouterr().err
+
+    def test_threads_variable_changes_nothing(self, monkeypatch, capsys):
+        """``--workers`` is the one way to set simulate's worker processes;
+        the former PANELJUMP_THREADS alias is not read, even when invalid."""
+        argv = ["simulate", "--dgp", "1", "--n", "3", "--t", "80", "--reps", "2",
+                "--bandwidth", "fixed:0.3"]
+        assert cli_main(argv) == 0
+        plain = capsys.readouterr().out
+        for value in ("0", "two"):
+            monkeypatch.setenv("PANELJUMP_THREADS", value)
+            assert cli_main(argv) == 0
+            assert capsys.readouterr().out == plain
 
     def test_truncation_below_every_residual(self, capsys):
         code = cli_main(["threshold-search", "--data", str(GOLDEN_PANEL),
@@ -223,19 +223,21 @@ class TestUsageErrors:
         assert "truncation 1e-320 is at or below every squared pilot residual" in (
             capsys.readouterr().err)
 
-    @pytest.mark.parametrize("argv", [
-        ["critical-value", "--n", "5", "--method", "simulated"],
-        ["jump-test", "--data", str(GOLDEN_PANEL), "--method", "simulated"],
-        ["simulate", "--dgp", "1", "--n", "3", "--t", "50", "--reps", "2"],
-    ], ids=["critical-value", "jump-test", "simulate"])
-    def test_negative_seed_is_usage_error(self, capsys, argv):
-        assert cli_main([*argv, "--seed", "-1"]) == 2
+    # Rejected before any panel is read: the search's file does not exist.
+    _DRAW_COMMANDS = {
+        "threshold-search": ["threshold-search", "--data", "absent.csv", "--threshold", "grid:0"],
+        "simulate": ["simulate", "--dgp", "1", "--n", "3", "--t", "50", "--reps", "2"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(_DRAW_COMMANDS))
+    def test_negative_seed_is_usage_error(self, capsys, command):
+        assert cli_main([*self._DRAW_COMMANDS[command], "--seed", "-1"]) == 2
         assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
 
-    def test_bad_workers_env_ignored_elsewhere(self, monkeypatch, capsys):
-        monkeypatch.setenv("PANELJUMP_THREADS", "two")
-        assert cli_main(["critical-value", "--n", "3"]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 3
+    @pytest.mark.parametrize("command", sorted(_DRAW_COMMANDS))
+    def test_zero_cv_reps_is_usage_error(self, capsys, command):
+        assert cli_main([*self._DRAW_COMMANDS[command], "--cv-reps", "0"]) == 2
+        assert "cv_reps must be positive" in capsys.readouterr().err
 
 
 class TestDataErrors:
@@ -403,9 +405,7 @@ class TestJumpTestCommand:
         paths = [str(tmp_path / f"r{i}.csv") for i in (1, 2)]
         for p in paths:
             code = cli_main(["jump-test", "--data", data,
-                             "--bandwidth", "fixed:0.4",
-                             "--method", "simulated", "--cv-reps", "2000",
-                             "--seed", "7", "--out", p])
+                             "--bandwidth", "fixed:0.4", "--out", p])
             assert code == 0
         a, b = (open(p, "rb").read() for p in paths)
         assert a == b
@@ -443,6 +443,17 @@ class TestSearchCommand:
         assert code == 0
         assert "# truncation,inf" in capsys.readouterr().out
 
+    def test_repeated_simulated_runs_byte_identical(self, tmp_path, capsys):
+        data = _panel_csv(tmp_path)
+        paths = [str(tmp_path / f"r{i}.csv") for i in (1, 2)]
+        for p in paths:
+            code = cli_main(["threshold-search", "--data", data,
+                             "--bandwidth", "fixed:0.2", "--threshold", "grid:-0.5,0.0,0.5",
+                             "--method", "simulated", "--cv-reps", "2000",
+                             "--seed", "7", "--out", p])
+            assert code == 0
+        a, b = (open(p, "rb").read() for p in paths)
+        assert a == b
 
     def test_simulated_levels_share_one_sample(self, monkeypatch, capsys):
         calls = []
@@ -464,20 +475,28 @@ class TestSearchCommand:
 
 
 class TestNoDrawWithoutCorrelation:
-    """Known-threshold commands compare independent statistics, so
-    ``--method simulated`` gives the closed form and draws nothing, and
-    ``--cv-reps`` changes nothing.  ``simulate`` keeps its ``--seed``, the
-    Monte Carlo base seed."""
+    """Known-threshold commands compare independent statistics, so they
+    take no draw flags.  ``simulate`` takes them for its ``grid:`` runs; at
+    a known threshold ``--method simulated`` gives the closed form and draws
+    nothing, ``--cv-reps`` changes nothing, and ``--seed`` is the Monte
+    Carlo base seed."""
 
+    @pytest.mark.parametrize("flag", [["--method", "analytic"], ["--cv-reps", "2000"],
+                                      ["--seed", "7"]], ids=["method", "cv-reps", "seed"])
     @pytest.mark.parametrize("argv", [
         ["jump-test", "--data", str(GOLDEN_PANEL)],
         ["homogeneity-test", "--data", str(GOLDEN_PANEL)],
         ["critical-value", "--n", "13", "--sided", "upper"],
+    ], ids=["jump-test", "homogeneity-test", "critical-value"])
+    def test_draw_flag_is_usage_error(self, capsys, argv, flag):
+        assert cli_main([*argv, *flag]) == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
         ["simulate", "--dgp", "1", "--n", "3", "--t", "80", "--reps", "2",
          "--bandwidth", "fixed:0.3", "--seed", "7"],
-    ], ids=["jump-test", "homogeneity-test", "critical-value", "simulate"])
+    ], ids=["simulate"])
     def test_simulated_method_is_closed_form(self, monkeypatch, capsys, argv):
-        monkeypatch.setenv("PANELJUMP_THREADS", "1")  # simulate runs in this process
         assert cli_main([*argv, "--method", "analytic"]) == 0
         analytic = capsys.readouterr().out
 
@@ -487,6 +506,33 @@ class TestNoDrawWithoutCorrelation:
         monkeypatch.setattr(paneljump.inference, "simulate_max_gaussian", fail)
         assert cli_main([*argv, "--method", "simulated", "--cv-reps", "2000"]) == 0
         assert capsys.readouterr().out == analytic
+
+
+# Every subcommand's option strings, -h/--help aside, so that adding,
+# renaming or moving a flag is a visible change.  Only the commands that can
+# draw (a threshold search) take --method, --cv-reps and --seed.
+_DATA = ["--data", "--schema", "--delimiter"]
+_TEST = ["--alpha", "--kernel", "--bandwidth"]
+_DRAW = ["--method", "--cv-reps", "--seed"]
+_OUT = ["--format", "--out"]
+FLAGS = {
+    "jump-test": [*_DATA, *_TEST, "--threshold", "--sided", *_OUT],
+    "homogeneity-test": [*_DATA, *_TEST, "--threshold", "--center", *_OUT],
+    "threshold-search": [*_DATA, *_TEST, *_DRAW, "--threshold", "--sided", "--truncation",
+                         *_OUT],
+    "simulate": ["--dgp", "--n", "--t", "--reps", *_TEST, *_DRAW, "--test", "--threshold",
+                 "--sided", "--fraction", "--scale", "--workers", *_OUT],
+    "critical-value": ["--n", "--alpha", "--sided"],
+}
+
+
+def test_cli_flags_are_pinned():
+    parser = paneljump.cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: [o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")]
+             for name, p in sub.choices.items()}
+    assert flags == FLAGS
+    assert sum(map(len, flags.values())) == 55
 
 
 class TestSimulateCommand:

@@ -411,6 +411,17 @@ class TestRunSizePower:
                 grid=[-0.4, 0.0, 0.4],
             )
 
+    @pytest.mark.parametrize("grid", [["0.0"], [True], [0.0, None]])
+    def test_grid_values_must_be_real_numbers(self, monkeypatch, grid):
+        """Checked once, before any replication runs."""
+        def no_rep(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(paneljump.dgp, "_one_rep", no_rep)
+        with pytest.raises(ConfigError, match="^grid value must be a real number"):
+            run_size_power(DgpConfig(dgp_id=1, n_units=3, t_obs=80), McConfig(reps=2),
+                           grid=grid, config=FIXED)
+
     def test_every_replication_failing_raises(self):
         # Two observations per unit leave no local design on either side.
         with pytest.raises(NumericalError, match=r"every replication failed .* \(2 of 2\)"):

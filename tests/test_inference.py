@@ -233,7 +233,8 @@ class TestCriticalValue:
         assert critical_values(7, cfg) == critical_values(7, Config(alphas=(0.1, 0.05)))
 
     def test_levels_share_one_simulated_sample(self, monkeypatch):
-        """All levels are quantiles of one sample, with the config's knobs."""
+        """A simulated search's levels are quantiles of one sample, drawn
+        with the config's knobs."""
         calls = []
 
         def spy(*args):
@@ -242,15 +243,18 @@ class TestCriticalValue:
 
         monkeypatch.setattr(paneljump.inference, "simulate_max_gaussian", spy)
         cfg = Config(alphas=(0.10, 0.05, 0.01), sidedness="one_sided_upper",
-                     cv_method="simulated", cv_reps=5_000, seed=4)
-        sigma_c = _identity_blocks(4, 3)
-        qs = critical_values(7, cfg, sigma_c)
-        assert calls == [(sigma_c, 5_000, 4, "one_sided_upper")]
+                     bandwidth=BandwidthPolicy.fixed(0.2), cv_method="simulated",
+                     cv_reps=5_000, seed=4)
+        panel = _jump_panel([1.0, 1.0], seed=24, sd=0.05)
+        result = search_thresholds(panel, [-0.4, 0.0, 0.4], cfg)
+        ((sigma_c, *knobs),) = calls
+        assert knobs == [5_000, 4, "one_sided_upper"]
         sample = simulate_max_gaussian(sigma_c, 5_000, 4, sidedness="one_sided_upper")
-        assert qs == {a: float(np.quantile(sample, 1.0 - a)) for a in cfg.alphas}
+        assert result.critical_values == {a: float(np.quantile(sample, 1.0 - a))
+                                          for a in cfg.alphas}
 
     @pytest.mark.parametrize("sidedness", paneljump.inference.SIDEDNESS)
-    def test_simulated_without_sigma_c_draws_nothing(self, no_draw, sidedness):
+    def test_simulated_method_draws_nothing(self, no_draw, sidedness):
         """Independent comparisons get the closed form whatever the method."""
         knobs = dict(alphas=(0.10, 0.05, 0.01), sidedness=sidedness)
         simulated = Config(cv_method="simulated", cv_reps=5_000, seed=4, **knobs)
@@ -259,8 +263,8 @@ class TestCriticalValue:
     def test_simulated_matches_analytic(self):
         """Calibration of the simulator: identity blocks are independent
         comparisons, whose quantile is the closed form."""
-        cfg = Config(alphas=(0.05,), cv_method="simulated", cv_reps=200_000, seed=3)
-        q_sim = critical_values(100, cfg, _identity_blocks(100))[0.05]
+        sample = simulate_max_gaussian(_identity_blocks(100), 200_000, 3)
+        q_sim = float(np.quantile(sample, 0.95))
         q_ana = critical_value(100, 0.05)
         assert q_sim == pytest.approx(q_ana, abs=0.02)
 
@@ -594,6 +598,20 @@ class TestExistencePipeline:
         with pytest.raises(ValueError, match="thresholds must be finite"):
             run(_noise_panel(n_units=2), threshold, FIXED)
 
+    @pytest.mark.parametrize("run", [run_existence, run_homogeneity])
+    @pytest.mark.parametrize("threshold, name, bad", [
+        (True, "threshold", True), ("0.0", "threshold", "0.0"), (None, "threshold", None),
+        ("abc", "threshold", "abc"),
+        ({"u0": 0.0, "u1": "0.0"}, "threshold of unit 'u1'", "0.0"),
+        ({"u0": False, "u1": 0.0}, "threshold of unit 'u0'", False),
+    ], ids=["bool", "numeric-string", "none", "string", "unit-string", "unit-bool"])
+    def test_threshold_must_be_a_real_number(self, run, threshold, name, bad):
+        """A threshold passes the one type rule for real settings: a bool
+        or a string is a ConfigError naming it, not a threshold or a TypeError."""
+        with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be a real number, "
+                                              f"got {re.escape(repr(bad))}$"):
+            run(_noise_panel(n_units=2), threshold, FIXED)
+
     def test_all_units_skipped(self):
         # all mass on one side of the threshold defeats every unit
         units = [
@@ -894,6 +912,13 @@ class TestSearchThresholds:
     @pytest.mark.parametrize("grid", [[np.nan], [-0.2, np.inf], [-np.inf, 0.0]])
     def test_non_finite_grid_rejected(self, grid):
         with pytest.raises(ValueError, match="grid values must be finite"):
+            search_thresholds(_jump_panel([1.0]), grid, FIXED)
+
+    @pytest.mark.parametrize("grid", [["0.1", "0.2"], [True, False], [0.1, None]])
+    def test_grid_values_must_be_real_numbers(self, grid):
+        bad = next(v for v in grid if not isinstance(v, float))
+        with pytest.raises(ConfigError, match=f"^grid value must be a real number, "
+                                              f"got {re.escape(repr(bad))}$"):
             search_thresholds(_jump_panel([1.0]), grid, FIXED)
 
     def test_grid_must_increase(self):

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import paneljump.io
 from paneljump.dgp import AccuracyTable, RateTable
-from paneljump.errors import DataError, NonFiniteValue
+from paneljump.errors import ConfigError, DataError, NonFiniteValue
 from paneljump.inference import (
     SkippedUnit,
     ThresholdSearchResult,
@@ -42,9 +42,9 @@ class TestPanelSchema:
         with pytest.raises(ValueError, match="distinct"):
             PanelSchema(unit_col="a", time_col="a")
 
-    @pytest.mark.parametrize("delimiter", ["", ";;"])
+    @pytest.mark.parametrize("delimiter", ["", ";;", 1, None, b","])
     def test_delimiter_must_be_one_character(self, delimiter):
-        with pytest.raises(ValueError, match="single character"):
+        with pytest.raises(ConfigError, match="^delimiter must be a single character"):
             PanelSchema(delimiter=delimiter)
 
 
@@ -227,6 +227,12 @@ class TestReadThresholdCsv:
     def test_empty(self, tmp_path):
         with pytest.raises(DataError, match="c.csv is empty"):
             read_threshold_csv(_write(tmp_path, "c.csv", ""))
+
+    @pytest.mark.parametrize("delimiter", ["", ",,", 1, None])
+    def test_delimiter_must_be_one_character(self, tmp_path, delimiter):
+        path = _write(tmp_path, "c.csv", "a,0.5\n")
+        with pytest.raises(ConfigError, match="^delimiter must be a single character"):
+            read_threshold_csv(path, delimiter)
 
 
 def _units(panel):
