@@ -492,11 +492,9 @@ class TestNoDrawWithoutCorrelation:
         assert cli_main([*argv, *flag]) == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "--dgp", "1", "--n", "3", "--t", "80", "--reps", "2",
-         "--bandwidth", "fixed:0.3", "--seed", "7"],
-    ], ids=["simulate"])
-    def test_simulated_method_is_closed_form(self, monkeypatch, capsys, argv):
+    def test_simulated_method_is_closed_form(self, monkeypatch, capsys):
+        argv = ["simulate", "--dgp", "1", "--n", "3", "--t", "80", "--reps", "2",
+                "--bandwidth", "fixed:0.3", "--seed", "7"]
         assert cli_main([*argv, "--method", "analytic"]) == 0
         analytic = capsys.readouterr().out
 
@@ -532,7 +530,6 @@ def test_cli_flags_are_pinned():
     flags = {name: [o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")]
              for name, p in sub.choices.items()}
     assert flags == FLAGS
-    assert sum(map(len, flags.values())) == 55
 
 
 class TestSimulateCommand:

@@ -1768,16 +1768,18 @@ def _search_by_unit(panel, grid, config):
     field's bytes) with its correlation block (shape and bytes; None for
     analytic critical values), or its skip reason, also when every unit
     is skipped; or the (type, message) of the error that stopped the
-    search.  Critical values are not computed."""
+    search.  Critical values are not computed: the closed form is stubbed,
+    and the simulated draw records its blocks and returns a dummy sample."""
     blocks = {}
 
-    def capture(n_comparisons, config, sigma_c=None):
-        if sigma_c is not None:
-            blocks.update((uid, (b.shape, b.tobytes()))
-                          for uid, b in zip(sigma_c.unit_ids, sigma_c.blocks))
-        return dict.fromkeys(config.alphas, 0.0)
+    def capture(sigma_c, reps, seed, sidedness="two_sided"):
+        blocks.update((uid, (b.shape, b.tobytes()))
+                      for uid, b in zip(sigma_c.unit_ids, sigma_c.blocks))
+        return np.zeros(1)
 
-    with patch.object(paneljump.inference, "critical_values", capture):
+    with patch.object(paneljump.inference, "simulate_max_gaussian", capture), \
+            patch.object(paneljump.inference, "critical_values",
+                         lambda n_comparisons, config: dict.fromkeys(config.alphas, 0.0)):
         try:
             result = search_thresholds(panel, grid, config)
         except NumericalError as exc:
