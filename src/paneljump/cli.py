@@ -10,14 +10,13 @@ it is not caught and ends in a traceback with exit 1.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .bandwidth import BandwidthPolicy
 from .dgp import DgpConfig, GammaScheme, McConfig, run_size_power
 from .errors import ConfigError, DataError, NumericalError
-from .inference import (CENTERS, CV_METHODS, TestConfig, critical_values, search_thresholds,
-                        test_existence, test_homogeneity)
+from .inference import (CENTERS, CV_METHODS, TestConfig, _check_grid, _check_threshold,
+                        critical_values, search_thresholds, test_existence, test_homogeneity)
 from .io import FORMATS, PanelSchema, read_panel_csv, read_threshold_csv, write_report
 from .kernels import KERNEL_KINDS, KernelSpec
 
@@ -58,8 +57,8 @@ def _parse_threshold(args, kinds: tuple[str, ...], delimiter: str = ","):
     values (``grid:``).
 
     A kind the command does not take (``kinds``) is a ConfigError, raised
-    before any file is read, and so is a non-finite threshold or grid
-    value.  A threshold file is split on ``delimiter``.
+    before any file is read, and so is a threshold or grid the library's
+    rules refuse.  A threshold file is split on ``delimiter``.
     """
     text = args.threshold
     kind = text[:4] if text.startswith(("file:", "grid:")) else "scalar"
@@ -73,11 +72,10 @@ def _parse_threshold(args, kinds: tuple[str, ...], delimiter: str = ","):
         values = [float(v) for v in fields]
     except ValueError:
         raise ConfigError(f"bad threshold {text!r}") from None
-    if not values:
-        raise ConfigError("grid needs at least one value")
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"thresholds must be finite, got {text!r}")
-    return values if kind == "grid" else values[0]
+    if kind == "scalar":
+        return _check_threshold(values[0], "threshold")
+    _check_grid(values)
+    return values
 
 
 def _test_config(args) -> TestConfig:
@@ -213,10 +211,8 @@ def _cmd_test(args) -> int:
 def _cmd_simulate(args) -> int:
     threshold = _parse_threshold(args, ("scalar", "grid"))
     grid, c0 = (threshold, 0.0) if isinstance(threshold, list) else (None, threshold)
-    scheme = (GammaScheme.sparse_power(args.fraction, args.scale)
-              if args.fraction > 0.0 else GammaScheme.null())
-    dgp_cfg = DgpConfig(dgp_id=args.dgp, n_units=args.n, t_obs=args.t,
-                        threshold=c0, gamma_scheme=scheme)
+    dgp_cfg = DgpConfig(dgp_id=args.dgp, n_units=args.n, t_obs=args.t, threshold=c0,
+                        gamma_scheme=GammaScheme(args.fraction, args.scale))
     mc = McConfig(reps=args.reps, base_seed=args.seed, workers=args.workers)
     table = run_size_power(dgp_cfg, mc, test=args.test, grid=grid,
                            config=_test_config(args))

@@ -31,8 +31,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, NumericalError, _check_int, _check_real
-from .inference import (_BLOCK_BUDGET, TestConfig, _check_two_sided, search_thresholds,
-                        test_existence, test_homogeneity)
+from .inference import (_BLOCK_BUDGET, TestConfig, _check_grid, _check_threshold, _check_two_sided,
+                        search_thresholds, test_existence, test_homogeneity)
 from .panel import PanelData, PanelUnit
 
 __all__ = [
@@ -53,7 +53,7 @@ class GammaScheme:
 
     A random ``fraction`` of units gets a jump scaled to the detection
     boundary, scale * T^(-2/5) (log N)^(1/2) B with B ~ U[2, 10].
-    ``null`` gives no unit a jump and ``accuracy`` every unit, for
+    The default gives no unit a jump and ``accuracy`` every unit, for
     threshold-location experiments where each unit needs a jump to locate.
     """
 
@@ -65,10 +65,6 @@ class GammaScheme:
             raise ConfigError("fraction must lie in [0, 1]")
         if self.fraction > 0.0 and not 0.0 < _check_real(self.scale, "scale") < np.inf:
             raise ConfigError(f"scale must be positive and finite, got {self.scale}")
-
-    @classmethod
-    def null(cls) -> "GammaScheme":
-        return cls()
 
     @classmethod
     def sparse_power(cls, fraction: float, scale: float = 1.0) -> "GammaScheme":
@@ -95,8 +91,7 @@ class DgpConfig:
         _check_int(self.t_obs, "t_obs")
         if self.n_units < 1 or self.t_obs < 2:
             raise ConfigError("need at least 1 unit and 2 observations")
-        if not np.isfinite(_check_real(self.threshold, "threshold")):
-            raise ConfigError(f"threshold must be finite, got {self.threshold}")
+        _check_threshold(self.threshold, "threshold")
         _check_int(self.seed, "seed")
 
 
@@ -341,23 +336,30 @@ def _one_rep(dgp_cfg: DgpConfig, rep_seed: int, test: str, grid,
 
 def _run_reps(dgp_cfg: DgpConfig, mc: McConfig, test: str, grid,
               config: TestConfig) -> list:
-    """Outcomes of ``_one_rep`` for replications 0..reps-1, in order."""
+    """Outcomes of ``_one_rep`` for the replications 0..reps-1 that did not
+    fail numerically, in order, after one grid check; a ``NumericalError``
+    when every replication failed."""
     n = mc.reps
-    grid_t = None if grid is None else tuple(_check_real(g, "grid value") for g in grid)
+    grid = None if grid is None else _check_grid(grid)
     columns = ([dgp_cfg] * n, [_rep_seed(mc.base_seed, r) for r in range(n)],
-               [test] * n, [grid_t] * n, [config] * n)
+               [test] * n, [grid] * n, [config] * n)
     # No more processes than replications: a fork pool starts all of its
     # workers at the first submit.
     workers = min(mc.workers, n)
     if workers <= 1:
-        return list(map(_one_rep, *columns))
-    # Imported here: the process pool loads multiprocessing, which only a
-    # run with workers needs.
-    from concurrent.futures import ProcessPoolExecutor
+        outcomes = list(map(_one_rep, *columns))
+    else:
+        # Imported here: the process pool loads multiprocessing, which only a
+        # run with workers needs.
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_one_rep, *columns,
-                             chunksize=max(1, n // (8 * workers))))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_one_rep, *columns,
+                                     chunksize=max(1, n // (8 * workers))))
+    outcomes = [o for o in outcomes if o is not None]
+    if not outcomes:
+        raise NumericalError(f"every replication failed numerically ({n} of {n})")
+    return outcomes
 
 
 def run_size_power(dgp_cfg: DgpConfig, mc: McConfig, test: str = "existence",
@@ -383,18 +385,9 @@ def run_size_power(dgp_cfg: DgpConfig, mc: McConfig, test: str = "existence",
     config = config or TestConfig()
     if test == "homogeneity":
         _check_two_sided(config)
-    counts = {a: 0 for a in config.alphas}
-    failed = 0
-    for outcome in _run_reps(dgp_cfg, mc, test, grid, config):
-        if outcome is None:
-            failed += 1
-            continue
-        for a in counts:
-            counts[a] += bool(outcome[a])
-    if failed == mc.reps:
-        raise NumericalError(f"every replication failed numerically ({failed} of {mc.reps})")
-    ok = mc.reps - failed
-    rates = {a: counts[a] / ok for a in counts}
+    outcomes = _run_reps(dgp_cfg, mc, test, grid, config)
+    ok = len(outcomes)
+    rates = {a: sum(bool(o[a]) for o in outcomes) / ok for a in config.alphas}
     ses = {a: float(np.sqrt(r * (1.0 - r) / ok)) for a, r in rates.items()}
     return RateTable(
         dgp_id=dgp_cfg.dgp_id,
@@ -402,7 +395,7 @@ def run_size_power(dgp_cfg: DgpConfig, mc: McConfig, test: str = "existence",
         t_obs=dgp_cfg.t_obs,
         test="search" if grid is not None else test,
         reps=mc.reps,
-        failed=failed,
+        failed=mc.reps - ok,
         rates=rates,
         std_errors=ses,
     )
@@ -420,21 +413,14 @@ def run_threshold_accuracy(dgp_cfg: DgpConfig, mc: McConfig, grid,
     """
     if grid is None:
         raise ConfigError("threshold accuracy needs a grid to search")
-    errors: list[float] = []
-    failed = 0
-    for outcome in _run_reps(dgp_cfg, mc, "accuracy", grid, config or TestConfig()):
-        if outcome is None:
-            failed += 1
-        else:
-            errors.extend(outcome)
-    if failed == mc.reps:
-        raise NumericalError(f"every replication failed numerically ({failed} of {mc.reps})")
+    outcomes = _run_reps(dgp_cfg, mc, "accuracy", grid, config or TestConfig())
+    errors = [e for outcome in outcomes for e in outcome]
     return AccuracyTable(
         dgp_id=dgp_cfg.dgp_id,
         n_units=dgp_cfg.n_units,
         t_obs=dgp_cfg.t_obs,
         reps=mc.reps,
-        failed=failed,
+        failed=mc.reps - len(outcomes),
         mean_abs_error=float(np.mean(errors)),
         max_abs_error=float(np.max(errors)),
     )

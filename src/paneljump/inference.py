@@ -378,19 +378,36 @@ def _v_floor(y: np.ndarray) -> float:
     return _V_FLOOR_REL * (scale if scale > 0.0 else 1.0)
 
 
+def _check_threshold(value, name: str) -> float:
+    """The one rule for a threshold: a finite real number (``_check_real``),
+    else a ConfigError naming ``name``.  Returns it as a float."""
+    value = _check_real(value, name)
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _check_grid(grid) -> np.ndarray:
+    """The one rule for a grid: a nonempty, strictly increasing 1-d sequence
+    of thresholds (``_check_threshold``), else a ConfigError; as floats."""
+    grid = np.asarray(grid, dtype=object)  # keeps each value's type for _check_real
+    if grid.ndim != 1 or grid.size == 0:
+        raise ConfigError("grid must be a nonempty 1-d sequence")
+    grid = np.array([_check_threshold(v, "grid value") for v in grid])
+    if not np.all(np.diff(grid) > 0.0):
+        raise ConfigError("grid must be strictly increasing")
+    return grid
+
+
 def _resolve_thresholds(panel: PanelData, threshold) -> dict[str, float]:
     if isinstance(threshold, Mapping):
         missing = [u.unit_id for u in panel if u.unit_id not in threshold]
         if missing:
             raise DataError(f"no threshold given for units: {', '.join(missing)}")
-        out = {u.unit_id: _check_real(threshold[u.unit_id], f"threshold of unit {u.unit_id!r}")
-               for u in panel}
-    else:
-        out = dict.fromkeys((u.unit_id for u in panel), _check_real(threshold, "threshold"))
-    bad = [f"{uid}={c}" for uid, c in out.items() if not np.isfinite(c)]
-    if bad:
-        raise ConfigError(f"thresholds must be finite, got {', '.join(bad[:3])}")
-    return out
+        return {u.unit_id: _check_threshold(threshold[u.unit_id],
+                                            f"threshold of unit {u.unit_id!r}")
+                for u in panel}
+    return dict.fromkeys((u.unit_id for u in panel), _check_threshold(threshold, "threshold"))
 
 
 def _row_blocks(items, unit=lambda item: item):
@@ -792,8 +809,8 @@ def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) 
     every grid point.  The scan runs as row blocks of units, and the solved
     (unit, grid point) rows as row blocks gathered across the units of one
     length; at the same bandwidth and truncation level each unit's results
-    are those of the unit searched alone, bit for bit.  Grid values must be
-    finite real numbers, and a bool or a string is none.
+    are those of the unit searched alone, bit for bit.  The grid must be
+    nonempty, finite and strictly increasing (a bool or string is no value).
 
     The result's ``spacing_warning`` flag is set when the grid spacing
     drops to 2 bandwidths or less, where statistics at neighbouring grid
@@ -802,14 +819,7 @@ def search_thresholds(panel: PanelData, grid, config: TestConfig | None = None) 
     is issued.
     """
     config = config or TestConfig()
-    grid = np.asarray(grid, dtype=object)  # keeps each value's type for _check_real
-    if grid.ndim != 1 or grid.size == 0:
-        raise ConfigError("grid must be a nonempty 1-d sequence")
-    grid = np.array([_check_real(v, "grid value") for v in grid])
-    if not np.all(np.isfinite(grid)):
-        raise ConfigError(f"grid values must be finite, got {grid[~np.isfinite(grid)][0]}")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
-        raise ConfigError("grid must be strictly increasing")
+    grid = _check_grid(grid)
     units, skipped, orders, _, bandwidths = _front_end(panel, float(grid[grid.size // 2]),
                                                        config, "a grid search")
     smoothed = _blocks(units, lambda _, y, x, order, b: _smooth_rows(

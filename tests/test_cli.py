@@ -20,10 +20,14 @@ import paneljump.cli
 import paneljump.dgp
 import paneljump.errors
 import paneljump.inference
+from paneljump.bandwidth import BandwidthPolicy
 from paneljump.cli import cli_main
+from paneljump.dgp import DgpConfig, GammaScheme, McConfig
 from paneljump.errors import ConfigError, PanelJumpError
+from paneljump.inference import TestConfig as Config
 from paneljump.inference import simulate_max_gaussian
 from paneljump.inference import test_existence as run_existence
+from paneljump.io import PanelSchema, read_panel_csv, write_report
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN_PANEL = Path(__file__).parent / "data" / "golden_panel.csv"
@@ -106,6 +110,21 @@ class TestUsageErrors:
         assert code == 2
         assert "scale" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fraction", ["-0.5", "nan"])
+    def test_jump_fraction_outside_unit_interval(self, capsys, fraction):
+        code = cli_main(["simulate", "--dgp", "1", "--n", "5", "--t", "60", "--reps", "2",
+                         "--bandwidth", "fixed:0.3", f"--fraction={fraction}"])
+        assert code == 2
+        assert "fraction must lie in [0, 1]" in capsys.readouterr().err
+
+    def test_unknown_bandwidth_policy(self, tmp_path, capsys):
+        # Rejected before the panel is read: the file does not exist.
+        code = cli_main(["jump-test", "--data", str(tmp_path / "absent.csv"),
+                         "--bandwidth", "plugin"])
+        assert code == 2
+        assert "--bandwidth must be auto, pooled, or fixed:<v>, got 'plugin'" in (
+            capsys.readouterr().err)
+
     def test_bad_bandwidth(self, tmp_path, capsys):
         data = _panel_csv(tmp_path)
         code = cli_main(["jump-test", "--data", data, "--bandwidth", "fixed:zero"])
@@ -152,6 +171,20 @@ class TestUsageErrors:
         code = cli_main([command, *args, f"--threshold={threshold}"])
         assert code == 2
         assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,threshold,message", [
+        ("threshold-search", "grid:0.1,0", "grid must be strictly increasing"),
+        ("threshold-search", "grid:0.1,0.1", "grid must be strictly increasing"),
+        ("threshold-search", "grid:,", "grid must be a nonempty 1-d sequence"),
+        ("jump-test", "abc", "bad threshold 'abc'"),
+    ])
+    def test_bad_threshold_rejected_before_reading(self, tmp_path, capsys, command, threshold,
+                                                   message):
+        # Rejected before the panel is read: the file does not exist.
+        code = cli_main([command, "--data", str(tmp_path / "absent.csv"),
+                         f"--threshold={threshold}"])
+        assert code == 2
+        assert f"error: {message}\n" == capsys.readouterr().err
 
     def test_one_sided_homogeneity_simulation_rejected(self, monkeypatch, capsys):
         def no_reps(*args):
@@ -344,6 +377,12 @@ class TestJumpTestCommand:
         assert len(calls) == 1
         assert "# test,existence" in capsys.readouterr().out
 
+    def test_pooled_bandwidth_is_the_library_policy(self, capsys):
+        assert cli_main(["jump-test", "--data", str(GOLDEN_PANEL), "--bandwidth", "pooled"]) == 0
+        result = run_existence(read_panel_csv(str(GOLDEN_PANEL)), 0.0,
+                               Config(bandwidth=BandwidthPolicy.pooled()))
+        assert capsys.readouterr().out == write_report(result, "csv", None)
+
     def test_out_file_silences_stdout(self, tmp_path, capsys):
         data = _panel_csv(tmp_path)
         out_path = tmp_path / "report.csv"
@@ -530,6 +569,41 @@ def test_cli_flags_are_pinned():
     flags = {name: [o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")]
              for name, p in sub.choices.items()}
     assert flags == FLAGS
+
+
+@pytest.mark.parametrize("argv, call", [
+    (["jump-test", "--data", "panel.csv"], "test_existence"),
+    (["homogeneity-test", "--data", "panel.csv"], "test_homogeneity"),
+    (["threshold-search", "--data", "panel.csv", "--threshold", "grid:0"], "search_thresholds"),
+    (["simulate", "--dgp", "1", "--n", "3", "--t", "80", "--reps", "2"], "run_size_power"),
+    (["critical-value", "--n", "3"], "critical_values"),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_cli_defaults_are_the_library_defaults(monkeypatch, argv, call):
+    """A command run without optional flags builds the library's default
+    settings, so a literal default in the parser cannot drift from its
+    dataclass."""
+    calls = {}
+
+    def record(name, result):
+        def fake(*args, **kwargs):
+            calls[name] = args, kwargs
+            return result
+        return fake
+
+    monkeypatch.setattr(paneljump.cli, "read_panel_csv", record("read_panel_csv", "panel"))
+    monkeypatch.setattr(paneljump.cli, call, record(call, dict.fromkeys(Config.alphas, 1.0)))
+    monkeypatch.setattr(paneljump.cli, "_emit", lambda result, args: None)
+    assert cli_main(argv) == 0
+    args, kwargs = calls[call]
+    if call == "run_size_power":
+        assert args == (DgpConfig(dgp_id=1, n_units=3, t_obs=80), McConfig(reps=2))
+        assert args[0].gamma_scheme == GammaScheme()
+        assert kwargs == {"test": "existence", "grid": None, "config": Config()}
+    elif call == "critical_values":
+        assert args == (3, Config())
+    else:
+        assert calls["read_panel_csv"] == (("panel.csv", PanelSchema()), {})
+        assert args[2] == Config()
 
 
 class TestSimulateCommand:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -490,3 +491,33 @@ class TestRunThresholdAccuracy:
         with pytest.raises(ConfigError, match="needs a grid"):
             run_threshold_accuracy(DgpConfig(dgp_id=1, n_units=3, t_obs=150), McConfig(reps=2),
                                    grid=None, config=FIXED)
+
+
+_DRIVERS = {
+    "run_size_power": lambda grid, mc: run_size_power(
+        DgpConfig(dgp_id=1, n_units=3, t_obs=80), mc, grid=grid, config=FIXED),
+    "run_threshold_accuracy": lambda grid, mc: run_threshold_accuracy(
+        DgpConfig(dgp_id=1, n_units=3, t_obs=80), mc, grid, config=FIXED),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("grid, message", [
+    ([], "grid must be a nonempty 1-d sequence"),
+    ([0.1, 0.0], "grid must be strictly increasing"),
+    ([0.1, 0.1], "grid must be strictly increasing"),
+    ([0.0, np.inf], "grid value must be finite, got inf"),
+    (np.array([[0.1, 0.2]]), "grid must be a nonempty 1-d sequence"),
+], ids=["empty", "decreasing", "repeated", "inf", "2-d"])
+@pytest.mark.parametrize("driver", sorted(_DRIVERS))
+def test_drivers_check_the_grid_before_any_replication(monkeypatch, driver, grid, message,
+                                                       workers):
+    """A grid passes the search's one grid rule before any panel is built
+    or any worker process starts."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a panel was built or a worker pool started")
+
+    monkeypatch.setattr(paneljump.dgp, "gen_dgp", fail)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fail)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        _DRIVERS[driver](grid, McConfig(reps=2, workers=workers))

@@ -220,6 +220,15 @@ class TestReadThresholdCsv:
         path.write_bytes(b"\xef\xbb\xbfu1,0.5\nu2,-0.25\n")
         assert read_threshold_csv(str(path)) == {"u1": 0.5, "u2": -0.25}
 
+    @pytest.mark.parametrize("text, row", [("unit,c\na,0.5\nb,nan\n", 3), ("a,-inf\n", 1)])
+    def test_non_finite_c(self, tmp_path, text, row):
+        with pytest.raises(NonFiniteValue, match=f"row {row} \\(c='-?(nan|inf)'\\)$"):
+            read_threshold_csv(_write(tmp_path, "c.csv", text))
+
+    def test_header_only(self, tmp_path):
+        with pytest.raises(DataError, match="c.csv has no data rows$"):
+            read_threshold_csv(_write(tmp_path, "c.csv", "unit,c\n"))
+
     def test_too_few_columns(self, tmp_path):
         with pytest.raises(NonFiniteValue, match="2 columns"):
             read_threshold_csv(_write(tmp_path, "c.csv", "a\n"))
